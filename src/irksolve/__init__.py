@@ -17,15 +17,12 @@ from .tableaux import (
     ConstructionFailure,
 )
 from .spectral import (
-    EigenPair,
+    Factor,
     SpectralData,
     StagePolynomials,
-    QuadraticFactor,
-    LinearFactor,
     spectral_decompose,
     adjugate_row_polynomials,
     factor_list,
-    EigenFailure,
     StabilityViolation,
 )
 from .linop import (
@@ -40,14 +37,16 @@ from .linop import (
     fov_upper_bound,
     DimensionMismatch,
     FactorizationFailure,
+    EigenFailure,
 )
-from .krylov import KrylovConfig, KrylovReport, solve, Breakdown
+from .krylov import (KrylovConfig, KrylovReport, solve, Breakdown,
+                     NonFiniteResidual)
 from .stepper import (
     LinearProblem,
     IRKStepper,
+    SDIRKStepper,
+    BlockStepper,
     advance_oracle,
-    sdirk_advance,
-    block_prec_advance,
     FactorSolveFailure,
 )
 from .spatial import (

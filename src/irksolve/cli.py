@@ -200,15 +200,13 @@ def _cmd_spectrum(args, out):
     if args.csv:
         out.line("factor,eta,beta,gamma_star,kappa_bound")
         for i, f in enumerate(factors):
-            beta = getattr(f, "beta", 0.0)
-            out.line(f"{i},{_f(f.eta)},{_f(beta)},{_f(f.gamma_star)},"
+            out.line(f"{i},{_f(f.eta)},{_f(f.beta)},{_f(f.gamma_star)},"
                      f"{_f(f.kappa_bound)}")
     else:
         out.line(f"{t.family}({t.s}): {len(factors)} factor(s)")
         for i, f in enumerate(factors):
-            beta = getattr(f, "beta", 0.0)
-            kind = "conjugate pair" if beta else "real"
-            out.line(f"  [{i}] {kind:<14s} eta={f.eta:.6f} beta={beta:.6f} "
+            kind = "real" if f.is_real else "conjugate pair"
+            out.line(f"  [{i}] {kind:<14s} eta={f.eta:.6f} beta={f.beta:.6f} "
                      f"gamma*={f.gamma_star:.6f} kappa_bound={f.kappa_bound:.4f}")
     return EXIT_OK
 
@@ -228,7 +226,7 @@ def _cmd_cond(args, out):
 
     rng = np.random.default_rng(args.seed)
     for i, f in enumerate(factors):
-        eta, beta = f.eta, getattr(f, "beta", 0.0)
+        eta, beta = f.eta, f.beta
         gs = math.hypot(eta, beta)
         if args.mode == "tight":
             L = cond_mod.tightness_matrix(eta, beta)
@@ -345,7 +343,11 @@ def main(argv=None) -> int:
             print(f"invalid --grids value {args.grids!r}", file=sys.stderr)
             return EXIT_USAGE
 
-    out = _Out(getattr(args, "output", None))
+    try:
+        out = _Out(getattr(args, "output", None))
+    except OSError as exc:
+        print(f"error: cannot open output file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return _DISPATCH[args.command](args, out)
     except (ValueError, KeyError) as exc:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .krylov import KrylovConfig
-from .stepper import (FactorSolveFailure, IRKStepper, LinearProblem,
-                      block_prec_advance, sdirk_advance)
+from .stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
+                      LinearProblem, SDIRKStepper)
 from .spatial import (GridSpec, build_fd_mms, build_fem_diffusion_1d,
                       build_upwind_advection)
 from .linop import IdentityMass
@@ -183,36 +183,16 @@ def _integrate_one(spec: ExperimentSpec, n: int, return_solution=False):
     kind, params = parse_inner(spec.inner, dim)
     tab = build_tableau(spec.family, spec.stages)
 
+    common = dict(outer_cfg=spec.krylov, inner_kind=kind, inner_params=params)
     if spec.integrator == "irk":
-        st = IRKStepper(tab, prob, dt, outer_cfg=spec.krylov,
-                        inner_kind=kind, inner_params=params,
-                        gamma_mode=spec.gamma_mode)
-        summary = st.factor_summary()
-
-        def step(u, tn):
-            return st.advance(u, tn)
+        st = IRKStepper(tab, prob, dt, gamma_mode=spec.gamma_mode, **common)
     elif spec.integrator == "sdirk":
-        if not tab.is_lower_triangular:
-            raise ValueError(f"{spec.family} is not diagonally implicit")
-        cache = {}
-        summary = [(i, 1.0 / tab.A0[i, i], 0.0, 1.0 / tab.A0[i, i])
-                   for i in range(tab.s)]
-
-        def step(u, tn):
-            return sdirk_advance(tab, prob, u, tn, dt, inner_kind=kind,
-                                 inner_params=params, outer_cfg=spec.krylov,
-                                 _cache=cache)
+        st = SDIRKStepper(tab, prob, dt, **common)
     elif spec.integrator in ("gsl", "ld"):
-        cache = {}
-        summary = [(0, float("nan"), float("nan"), float("nan"))]
-
-        def step(u, tn):
-            return block_prec_advance(tab, prob, u, tn, dt,
-                                      variant=spec.integrator.upper(),
-                                      inner_kind=kind, inner_params=params,
-                                      outer_cfg=spec.krylov, _cache=cache)
+        st = BlockStepper(tab, prob, dt, variant=spec.integrator, **common)
     else:
         raise ValueError(f"unknown integrator {spec.integrator!r}")
+    summary = st.factor_summary()
 
     nfac = len(summary)
     iters = np.zeros(nfac)
@@ -220,16 +200,14 @@ def _integrate_one(spec: ExperimentSpec, n: int, return_solution=False):
     done_steps = np.zeros(nfac, dtype=int)
     converged = [True] * nfac
     tn = 0.0
-    failed = False
     for _ in range(steps):
         try:
-            u, reports = step(u, tn)
+            u, reports = st.advance(u, tn)
         except FactorSolveFailure as exc:
             converged[exc.factor_index] = False
             iters[exc.factor_index] += exc.report.iterations
             apps[exc.factor_index] += exc.report.preconditioner_applications
             done_steps[exc.factor_index] += 1
-            failed = True
             break
         for i, rep in enumerate(reports):
             iters[i] += rep.iterations
@@ -238,7 +216,7 @@ def _integrate_one(spec: ExperimentSpec, n: int, return_solution=False):
         tn += dt
 
     err_linf, err_l2 = (_errors(u, prob, tn, h, dim)
-                        if not failed else (float("nan"), float("nan")))
+                        if all(converged) else (float("nan"), float("nan")))
     factors = []
     for i, (idx, eta, beta, gamma) in enumerate(summary):
         mean_it = iters[i] / done_steps[i] if done_steps[i] else float("nan")
@@ -322,17 +300,13 @@ def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L")
     solutions agree to solver tolerance; the SDIRK baseline is a
     different discretization and is reported for cost only.
     """
-    n = spec.grids[-1]
-    rows = []
-    for integ in ("irk", "gsl", "ld"):
-        rec, u = _integrate_one(replace(spec, integrator=integ), n,
-                                return_solution=True)
-        total = sum(f.total_precond_apps for f in rec.factors)
-        rows.append((integ, rec, total / rec.steps / spec.stages, u))
     fam = canonical_family(sdirk_family)
-    sd = replace(spec, integrator="sdirk", family=fam,
-                 stages=_SDIRK_STAGES[fam])
-    rec, u = _integrate_one(sd, n, return_solution=True)
-    total = sum(f.total_precond_apps for f in rec.factors)
-    rows.append(("sdirk", rec, total / rec.steps / rec.stages, u))
+    cases = [replace(spec, integrator=integ) for integ in ("irk", "gsl", "ld")]
+    cases.append(replace(spec, integrator="sdirk", family=fam,
+                         stages=_SDIRK_STAGES[fam]))
+    rows = []
+    for case in cases:
+        rec, u = _integrate_one(case, spec.grids[-1], return_solution=True)
+        total = sum(f.total_precond_apps for f in rec.factors)
+        rows.append((case.integrator, rec, total / rec.steps / rec.stages, u))
     return rows

@@ -8,22 +8,30 @@ still recomputes the true residual once at exit and bases the
 convergence flag on that, never on the in-iteration estimate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+import math
 
 import numpy as np
 
-__all__ = ["KrylovConfig", "KrylovReport", "solve", "Breakdown"]
+__all__ = ["KrylovConfig", "KrylovReport", "solve", "resolve_method",
+           "Breakdown", "NonFiniteResidual"]
 
-BREAKDOWN_TOL = 1e-30
+#: a recurrence denominator below this fraction of the norms it is formed
+#: from (in GMRES, its Hessenberg column's norm) counts as zero
+BREAKDOWN_TOL = 1e-14
 
 
 class Breakdown(RuntimeError):
     """Zero denominator in a Krylov recurrence."""
 
 
+class NonFiniteResidual(ArithmeticError):
+    """A residual norm became NaN or infinite."""
+
+
 @dataclass
 class KrylovConfig:
-    method: str = "gmres"        # cg | gmres | fgmres
+    method: str = "gmres"        # cg | gmres | fgmres | auto
     rel_tol: float = 1e-12
     abs_tol: float = 0.0
     max_iters: int = 2000
@@ -45,116 +53,124 @@ class KrylovReport:
     final_residual: float = 0.0
 
 
+def resolve_method(cfg: KrylovConfig | None, op, precond) -> KrylovConfig:
+    """cfg with method "auto" (or cfg None) resolved for solving op with
+    precond: fgmres for a variable preconditioner, cg for a symmetric
+    operator with an exact inner solve, gmres otherwise.  An explicit
+    method passes through unchanged."""
+    cfg = cfg or KrylovConfig(method="auto")
+    if cfg.method != "auto":
+        return cfg
+    if precond.variable:
+        method = "fgmres"
+    elif op.symmetric and precond.exact:
+        method = "cg"
+    else:
+        method = "gmres"
+    return replace(cfg, method=method)
+
+
 def _apply_precond(precond, v):
     if precond is None:
         return v
     return precond.apply(v)
 
 
-def _symmetry_probe(op, rng_seed=0, tol=1e-8):
-    """Cheap <Au,v> vs <u,Av> check on 3 random pairs before running CG."""
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(3):
-        u = rng.standard_normal(op.n)
-        v = rng.standard_normal(op.n)
-        au = op.apply(u)
-        av = op.apply(v)
-        scale = np.linalg.norm(au) * np.linalg.norm(v) + \
-            np.linalg.norm(av) * np.linalg.norm(u) + 1e-300
-        if abs(au @ v - u @ av) > tol * scale:
-            raise ValueError("CG requested on an operator that fails the "
-                             "symmetry probe")
+def _finite(rnorm):
+    if not math.isfinite(rnorm):
+        raise NonFiniteResidual(f"residual norm {rnorm} in Krylov iteration")
+    return rnorm
 
 
 def solve(op, b, precond, cfg: KrylovConfig, x0=None):
     """Solve op x = b.  Returns (x, KrylovReport).
 
     precond approximates op^{-1} (None for unpreconditioned); for CG it
-    must be SPD.  The report counts every leaf preconditioner
-    application performed during the solve.
+    must be SPD and op must be marked symmetric.  The report counts
+    every leaf preconditioner application performed during the solve.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != op.n:
         raise ValueError(f"rhs of dim {b.shape[0]} for operator of dim {op.n}")
     count0 = precond.applications if precond is not None else 0
+    target = cfg.rel_tol * float(np.linalg.norm(b)) + cfg.abs_tol
 
     method = cfg.method.lower()
     if method == "cg":
-        _symmetry_probe(op)
-        x, rep = _cg(op, b, precond, cfg, x0)
-    elif method == "gmres":
-        x, rep = _gmres(op, b, precond, cfg, x0, flexible=False)
-    elif method == "fgmres":
-        x, rep = _gmres(op, b, precond, cfg, x0, flexible=True)
+        if not op.symmetric:
+            raise ValueError("CG requested on an operator not marked "
+                             "symmetric")
+        x, rep, rtrue = _cg(op, b, precond, cfg, x0, target)
+    elif method in ("gmres", "fgmres"):
+        x, rep, rtrue = _gmres(op, b, precond, cfg, x0, target,
+                               flexible=method == "fgmres")
     else:
         raise ValueError(f"unknown Krylov method {cfg.method!r}")
 
-    # true residual, recomputed once
-    rtrue = float(np.linalg.norm(b - op.apply(x)))
-    bnorm = float(np.linalg.norm(b))
     rep.final_residual = rtrue
-    rep.converged = rtrue <= cfg.rel_tol * bnorm + cfg.abs_tol
+    rep.converged = rtrue <= target
     if precond is not None:
         rep.preconditioner_applications = precond.applications - count0
     return x, rep
 
 
-def _cg(op, b, precond, cfg, x0):
+def _cg(op, b, precond, cfg, x0, target):
+    """Preconditioned CG.  When the recurrence residual meets the target
+    the true residual is checked; if it misses, CG restarts from it, for
+    as long as each pass lowers it.  Returns (x, report, true residual
+    norm)."""
     rep = KrylovReport()
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - op.apply(x) if x0 is not None else b.copy()
-    bnorm = np.linalg.norm(b)
-    target = cfg.rel_tol * bnorm + cfg.abs_tol
-    rnorm = np.linalg.norm(r)
-    rep.residual_history.append(float(rnorm))
-    if rnorm <= target:
-        return x, rep
-
-    z = _apply_precond(precond, r)
-    p = z.copy()
-    rz = r @ z
-    for _ in range(cfg.max_iters):
-        q = op.apply(p)
-        pq = p @ q
-        if abs(pq) < BREAKDOWN_TOL:
-            raise Breakdown("p^T A p ~ 0 in CG")
-        alpha = rz / pq
-        x = x + alpha * p
-        r = r - alpha * q
-        rep.iterations += 1
-        rnorm = np.linalg.norm(r)
-        rep.residual_history.append(float(rnorm))
-        if rnorm <= target:
-            break
+    rnorm = _finite(float(np.linalg.norm(r)))
+    rep.residual_history.append(rnorm)
+    start = math.inf
+    while target < rnorm < start and rep.iterations < cfg.max_iters:
+        start = rnorm
         z = _apply_precond(precond, r)
-        rz_new = r @ z
-        if abs(rz) < BREAKDOWN_TOL:
-            raise Breakdown("r^T z ~ 0 in CG")
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, rep
+        p = z.copy()
+        rz = r @ z
+        while rep.iterations < cfg.max_iters:
+            q = op.apply(p)
+            pq = p @ q
+            if abs(pq) < BREAKDOWN_TOL * np.linalg.norm(p) * np.linalg.norm(q):
+                raise Breakdown("p^T A p ~ 0 in CG")
+            alpha = rz / pq
+            x = x + alpha * p
+            r = r - alpha * q
+            rep.iterations += 1
+            rnorm = _finite(float(np.linalg.norm(r)))
+            rep.residual_history.append(rnorm)
+            if rnorm <= target:
+                break
+            z = _apply_precond(precond, r)
+            rz_new = r @ z
+            if abs(rz_new) < BREAKDOWN_TOL * rnorm * np.linalg.norm(z):
+                raise Breakdown("r^T z ~ 0 in CG")
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        r = b - op.apply(x)
+        rnorm = _finite(float(np.linalg.norm(r)))
+    return x, rep, rnorm
 
 
-def _gmres(op, b, precond, cfg, x0, flexible):
+def _gmres(op, b, precond, cfg, x0, target, flexible):
     """Restarted GMRES, right-preconditioned, so the monitored Givens
     residual estimates the true residual regardless of preconditioner
     scaling.  The flexible variant stores the preconditioned directions
-    and tolerates a preconditioner that changes between iterations."""
+    and tolerates a preconditioner that changes between iterations.
+    Returns (x, report, true residual norm)."""
     rep = KrylovReport()
     n = op.n
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
-    target = cfg.rel_tol * np.linalg.norm(b) + cfg.abs_tol
-
-    first_cycle = True
     while True:
         r = b - op.apply(x) if (rep.iterations or x0 is not None) else b.copy()
-        beta = np.linalg.norm(r)
-        if first_cycle:
-            rep.residual_history.append(float(beta))
-            first_cycle = False
+        beta = _finite(float(np.linalg.norm(r)))
+        if not rep.residual_history:
+            rep.residual_history.append(beta)
         if beta <= target or rep.iterations >= cfg.max_iters:
-            return x, rep
+            return x, rep, beta
 
         m = cfg.restart
         V = np.zeros((m + 1, n))
@@ -176,6 +192,8 @@ def _gmres(op, b, precond, cfg, x0, flexible):
                 H[i, j] = V[i] @ w
                 w = w - H[i, j] * V[i]
             H[j + 1, j] = np.linalg.norm(w)
+            # |op z|: the scale of this column for the breakdown tests
+            col = np.linalg.norm(H[:j + 2, j])
 
             # apply accumulated Givens rotations, then generate a new one
             for i in range(j):
@@ -183,7 +201,7 @@ def _gmres(op, b, precond, cfg, x0, flexible):
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
                 H[i, j] = t
             denom = np.hypot(H[j, j], H[j + 1, j])
-            if denom < BREAKDOWN_TOL:
+            if denom <= BREAKDOWN_TOL * col:
                 raise Breakdown("Hessenberg column vanished in GMRES")
             cs[j] = H[j, j] / denom
             sn[j] = H[j + 1, j] / denom
@@ -192,10 +210,10 @@ def _gmres(op, b, precond, cfg, x0, flexible):
             g[j] = cs[j] * g[j]
 
             rep.iterations += 1
-            res = abs(g[j + 1])
-            rep.residual_history.append(float(res))
+            res = _finite(float(abs(g[j + 1])))
+            rep.residual_history.append(res)
 
-            happy = H[j + 1, j] < BREAKDOWN_TOL
+            happy = H[j + 1, j] <= BREAKDOWN_TOL * col
             if not happy:
                 V[j + 1] = w / H[j + 1, j]
             j += 1
@@ -212,4 +230,4 @@ def _gmres(op, b, precond, cfg, x0, flexible):
             x = x + _apply_precond(precond, V[:j].T @ y)
 
         if rep.residual_history[-1] <= target or rep.iterations >= cfg.max_iters:
-            return x, rep
+            return x, rep, float(np.linalg.norm(b - op.apply(x)))

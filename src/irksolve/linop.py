@@ -7,6 +7,7 @@ application counter so Krylov reports can account for every
 preconditioner application, including those inside inner iterations.
 """
 
+from functools import cached_property
 import warnings
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "build_inner_preconditioner",
     "fov_upper_bound",
     "Preconditioner",
-    "IdentityPreconditioner",
     "DimensionMismatch",
     "FactorizationFailure",
     "EigenFailure",
@@ -40,15 +40,19 @@ class FactorizationFailure(RuntimeError):
 
 
 class EigenFailure(RuntimeError):
-    """Symmetric eigensolve did not converge."""
+    """An eigensolve failed or could not be run."""
 
 
 class LinearOperator:
     """Square linear operator of dimension n.
 
     Subclasses implement apply(v); mat is the assembled sparse form when
-    one exists (None for purely matrix-free operators).
+    one exists (None for purely matrix-free operators).  symmetric is
+    decided once per operator: from the matrix, from the parts of a
+    composite operator, False for a matrix-free one.
     """
+
+    symmetric = False
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -73,11 +77,22 @@ class SparseOperator(LinearOperator):
         super().__init__(mat.shape[0])
         self.mat = mat
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """mat == mat^T to 1e-12 relative, tested on first use."""
+        d = self.mat - self.mat.T
+        if d.nnz == 0:
+            return True
+        scale = np.max(np.abs(self.mat.data))
+        return bool(np.max(np.abs(d.data)) <= 1e-12 * scale)
+
     def apply(self, v):
         return self.mat @ v
 
 
 class ZeroOperator(LinearOperator):
+    symmetric = True
+
     def __init__(self, n: int):
         super().__init__(n)
         self.mat = sp.csr_matrix((n, n))
@@ -112,6 +127,8 @@ class MassOperator(LinearOperator):
 
 
 class IdentityMass(MassOperator):
+    symmetric = True
+
     def __init__(self, n: int):
         super().__init__(n)
         self.mat = sp.identity(n, format="csr")
@@ -127,19 +144,14 @@ class IdentityMass(MassOperator):
         return True
 
 
-class SparseMass(MassOperator):
+class SparseMass(SparseOperator, MassOperator):
     """Assembled sparse SPD mass matrix; solve via a single exact sparse
     LU factorization (tridiagonal/cyclic matrices factor without fill
     worth worrying about at desk scale)."""
 
     def __init__(self, mat):
-        mat = sp.csr_matrix(mat)
-        super().__init__(mat.shape[0])
-        self.mat = mat
-        self._lu = spla.splu(sp.csc_matrix(mat))
-
-    def apply(self, v):
-        return self.mat @ v
+        super().__init__(mat)
+        self._lu = spla.splu(sp.csc_matrix(self.mat))
 
     def solve(self, v):
         return self._lu.solve(v)
@@ -152,22 +164,29 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
     """The backward-Euler-type operator gamma*M - dt*L.
 
     Assembled sparse when both inputs expose a sparse form, composed
-    matrix-free otherwise.
+    matrix-free otherwise; symmetric when M and L are.
     """
     if M.n != L.n:
         raise DimensionMismatch(f"mass dim {M.n} != operator dim {L.n}")
     if M.mat is not None and L.mat is not None:
-        return SparseOperator(gamma * M.mat - dt * L.mat)
-    return ComposedOperator(L.n, lambda v: gamma * M.apply(v) - dt * L.apply(v))
+        op = SparseOperator(gamma * M.mat - dt * L.mat)
+    else:
+        op = ComposedOperator(L.n, lambda v: gamma * M.apply(v) - dt * L.apply(v))
+    op.symmetric = M.symmetric and L.symmetric
+    return op
 
 
 # ----------------------------------------------------------------------
 # Inner preconditioners
 
 class Preconditioner:
-    """Approximation of op^{-1} with a leaf application counter."""
+    """Approximation of op^{-1} with a leaf application counter.  exact
+    marks one built on exact solves, so SPD for an SPD operator; variable
+    marks one that changes between applications (an inner Krylov loop)."""
 
     kind = "abstract"
+    exact = False
+    variable = False
 
     def __init__(self, n: int):
         self.n = n
@@ -181,17 +200,11 @@ class Preconditioner:
         raise NotImplementedError
 
 
-class IdentityPreconditioner(Preconditioner):
-    kind = "identity"
-
-    def apply(self, v):
-        self._count += 1
-        return v
-
-
 class _ExactLU(Preconditioner):
     """Exact solve via sparse LU; the two kinds differ only in pivoting
     policy (none for banded 1D shifts, partial for general 2D)."""
+
+    exact = True
 
     def __init__(self, op: LinearOperator, pivot: bool):
         super().__init__(op.n)
@@ -291,6 +304,7 @@ class InnerKrylov(Preconditioner):
     application counts delegate to the wrapped preconditioner."""
 
     kind = "inner_krylov"
+    variable = True
 
     def __init__(self, op: LinearOperator, tol: float = 1e-2,
                  maxit: int = 100, base: Preconditioner | None = None):

@@ -13,19 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linop import EigenFailure
 from .tableaux import ButcherTableau
 
 __all__ = [
-    "EigenPair",
+    "Factor",
     "SpectralData",
     "StagePolynomials",
-    "QuadraticFactor",
-    "LinearFactor",
     "spectral_decompose",
     "adjugate_row_polynomials",
     "factor_list",
     "faddeev_leverrier",
-    "EigenFailure",
     "StabilityViolation",
 ]
 
@@ -33,21 +31,18 @@ __all__ = [
 PAIRING_TOL = 1e-10
 
 
-class EigenFailure(RuntimeError):
-    """Dense eigensolver failed to converge."""
-
-
 class StabilityViolation(RuntimeError):
     """An eigenvalue of A0^{-1} has nonpositive real part."""
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue eta + i*beta of A0^{-1} (beta = 0 for real ones),
-    with its optimal shift and condition-number bound."""
+class Factor:
+    """One eigenvalue eta + i*beta of A0^{-1} and its real factor of
+    P_s(Lhat): (eta I - Lhat)^2 + beta^2 I for a conjugate pair, eta I -
+    Lhat for a real eigenvalue (beta = 0), where gamma* = eta, kappa = 1."""
 
     eta: float
-    beta: float
+    beta: float = 0.0
 
     @property
     def gamma_star(self) -> float:
@@ -71,10 +66,6 @@ class SpectralData:
     reals: tuple
     char_poly: np.ndarray
 
-    @property
-    def s(self) -> int:
-        return 2 * len(self.pairs) + len(self.reals)
-
 
 @dataclass(frozen=True)
 class StagePolynomials:
@@ -82,35 +73,6 @@ class StagePolynomials:
     so that z = sum_i R_i(Lhat) (M^{-1} f_i)."""
 
     R: np.ndarray  # (s, s); degree <= s-1
-
-    @property
-    def s(self) -> int:
-        return self.R.shape[0]
-
-
-@dataclass(frozen=True)
-class QuadraticFactor:
-    """Conjugate-pair factor (eta I - Lhat)^2 + beta^2 I."""
-
-    eta: float
-    beta: float
-    gamma_star: float
-    kappa_bound: float
-
-
-@dataclass(frozen=True)
-class LinearFactor:
-    """Real-eigenvalue factor (eta I - Lhat); gamma* = eta, kappa = 1."""
-
-    eta: float
-
-    @property
-    def gamma_star(self) -> float:
-        return self.eta
-
-    @property
-    def kappa_bound(self) -> float:
-        return 1.0
 
 
 def faddeev_leverrier(B: np.ndarray):
@@ -159,7 +121,7 @@ def spectral_decompose(t: ButcherTableau) -> SpectralData:
         if used[i]:
             continue
         if abs(l.imag) < PAIRING_TOL * scale[i]:
-            reals.append(EigenPair(eta=float(l.real), beta=0.0))
+            reals.append(Factor(eta=float(l.real)))
             used[i] = True
             continue
         if l.imag < 0:
@@ -172,7 +134,7 @@ def spectral_decompose(t: ButcherTableau) -> SpectralData:
                 break
         if j is None:
             raise EigenFailure(f"unpaired complex eigenvalue {l}")
-        pairs.append(EigenPair(eta=float(l.real), beta=float(abs(l.imag))))
+        pairs.append(Factor(eta=float(l.real), beta=float(abs(l.imag))))
         used[i] = used[j] = True
 
     pairs.sort(key=lambda p: p.beta / p.eta)
@@ -203,12 +165,7 @@ def adjugate_row_polynomials(t: ButcherTableau) -> StagePolynomials:
 def factor_list(sd: SpectralData):
     """Solve order for P_s(Lhat): conjugate-pair quadratics first
     (ascending beta/eta), then real linear factors."""
-    factors = [QuadraticFactor(eta=p.eta, beta=p.beta,
-                               gamma_star=p.gamma_star,
-                               kappa_bound=p.kappa_bound)
-               for p in sd.pairs]
-    factors += [LinearFactor(eta=p.eta) for p in sd.reals]
-    return factors
+    return list(sd.pairs) + list(sd.reals)
 
 
 def char_poly_from_factors(sd: SpectralData) -> np.ndarray:

@@ -12,27 +12,32 @@ One step works entirely on N-vectors (no stage storage):
    contribute a single shifted solve;
 3. update u_{n+1} = u_n + dt * y.
 
-A dense direct-solve stepper over the full stage system is provided as
-the reference oracle, along with SDIRK and block-preconditioned
-baselines for iteration-count comparisons.
+A dense direct-solve oracle over the full stage system is provided as
+the reference, along with SDIRK and block-preconditioned (GSL / LD)
+baseline steppers for iteration-count comparisons.  All three steppers
+share one protocol: factor once at construction for a fixed dt, then
+advance(u, t) -> (u, reports) per step, with factor_summary() naming
+the rows of the reports.
 """
+
+import math
 
 import numpy as np
 
-from .krylov import KrylovConfig, KrylovReport, solve
-from .linop import (LinearOperator, MassOperator, Preconditioner,
-                    build_inner_preconditioner, fov_upper_bound,
-                    shifted_operator)
-from .spectral import (QuadraticFactor, adjugate_row_polynomials,
-                       factor_list, spectral_decompose)
+from .krylov import KrylovConfig, KrylovReport, resolve_method, solve
+from .linop import (ComposedOperator, LinearOperator, MassOperator,
+                    Preconditioner, build_inner_preconditioner,
+                    fov_upper_bound, shifted_operator)
+from .spectral import (adjugate_row_polynomials, factor_list,
+                       spectral_decompose)
 from .tableaux import ButcherTableau
 
 __all__ = [
     "LinearProblem",
     "IRKStepper",
+    "SDIRKStepper",
+    "BlockStepper",
     "advance_oracle",
-    "sdirk_advance",
-    "block_prec_advance",
     "FactorSolveFailure",
     "SingularSystem",
 ]
@@ -51,16 +56,6 @@ class FactorSolveFailure(RuntimeError):
 
 class SingularSystem(RuntimeError):
     """Dense stage system is singular."""
-
-
-def _is_symmetric(mat, tol=1e-12) -> bool:
-    if mat is None:
-        return False
-    d = mat - mat.T
-    if d.nnz == 0:
-        return True
-    scale = max(np.max(np.abs(mat.data)) if mat.nnz else 0.0, 1e-300)
-    return np.max(np.abs(d.data)) <= tol * scale
 
 
 class LinearProblem:
@@ -89,7 +84,10 @@ class LinearProblem:
                 raise ValueError(
                     f"spatial operator violates W(L) <= 0: "
                     f"max Re W(L) = {bound:.3e}")
-        self.is_symmetric = _is_symmetric(M.mat) and _is_symmetric(L.mat)
+
+    @property
+    def is_symmetric(self) -> bool:
+        return self.M.symmetric and self.L.symmetric
 
     def stage_rhs(self, t_stage: float, Lu_n: np.ndarray) -> np.ndarray:
         """f_i = f(t_stage) + L u_n, with L u_n computed once per step."""
@@ -107,6 +105,7 @@ class _QuadraticSystem(LinearOperator):
         self._A = A_eta
         self._M = M
         self._b2 = beta * beta
+        self.symmetric = A_eta.symmetric and M.symmetric
 
     def apply(self, v):
         w = self._A.apply(self._M.solve(self._A.apply(v)))
@@ -124,6 +123,8 @@ class _SandwichPreconditioner(Preconditioner):
         super().__init__(P.n)
         self._P = P
         self._M = M
+        self.exact = P.exact
+        self.variable = P.variable
 
     @property
     def applications(self):
@@ -131,9 +132,6 @@ class _SandwichPreconditioner(Preconditioner):
 
     def apply(self, v):
         return self._P.apply(self._M.apply(self._P.apply(v)))
-
-
-_EXACT_KINDS = ("exact_banded", "exact_sparse_lu")
 
 
 class IRKStepper:
@@ -159,7 +157,6 @@ class IRKStepper:
         self.problem = problem
         self.dt = float(dt)
         self.gamma_mode = gamma_mode
-        self.inner_kind = inner_kind.replace("-", "_").lower()
         self.spectral = spectral_decompose(tableau)
         self.polys = adjugate_row_polynomials(tableau)
         self.factors = factor_list(self.spectral)
@@ -172,32 +169,18 @@ class IRKStepper:
             A_eta = shifted_operator(f.eta, self.dt, M, L)
             A_gamma = A_eta if gamma == f.eta else \
                 shifted_operator(gamma, self.dt, M, L)
-            inner = build_inner_preconditioner(self.inner_kind, A_gamma,
+            inner = build_inner_preconditioner(inner_kind, A_gamma,
                                                **params)
-            if isinstance(f, QuadraticFactor):
-                op = _QuadraticSystem(A_eta, M, f.beta)
-                precond = _SandwichPreconditioner(inner, M)
-            else:
+            if f.is_real:
                 op = A_eta
                 precond = inner
+            else:
+                op = _QuadraticSystem(A_eta, M, f.beta)
+                precond = _SandwichPreconditioner(inner, M)
             self._solvers.append((f, gamma, op, precond))
-
-        self.outer_cfg = self._resolve_cfg(outer_cfg)
-
-    def _resolve_cfg(self, cfg):
-        if cfg is not None and cfg.method != "auto":
-            return cfg
-        if self.inner_kind == "inner_krylov":
-            method = "fgmres"
-        elif self.problem.is_symmetric and self.inner_kind in _EXACT_KINDS:
-            method = "cg"
-        else:
-            method = "gmres"
-        if cfg is None:
-            return KrylovConfig(method=method)
-        return KrylovConfig(method=method, rel_tol=cfg.rel_tol,
-                            abs_tol=cfg.abs_tol, max_iters=cfg.max_iters,
-                            restart=cfg.restart)
+        # every factor has the same inner kind and is symmetric exactly
+        # when the problem is, so the last one resolves "auto" for all
+        self.outer_cfg = resolve_method(outer_cfg, op, precond)
 
     # -- algorithm stages ------------------------------------------------
 
@@ -244,11 +227,8 @@ class IRKStepper:
 
     def factor_summary(self):
         """(index, eta, beta, gamma) per factor, in solve order."""
-        out = []
-        for idx, (f, gamma, _op, _pc) in enumerate(self._solvers):
-            beta = f.beta if isinstance(f, QuadraticFactor) else 0.0
-            out.append((idx, f.eta, beta, gamma))
-        return out
+        return [(idx, f.eta, f.beta, gamma)
+                for idx, (f, gamma, _op, _pc) in enumerate(self._solvers)]
 
 
 # ----------------------------------------------------------------------
@@ -277,72 +257,65 @@ def advance_oracle(tableau: ButcherTableau, problem: LinearProblem,
     return u_n + dt * (tableau.b0 @ k)
 
 
-def sdirk_advance(tableau: ButcherTableau, problem: LinearProblem,
-                  u_n: np.ndarray, t_n: float, dt: float,
-                  inner_kind: str = "exact_sparse_lu",
-                  inner_params: dict | None = None,
-                  outer_cfg: KrylovConfig | None = None,
-                  _cache: dict | None = None):
+def _stage_solvers(diagonal, problem: LinearProblem, dt: float,
+                   inner_kind: str, inner_params: dict | None):
+    """(operator, inner preconditioner) for each entry d of diagonal, one
+    pair built per distinct d: the stage equation (M - dt d L) x = r is
+    run as ((1/d) M - dt L) x = r / d, so it reuses the backward-Euler
+    preconditioner machinery with gamma = 1/d."""
+    built = {}
+    for d in diagonal:
+        key = round(d, 14)
+        if key not in built:
+            op = shifted_operator(1.0 / d, dt, problem.M, problem.L)
+            built[key] = (op, build_inner_preconditioner(
+                inner_kind, op, **(inner_params or {})))
+    return [built[round(d, 14)] for d in diagonal]
+
+
+class SDIRKStepper:
     """Stage-by-stage substitution for lower-triangular A0: each stage is
-    one shifted solve (M - dt a_ii L) k_i = f_i + dt sum_{j<i} a_ij L k_j,
-    run as ((1/a_ii) M - dt L) k_i = f_i / a_ii so it reuses the
-    backward-Euler preconditioner machinery with gamma = 1/a_ii."""
-    if not tableau.is_lower_triangular:
-        raise ValueError("sdirk_advance requires a lower-triangular tableau")
-    s = tableau.s
-    prob = problem
-    cache = _cache if _cache is not None else {}
+    one shifted solve (M - dt a_ii L) k_i = f_i + dt sum_{j<i} a_ij L k_j.
+    Reports one Krylov solve per stage."""
 
-    if outer_cfg is None or outer_cfg.method == "auto":
-        kind = inner_kind.replace("-", "_").lower()
-        method = "cg" if (prob.is_symmetric and kind in _EXACT_KINDS) else "gmres"
-        base = outer_cfg or KrylovConfig()
-        outer_cfg = KrylovConfig(method=method, rel_tol=base.rel_tol,
-                                 abs_tol=base.abs_tol, max_iters=base.max_iters,
-                                 restart=base.restart)
+    def __init__(self, tableau: ButcherTableau, problem: LinearProblem,
+                 dt: float, outer_cfg: KrylovConfig | None = None,
+                 inner_kind: str = "exact_sparse_lu",
+                 inner_params: dict | None = None):
+        if not tableau.is_lower_triangular:
+            raise ValueError(f"{tableau.family} is not diagonally implicit")
+        self.tableau = tableau
+        self.problem = problem
+        self.dt = float(dt)
+        self._stages = _stage_solvers(np.diag(tableau.A0), problem, self.dt,
+                                      inner_kind, inner_params)
+        self.outer_cfg = resolve_method(outer_cfg, *self._stages[0])
 
-    Lu_n = prob.L.apply(u_n)
-    Lk = []
-    update = np.zeros(prob.n)
-    reports = []
-    for i in range(s):
-        a_ii = tableau.A0[i, i]
-        rhs = prob.stage_rhs(t_n + dt * tableau.c0[i], Lu_n)
-        if i:
-            rhs = rhs + dt * sum(tableau.A0[i, j] * Lk[j] for j in range(i))
-        key = round(a_ii, 14)
-        if key not in cache:
-            shifted = shifted_operator(1.0 / a_ii, dt, prob.M, prob.L)
-            pc = build_inner_preconditioner(inner_kind, shifted,
-                                            **(inner_params or {}))
-            cache[key] = (shifted, pc)
-        shifted, pc = cache[key]
-        k_i, rep = solve(shifted, rhs / a_ii, pc, outer_cfg)
-        reports.append(rep)
-        if not rep.converged:
-            raise FactorSolveFailure(i, rep)
-        Lk.append(prob.L.apply(k_i))
-        update += tableau.b0[i] * k_i
-    return u_n + dt * update, reports
+    def advance(self, u_n: np.ndarray, t_n: float):
+        """One step: returns (u_{n+1}, per-stage Krylov reports)."""
+        tab, prob, dt = self.tableau, self.problem, self.dt
+        Lu_n = prob.L.apply(u_n)
+        Lk = []
+        update = np.zeros(prob.n)
+        reports = []
+        for i, (op, pc) in enumerate(self._stages):
+            rhs = prob.stage_rhs(t_n + dt * tab.c0[i], Lu_n)
+            if i:
+                rhs = rhs + dt * sum(tab.A0[i, j] * Lk[j] for j in range(i))
+            k_i, rep = solve(op, rhs / tab.A0[i, i], pc, self.outer_cfg)
+            reports.append(rep)
+            if not rep.converged:
+                raise FactorSolveFailure(i, rep)
+            if i + 1 < tab.s:
+                Lk.append(prob.L.apply(k_i))
+            update += tab.b0[i] * k_i
+        return u_n + dt * update, reports
 
-
-class _StageSystem(LinearOperator):
-    """The coupled operator (I x M - dt A0 x L) acting on stacked stages."""
-
-    def __init__(self, tableau, problem, dt):
-        super().__init__(tableau.s * problem.n)
-        self._t = tableau
-        self._p = problem
-        self._dt = dt
-
-    def apply(self, v):
-        s, n = self._t.s, self._p.n
-        K = v.reshape(s, n)
-        LK = np.array([self._p.L.apply(K[j]) for j in range(s)])
-        out = np.empty_like(K)
-        for i in range(s):
-            out[i] = self._p.M.apply(K[i]) - self._dt * (self._t.A0[i] @ LK)
-        return out.reshape(-1)
+    def factor_summary(self):
+        """(index, 1/a_ii, 0, 1/a_ii) per stage: each stage is a real
+        backward-Euler solve with shift 1/a_ii."""
+        return [(i, 1.0 / a, 0.0, 1.0 / a)
+                for i, a in enumerate(np.diag(self.tableau.A0))]
 
 
 class _BlockTriangularPreconditioner(Preconditioner):
@@ -355,21 +328,13 @@ class _BlockTriangularPreconditioner(Preconditioner):
         self._T = T
         self._p = problem
         self._dt = dt
-        self._inner = []
-        cache = {}
-        for i in range(s):
-            key = round(T[i, i], 14)
-            if key not in cache:
-                shifted = shifted_operator(1.0 / T[i, i], dt, problem.M,
-                                           problem.L)
-                cache[key] = build_inner_preconditioner(
-                    inner_kind, shifted, **(inner_params or {}))
-            self._inner.append(cache[key])
-        self._distinct = list(cache.values())
+        self._inner = [pc for _op, pc in _stage_solvers(
+            np.diag(T), problem, dt, inner_kind, inner_params)]
+        self.variable = self._inner[0].variable
 
     @property
     def applications(self):
-        return sum(pc.applications for pc in self._distinct)
+        return sum(pc.applications for pc in set(self._inner))
 
     def apply(self, v):
         s, n = self._T.shape[0], self._p.n
@@ -403,40 +368,49 @@ def _ldu_lower(A: np.ndarray) -> np.ndarray:
     return Lo @ np.diag(np.diag(U))
 
 
-def block_prec_advance(tableau: ButcherTableau, problem: LinearProblem,
-                       u_n: np.ndarray, t_n: float, dt: float,
-                       variant: str = "GSL",
-                       inner_kind: str = "exact_sparse_lu",
-                       inner_params: dict | None = None,
-                       outer_cfg: KrylovConfig | None = None,
-                       _cache: dict | None = None):
+class BlockStepper:
     """Baseline: GMRES on the full stage system, preconditioned by a
     block lower-triangular splitting of A0 (GSL keeps the lower triangle
-    of A0; LD uses the L*D part of its LDU factorization)."""
-    variant = variant.upper()
-    if variant not in ("GSL", "LD"):
-        raise ValueError(f"unknown block preconditioner variant {variant!r}")
+    of A0; LD uses the L*D part of its LDU factorization).  Reports one
+    Krylov solve per step."""
 
-    cache = _cache if _cache is not None else {}
-    if "ops" not in cache:
+    def __init__(self, tableau: ButcherTableau, problem: LinearProblem,
+                 dt: float, outer_cfg: KrylovConfig | None = None,
+                 inner_kind: str = "exact_sparse_lu",
+                 inner_params: dict | None = None, variant: str = "GSL"):
+        variant = variant.upper()
+        if variant not in ("GSL", "LD"):
+            raise ValueError(f"unknown block preconditioner variant {variant!r}")
+        self.tableau = tableau
+        self.problem = problem
+        self.dt = float(dt)
         T = np.tril(tableau.A0) if variant == "GSL" else _ldu_lower(tableau.A0)
-        sysop = _StageSystem(tableau, problem, dt)
-        prec = _BlockTriangularPreconditioner(T, problem, dt, inner_kind,
-                                              inner_params)
-        cache["ops"] = (sysop, prec)
-    sysop, prec = cache["ops"]
+        self._op = ComposedOperator(tableau.s * problem.n, self._stage_system)
+        self._precond = _BlockTriangularPreconditioner(
+            T, problem, self.dt, inner_kind, inner_params)
+        self.outer_cfg = resolve_method(outer_cfg, self._op, self._precond)
 
-    if outer_cfg is None or outer_cfg.method == "auto":
-        base = outer_cfg or KrylovConfig()
-        outer_cfg = KrylovConfig(method="gmres", rel_tol=base.rel_tol,
-                                 abs_tol=base.abs_tol, max_iters=base.max_iters,
-                                 restart=base.restart)
+    def _stage_system(self, v):
+        """(I x M - dt A0 x L) v, for v the stacked stages."""
+        A0, prob = self.tableau.A0, self.problem
+        K = v.reshape(A0.shape[0], prob.n)
+        LK = np.array([prob.L.apply(k) for k in K])
+        return np.concatenate([prob.M.apply(k) - self.dt * (a @ LK)
+                               for k, a in zip(K, A0)])
 
-    Lu_n = problem.L.apply(u_n)
-    rhs = np.concatenate([problem.stage_rhs(t_n + dt * c, Lu_n)
-                          for c in tableau.c0])
-    k, rep = solve(sysop, rhs, prec, outer_cfg)
-    if not rep.converged:
-        raise FactorSolveFailure(0, rep)
-    K = k.reshape(tableau.s, problem.n)
-    return u_n + dt * (tableau.b0 @ K), [rep]
+    def advance(self, u_n: np.ndarray, t_n: float):
+        """One step: returns (u_{n+1}, [the stage-system Krylov report])."""
+        tab, prob, dt = self.tableau, self.problem, self.dt
+        Lu_n = prob.L.apply(u_n)
+        rhs = np.concatenate([prob.stage_rhs(t_n + dt * c, Lu_n)
+                              for c in tab.c0])
+        k, rep = solve(self._op, rhs, self._precond, self.outer_cfg)
+        if not rep.converged:
+            raise FactorSolveFailure(0, rep)
+        K = k.reshape(tab.s, prob.n)
+        return u_n + dt * (tab.b0 @ K), [rep]
+
+    def factor_summary(self):
+        """One row for the single stage-system solve; it has no
+        (eta, beta, gamma)."""
+        return [(0, math.nan, math.nan, math.nan)]

@@ -131,3 +131,22 @@ def test_output_file(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("# cmd: spectrum")
     assert "factor,eta,beta,gamma_star,kappa_bound" in text
+
+
+def test_fem_gauss3_run_exits_0(capsys):
+    # used to exit 1 on a spurious "p^T A p ~ 0" CG breakdown
+    code, out = run_cli(capsys, ["run", "--problem", "diffusion1d-fem",
+                                 "--family", "gauss", "--stages", "3",
+                                 "--grids", "64"])
+    assert code == 0
+    data = [l for l in out.splitlines() if not l.startswith("#")]
+    assert all(l.endswith(",1") for l in data[1:])
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.csv"
+    code = main(["spectrum", "--family", "gauss", "--stages", "3",
+                 "-o", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irksolve.krylov import KrylovConfig, solve
-from irksolve.linop import (IdentityMass, SparseOperator,
-                            build_inner_preconditioner, shifted_operator)
+from irksolve.krylov import (KrylovConfig, NonFiniteResidual, resolve_method,
+                             solve)
+from irksolve.linop import (ComposedOperator, IdentityMass, Preconditioner,
+                            SparseOperator, build_inner_preconditioner,
+                            shifted_operator)
 from irksolve.spatial import GridSpec, build_advdiff
 from irksolve.stepper import IRKStepper, LinearProblem
 from irksolve.tableaux import build_tableau
@@ -123,3 +127,74 @@ def test_cg_breakdown_on_indefinite():
     b = np.array([1.0, 1.0])
     with pytest.raises(Breakdown):
         solve(op, b, None, KrylovConfig(method="cg", rel_tol=1e-12))
+
+
+def test_cg_breakdown_tests_are_scale_invariant():
+    # an absolute threshold on p^T A p mistakes a tiny right-hand side
+    # for a breakdown
+    op = spd_tridiag(40)
+    b = rng.standard_normal(40)
+    x1, rep1 = solve(op, b, None, KrylovConfig(method="cg", rel_tol=1e-10))
+    x2, rep2 = solve(op, 1e-20 * b, None,
+                     KrylovConfig(method="cg", rel_tol=1e-10))
+    assert rep1.converged and rep2.converged
+    assert rep2.iterations == rep1.iterations
+    assert np.allclose(x2, 1e-20 * x1, rtol=1e-8, atol=0.0)
+
+
+class _CountingOperator(SparseOperator):
+    def __init__(self, mat):
+        super().__init__(mat)
+        self.applies = 0
+
+    def apply(self, v):
+        self.applies += 1
+        return super().apply(v)
+
+
+def test_cg_applies_operator_once_per_iteration_plus_true_residual():
+    op = _CountingOperator(spd_tridiag(32).mat)
+    _x, rep = solve(op, rng.standard_normal(32), None,
+                    KrylovConfig(method="cg", rel_tol=1e-10))
+    assert rep.converged
+    assert op.applies == rep.iterations + 1
+
+
+def test_cg_refused_on_matrix_free_operator():
+    mat = spd_tridiag(10).mat
+    op = ComposedOperator(10, lambda v: mat @ v)
+    assert not op.symmetric
+    with pytest.raises(ValueError):
+        solve(op, rng.standard_normal(10), None, KrylovConfig(method="cg"))
+
+
+class _NaNPreconditioner(Preconditioner):
+    def apply(self, v):
+        self._count += 1
+        return np.full_like(v, np.nan)
+
+
+@pytest.mark.parametrize("method", ["cg", "gmres", "fgmres"])
+def test_nonfinite_preconditioner_stops_at_first_iteration(method):
+    op = spd_tridiag(50)
+    pc = _NaNPreconditioner(50)
+    with pytest.raises(NonFiniteResidual):
+        solve(op, rng.standard_normal(50), pc,
+              KrylovConfig(method=method, max_iters=2000))
+    assert pc.applications == 1
+
+
+def test_resolve_method():
+    sym = spd_tridiag(8)
+    nonsym = SparseOperator(sp.csr_matrix(rng.standard_normal((8, 8))))
+    exact = build_inner_preconditioner("exact_sparse_lu", sym)
+    relax = build_inner_preconditioner("jacobi", sym)
+    inner = build_inner_preconditioner("inner_krylov", sym)
+    auto = KrylovConfig(method="auto", rel_tol=1e-9, max_iters=7, restart=5)
+    assert resolve_method(auto, sym, exact) == replace(auto, method="cg")
+    assert resolve_method(auto, nonsym, exact).method == "gmres"
+    assert resolve_method(auto, sym, relax).method == "gmres"
+    assert resolve_method(auto, sym, inner).method == "fgmres"
+    assert resolve_method(None, sym, exact) == KrylovConfig(method="cg")
+    explicit = KrylovConfig(method="gmres", rel_tol=1e-9)
+    assert resolve_method(explicit, sym, exact) is explicit

@@ -168,3 +168,24 @@ def test_matrix_free_shifted_operator():
     assert np.max(np.abs(op.to_dense() - (2.5 * np.eye(n) - 0.1 * A))) < 1e-12
     # dense fallback of the fov bound on the matrix-free L itself
     assert fov_upper_bound(L) <= 1e-12
+
+
+def test_fov_failure_is_the_package_eigen_failure():
+    import irksolve
+    from irksolve.linop import ComposedOperator
+
+    assert irksolve.EigenFailure is irksolve.linop.EigenFailure
+    op = ComposedOperator(1025, lambda v: -v)
+    with pytest.raises(irksolve.EigenFailure):
+        fov_upper_bound(op)
+
+
+def test_symmetry_flags():
+    n = 16
+    sym = SparseOperator(d2_matrix(n, 2.0 / n, 2))
+    adv = build_upwind_advection(GridSpec(dim=1, n=n), 1.0)
+    fem = build_fem_mass_1d(GridSpec(dim=1, n=n))
+    assert sym.symmetric and fem.symmetric and IdentityMass(n).symmetric
+    assert not adv.symmetric
+    assert shifted_operator(1.5, 0.1, fem, sym).symmetric
+    assert not shifted_operator(1.5, 0.1, fem, adv).symmetric

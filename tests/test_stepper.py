@@ -7,11 +7,11 @@ import scipy.sparse as sp
 from irksolve.conditioning import random_stable_matrix
 from irksolve.krylov import KrylovConfig
 from irksolve.linop import IdentityMass, SparseOperator, ZeroOperator
-from irksolve.spatial import GridSpec, build_fem_mass_1d
+from irksolve.spatial import (GridSpec, build_fem_diffusion_1d,
+                              build_fem_mass_1d)
 from irksolve.spectral import spectral_decompose
-from irksolve.stepper import (FactorSolveFailure, IRKStepper, LinearProblem,
-                              advance_oracle, block_prec_advance,
-                              sdirk_advance)
+from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
+                              LinearProblem, SDIRKStepper, advance_oracle)
 from irksolve.tableaux import build_tableau
 
 rng = np.random.default_rng(2024)
@@ -287,7 +287,7 @@ def test_sdirk_advance_matches_oracle():
     u = rng.standard_normal(n)
     for fam, s in [("BackwardEuler", 1), ("SDIRK2L", 2), ("SDIRK3L", 3)]:
         tab = build_tableau(fam, s)
-        ua, _ = sdirk_advance(tab, prob, u, 0.0, 0.2, outer_cfg=TIGHT)
+        ua, _ = SDIRKStepper(tab, prob, 0.2, outer_cfg=TIGHT).advance(u, 0.0)
         uo = advance_oracle(tab, prob, u, 0.0, 0.2)
         assert np.linalg.norm(ua - uo) < 1e-11 * np.linalg.norm(uo), fam
 
@@ -295,8 +295,8 @@ def test_sdirk_advance_matches_oracle():
 def test_sdirk_advance_rejects_full_tableau():
     prob = random_problem(4, seed=13)
     with pytest.raises(ValueError):
-        sdirk_advance(build_tableau("gauss", 2), prob,
-                      np.zeros(4), 0.0, 0.1)
+        SDIRKStepper(build_tableau("gauss", 2), prob, 0.1).advance(
+            np.zeros(4), 0.0)
 
 
 def test_block_prec_advance_matches_oracle():
@@ -306,8 +306,8 @@ def test_block_prec_advance_matches_oracle():
     tab = build_tableau("gauss", 2)
     uo = advance_oracle(tab, prob, u, 0.0, 0.18)
     for variant in ("GSL", "LD"):
-        ub, reps = block_prec_advance(tab, prob, u, 0.0, 0.18,
-                                      variant=variant, outer_cfg=TIGHT)
+        ub, reps = BlockStepper(tab, prob, 0.18, variant=variant,
+                                outer_cfg=TIGHT).advance(u, 0.0)
         assert np.linalg.norm(ub - uo) < 1e-10 * np.linalg.norm(uo)
         assert reps[0].iterations > 0
         assert reps[0].preconditioner_applications > 0
@@ -318,7 +318,7 @@ def test_block_prec_s1_equals_backward_euler():
     prob = random_problem(n, seed=15)
     u = rng.standard_normal(n)
     tab = build_tableau("backwardEuler", 1)
-    ub, _ = block_prec_advance(tab, prob, u, 0.0, 0.3, outer_cfg=TIGHT)
+    ub, _ = BlockStepper(tab, prob, 0.3, outer_cfg=TIGHT).advance(u, 0.0)
     uo = advance_oracle(tab, prob, u, 0.0, 0.3)
     assert np.linalg.norm(ub - uo) < 1e-11 * np.linalg.norm(uo)
 
@@ -336,3 +336,48 @@ def test_factor_solve_failure_carries_report():
         st.advance(rng.standard_normal(n), 0.0)
     assert exc.value.factor_index == 0
     assert exc.value.report.iterations == 2
+
+
+def test_baseline_steppers_match_oracle_over_steps_at_each_dt():
+    # each stepper factors once for its own dt and reuses that every step
+    n = 12
+    prob = random_problem(n, seed=17)
+    u0 = rng.standard_normal(n)
+    sdirk, gauss = build_tableau("SDIRK2L", 2), build_tableau("gauss", 2)
+    for dt in (0.1, 0.2):
+        steppers = [SDIRKStepper(sdirk, prob, dt, outer_cfg=TIGHT)]
+        steppers += [BlockStepper(gauss, prob, dt, outer_cfg=TIGHT, variant=v)
+                     for v in ("GSL", "LD")]
+        for st in steppers:
+            u, uo, tn = u0.copy(), u0.copy(), 0.0
+            for _ in range(3):
+                u, _ = st.advance(u, tn)
+                uo = advance_oracle(st.tableau, prob, uo, tn, dt)
+                tn += dt
+            assert np.linalg.norm(u - uo) < 1e-10 * np.linalg.norm(uo)
+
+
+def test_fem_gauss3_completes_where_cg_broke_down():
+    # Gauss-3 on 1D FEM diffusion at n=256 used to stop part-way: once
+    # |u| decays, an absolute CG breakdown threshold fires, and on this
+    # phase the recurrence residual met the target while the true
+    # residual did not
+    grid = GridSpec(dim=1, n=256)
+    prob = build_fem_diffusion_1d(grid)
+    dt = 2 * grid.h
+    st = IRKStepper(build_tableau("gauss", 3), prob, dt,
+                    outer_cfg=KrylovConfig(method="auto", rel_tol=1e-10),
+                    inner_kind="exact_banded")
+    assert st.outer_cfg.method == "cg"
+    phi = np.random.default_rng(17).uniform(0.0, 2.0 * np.pi)
+    x = grid.points_1d()
+    u = np.sin(np.pi * x + phi)
+    tn = 0.0
+    for _ in range(128):
+        u, _ = st.advance(u, tn)
+        tn += dt
+    # the pi-mode decays at the discrete rate lambda_K / lambda_M
+    c = np.cos(np.pi * grid.h)
+    mu = (2.0 - 2.0 * c) / grid.h / ((grid.h / 6.0) * (4.0 + 2.0 * c))
+    exact = np.exp(-mu * tn) * np.sin(np.pi * x + phi)
+    assert np.max(np.abs(u - exact)) <= 1e-6 * np.max(np.abs(exact))
