@@ -350,7 +350,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _DISPATCH[args.command](args, out)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # solver-level failures

@@ -63,6 +63,8 @@ class ExperimentSpec:
         object.__setattr__(self, "family", canonical_family(self.family))
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
+        if self.dt_ratio <= 0:
+            raise ValueError("dt_ratio must be positive")
 
 
 @dataclass
@@ -93,7 +95,7 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -109,19 +111,15 @@ def records_to_csv(records, header=True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_inner(spec: str, dim: int):
+def parse_inner(spec: str, dim=None):
     """Map an inner-preconditioner spec string to (kind, params).
 
-    'exact' resolves to the pivot-free banded factorization for 1D
-    problems and sparse LU with partial pivoting for 2D.
+    'exact' is one sparse LU for every problem.  dim is ignored; it is
+    kept only because the benchmark workloads still pass it.
     """
     parts = spec.split(":")
     name = parts[0].lower()
-    if name == "exact":
-        return ("exact_banded" if dim == 1 else "exact_sparse_lu"), {}
-    if name in ("exact_banded", "exact-banded"):
-        return "exact_banded", {}
-    if name in ("exact_sparse_lu", "exact-sparse-lu", "splu"):
+    if name in ("exact", "exact_sparse_lu", "exact-sparse-lu", "splu"):
         return "exact_sparse_lu", {}
     if name in ("jacobi", "gs", "gauss_seidel", "gauss-seidel"):
         sweeps = int(parts[1]) if len(parts) > 1 else 1
@@ -180,7 +178,7 @@ def _integrate_one(spec: ExperimentSpec, n: int, return_solution=False):
     prob, u, dim = build_problem(spec, n)
     h = 2.0 / n
     dt, steps = _steps_for(spec, h)
-    kind, params = parse_inner(spec.inner, dim)
+    kind, params = parse_inner(spec.inner)
     tab = build_tableau(spec.family, spec.stages)
 
     common = dict(outer_cfg=spec.krylov, inner_kind=kind, inner_params=params)
@@ -301,6 +299,9 @@ def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L")
     different discretization and is reported for cost only.
     """
     fam = canonical_family(sdirk_family)
+    if fam not in _SDIRK_STAGES:
+        raise ValueError(f"{fam} is not an SDIRK baseline; choose from "
+                         f"{', '.join(_SDIRK_STAGES)}")
     cases = [replace(spec, integrator=integ) for integ in ("irk", "gsl", "ld")]
     cases.append(replace(spec, integrator="sdirk", family=fam,
                          stages=_SDIRK_STAGES[fam]))

@@ -144,14 +144,30 @@ class IdentityMass(MassOperator):
         return True
 
 
+def _sparse_lu(mat):
+    """SuperLU factorization of mat with its defaults: COLAMD column
+    ordering and partial pivoting.  Raises FactorizationFailure for an
+    exactly singular matrix and for a pivot below 1e-14 of the largest
+    absolute row sum."""
+    A = sp.csc_matrix(mat)
+    try:
+        lu = spla.splu(A)
+    except RuntimeError as exc:
+        raise FactorizationFailure(str(exc)) from exc
+    udiag = np.abs(lu.U.diagonal())
+    row_norm = np.abs(A).sum(axis=1).max()
+    if udiag.min() <= 1e-14 * row_norm:
+        raise FactorizationFailure(
+            f"near-zero pivot {udiag.min():.3e} (row norm {row_norm:.3e})")
+    return lu
+
+
 class SparseMass(SparseOperator, MassOperator):
-    """Assembled sparse SPD mass matrix; solve via a single exact sparse
-    LU factorization (tridiagonal/cyclic matrices factor without fill
-    worth worrying about at desk scale)."""
+    """Assembled sparse SPD mass matrix; solve via one exact sparse LU."""
 
     def __init__(self, mat):
         super().__init__(mat)
-        self._lu = spla.splu(sp.csc_matrix(self.mat))
+        self._lu = _sparse_lu(self.mat)
 
     def solve(self, v):
         return self._lu.solve(v)
@@ -200,102 +216,78 @@ class Preconditioner:
         raise NotImplementedError
 
 
-class _ExactLU(Preconditioner):
-    """Exact solve via sparse LU; the two kinds differ only in pivoting
-    policy (none for banded 1D shifts, partial for general 2D)."""
+class ExactSparseLU(Preconditioner):
+    """Exact solve through one sparse LU of the assembled operator."""
 
+    kind = "exact_sparse_lu"
     exact = True
 
-    def __init__(self, op: LinearOperator, pivot: bool):
+    def __init__(self, op: LinearOperator):
         super().__init__(op.n)
         if op.mat is None:
             raise FactorizationFailure("exact factorization needs an assembled matrix")
-        A = sp.csc_matrix(op.mat)
-        try:
-            if pivot:
-                self._lu = spla.splu(A)
-            else:
-                # natural ordering, diagonal pivots: a banded LU
-                self._lu = spla.splu(A, permc_spec="NATURAL",
-                                     diag_pivot_thresh=0.0)
-        except RuntimeError as exc:
-            raise FactorizationFailure(str(exc)) from exc
-        udiag = np.abs(self._lu.U.diagonal())
-        row_norm = np.abs(A).sum(axis=1).max()
-        if udiag.min() <= 1e-14 * row_norm:
-            raise FactorizationFailure(
-                f"near-zero pivot {udiag.min():.3e} (row norm {row_norm:.3e})")
+        self._lu = _sparse_lu(op.mat)
 
     def apply(self, v):
         self._count += 1
         return self._lu.solve(v)
 
 
-class ExactBanded(_ExactLU):
-    kind = "exact_banded"
+class _Relaxation(Preconditioner):
+    """k sweeps x <- x + B (v - A x) from a zero initial guess, where the
+    subclass's _sweep applies B, an approximate inverse of the assembled
+    operator A."""
 
-    def __init__(self, op):
-        super().__init__(op, pivot=False)
+    def __init__(self, op: LinearOperator, sweeps: int = 1):
+        super().__init__(op.n)
+        if op.mat is None:
+            raise ValueError(f"{self.kind} needs an assembled matrix")
+        self.sweeps = int(sweeps)
+        if self.sweeps < 1:
+            raise ValueError(f"{self.kind} needs at least one sweep, "
+                             f"got {self.sweeps}")
+        self._op = op
+        d = np.abs(op.mat.diagonal())
+        off = np.abs(op.mat).sum(axis=1).A1 - d
+        if np.any(d < off - 1e-14 * (d + off)):
+            warnings.warn(f"{self.kind}: operator is not diagonally dominant; "
+                          "relaxation may be a weak preconditioner", stacklevel=3)
+
+    def _sweep(self, r):
+        raise NotImplementedError
+
+    def apply(self, v):
+        self._count += self.sweeps
+        x = self._sweep(v)
+        for _ in range(self.sweeps - 1):
+            x = x + self._sweep(v - self._op.apply(x))
+        return x
 
 
-class ExactSparseLU(_ExactLU):
-    kind = "exact_sparse_lu"
-
-    def __init__(self, op):
-        super().__init__(op, pivot=True)
-
-
-def _warn_if_not_diagonally_dominant(mat, kind):
-    d = np.abs(mat.diagonal())
-    off = np.abs(mat).sum(axis=1).A1 - d
-    if np.any(d < off - 1e-14 * (d + off)):
-        warnings.warn(f"{kind}: operator is not diagonally dominant; "
-                      "relaxation may be a weak preconditioner", stacklevel=3)
-
-
-class Jacobi(Preconditioner):
-    """k weighted-Jacobi sweeps (weight 1) from a zero initial guess."""
+class Jacobi(_Relaxation):
+    """k weighted-Jacobi sweeps (weight 1)."""
 
     kind = "jacobi"
 
     def __init__(self, op: LinearOperator, sweeps: int = 1):
-        super().__init__(op.n)
-        if op.mat is None:
-            raise ValueError("Jacobi needs an assembled matrix")
-        self.sweeps = int(sweeps)
-        self._op = op
+        super().__init__(op, sweeps)
         self._dinv = 1.0 / op.mat.diagonal()
-        _warn_if_not_diagonally_dominant(op.mat, self.kind)
 
-    def apply(self, v):
-        self._count += self.sweeps
-        x = self._dinv * v
-        for _ in range(self.sweeps - 1):
-            x = x + self._dinv * (v - self._op.apply(x))
-        return x
+    def _sweep(self, r):
+        return self._dinv * r
 
 
-class GaussSeidel(Preconditioner):
-    """k forward Gauss-Seidel sweeps from a zero initial guess."""
+class GaussSeidel(_Relaxation):
+    """k forward Gauss-Seidel sweeps."""
 
     kind = "gauss_seidel"
 
     def __init__(self, op: LinearOperator, sweeps: int = 1):
-        super().__init__(op.n)
-        if op.mat is None:
-            raise ValueError("Gauss-Seidel needs an assembled matrix")
-        self.sweeps = int(sweeps)
-        self._op = op
+        super().__init__(op, sweeps)
         self._lower = sp.csr_matrix(sp.tril(op.mat, k=0))
-        _warn_if_not_diagonally_dominant(op.mat, self.kind)
 
-    def apply(self, v):
-        self._count += self.sweeps
-        x = spla.spsolve_triangular(self._lower, v, lower=True)
-        for _ in range(self.sweeps - 1):
-            r = v - self._op.apply(x)
-            x = x + spla.spsolve_triangular(self._lower, r, lower=True)
-        return x
+    def _sweep(self, r):
+        return spla.spsolve_triangular(self._lower, r, lower=True)
 
 
 class InnerKrylov(Preconditioner):
@@ -334,13 +326,11 @@ def build_inner_preconditioner(kind: str, op: LinearOperator,
                                **params) -> Preconditioner:
     """Build a preconditioner of the requested kind for op.
 
-    kind: exact_banded | exact_sparse_lu | jacobi | gauss_seidel |
-    inner_krylov.  Relaxation kinds take sweeps=k; inner_krylov takes
-    tol, maxit and an optional base preconditioner.
+    kind: exact_sparse_lu | jacobi | gauss_seidel | inner_krylov.
+    Relaxation kinds take sweeps=k >= 1; inner_krylov takes tol, maxit
+    and an optional base preconditioner.
     """
     key = kind.replace("-", "_").lower()
-    if key == "exact_banded":
-        return ExactBanded(op)
     if key == "exact_sparse_lu":
         return ExactSparseLU(op)
     if key == "jacobi":

@@ -9,6 +9,7 @@ mass-scaled solve path.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,10 +57,7 @@ class GridSpec:
         return -1.0 + self.h * np.arange(self.n)
 
     def meshgrid(self):
-        x = self.points_1d()
-        if self.dim == 1:
-            return (x,)
-        return np.meshgrid(x, x, indexing="ij")
+        return np.meshgrid(*[self.points_1d()] * self.dim, indexing="ij")
 
 
 class MMSProblem(LinearProblem):
@@ -160,7 +158,7 @@ def build_upwind_advection(grid: GridSpec, adv: float) -> SparseOperator:
 # ----------------------------------------------------------------------
 # Manufactured solution: u_t + 0.85 u_x + u_y = 0.3 u_xx + 0.25 u_yy + s
 # with u = sin^4(pi/2 [x-1-0.85t]) sin^4(pi/2 [y-1-t]) exp(-0.55 t).
-# In 1D the y factor is dropped and the decay is exp(-0.3 t).
+# In 1D the y factor and its terms are dropped: u decays as exp(-0.3 t).
 
 ADV_X, ADV_Y = 0.85, 1.0
 DIFF_X, DIFF_Y = 0.3, 0.25
@@ -183,68 +181,48 @@ def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> MMSProblem:
     The travelling sin^4 profile cancels the advective terms exactly,
     so the source reduces to the decay and diffusion contributions.
     """
-    if grid.dim == 2:
-        X, Y = grid.meshgrid()
-        decay = DIFF_X + DIFF_Y
+    adv = (ADV_X, ADV_Y)[:grid.dim]
+    diff = (DIFF_X, DIFF_Y)[:grid.dim]
+    decay = sum(diff)
 
-        def exact(t):
-            return (_bump(X - 1 - ADV_X * t) * _bump(Y - 1 - t)
-                    * np.exp(-decay * t)).reshape(-1)
+    def u(xs, t):
+        g = [_bump(x - 1 - a * t) for x, a in zip(xs, adv)]
+        return math.prod(g + [np.exp(-decay * t)])
 
-        def source(t):
-            gx = _bump(X - 1 - ADV_X * t)
-            gy = _bump(Y - 1 - t)
-            return (np.exp(-decay * t)
-                    * (-decay * gx * gy
-                       - DIFF_X * _bump_d2(X - 1 - ADV_X * t) * gy
-                       - DIFF_Y * gx * _bump_d2(Y - 1 - t))).reshape(-1)
+    def source(xs, t):
+        w = [x - 1 - a * t for x, a in zip(xs, adv)]
+        g = [_bump(wk) for wk in w]
+        # products left to right, then one diffusion term per axis in
+        # turn: reordering would change the forcing in the last bits
+        s_val = math.prod(g, start=-decay)
+        for k, d in enumerate(diff):
+            s_val = s_val - math.prod(g[:k] + [_bump_d2(w[k])] + g[k + 1:],
+                                      start=d)
+        return np.exp(-decay * t) * s_val
 
-        L = build_advdiff(grid, (ADV_X, ADV_Y), (DIFF_X, DIFF_Y), fd_order)
+    X = grid.meshgrid()
+    L = build_advdiff(grid, adv, diff, fd_order)
 
-        def residual(x, y, t, eps=1e-4):
-            # pointwise u_t + a.grad u - d:hess u - s by central differences
-            def u(xx, yy, tt):
-                return (_bump(xx - 1 - ADV_X * tt) * _bump(yy - 1 - tt)
-                        * np.exp(-decay * tt))
-            ut = (u(x, y, t + eps) - u(x, y, t - eps)) / (2 * eps)
-            ux = (u(x + eps, y, t) - u(x - eps, y, t)) / (2 * eps)
-            uy = (u(x, y + eps, t) - u(x, y - eps, t)) / (2 * eps)
-            uxx = (u(x + eps, y, t) - 2 * u(x, y, t) + u(x - eps, y, t)) / eps ** 2
-            uyy = (u(x, y + eps, t) - 2 * u(x, y, t) + u(x, y - eps, t)) / eps ** 2
-            gx = _bump(x - 1 - ADV_X * t)
-            gy = _bump(y - 1 - t)
-            s_val = (np.exp(-decay * t)
-                     * (-decay * gx * gy
-                        - DIFF_X * _bump_d2(x - 1 - ADV_X * t) * gy
-                        - DIFF_Y * gx * _bump_d2(y - 1 - t)))
-            return ut + ADV_X * ux + ADV_Y * uy - DIFF_X * uxx - DIFF_Y * uyy - s_val
-    else:
-        (X,) = grid.meshgrid()
-        decay = DIFF_X
+    def residual(x, y, t, eps=1e-4):
+        # pointwise u_t + a.grad u - d:hess u - s by central differences
+        xs = (x, y)[:grid.dim]
 
-        def exact(t):
-            return _bump(X - 1 - ADV_X * t) * np.exp(-decay * t)
+        def shifted(k, e):
+            return u(xs[:k] + (xs[k] + e,) + xs[k + 1:], t)
 
-        def source(t):
-            return (np.exp(-decay * t)
-                    * (-decay * _bump(X - 1 - ADV_X * t)
-                       - DIFF_X * _bump_d2(X - 1 - ADV_X * t)))
+        r = (u(xs, t + eps) - u(xs, t - eps)) / (2 * eps)
+        for k, a in enumerate(adv):
+            ux = (shifted(k, eps) - shifted(k, -eps)) / (2 * eps)
+            r = r + a * ux
+        for k, d in enumerate(diff):
+            uxx = (shifted(k, eps) - 2 * u(xs, t) + shifted(k, -eps)) / eps ** 2
+            r = r - d * uxx
+        return r - source(xs, t)
 
-        L = build_advdiff(grid, ADV_X, DIFF_X, fd_order)
-
-        def residual(x, y, t, eps=1e-4):
-            def u(xx, tt):
-                return _bump(xx - 1 - ADV_X * tt) * np.exp(-decay * tt)
-            ut = (u(x, t + eps) - u(x, t - eps)) / (2 * eps)
-            ux = (u(x + eps, t) - u(x - eps, t)) / (2 * eps)
-            uxx = (u(x + eps, t) - 2 * u(x, t) + u(x - eps, t)) / eps ** 2
-            s_val = (np.exp(-decay * t)
-                     * (-decay * _bump(x - 1 - ADV_X * t)
-                        - DIFF_X * _bump_d2(x - 1 - ADV_X * t)))
-            return ut + ADV_X * ux - DIFF_X * uxx - s_val
-
-    return MMSProblem(IdentityMass(grid.size), L, forcing=source,
-                      exact_solution=exact, grid=grid, residual_fn=residual)
+    return MMSProblem(IdentityMass(grid.size), L,
+                      forcing=lambda t: source(X, t).reshape(-1),
+                      exact_solution=lambda t: u(X, t).reshape(-1),
+                      grid=grid, residual_fn=residual)
 
 
 def build_fem_mass_1d(grid: GridSpec) -> SparseMass:

@@ -150,3 +150,45 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("inner", ["jacobi:0", "gs:-2"])
+def test_relaxation_without_sweeps_exits_2(capsys, inner):
+    # used to exit 0 with total_precond_apps 0 or negative
+    code = main(["run", "--problem", "advdiff1d", "--family", "gauss",
+                 "--stages", "2", "--grids", "32", "--inner", inner,
+                 "--tol", "1e-6"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "at least one sweep" in err
+
+
+def test_zero_dt_ratio_exits_2(capsys):
+    code = main(["run", "--problem", "advdiff1d", "--family", "gauss",
+                 "--stages", "2", "--grids", "16", "--dt-ratio", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: dt_ratio")
+
+
+def test_non_sdirk_baseline_family_exits_2(capsys):
+    code = main(["baseline", "--family", "gauss", "--stages", "2",
+                 "--grids", "16", "--tf", "0.1", "--sdirk-family", "gauss"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "SDIRK2L" in err and "SDIRK3L" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "advdiff1d", "--integrator", "sdirk",
+     "--family", "sdirk2l", "--stages", "2", "--grids", "16", "--tf", "0.1"],
+    ["baseline", "--family", "gauss", "--stages", "2", "--grids", "16",
+     "--tf", "0.1"],
+])
+def test_csv_cells_are_plain_floats(capsys, argv):
+    # numpy scalars in the SDIRK summary were written as np.float64(...)
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    data = [l for l in out.splitlines() if not l.startswith("#")]
+    assert len(data) > 1
+    assert not any("np." in l for l in data)

@@ -27,12 +27,18 @@ def test_spec_validation():
 
 
 def test_parse_inner():
-    assert parse_inner("exact", 1) == ("exact_banded", {})
+    assert parse_inner("exact", 1) == ("exact_sparse_lu", {})
     assert parse_inner("exact", 2) == ("exact_sparse_lu", {})
     assert parse_inner("gs:3", 1) == ("gauss_seidel", {"sweeps": 3})
     assert parse_inner("jacobi:2", 2) == ("jacobi", {"sweeps": 2})
     assert parse_inner("krylov:1e-4:60", 1) == ("inner_krylov",
                                                 {"tol": 1e-4, "maxit": 60})
+
+
+def test_exact_banded_spelling_is_gone():
+    for spec in ("exact_banded", "exact-banded"):
+        with pytest.raises(ValueError, match="unknown inner"):
+            parse_inner(spec)
 
 
 def test_csv_header_exact():

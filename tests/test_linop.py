@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irksolve.linop import (ExactBanded, FactorizationFailure, IdentityMass,
-                            SparseOperator, ZeroOperator,
+from irksolve.linop import (ExactSparseLU, FactorizationFailure, GaussSeidel,
+                            IdentityMass, Jacobi, SparseMass, SparseOperator,
+                            ZeroOperator,
                             build_inner_preconditioner, fov_upper_bound,
                             shifted_operator)
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_mass_1d,
@@ -42,12 +43,12 @@ def test_shifted_operator_trivial_cases():
     assert np.max(np.abs(op.to_dense() - ref)) < 1e-14
 
 
-def test_exact_banded_residual_gauss2_shift():
+def test_exact_lu_residual_gauss2_shift():
     # gamma* = 2 sqrt(3) shift of 1D diffusion, N = 64
     grid = GridSpec(dim=1, n=64)
     L = build_advdiff(grid, 0.0, 1.0, 2)
     op = shifted_operator(2.0 * np.sqrt(3.0), 0.05, IdentityMass(64), L)
-    pc = ExactBanded(op)
+    pc = ExactSparseLU(op)
     v = rng.standard_normal(64)
     x = pc.apply(v)
     assert np.linalg.norm(op.apply(x) - v) < 1e-12 * np.linalg.norm(v)
@@ -61,9 +62,15 @@ def test_exact_matches_dense_solve():
         dense = op.to_dense()
         v = rng.standard_normal(n)
         ref = np.linalg.solve(dense, v)
-        for kind in ("exact_banded", "exact_sparse_lu"):
-            pc = build_inner_preconditioner(kind, op)
-            assert np.linalg.norm(pc.apply(v) - ref) < 1e-10 * np.linalg.norm(ref)
+        pc = build_inner_preconditioner("exact_sparse_lu", op)
+        assert np.linalg.norm(pc.apply(v) - ref) < 1e-10 * np.linalg.norm(ref)
+
+
+def test_exact_banded_kind_is_gone():
+    op = SparseOperator(sp.identity(8, format="csr"))
+    for kind in ("exact_banded", "exact-banded"):
+        with pytest.raises(ValueError, match="unknown preconditioner kind"):
+            build_inner_preconditioner(kind, op)
 
 
 def test_jacobi_on_identity():
@@ -84,6 +91,14 @@ def test_relaxation_counts_sweeps():
     assert pc.applications == 6
 
 
+def test_relaxation_needs_a_sweep():
+    op = SparseOperator(sp.identity(8, format="csr"))
+    for cls in (Jacobi, GaussSeidel):
+        for sweeps in (0, -2):
+            with pytest.raises(ValueError, match="at least one sweep"):
+                cls(op, sweeps=sweeps)
+
+
 def test_inner_krylov_residual_reduction():
     grid = GridSpec(dim=2, n=16)
     L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 2)
@@ -100,6 +115,15 @@ def test_factorization_failure_on_singular():
     op = SparseOperator(sp.csr_matrix(np.zeros((4, 4))))
     with pytest.raises(FactorizationFailure):
         build_inner_preconditioner("exact_sparse_lu", op)
+
+
+def test_mass_factorization_failure():
+    # exactly singular, then a 1e-15 pivot against a unit row sum
+    for diag in ([1.0, 1.0, 0.0], [1.0, 1.0, 1e-15]):
+        with pytest.raises(FactorizationFailure):
+            SparseMass(sp.diags(diag))
+    with pytest.raises(FactorizationFailure):
+        SparseMass(sp.csr_matrix(np.ones((3, 3))))
 
 
 def test_fov_skew_and_negative_identity():
