@@ -28,6 +28,7 @@ from .spectral import (
 from .linop import (
     LinearOperator,
     SparseOperator,
+    CirculantOperator,
     ZeroOperator,
     MassOperator,
     IdentityMass,

@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--restart", type=int, default=30)
         sp.add_argument("--max-iters", type=int, default=2000)
         sp.add_argument("--inner", default="exact",
-                        help="exact | jacobi:k | gs:k | krylov:tol[:maxit]")
+                        help="exact | splu | jacobi:k | gs:k | krylov:tol[:maxit]")
         add_output(sp)
 
     all_problems = ("advdiff1d", "advdiff2d", "advect1d-upwind",

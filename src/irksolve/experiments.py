@@ -48,7 +48,7 @@ class ExperimentSpec:
     t_final: float = 2.0
     fd_order: int = 4
     krylov: KrylovConfig = field(default_factory=lambda: KrylovConfig(method="auto"))
-    inner: str = "exact"           # exact | jacobi:k | gs:k | krylov:tol
+    inner: str = "exact"           # exact | splu | jacobi:k | gs:k | krylov:tol
     gamma_mode: str = "gamma_star"
     integrator: str = "irk"        # irk | sdirk | gsl | ld
 
@@ -114,12 +114,16 @@ def records_to_csv(records, header=True) -> str:
 def parse_inner(spec: str, dim=None):
     """Map an inner-preconditioner spec string to (kind, params).
 
-    'exact' is one sparse LU for every problem.  dim is ignored; it is
-    kept only because the benchmark workloads still pass it.
+    'exact' is an exact solve chosen from the operator's structure (see
+    linop.build_inner_preconditioner); 'splu' and 'exact_sparse_lu'
+    force the sparse LU.  dim is ignored; it is kept only because the
+    benchmark workloads still pass it.
     """
     parts = spec.split(":")
     name = parts[0].lower()
-    if name in ("exact", "exact_sparse_lu", "exact-sparse-lu", "splu"):
+    if name == "exact":
+        return "exact", {}
+    if name in ("exact_sparse_lu", "exact-sparse-lu", "splu"):
         return "exact_sparse_lu", {}
     if name in ("jacobi", "gs", "gauss_seidel", "gauss-seidel"):
         sweeps = int(parts[1]) if len(parts) > 1 else 1

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .linop import IdentityMass, SparseMass, SparseOperator
+from .linop import CirculantOperator, IdentityMass, SparseMass
 from .stepper import LinearProblem
 
 __all__ = [
@@ -80,63 +80,79 @@ def periodic_stencil_matrix(n: int, offsets, coeffs) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-_D1_STENCILS = {
-    2: ([-1, 1], [-0.5, 0.5]),
-    4: ([-2, -1, 1, 2], [1 / 12, -2 / 3, 2 / 3, -1 / 12]),
+def circulant(n: int, offsets, coeffs) -> CirculantOperator:
+    """periodic_stencil_matrix with its symbol: mode k of the FFT has
+    eigenvalue sum_j coeffs[j] exp(2 pi i offsets[j] k / n)."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    symbol = sum(c * np.exp(1j * o * theta) for o, c in zip(offsets, coeffs))
+    return CirculantOperator(periodic_stencil_matrix(n, offsets, coeffs),
+                             symbol)
+
+
+def kronecker_sum(axes) -> CirculantOperator:
+    """sum_k I x .. x A_k x .. x I for 1D circulants A_k, one per grid
+    axis (axis 0 varies slowest); the symbol is the sum of the axis
+    symbols, each broadcast along its own axis."""
+    sizes = [A.n for A in axes]
+    mat, symbol = None, 0.0
+    for k, A in enumerate(axes):
+        term = sp.kron(sp.kron(sp.identity(math.prod(sizes[:k])), A.mat,
+                               format="csr"),
+                       sp.identity(math.prod(sizes[k + 1:])), format="csr")
+        mat = term if mat is None else mat + term
+        symbol = symbol + A.symbol.reshape(
+            [-1 if j == k else 1 for j in range(len(axes))])
+    return CirculantOperator(mat, symbol)
+
+
+_STENCILS = {
+    # derivative -> order -> (offsets, coefficients at h = 1)
+    1: {2: ([-1, 1], [-0.5, 0.5]),
+        4: ([-2, -1, 1, 2], [1 / 12, -2 / 3, 2 / 3, -1 / 12])},
+    2: {2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
+        4: ([-2, -1, 0, 1, 2], [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12])},
 }
-_D2_STENCILS = {
-    2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
-    4: ([-2, -1, 0, 1, 2], [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12]),
-}
+
+
+def _derivative(n: int, h: float, order: int, k: int) -> CirculantOperator:
+    """Central k-th derivative on the periodic 1D grid."""
+    if order not in _STENCILS[k]:
+        raise UnsupportedOrder(
+            f"{('first', 'second')[k - 1]}-derivative order {order}")
+    off, co = _STENCILS[k][order]
+    return circulant(n, off, np.asarray(co) / h ** k)
 
 
 def d1_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
-    if order not in _D1_STENCILS:
-        raise UnsupportedOrder(f"first-derivative order {order}")
-    off, co = _D1_STENCILS[order]
-    return periodic_stencil_matrix(n, off, np.asarray(co) / h)
+    return _derivative(n, h, order, 1).mat
 
 
 def d2_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
-    if order not in _D2_STENCILS:
-        raise UnsupportedOrder(f"second-derivative order {order}")
-    off, co = _D2_STENCILS[order]
-    return periodic_stencil_matrix(n, off, np.asarray(co) / h ** 2)
+    return _derivative(n, h, order, 2).mat
 
 
-def advdiff_symbol(adv: float, diff: float, order: int, h: float,
-                   theta: np.ndarray) -> np.ndarray:
-    """Fourier symbol of the 1D operator -a*D1 + d*D2 at phase angles
-    theta = k*h (central D1 is purely imaginary, D2 real nonpositive)."""
-    off1, co1 = _D1_STENCILS[order]
-    off2, co2 = _D2_STENCILS[order]
-    s1 = sum(c * np.exp(1j * o * theta) for o, c in zip(off1, co1)) / h
-    s2 = sum(c * np.exp(1j * o * theta) for o, c in zip(off2, co2)) / h ** 2
-    return -adv * s1 + diff * s2
-
-
-def build_advdiff(grid: GridSpec, adv, diff, fd_order: int = 4) -> SparseOperator:
-    """Sparse periodic L = -a.D1 + d.D2 with central stencils.
+def build_advdiff(grid: GridSpec, adv, diff,
+                  fd_order: int = 4) -> CirculantOperator:
+    """Periodic L = -a.D1 + d.D2 with central stencils, the Kronecker
+    sum of one 1D operator -a_k D1 + d_k D2 per axis.
 
     D1 is skew-symmetric and D2 negative semidefinite on the periodic
     grid, so W(L) <= 0 whenever the diffusivities are nonnegative.
     """
-    adv = np.atleast_1d(np.asarray(adv, dtype=float))
-    diff = np.atleast_1d(np.asarray(diff, dtype=float))
+    adv = np.broadcast_to(np.asarray(adv, dtype=float), (grid.dim,))
+    diff = np.broadcast_to(np.asarray(diff, dtype=float), (grid.dim,))
     if np.any(diff < 0):
         raise ValueError("diffusivities must be nonnegative")
     n, h = grid.n, grid.h
-    if grid.dim == 1:
-        return SparseOperator(-adv[0] * d1_matrix(n, h, fd_order)
-                              + diff[0] * d2_matrix(n, h, fd_order))
-    Lx = -adv[0] * d1_matrix(n, h, fd_order) + diff[0] * d2_matrix(n, h, fd_order)
-    Ly = -adv[1] * d1_matrix(n, h, fd_order) + diff[1] * d2_matrix(n, h, fd_order)
-    eye = sp.identity(n, format="csr")
-    return SparseOperator(sp.kron(Lx, eye, format="csr")
-                          + sp.kron(eye, Ly, format="csr"))
+    D1 = _derivative(n, h, fd_order, 1)
+    D2 = _derivative(n, h, fd_order, 2)
+    return kronecker_sum([
+        CirculantOperator(-a * D1.mat + d * D2.mat,
+                          -a * D1.symbol + d * D2.symbol)
+        for a, d in zip(adv, diff)])
 
 
-def build_upwind_advection(grid: GridSpec, adv: float) -> SparseOperator:
+def build_upwind_advection(grid: GridSpec, adv: float) -> CirculantOperator:
     """First-order upwind L u ~ -a u_x on the periodic 1D grid.
 
     The added dissipation makes the symmetric part negative
@@ -149,10 +165,8 @@ def build_upwind_advection(grid: GridSpec, adv: float) -> SparseOperator:
         raise ValueError("advection speed must be nonzero")
     n, h = grid.n, grid.h
     if a > 0:
-        mat = periodic_stencil_matrix(n, [-1, 0], [a / h, -a / h])
-    else:
-        mat = periodic_stencil_matrix(n, [0, 1], [a / h, -a / h])
-    return SparseOperator(mat)
+        return circulant(n, [-1, 0], [a / h, -a / h])
+    return circulant(n, [0, 1], [a / h, -a / h])
 
 
 # ----------------------------------------------------------------------
@@ -175,37 +189,53 @@ def _bump_d2(w):
     return np.pi ** 2 * (3.0 * s ** 2 * c ** 2 - s ** 4)
 
 
+def _axis_constants(xs):
+    """(adv, diff) of the MMS problem on len(xs) axes."""
+    dim = len(xs)
+    return (ADV_X, ADV_Y)[:dim], (DIFF_X, DIFF_Y)[:dim]
+
+
+def mms_solution(xs, t):
+    """The exact MMS solution at points given by one coordinate array per
+    axis; the arrays broadcast, so a sparse meshgrid gives the grid."""
+    adv, diff = _axis_constants(xs)
+    g = [_bump(x - 1 - a * t) for x, a in zip(xs, adv)]
+    return math.prod(g + [np.exp(-sum(diff) * t)])
+
+
+def mms_source(xs, t):
+    """The MMS source s at the points xs, as in mms_solution."""
+    adv, diff = _axis_constants(xs)
+    decay = sum(diff)
+    w = [x - 1 - a * t for x, a in zip(xs, adv)]
+    g = [_bump(wk) for wk in w]
+    # products left to right, then one diffusion term per axis in
+    # turn: reordering would change the forcing in the last bits
+    s_val = math.prod(g, start=-decay)
+    for k, d in enumerate(diff):
+        s_val = s_val - math.prod(g[:k] + [_bump_d2(w[k])] + g[k + 1:],
+                                  start=d)
+    return np.exp(-decay * t) * s_val
+
+
 def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> MMSProblem:
     """The flagship advection-diffusion MMS problem (M = I).
 
     The travelling sin^4 profile cancels the advective terms exactly,
     so the source reduces to the decay and diffusion contributions.
+    Source and solution are evaluated on a sparse meshgrid: each factor
+    is computed once per axis and broadcasting forms the products, with
+    the same values as the dense evaluation.
     """
-    adv = (ADV_X, ADV_Y)[:grid.dim]
-    diff = (DIFF_X, DIFF_Y)[:grid.dim]
-    decay = sum(diff)
-
-    def u(xs, t):
-        g = [_bump(x - 1 - a * t) for x, a in zip(xs, adv)]
-        return math.prod(g + [np.exp(-decay * t)])
-
-    def source(xs, t):
-        w = [x - 1 - a * t for x, a in zip(xs, adv)]
-        g = [_bump(wk) for wk in w]
-        # products left to right, then one diffusion term per axis in
-        # turn: reordering would change the forcing in the last bits
-        s_val = math.prod(g, start=-decay)
-        for k, d in enumerate(diff):
-            s_val = s_val - math.prod(g[:k] + [_bump_d2(w[k])] + g[k + 1:],
-                                      start=d)
-        return np.exp(-decay * t) * s_val
-
-    X = grid.meshgrid()
+    X = np.meshgrid(*[grid.points_1d()] * grid.dim, indexing="ij",
+                    sparse=True)
+    adv, diff = _axis_constants(X)
     L = build_advdiff(grid, adv, diff, fd_order)
 
     def residual(x, y, t, eps=1e-4):
         # pointwise u_t + a.grad u - d:hess u - s by central differences
         xs = (x, y)[:grid.dim]
+        u = mms_solution
 
         def shifted(k, e):
             return u(xs[:k] + (xs[k] + e,) + xs[k + 1:], t)
@@ -217,11 +247,11 @@ def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> MMSProblem:
         for k, d in enumerate(diff):
             uxx = (shifted(k, eps) - 2 * u(xs, t) + shifted(k, -eps)) / eps ** 2
             r = r - d * uxx
-        return r - source(xs, t)
+        return r - mms_source(xs, t)
 
     return MMSProblem(IdentityMass(grid.size), L,
-                      forcing=lambda t: source(X, t).reshape(-1),
-                      exact_solution=lambda t: u(X, t).reshape(-1),
+                      forcing=lambda t: mms_source(X, t).reshape(-1),
+                      exact_solution=lambda t: mms_solution(X, t).reshape(-1),
                       grid=grid, residual_fn=residual)
 
 
@@ -249,9 +279,8 @@ def build_fem_diffusion_1d(grid: GridSpec, diff: float = 1.0):
         raise ValueError("FEM diffusion problem is 1D")
     n, h = grid.n, grid.h
     M = build_fem_mass_1d(grid)
-    K = periodic_stencil_matrix(n, [-1, 0, 1],
-                                [-1.0 / h, 2.0 / h, -1.0 / h])
-    L = SparseOperator(-diff * K)
+    K = circulant(n, [-1, 0, 1], [-1.0 / h, 2.0 / h, -1.0 / h])
+    L = CirculantOperator(-diff * K.mat, -diff * K.symbol)
     x = grid.points_1d()
     u0 = np.sin(np.pi * x)
     theta = np.pi * h

@@ -146,7 +146,7 @@ class IRKStepper:
 
     def __init__(self, tableau: ButcherTableau, problem: LinearProblem,
                  dt: float, outer_cfg: KrylovConfig | None = None,
-                 inner_kind: str = "exact_sparse_lu",
+                 inner_kind: str = "exact",
                  inner_params: dict | None = None,
                  gamma_mode: str = "gamma_star"):
         if dt <= 0:
@@ -280,7 +280,7 @@ class SDIRKStepper:
 
     def __init__(self, tableau: ButcherTableau, problem: LinearProblem,
                  dt: float, outer_cfg: KrylovConfig | None = None,
-                 inner_kind: str = "exact_sparse_lu",
+                 inner_kind: str = "exact",
                  inner_params: dict | None = None):
         if not tableau.is_lower_triangular:
             raise ValueError(f"{tableau.family} is not diagonally implicit")
@@ -376,7 +376,7 @@ class BlockStepper:
 
     def __init__(self, tableau: ButcherTableau, problem: LinearProblem,
                  dt: float, outer_cfg: KrylovConfig | None = None,
-                 inner_kind: str = "exact_sparse_lu",
+                 inner_kind: str = "exact",
                  inner_params: dict | None = None, variant: str = "GSL"):
         variant = variant.upper()
         if variant not in ("GSL", "LD"):

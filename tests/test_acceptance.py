@@ -190,6 +190,25 @@ def test_c07_h_robustness_1d():
            f"{per_grid.ravel().tolist()} (spread {spread:.2f} <= 2)")
 
 
+def test_c07_h_robustness_2d():
+    # rel_tol 1e-10 as in C6: 1e-12 sits below the true-residual floor
+    # of the eta = 1 factor at n = 128
+    spec = ExperimentSpec(problem="advdiff2d", family="gauss", stages=2,
+                          grids=(32, 64, 128, 256), dt_ratio=2.0,
+                          t_final=1.0, fd_order=4, inner="exact",
+                          krylov=KrylovConfig(method="auto", rel_tol=1e-10,
+                                              max_iters=2000))
+    records, _ = run_convergence(spec)
+    assert [rec.nx for rec in records] == list(spec.grids)
+    assert all(f.converged for rec in records for f in rec.factors)
+    per_grid = np.array([[f.mean_outer_iters for f in rec.factors]
+                         for rec in records])
+    spread = float(np.max(per_grid.max(axis=0) - per_grid.min(axis=0)))
+    report("C7", spread <= 2.0,
+           f"2D Gauss-2 mean outer iterations per factor over grids "
+           f"32..256: {per_grid.ravel().tolist()} (spread {spread:.2f} <= 2)")
+
+
 def test_c08_gamma_star_vs_eta_upwind():
     ok = True
     msgs = []

@@ -82,6 +82,22 @@ def test_run_roundtrip_reproduces_output(capsys):
     assert out2 == out1
 
 
+def test_splu_counts_match_exact_2d(capsys):
+    # the FFT solve behind "exact" and the forced sparse LU are both
+    # exact, so the outer Krylov counts agree
+    counts = []
+    for inner in ("exact", "splu"):
+        code, out = run_cli(capsys, ["run", "--problem", "advdiff2d",
+                                     "--family", "gauss", "--stages", "2",
+                                     "--grids", "32", "--tf", "0.25",
+                                     "--inner", inner])
+        assert code == 0
+        data = [l.split(",") for l in out.splitlines()
+                if not l.startswith("#")][1:]
+        counts.append([row[12:] for row in data])
+    assert counts[0] == counts[1]
+
+
 def test_run_nonconvergence_exits_1(capsys):
     code, out = run_cli(capsys, ["run", "--problem", "advdiff1d",
                                  "--family", "gauss", "--stages", "3",

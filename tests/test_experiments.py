@@ -27,8 +27,9 @@ def test_spec_validation():
 
 
 def test_parse_inner():
-    assert parse_inner("exact", 1) == ("exact_sparse_lu", {})
-    assert parse_inner("exact", 2) == ("exact_sparse_lu", {})
+    assert parse_inner("exact", 1) == ("exact", {})
+    assert parse_inner("exact", 2) == ("exact", {})
+    assert parse_inner("splu") == ("exact_sparse_lu", {})
     assert parse_inner("gs:3", 1) == ("gauss_seidel", {"sweeps": 3})
     assert parse_inner("jacobi:2", 2) == ("jacobi", {"sweeps": 2})
     assert parse_inner("krylov:1e-4:60", 1) == ("inner_krylov",

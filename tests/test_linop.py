@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irksolve.linop import (ExactSparseLU, FactorizationFailure, GaussSeidel,
-                            IdentityMass, Jacobi, SparseMass, SparseOperator,
-                            ZeroOperator,
+from irksolve.linop import (ExactFFT, ExactSparseLU, FactorizationFailure,
+                            GaussSeidel, IdentityMass, Jacobi, SparseMass,
+                            SparseOperator, ZeroOperator,
                             build_inner_preconditioner, fov_upper_bound,
                             shifted_operator)
-from irksolve.spatial import (GridSpec, build_advdiff, build_fem_mass_1d,
-                              build_upwind_advection, d2_matrix)
+from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
+                              build_fem_mass_1d, build_upwind_advection,
+                              d2_matrix)
 
 rng = np.random.default_rng(11)
 
@@ -142,7 +143,8 @@ def test_fov_upwind_nonpositive():
 
 def test_fov_lanczos_path_matches_dense():
     grid = GridSpec(dim=2, n=40)  # N = 1600 > default dense limit
-    L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4)
+    # the bare matrix, without the symbol that would bypass Lanczos
+    L = SparseOperator(build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4).mat)
     val = fov_upper_bound(L)
     ref = fov_upper_bound(L, dense_limit=4096)
     assert val == pytest.approx(ref, abs=1e-8)
@@ -213,3 +215,54 @@ def test_symmetry_flags():
     assert not adv.symmetric
     assert shifted_operator(1.5, 0.1, fem, sym).symmetric
     assert not shifted_operator(1.5, 0.1, fem, adv).symmetric
+
+
+# ----------------------------------------------------------------------
+# Circulant operators
+
+def test_exact_fft_residual():
+    for n in (16, 33):
+        grid = GridSpec(dim=2, n=n)
+        L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4)
+        op = shifted_operator(2.0 * np.sqrt(3.0), 2 * grid.h,
+                              IdentityMass(grid.size), L)
+        pc = ExactFFT(op)
+        v = rng.standard_normal(op.n)
+        x = pc.apply(v)
+        assert pc.applications == 1
+        assert np.linalg.norm(op.apply(x) - v) <= 1e-13 * np.linalg.norm(v)
+
+
+def test_zero_mode_raises_factorization_failure():
+    # gamma = 0 leaves the constant mode of L in the null space
+    for grid in (GridSpec(dim=1, n=16), GridSpec(dim=2, n=16)):
+        L = build_advdiff(grid, (0.85, 1.0)[:grid.dim],
+                          (0.3, 0.25)[:grid.dim], 4)
+        op = shifted_operator(0.0, 0.1, IdentityMass(grid.size), L)
+        with pytest.raises(FactorizationFailure):
+            build_inner_preconditioner("exact", op)
+
+
+def test_symbol_fov_matches_dense():
+    for n in (6, 9, 12):
+        grid = GridSpec(dim=2, n=n)
+        for adv, diff in (((0.85, 1.0), (0.3, 0.25)), ((1.0, -2.0), (0.0, 0.0))):
+            L = build_advdiff(grid, adv, diff, 2)
+            S = 0.5 * (L.to_dense() + L.to_dense().T)
+            assert fov_upper_bound(L) == pytest.approx(
+                np.linalg.eigvalsh(S)[-1], abs=1e-12)
+
+
+def test_exact_kind_follows_the_grid():
+    for dim, kind in ((1, ExactSparseLU), (2, ExactFFT)):
+        grid = GridSpec(dim=dim, n=16)
+        L = build_advdiff(grid, 0.5, 0.5, 2)
+        op = shifted_operator(2.0, 0.1, IdentityMass(grid.size), L)
+        assert type(build_inner_preconditioner("exact", op)) is kind
+        assert type(build_inner_preconditioner("exact_sparse_lu", op)) \
+            is ExactSparseLU
+    # a circulant L with a non-identity mass is not circulant-shifted
+    grid = GridSpec(dim=1, n=16)
+    prob = build_fem_diffusion_1d(grid)
+    op = shifted_operator(2.0, 0.1, prob.M, prob.L)
+    assert type(build_inner_preconditioner("exact", op)) is ExactSparseLU

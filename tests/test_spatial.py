@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from irksolve.linop import fov_upper_bound
 from irksolve.spatial import (DIFF_X, DIFF_Y, GridSpec, UnsupportedOrder,
-                              advdiff_symbol, build_advdiff, build_fd_mms,
+                              build_advdiff, build_fd_mms,
                               build_fem_diffusion_1d, build_fem_mass_1d,
-                              build_upwind_advection, d1_matrix, d2_matrix)
+                              build_upwind_advection, d1_matrix, d2_matrix,
+                              mms_solution, mms_source)
 
 rng = np.random.default_rng(31)
 
@@ -45,8 +47,7 @@ def test_eigenvalues_match_fourier_symbol():
     grid = GridSpec(dim=1, n=n)
     for order in (2, 4):
         L = build_advdiff(grid, 0.85, 0.3, order)
-        theta = 2.0 * np.pi * np.arange(n) / n
-        sym = advdiff_symbol(0.85, 0.3, order, grid.h, theta)
+        sym = L.symbol
         ev = np.linalg.eigvals(L.to_dense())
         # multiset match (conjugate pairs may sort differently)
         dists = np.abs(ev[:, None] - sym[None, :])
@@ -119,6 +120,43 @@ def test_mms_decay_factor_at_t2():
     assert DIFF_X + DIFF_Y == pytest.approx(0.55)
 
 
+def test_mms_sparse_meshgrid_is_bit_identical_to_dense():
+    # build_fd_mms broadcasts per-axis factors; every value must equal
+    # the pointwise formula evaluated on the dense meshgrid, bit for bit
+    ts = [0.0, 2.0] + list(np.random.default_rng(3).uniform(0, 2, 6))
+    for dim in (1, 2):
+        for n in (5, 16, 17, 64):
+            grid = GridSpec(dim=dim, n=n)
+            prob = build_fd_mms(grid, 4)
+            X = grid.meshgrid()
+            for t in ts:
+                assert np.array_equal(prob.exact_solution(t),
+                                      mms_solution(X, t).reshape(-1))
+                assert np.array_equal(prob.forcing(t),
+                                      mms_source(X, t).reshape(-1))
+
+
+def test_advdiff_is_the_kronecker_sum_bit_for_bit():
+    def same(A, B):
+        return (np.array_equal(A.data, B.data)
+                and np.array_equal(A.indices, B.indices)
+                and np.array_equal(A.indptr, B.indptr))
+
+    for n in (5, 16):
+        h = 2.0 / n
+        for order in (2, 4):
+            def axis(a, d):
+                return -a * d1_matrix(n, h, order) + d * d2_matrix(n, h, order)
+
+            L1 = build_advdiff(GridSpec(dim=1, n=n), 0.85, 0.3, order).mat
+            assert same(L1, sp.csr_matrix(axis(0.85, 0.3)))
+            eye = sp.identity(n, format="csr")
+            L2 = build_advdiff(GridSpec(dim=2, n=n), (0.85, 1.0),
+                               (0.3, 0.25), order).mat
+            assert same(L2, sp.kron(axis(0.85, 0.3), eye, format="csr")
+                        + sp.kron(eye, axis(1.0, 0.25), format="csr"))
+
+
 def test_mms_residual_invariant():
     r = np.random.default_rng(77)
     for dim in (1, 2):
@@ -160,7 +198,7 @@ def test_fem_mass_row_sums_and_spd():
     assert np.linalg.eigvalsh(M.to_dense()).min() > 0
 
 
-def test_all_shipped_operators_left_half_plane():
+def shipped_operators():
     ops = []
     g1 = GridSpec(dim=1, n=48)
     g2 = GridSpec(dim=2, n=12)
@@ -170,8 +208,22 @@ def test_all_shipped_operators_left_half_plane():
     ops.append(build_upwind_advection(g1, 1.0))
     ops.append(build_upwind_advection(g1, -0.6))
     ops.append(build_fem_diffusion_1d(g1).L)
-    for op in ops:
+    return ops
+
+
+def test_all_shipped_operators_left_half_plane():
+    for op in shipped_operators():
         assert fov_upper_bound(op) <= 1e-12
+
+
+def test_shipped_operators_match_their_symbol():
+    # mat @ v against the FFT apply of the symbol
+    for L in shipped_operators():
+        v = rng.standard_normal(L.n)
+        ref = np.fft.ifftn(L.symbol * np.fft.fftn(v.reshape(L.symbol.shape)))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(ref.imag)) < 1e-12 * scale
+        assert np.max(np.abs(L.apply(v) - ref.real.reshape(-1))) < 1e-12 * scale
 
 
 def test_fem_diffusion_exact_discrete_decay():
