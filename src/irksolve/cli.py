@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dt-ratio", type=float, default=default_ratio,
                         help="dt = ratio * h")
         sp.add_argument("--krylov", default="auto",
-                        choices=("auto", "cg", "gmres", "fgmres"))
+                        choices=("auto", "cg", "gmres"))
         sp.add_argument("--tol", type=float, default=1e-12)
         sp.add_argument("--restart", type=int, default=30)
         sp.add_argument("--max-iters", type=int, default=2000)
@@ -212,6 +212,10 @@ def _cmd_spectrum(args, out):
 
 
 def _cmd_cond(args, out):
+    if args.mode == "random":
+        for flag, value in (("--trials", args.trials), ("--size", args.size)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
     _emit_echo(out, ["cond", "--family", args.family, "--stages",
                      str(args.stages), "--mode", args.mode,
                      "--trials", str(args.trials), "--size", str(args.size),

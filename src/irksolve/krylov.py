@@ -1,11 +1,14 @@
 """Preconditioned Krylov solvers with full iteration accounting.
 
-CG for SPD pairs, restarted GMRES, and flexible GMRES (required when
-the preconditioner itself runs an inner Krylov loop).  GMRES is
+CG for SPD pairs and restarted GMRES for everything else.  GMRES is
 right-preconditioned so the in-iteration Givens estimate tracks the
-true residual rather than a preconditioner-scaled one; every solve
-still recomputes the true residual once at exit and bases the
-convergence flag on that, never on the in-iteration estimate.
+true residual rather than a preconditioner-scaled one.  It keeps the
+preconditioned directions and updates x from them, so one iteration
+costs exactly one preconditioner application, and a preconditioner
+that changes between applications (an inner Krylov loop) needs no
+separate method.  Every solve recomputes the true residual once at
+exit and bases the convergence flag on that, never on the in-iteration
+estimate.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,15 +34,16 @@ class NonFiniteResidual(ArithmeticError):
 
 @dataclass
 class KrylovConfig:
-    method: str = "gmres"        # cg | gmres | fgmres | auto
+    method: str = "gmres"        # cg | gmres | auto
     rel_tol: float = 1e-12
-    abs_tol: float = 0.0
     max_iters: int = 2000
     restart: int = 30
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
 
@@ -55,18 +59,12 @@ class KrylovReport:
 
 def resolve_method(cfg: KrylovConfig | None, op, precond) -> KrylovConfig:
     """cfg with method "auto" (or cfg None) resolved for solving op with
-    precond: fgmres for a variable preconditioner, cg for a symmetric
-    operator with an exact inner solve, gmres otherwise.  An explicit
-    method passes through unchanged."""
+    precond: cg for a symmetric operator with an exact preconditioner,
+    gmres otherwise.  An explicit method passes through unchanged."""
     cfg = cfg or KrylovConfig(method="auto")
     if cfg.method != "auto":
         return cfg
-    if precond.variable:
-        method = "fgmres"
-    elif op.symmetric and precond.exact:
-        method = "cg"
-    else:
-        method = "gmres"
+    method = "cg" if op.symmetric and precond.exact else "gmres"
     return replace(cfg, method=method)
 
 
@@ -82,7 +80,7 @@ def _finite(rnorm):
     return rnorm
 
 
-def solve(op, b, precond, cfg: KrylovConfig, x0=None):
+def solve(op, b, precond, cfg: KrylovConfig):
     """Solve op x = b.  Returns (x, KrylovReport).
 
     precond approximates op^{-1} (None for unpreconditioned); for CG it
@@ -93,17 +91,16 @@ def solve(op, b, precond, cfg: KrylovConfig, x0=None):
     if b.shape[0] != op.n:
         raise ValueError(f"rhs of dim {b.shape[0]} for operator of dim {op.n}")
     count0 = precond.applications if precond is not None else 0
-    target = cfg.rel_tol * float(np.linalg.norm(b)) + cfg.abs_tol
+    target = cfg.rel_tol * float(np.linalg.norm(b))
 
     method = cfg.method.lower()
     if method == "cg":
         if not op.symmetric:
             raise ValueError("CG requested on an operator not marked "
                              "symmetric")
-        x, rep, rtrue = _cg(op, b, precond, cfg, x0, target)
-    elif method in ("gmres", "fgmres"):
-        x, rep, rtrue = _gmres(op, b, precond, cfg, x0, target,
-                               flexible=method == "fgmres")
+        x, rep, rtrue = _cg(op, b, precond, cfg, target)
+    elif method == "gmres":
+        x, rep, rtrue = _gmres(op, b, precond, cfg, target)
     else:
         raise ValueError(f"unknown Krylov method {cfg.method!r}")
 
@@ -114,14 +111,14 @@ def solve(op, b, precond, cfg: KrylovConfig, x0=None):
     return x, rep
 
 
-def _cg(op, b, precond, cfg, x0, target):
+def _cg(op, b, precond, cfg, target):
     """Preconditioned CG.  When the recurrence residual meets the target
     the true residual is checked; if it misses, CG restarts from it, for
     as long as each pass lowers it.  Returns (x, report, true residual
     norm)."""
     rep = KrylovReport()
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - op.apply(x) if x0 is not None else b.copy()
+    x = np.zeros_like(b)
+    r = b.copy()
     rnorm = _finite(float(np.linalg.norm(r)))
     rep.residual_history.append(rnorm)
     start = math.inf
@@ -154,18 +151,18 @@ def _cg(op, b, precond, cfg, x0, target):
     return x, rep, rnorm
 
 
-def _gmres(op, b, precond, cfg, x0, target, flexible):
+def _gmres(op, b, precond, cfg, target):
     """Restarted GMRES, right-preconditioned, so the monitored Givens
     residual estimates the true residual regardless of preconditioner
-    scaling.  The flexible variant stores the preconditioned directions
-    and tolerates a preconditioner that changes between iterations.
-    Returns (x, report, true residual norm)."""
+    scaling.  The preconditioned directions Z = P V are kept and x is
+    updated from them, so P is applied once per iteration and may
+    change between iterations.  V and Z grow by one vector per
+    iteration.  Returns (x, report, true residual norm)."""
     rep = KrylovReport()
-    n = op.n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(op.n)
 
     while True:
-        r = b - op.apply(x) if (rep.iterations or x0 is not None) else b.copy()
+        r = b - op.apply(x) if rep.iterations else b.copy()
         beta = _finite(float(np.linalg.norm(r)))
         if not rep.residual_history:
             rep.residual_history.append(beta)
@@ -173,20 +170,18 @@ def _gmres(op, b, precond, cfg, x0, target, flexible):
             return x, rep, beta
 
         m = cfg.restart
-        V = np.zeros((m + 1, n))
-        Z = np.zeros((m, n)) if flexible else None
+        V = [r / beta]
+        Z = []
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = beta
-        V[0] = r / beta
 
         j = 0
         while j < m and rep.iterations < cfg.max_iters:
             z = _apply_precond(precond, V[j])
-            if flexible:
-                Z[j] = z
+            Z.append(z)
             w = op.apply(z)
             for i in range(j + 1):
                 H[i, j] = V[i] @ w
@@ -215,7 +210,7 @@ def _gmres(op, b, precond, cfg, x0, target, flexible):
 
             happy = H[j + 1, j] <= BREAKDOWN_TOL * col
             if not happy:
-                V[j + 1] = w / H[j + 1, j]
+                V.append(w / H[j + 1, j])
             j += 1
             if res <= target or happy:
                 break
@@ -224,10 +219,7 @@ def _gmres(op, b, precond, cfg, x0, target, flexible):
         y = np.zeros(j)
         for i in range(j - 1, -1, -1):
             y[i] = (g[i] - H[i, i + 1:j] @ y[i + 1:j]) / H[i, i]
-        if flexible:
-            x = x + Z[:j].T @ y
-        else:
-            x = x + _apply_precond(precond, V[:j].T @ y)
+        x = x + np.array(Z).T @ y
 
         if rep.residual_history[-1] <= target or rep.iterations >= cfg.max_iters:
             return x, rep, float(np.linalg.norm(b - op.apply(x)))

@@ -224,12 +224,10 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
 
 class Preconditioner:
     """Approximation of op^{-1} with a leaf application counter.  exact
-    marks one built on exact solves, so SPD for an SPD operator; variable
-    marks one that changes between applications (an inner Krylov loop)."""
+    marks one built on exact solves, so SPD for an SPD operator."""
 
     kind = "abstract"
     exact = False
-    variable = False
 
     def __init__(self, n: int):
         self.n = n
@@ -338,12 +336,12 @@ class GaussSeidel(_Relaxation):
 
 
 class InnerKrylov(Preconditioner):
-    """GMRES run to a fixed tolerance as a (variable) preconditioner,
-    optionally accelerating a relaxation preconditioner.  Leaf
-    application counts delegate to the wrapped preconditioner."""
+    """GMRES run to a fixed tolerance as a preconditioner that changes
+    between applications, optionally accelerating a relaxation
+    preconditioner.  Leaf application counts delegate to the wrapped
+    preconditioner."""
 
     kind = "inner_krylov"
-    variable = True
 
     def __init__(self, op: LinearOperator, tol: float = 1e-2,
                  maxit: int = 100, base: Preconditioner | None = None):
@@ -361,7 +359,7 @@ class InnerKrylov(Preconditioner):
         # local import: krylov depends on this module for the counter protocol
         from .krylov import KrylovConfig, solve
 
-        cfg = KrylovConfig(method="gmres", rel_tol=self.tol, abs_tol=0.0,
+        cfg = KrylovConfig(method="gmres", rel_tol=self.tol,
                            max_iters=self.maxit, restart=self.maxit)
         x, rep = solve(self._op, v, self.base, cfg)
         if self.base is None:

@@ -64,9 +64,9 @@ class MMSProblem(LinearProblem):
     """LinearProblem with a manufactured exact solution and its source."""
 
     def __init__(self, M, L, forcing, exact_solution, grid: GridSpec,
-                 residual_fn=None, **kw):
+                 residual_fn=None):
         super().__init__(M, L, forcing=forcing,
-                         exact_solution=exact_solution, **kw)
+                         exact_solution=exact_solution)
         self.grid = grid
         self.residual_fn = residual_fn  # pointwise PDE residual u_t + a.grad u - d:hess u - s
 

@@ -67,7 +67,7 @@ class LinearProblem:
     """
 
     def __init__(self, M: MassOperator, L: LinearOperator, forcing=None,
-                 exact_solution=None, check_fov: bool = True):
+                 exact_solution=None):
         if M.n != L.n:
             raise ValueError(f"mass dim {M.n} != operator dim {L.n}")
         self.M = M
@@ -75,19 +75,14 @@ class LinearProblem:
         self.forcing = forcing
         self.exact_solution = exact_solution
         self.n = L.n
-        if check_fov:
-            scale = 1.0
-            if L.mat is not None and L.mat.nnz:
-                scale = max(1.0, float(np.max(np.abs(L.mat.data))))
-            bound = fov_upper_bound(L)
-            if bound > 1e-8 * scale:
-                raise ValueError(
-                    f"spatial operator violates W(L) <= 0: "
-                    f"max Re W(L) = {bound:.3e}")
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.M.symmetric and self.L.symmetric
+        scale = 1.0
+        if L.mat is not None and L.mat.nnz:
+            scale = max(1.0, float(np.max(np.abs(L.mat.data))))
+        bound = fov_upper_bound(L)
+        if bound > 1e-8 * scale:
+            raise ValueError(
+                f"spatial operator violates W(L) <= 0: "
+                f"max Re W(L) = {bound:.3e}")
 
     def stage_rhs(self, t_stage: float, Lu_n: np.ndarray) -> np.ndarray:
         """f_i = f(t_stage) + L u_n, with L u_n computed once per step."""
@@ -124,7 +119,6 @@ class _SandwichPreconditioner(Preconditioner):
         self._P = P
         self._M = M
         self.exact = P.exact
-        self.variable = P.variable
 
     @property
     def applications(self):
@@ -330,7 +324,6 @@ class _BlockTriangularPreconditioner(Preconditioner):
         self._dt = dt
         self._inner = [pc for _op, pc in _stage_solvers(
             np.diag(T), problem, dt, inner_kind, inner_params)]
-        self.variable = self._inner[0].variable
 
     @property
     def applications(self):

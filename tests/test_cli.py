@@ -208,3 +208,32 @@ def test_csv_cells_are_plain_floats(capsys, argv):
     data = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(data) > 1
     assert not any("np." in l for l in data)
+
+
+@pytest.mark.parametrize("max_iters", ["0", "-3"])
+def test_nonpositive_max_iters_exits_2(capsys, max_iters):
+    # used to exit 1 with 0 iterations and converged 0
+    code = main(["run", "--problem", "advdiff1d", "--family", "gauss",
+                 "--stages", "2", "--grids", "16", "--max-iters", max_iters])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_iters" in err
+
+
+def test_fgmres_is_not_a_krylov_choice(capsys):
+    code = main(["run", "--problem", "advdiff1d", "--family", "gauss",
+                 "--stages", "2", "--grids", "16", "--krylov", "fgmres"])
+    assert code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-2"),
+                                        ("--size", "0")])
+def test_cond_random_rejects_empty_draws(capsys, flag, value):
+    # --trials 0 printed kappa_measured 0.0, below its floor of 1
+    code = main(["cond", "--family", "gauss", "--stages", "2",
+                 "--mode", "random", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {flag} must be >= 1")
+    assert captured.out == ""

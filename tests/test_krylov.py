@@ -25,7 +25,7 @@ def spd_tridiag(n):
 def test_identity_converges_in_one_iteration():
     op = SparseOperator(sp.identity(20, format="csr"))
     b = rng.standard_normal(20)
-    for method in ("cg", "gmres", "fgmres"):
+    for method in ("cg", "gmres"):
         x, rep = solve(op, b, None, KrylovConfig(method=method, rel_tol=1e-12))
         assert rep.converged and rep.iterations == 1
         assert np.allclose(x, b, atol=1e-12)
@@ -94,9 +94,8 @@ def test_preconditioner_application_count():
     _x, rep = solve(op, b, pc, KrylovConfig(method="gmres", rel_tol=1e-10,
                                             restart=30, max_iters=200))
     assert rep.converged
-    # one application per iteration plus one per restart-cycle reconstruction
-    assert rep.preconditioner_applications >= 2 * rep.iterations
-    assert rep.preconditioner_applications <= 2 * (rep.iterations + 1 + rep.iterations // 30)
+    # one application (two leaf sweeps) per iteration, none to rebuild x
+    assert rep.preconditioner_applications == 2 * rep.iterations
 
 
 def test_zero_rhs():
@@ -114,7 +113,7 @@ def test_fgmres_with_variable_preconditioner():
     pc = build_inner_preconditioner("inner_krylov", op, tol=1e-2, maxit=50,
                                     base=base)
     b = rng.standard_normal(96)
-    x, rep = solve(op, b, pc, KrylovConfig(method="fgmres", rel_tol=1e-11,
+    x, rep = solve(op, b, pc, KrylovConfig(method="gmres", rel_tol=1e-11,
                                            restart=30, max_iters=300))
     assert rep.converged
     assert np.linalg.norm(op.apply(x) - b) <= 1e-11 * np.linalg.norm(b) * 2
@@ -174,7 +173,7 @@ class _NaNPreconditioner(Preconditioner):
         return np.full_like(v, np.nan)
 
 
-@pytest.mark.parametrize("method", ["cg", "gmres", "fgmres"])
+@pytest.mark.parametrize("method", ["cg", "gmres"])
 def test_nonfinite_preconditioner_stops_at_first_iteration(method):
     op = spd_tridiag(50)
     pc = _NaNPreconditioner(50)
@@ -194,7 +193,7 @@ def test_resolve_method():
     assert resolve_method(auto, sym, exact) == replace(auto, method="cg")
     assert resolve_method(auto, nonsym, exact).method == "gmres"
     assert resolve_method(auto, sym, relax).method == "gmres"
-    assert resolve_method(auto, sym, inner).method == "fgmres"
+    assert resolve_method(auto, sym, inner).method == "gmres"
     assert resolve_method(None, sym, exact) == KrylovConfig(method="cg")
     explicit = KrylovConfig(method="gmres", rel_tol=1e-9)
     assert resolve_method(explicit, sym, exact) is explicit
