@@ -212,10 +212,11 @@ def _cmd_spectrum(args, out):
 
 
 def _cmd_cond(args, out):
-    if args.mode == "random":
-        for flag, value in (("--trials", args.trials), ("--size", args.size)):
-            if value < 1:
-                raise ValueError(f"{flag} must be >= 1, got {value}")
+    counts = {"random": (("--trials", args.trials), ("--size", args.size)),
+              "optimality": (("--gamma-points", args.gamma_points),)}
+    for flag, value in counts.get(args.mode, ()):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     _emit_echo(out, ["cond", "--family", args.family, "--stages",
                      str(args.stages), "--mode", args.mode,
                      "--trials", str(args.trials), "--size", str(args.size),

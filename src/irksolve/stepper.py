@@ -2,14 +2,20 @@
 
 One step works entirely on N-vectors (no stage storage):
 
-1. assemble z = sum_i R_i(Lhat) (M^{-1} f_i), Horner on the adjugate-row
-   polynomials, with f_i = f(t_n + c_i dt) + L u_n;
+1. assemble z = sum_i R_i(Lhat) (M^{-1} f_i) from the adjugate-row
+   polynomials, with f_i = f(t_n + c_i dt) + L u_n.  Regrouped as
+   z = sum_k Lhat^k M^{-1} w_k with w_k = sum_i R[i, k] f_i, it is one
+   Horner pass in mass form: s forcing evaluations, s M solves and s L
+   applies (L u_n included) per step;
 2. solve P_s(Lhat) y = z one real factor at a time: each conjugate pair
    is the quadratic M Q_eta y = M z solved by an outer Krylov iteration
    preconditioned with P M P, where P approximates the backward-Euler
    matrix (gamma M - dt L)^{-1} and gamma is the pair's optimal shift
    sqrt(eta^2 + beta^2) (or eta, for comparison runs); real eigenvalues
-   contribute a single shifted solve;
+   contribute a single shifted solve.  Per iteration: one operator
+   apply (for a pair, two applies of eta M - dt L and one M solve) and
+   one preconditioner application (for a pair, two inner applications;
+   with the FFT inner solve and M = I these are one FFT round trip);
 3. update u_{n+1} = u_n + dt * y.
 
 A dense direct-solve oracle over the full stage system is provided as
@@ -25,8 +31,8 @@ import math
 import numpy as np
 
 from .krylov import KrylovConfig, KrylovReport, resolve_method, solve
-from .linop import (ComposedOperator, LinearOperator, MassOperator,
-                    Preconditioner, build_inner_preconditioner,
+from .linop import (ComposedOperator, ExactFFT, LinearOperator,
+                    MassOperator, Preconditioner, build_inner_preconditioner,
                     fov_upper_bound, shifted_operator)
 from .spectral import (adjugate_row_polynomials, factor_list,
                        spectral_decompose)
@@ -110,7 +116,8 @@ class _QuadraticSystem(LinearOperator):
 class _SandwichPreconditioner(Preconditioner):
     """P M P, the conjugate-pair preconditioner for M Q_eta.  With exact
     P = (gamma M - dt L)^{-1} the preconditioned operator is exactly the
-    P_gamma of the condition-number theory."""
+    P_gamma of the condition-number theory.  An FFT solve with M = I
+    applies P twice in one round trip (ExactFFT.apply(v, power=2))."""
 
     kind = "sandwich"
 
@@ -119,12 +126,15 @@ class _SandwichPreconditioner(Preconditioner):
         self._P = P
         self._M = M
         self.exact = P.exact
+        self._squared = isinstance(P, ExactFFT) and M.is_identity
 
     @property
     def applications(self):
         return self._P.applications
 
     def apply(self, v):
+        if self._squared:
+            return self._P.apply(v, power=2)
         return self._P.apply(self._M.apply(self._P.apply(v)))
 
 
@@ -178,25 +188,19 @@ class IRKStepper:
 
     # -- algorithm stages ------------------------------------------------
 
-    def _lhat(self, v):
-        return self.dt * self.problem.M.solve(self.problem.L.apply(v))
-
     def assemble_rhs_z(self, u_n: np.ndarray, t_n: float) -> np.ndarray:
-        """z = sum_i R_i(Lhat)(M^{-1} f_i) by Horner; s-1 applications of
-        Lhat per stage."""
+        """z = sum_i R_i(Lhat)(M^{-1} f_i) = sum_k Lhat^k M^{-1} w_k with
+        w_k = sum_i R[i, k] f_i, by one Horner pass in mass form:
+        z <- M^{-1} w_{s-1}, then z <- M^{-1}(dt L z + w_k).  s mass
+        solves and s L applies, L u_n included."""
         t = self.tableau
         prob = self.problem
         Lu_n = prob.L.apply(u_n)
-        R = self.polys.R
-        s = t.s
-        z = np.zeros(prob.n)
-        for i in range(s):
-            f_i = prob.stage_rhs(t_n + self.dt * t.c0[i], Lu_n)
-            g = prob.M.solve(f_i)
-            w = R[i, s - 1] * g
-            for k in range(s - 2, -1, -1):
-                w = self._lhat(w) + R[i, k] * g
-            z += w
+        F = np.array([prob.stage_rhs(t_n + self.dt * c, Lu_n) for c in t.c0])
+        W = self.polys.R.T @ F
+        z = prob.M.solve(W[-1])
+        for w_k in W[-2::-1]:
+            z = prob.M.solve(self.dt * prob.L.apply(z) + w_k)
         return z
 
     def solve_factors(self, z: np.ndarray):

@@ -1,0 +1,79 @@
+"""The step benchmark's tracer finds the names it hooks.
+
+perfbench/tracing.py patches names in irksolve.stepper and methods of
+the objects a stepper builds.  A rename in the package would silently
+leave a layer untraced (or fail only under `run.py --trace 1`), so this
+drives one traced set-up and one traced step, as run.py does, and
+checks that the step's layers show up as spans.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from irksolve.krylov import KrylovConfig
+from irksolve.spatial import GridSpec, build_fd_mms, build_fem_diffusion_1d
+from irksolve.stepper import IRKStepper
+from irksolve.tableaux import build_tableau
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True   # leave the benchmark's tree as it is
+    try:
+        import tracing
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+    return tracing
+
+
+CASES = {
+    # circulant 2D operator with forcing: the inner solve is the FFT
+    "mms2d": (lambda: build_fd_mms(GridSpec(dim=2, n=16)), ("gauss", 2)),
+    # FEM mass: mass solves, CG
+    "fem1d": (lambda: build_fem_diffusion_1d(GridSpec(dim=1, n=32)),
+              ("gauss", 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_traced_step_has_every_layer(tracing, case):
+    build_problem, scheme = CASES[case]
+    tracer = tracing.Tracer()
+    tracer.begin_setup(0)
+    try:
+        problem = build_problem()
+        stepper = IRKStepper(build_tableau(*scheme), problem, 0.05,
+                             outer_cfg=KrylovConfig(rel_tol=1e-10))
+    finally:
+        tracer.unpatch()
+    tracer.hook_steps(stepper)
+    try:
+        advance = tracer.wrap("stepper.advance", stepper.advance)
+        tracer.next_step()
+        u0 = np.random.default_rng(1).standard_normal(problem.n)
+        _u, reports = advance(u0, 0.0)
+    finally:
+        tracer.unpatch()
+
+    spans = {tracer.names[i] for i in tracer.table()[:, 3]}
+    expected = {"linop.shift", "linop.factorize", "spectral.setup",
+                "linop.fov", "stepper.advance", "stepper.rhs",
+                "stepper.factors", "krylov.solve", "linop.L_apply",
+                "linop.op_apply", "linop.precond_apply"}
+    if not problem.M.is_identity:
+        expected |= {"linop.M_solve", "linop.M_apply"}
+    if problem.forcing is not None:
+        expected.add("spatial.forcing")
+    assert expected <= spans
+    layers = tracing.layer_metrics(tracer, 1)
+    assert layers["linop.precond_apply_s"] > 0.0
+    assert layers["stepper.rhs_s"] > 0.0
+    assert sum(r.preconditioner_applications for r in reports) > 0

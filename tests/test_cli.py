@@ -237,3 +237,25 @@ def test_cond_random_rejects_empty_draws(capsys, flag, value):
     assert code == 2
     assert captured.err.startswith(f"error: {flag} must be >= 1")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cond_optimality_rejects_empty_gamma_grid(capsys, value):
+    # --gamma-points 0 printed the header and no rows with exit 0
+    code = main(["cond", "--family", "gauss", "--stages", "2",
+                 "--mode", "optimality", "--gamma-points", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(
+        f"error: --gamma-points must be >= 1, got {value}")
+    assert captured.out == ""
+
+
+def test_cond_optimality_one_gamma_point(capsys):
+    code, out = run_cli(capsys, ["cond", "--family", "gauss", "--stages",
+                                 "2", "--mode", "optimality",
+                                 "--gamma-points", "1"])
+    assert code == 0
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == "factor,eta,beta,gamma,kappa_measured,kappa_bound"
+    assert len(rows) == 2

@@ -25,9 +25,12 @@ GOLDEN = {
     # IRK, GMRES outer, two Gauss-Seidel sweeps per inner application
     "irk-gs2": (dict(ADV, family="gauss", stages=2, inner="gs:2"),
                 [(16.0, 512)]),
-    # IRK, GMRES outer around an inner GMRES (counts inner iterations)
+    # IRK, GMRES outer around an inner GMRES (counts inner iterations).
+    # An inner GMRES stopped at 1e-2 can take one iteration more or less
+    # when its input rounds differently, so this total moves with the
+    # rounding of the RHS assembly; the outer count does not.
     "irk-krylov": (dict(ADV, family="gauss", stages=2, inner="krylov:1e-2"),
-                   [(7.125, 696)]),
+                   [(7.125, 698)]),
     "sdirk": (dict(ADV, family="sdirk2l", stages=2, integrator="sdirk"),
               [(1.0, 8), (1.0, 8)]),
     "gsl": (dict(ADV, family="gauss", stages=2, integrator="gsl"),

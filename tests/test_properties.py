@@ -9,10 +9,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from irksolve.conditioning import random_stable_matrix
+from irksolve.conditioning import compute_kappa, random_stable_matrix
 from irksolve.krylov import KrylovConfig, solve
 from irksolve.linop import (IdentityMass, SparseOperator,
                             build_inner_preconditioner)
+from irksolve.spectral import factor_list, spectral_decompose
 from irksolve.spatial import GridSpec, build_fem_mass_1d
 from irksolve.stepper import IRKStepper, LinearProblem, advance_oracle
 from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
@@ -65,3 +66,18 @@ def test_gmres_applies_fixed_preconditioner_once_per_iteration(
                     KrylovConfig(method="gmres", rel_tol=rel_tol,
                                  max_iters=max_iters, restart=restart))
     assert rep.preconditioner_applications == rep.iterations * per_apply
+
+
+@DETERMINISTIC
+@given(tableau=st.sampled_from(SUPPORTED_TABLEAUX),
+       n=st.integers(1, 48),
+       scale=st.floats(0.05, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kappa_within_bound(tableau, n, scale, seed):
+    # kappa(P_gamma*) <= sqrt(1 + beta^2/eta^2) for every W(L) <= 0
+    L = random_stable_matrix(n, np.random.default_rng(seed), scale)
+    for f in factor_list(spectral_decompose(build_tableau(*tableau))):
+        bound = np.sqrt(1.0 + (f.beta / f.eta) ** 2)
+        r = compute_kappa(L, f.eta, f.beta)
+        assert r.kappa_bound == pytest.approx(bound, rel=1e-12)
+        assert r.kappa_measured <= bound * (1.0 + 1e-10)

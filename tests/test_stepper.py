@@ -6,13 +6,16 @@ import scipy.sparse as sp
 
 from irksolve.conditioning import random_stable_matrix
 from irksolve.krylov import KrylovConfig
-from irksolve.linop import IdentityMass, SparseOperator, ZeroOperator
-from irksolve.spatial import (GridSpec, build_fem_diffusion_1d,
-                              build_fem_mass_1d)
+from irksolve.linop import (ExactFFT, IdentityMass, SparseOperator,
+                            ZeroOperator, build_inner_preconditioner,
+                            shifted_operator)
+from irksolve.spatial import (GridSpec, build_advdiff,
+                              build_fem_diffusion_1d, build_fem_mass_1d)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
-                              LinearProblem, SDIRKStepper, advance_oracle)
-from irksolve.tableaux import build_tableau
+                              LinearProblem, SDIRKStepper,
+                              _SandwichPreconditioner, advance_oracle)
+from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
 
 rng = np.random.default_rng(2024)
 TIGHT = KrylovConfig(method="auto", rel_tol=1e-13, max_iters=4000)
@@ -60,12 +63,8 @@ def test_backward_euler_rhs_assembly():
     assert np.linalg.norm(z - ref) < 1e-13 * np.linalg.norm(ref)
 
 
-def test_rhs_assembly_matches_kronecker_oracle():
-    # Gauss-2, random 8x8 L, M = I, stage-dependent forcing
-    n = 8
-    t = build_tableau("gauss", 2)
-    r = np.random.default_rng(3)
-    Lm = random_stable_matrix(n, r, scale=1.5)
+def _stage_forcing(n, r):
+    """A forcing with an independent random vector per stage time."""
     fvals = {}
 
     def forcing(time):
@@ -74,26 +73,94 @@ def test_rhs_assembly_matches_kronecker_oracle():
             fvals[key] = r.standard_normal(n)
         return fvals[key]
 
-    prob = LinearProblem(IdentityMass(n), SparseOperator(sp.csr_matrix(Lm)),
+    return forcing
+
+
+def _rhs_oracle_error(fam, s, mass):
+    """Relative error of assemble_rhs_z against the dense oracle on a
+    random 8x8 L with stage-dependent forcing."""
+    n = 8
+    t = build_tableau(fam, s)
+    r = np.random.default_rng(3)
+    Lm = random_stable_matrix(n, r, scale=1.5)
+    M = build_fem_mass_1d(GridSpec(dim=1, n=n)) if mass == "fem" \
+        else IdentityMass(n)
+    forcing = _stage_forcing(n, r)
+    prob = LinearProblem(M, SparseOperator(sp.csr_matrix(Lm)),
                          forcing=forcing)
     dt = 0.37
     u = r.standard_normal(n)
     st = IRKStepper(t, prob, dt, outer_cfg=TIGHT)
     z = st.assemble_rhs_z(u, 0.0)
 
-    # dense oracle: (b^T A0^{-1} x I) adj(M_s) f with adjugate via the
-    # ring determinant assembled from eigenvalue factors
+    # dense oracle: (b^T A0^{-1} x I) adj(M_s) (I x M^{-1}) f, the
+    # adjugate being det(M_s) M_s^{-1} with the ring determinant
+    # P_s(Lhat) assembled from the eigenvalue factors
+    Md = M.to_dense()
     B = np.linalg.inv(t.A0)
-    Lhat = dt * Lm
-    Ms = np.kron(B, np.eye(n)) - np.kron(np.eye(2), Lhat)
-    lam = np.linalg.eigvals(B)
-    eta, beta = lam[0].real, abs(lam[0].imag)
-    D = (eta * np.eye(n) - Lhat) @ (eta * np.eye(n) - Lhat) + beta ** 2 * np.eye(n)
+    Lhat = dt * np.linalg.solve(Md, Lm)
+    Ms = np.kron(B, np.eye(n)) - np.kron(np.eye(s), Lhat)
+    D = np.eye(n, dtype=complex)
+    for lam in np.linalg.eigvals(B):
+        D = D @ (lam * np.eye(n) - Lhat)
+    D = D.real
     Lu = Lm @ u
-    f = np.concatenate([forcing(dt * c) + Lu for c in t.c0])
-    z_oracle = (np.kron(t.b0 @ B, np.eye(n)) @ np.kron(np.eye(2), D)
-                @ np.linalg.solve(Ms, f))
-    assert np.linalg.norm(z - z_oracle) < 1e-10 * np.linalg.norm(z_oracle)
+    g = np.concatenate([np.linalg.solve(Md, forcing(dt * c) + Lu)
+                        for c in t.c0])
+    z_oracle = (np.kron(t.b0 @ B, np.eye(n)) @ np.kron(np.eye(s), D)
+                @ np.linalg.solve(Ms, g))
+    return np.linalg.norm(z - z_oracle) / np.linalg.norm(z_oracle)
+
+
+def test_rhs_assembly_matches_kronecker_oracle():
+    # every tableau, identity and FEM mass
+    errors = {(fam, s, mass): _rhs_oracle_error(fam, s, mass)
+              for fam, s in SUPPORTED_TABLEAUX
+              for mass in ("identity", "fem")}
+    assert max(errors.values()) < 1e-10, errors
+
+
+@pytest.mark.parametrize("mass", ["identity", "fem"])
+@pytest.mark.parametrize("fam,s", [("gauss", 1), ("gauss", 3),
+                                   ("radauIIA", 5), ("lobattoIIIC", 4)])
+def test_rhs_assembly_costs_s_mass_solves_and_s_L_applies(fam, s, mass):
+    n = 12
+    r = np.random.default_rng(5)
+    M = build_fem_mass_1d(GridSpec(dim=1, n=n)) if mass == "fem" \
+        else IdentityMass(n)
+    L = SparseOperator(sp.csr_matrix(random_stable_matrix(n, r)))
+    prob = LinearProblem(M, L, forcing=_stage_forcing(n, r))
+    st = IRKStepper(build_tableau(fam, s), prob, 0.2, outer_cfg=TIGHT)
+    calls = {"solve": 0, "apply": 0}
+
+    def counting(obj, name):
+        fn = getattr(obj, name)
+
+        def counted(v):
+            calls[name] += 1
+            return fn(v)
+        setattr(obj, name, counted)
+
+    counting(M, "solve")
+    counting(L, "apply")
+    st.assemble_rhs_z(r.standard_normal(n), 0.1)
+    assert calls == {"solve": s, "apply": s}
+
+
+def test_pair_preconditioner_squares_the_fft_solve():
+    # P I P in one FFT round trip equals two solves, and counts as two
+    grid = GridSpec(dim=2, n=24)
+    M = IdentityMass(grid.size)
+    L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4)
+    P = build_inner_preconditioner("exact", shifted_operator(2.3, 0.1, M, L))
+    assert isinstance(P, ExactFFT)
+    pair = _SandwichPreconditioner(P, M)
+    v = np.random.default_rng(11).standard_normal(grid.size)
+    twice = P.apply(P.apply(v))
+    before = pair.applications
+    fused = pair.apply(v)
+    assert pair.applications - before == 2
+    assert np.linalg.norm(fused - twice) <= 1e-13 * np.linalg.norm(twice)
 
 
 def test_solve_factors_zero_operator_scaling():
