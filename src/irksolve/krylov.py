@@ -6,9 +6,12 @@ true residual rather than a preconditioner-scaled one.  It keeps the
 preconditioned directions and updates x from them, so one iteration
 costs exactly one preconditioner application, and a preconditioner
 that changes between applications (an inner Krylov loop) needs no
-separate method.  Every solve recomputes the true residual once at
-exit and bases the convergence flag on that, never on the in-iteration
-estimate.
+separate method.  Each iteration takes the direction z = P v and its
+image op z from one Preconditioner.apply_with_image call; an exact
+preconditioner built for op returns the image without applying op.
+Every solve recomputes the true residual with op.apply once at exit
+(and at each restart) and bases the convergence flag on that, never on
+the in-iteration estimate.
 """
 
 from dataclasses import dataclass, field, replace
@@ -72,6 +75,13 @@ def _apply_precond(precond, v):
     if precond is None:
         return v
     return precond.apply(v)
+
+
+def _direction(op, precond, v):
+    """(z, op z) for the preconditioned direction z = P v."""
+    if precond is None:
+        return v, op.apply(v)
+    return precond.apply_with_image(v, op)
 
 
 def _finite(rnorm):
@@ -180,9 +190,8 @@ def _gmres(op, b, precond, cfg, target):
 
         j = 0
         while j < m and rep.iterations < cfg.max_iters:
-            z = _apply_precond(precond, V[j])
+            z, w = _direction(op, precond, V[j])
             Z.append(z)
-            w = op.apply(z)
             for i in range(j + 1):
                 H[i, j] = V[i] @ w
                 w = w - H[i, j] * V[i]

@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .krylov import KrylovConfig, solve
+
 __all__ = [
     "LinearOperator",
     "SparseOperator",
@@ -52,10 +54,13 @@ class LinearOperator:
     Subclasses implement apply(v); mat is the assembled sparse form when
     one exists (None for purely matrix-free operators).  symmetric is
     decided once per operator: from the matrix, from the parts of a
-    composite operator, False for a matrix-free one.
+    composite operator, False for a matrix-free one.  shift is
+    (gamma, dt, M, L) for the operator gamma M - dt L that
+    shifted_operator builds, None otherwise.
     """
 
     symmetric = False
+    shift = None
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -216,6 +221,7 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
     else:
         op = ComposedOperator(L.n, lambda v: gamma * M.apply(v) - dt * L.apply(v))
     op.symmetric = M.symmetric and L.symmetric
+    op.shift = (gamma, dt, M, L)
     return op
 
 
@@ -224,10 +230,14 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
 
 class Preconditioner:
     """Approximation of op^{-1} with a leaf application counter.  exact
-    marks one built on exact solves, so SPD for an SPD operator."""
+    marks one built on exact solves, so SPD for an SPD operator; shift
+    is the shift (gamma, dt, M, L) of the operator an exact
+    preconditioner inverts, None when that operator has none.  Keeping
+    the shift, not the operator, lets the operator's matrix be freed."""
 
     kind = "abstract"
     exact = False
+    shift = None
 
     def __init__(self, n: int):
         self.n = n
@@ -240,6 +250,15 @@ class Preconditioner:
     def apply(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def apply_with_image(self, v: np.ndarray, op: LinearOperator):
+        """(z, op z) for z = apply(v).  An exact preconditioner for a
+        shifted operator with op's shift gives op z = v, so op is not
+        applied."""
+        z = self.apply(v)
+        if self.exact and self.shift is not None and op.shift == self.shift:
+            return z, v
+        return z, op.apply(z)
+
 
 class ExactSparseLU(Preconditioner):
     """Exact solve through one sparse LU of the assembled operator."""
@@ -251,6 +270,7 @@ class ExactSparseLU(Preconditioner):
         super().__init__(op.n)
         if op.mat is None:
             raise FactorizationFailure("exact factorization needs an assembled matrix")
+        self.shift = op.shift
         self._lu = _sparse_lu(op.mat)
 
     def apply(self, v):
@@ -264,10 +284,14 @@ class ExactFFT(Preconditioner):
 
     apply(v, power=k) is op^{-k} v in one rfftn/irfftn round trip, by
     the k-th power of the inverse symbol, and counts k applications.
-    The conjugate-pair preconditioner P M P with M = I is apply(v, 2),
-    so each outer iteration on a pair costs one round trip, not two: a
-    2D Gauss-2 step of 6 iterations makes 12 applications in 6 round
-    trips.
+    For a tuple of powers it returns the tuple of results from one
+    rfftn and one irfftn per power, and counts the largest power.  The
+    conjugate-pair preconditioner P M P with M = I is apply(v, 2), so
+    each outer iteration on a pair costs one round trip, not two: a 2D
+    Gauss-2 step of 6 iterations makes 12 applications in 6 round
+    trips.  A GMRES iteration on a pair takes (P v, P^2 v) from
+    apply(v, (1, 2)), one irfftn more, and gets the operator image of
+    P^2 v from them instead of applying the operator.
     """
 
     kind = "exact_fft"
@@ -276,17 +300,25 @@ class ExactFFT(Preconditioner):
     def __init__(self, op: CirculantOperator):
         super().__init__(op.n)
         _check_pivots(np.abs(op.symbol), op.mat)
+        self.shift = op.shift
         self._shape = op.symbol.shape
         self._axes = tuple(range(op.symbol.ndim))
         self._inv = {1: 1.0 / op.symbol[..., :self._shape[-1] // 2 + 1]}
 
-    def apply(self, v, power: int = 1):
-        self._count += power
+    def _inverse(self, power):
         inv = self._inv.get(power)
         if inv is None:
             inv = self._inv[power] = self._inv[1] ** power
-        w = np.fft.rfftn(v.reshape(self._shape)) * inv
-        return np.fft.irfftn(w, s=self._shape, axes=self._axes).reshape(-1)
+        return inv
+
+    def apply(self, v, power=1):
+        powers = power if isinstance(power, tuple) else (power,)
+        self._count += max(powers)
+        vh = np.fft.rfftn(v.reshape(self._shape))
+        out = tuple(np.fft.irfftn(vh * self._inverse(k), s=self._shape,
+                                  axes=self._axes).reshape(-1)
+                    for k in powers)
+        return out if isinstance(power, tuple) else out[0]
 
 
 class _Relaxation(Preconditioner):
@@ -358,21 +390,16 @@ class InnerKrylov(Preconditioner):
                  maxit: int = 100, base: Preconditioner | None = None):
         super().__init__(op.n)
         self._op = op
-        self.tol = float(tol)
-        self.maxit = int(maxit)
         self.base = base
+        self._cfg = KrylovConfig(method="gmres", rel_tol=float(tol),
+                                 max_iters=int(maxit), restart=int(maxit))
 
     @property
     def applications(self):
         return self.base.applications if self.base is not None else self._count
 
     def apply(self, v):
-        # local import: krylov depends on this module for the counter protocol
-        from .krylov import KrylovConfig, solve
-
-        cfg = KrylovConfig(method="gmres", rel_tol=self.tol,
-                           max_iters=self.maxit, restart=self.maxit)
-        x, rep = solve(self._op, v, self.base, cfg)
+        x, rep = solve(self._op, v, self.base, self._cfg)
         if self.base is None:
             self._count += rep.iterations
         return x

@@ -12,10 +12,16 @@ One step works entirely on N-vectors (no stage storage):
    preconditioned with P M P, where P approximates the backward-Euler
    matrix (gamma M - dt L)^{-1} and gamma is the pair's optimal shift
    sqrt(eta^2 + beta^2) (or eta, for comparison runs); real eigenvalues
-   contribute a single shifted solve.  Per iteration: one operator
-   apply (for a pair, two applies of eta M - dt L and one M solve) and
-   one preconditioner application (for a pair, two inner applications;
-   with the FFT inner solve and M = I these are one FFT round trip);
+   contribute a single shifted solve.  Per iteration: one preconditioner
+   application (for a pair, two inner applications; with the FFT inner
+   solve and M = I these are one rfftn and two irfftn) and the image of
+   its result under the operator.  In GMRES with an exact inner solve
+   built for the factor, that image comes from the inner solves (for a
+   pair, v - 2 delta M P v + (delta^2 + beta^2) M P M P v with
+   delta = gamma - eta; for a real factor, v), and the operator is
+   applied only for the true residual, at restarts and at exit.  CG and
+   every other inner solve apply the operator every iteration (for a
+   pair, two applies of eta M - dt L and one M solve);
 3. update u_{n+1} = u_n + dt * y.
 
 A dense direct-solve oracle over the full stage system is provided as
@@ -103,21 +109,29 @@ class _QuadraticSystem(LinearOperator):
 
     def __init__(self, A_eta: LinearOperator, M: MassOperator, beta: float):
         super().__init__(A_eta.n)
-        self._A = A_eta
-        self._M = M
+        self.A_eta = A_eta
+        self.M = M
+        self.beta = beta
         self._b2 = beta * beta
         self.symmetric = A_eta.symmetric and M.symmetric
 
     def apply(self, v):
-        w = self._A.apply(self._M.solve(self._A.apply(v)))
-        return w + self._b2 * self._M.apply(v)
+        w = self.A_eta.apply(self.M.solve(self.A_eta.apply(v)))
+        return w + self._b2 * self.M.apply(v)
 
 
 class _SandwichPreconditioner(Preconditioner):
     """P M P, the conjugate-pair preconditioner for M Q_eta.  With exact
     P = (gamma M - dt L)^{-1} the preconditioned operator is exactly the
     P_gamma of the condition-number theory.  An FFT solve with M = I
-    applies P twice in one round trip (ExactFFT.apply(v, power=2))."""
+    applies P twice in one round trip (ExactFFT.apply(v, power=2)).
+
+    With that exact P, eta M - dt L = P^{-1} - delta M for
+    delta = gamma - eta, so the operator image of a direction is
+    M Q_eta (P M P v) = v - 2 delta M P v + (delta^2 + beta^2) M P M P v:
+    apply_with_image gives it from the two inner solves and no operator
+    apply (with the FFT solve and M = I, from one rfftn and two irfftn).
+    """
 
     kind = "sandwich"
 
@@ -136,6 +150,29 @@ class _SandwichPreconditioner(Preconditioner):
         if self._squared:
             return self._P.apply(v, power=2)
         return self._P.apply(self._M.apply(self._P.apply(v)))
+
+    def _delta(self, op):
+        """gamma - eta when P is exact for gamma M - dt L and op is the
+        M Q_eta of eta M - dt L with the same dt, M and L; else None."""
+        if not (self.exact and isinstance(op, _QuadraticSystem)):
+            return None
+        inner, outer = self._P.shift, op.A_eta.shift
+        if inner is None or outer is None or inner[1:] != outer[1:] \
+                or inner[2] is not self._M or op.M is not self._M:
+            return None
+        return inner[0] - outer[0]
+
+    def apply_with_image(self, v, op):
+        delta = self._delta(op)
+        if delta is None:
+            return super().apply_with_image(v, op)
+        c = delta * delta + op.beta * op.beta
+        if self._squared:
+            Pv, z = self._P.apply(v, power=(1, 2))
+            return z, v - 2.0 * delta * Pv + c * z
+        MPv = self._M.apply(self._P.apply(v))
+        z = self._P.apply(MPv)
+        return z, v - 2.0 * delta * MPv + c * self._M.apply(z)
 
 
 class IRKStepper:

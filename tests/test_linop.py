@@ -112,6 +112,14 @@ def test_inner_krylov_residual_reduction():
     assert np.linalg.norm(op.apply(x) - v) <= 1e-10 * np.linalg.norm(v) * 10
 
 
+def test_inner_krylov_rejects_a_bad_tolerance_when_built():
+    op = shifted_operator(2.5, 0.1, IdentityMass(8),
+                          SparseOperator(-sp.identity(8, format="csr")))
+    for params in ({"tol": -1}, {"tol": 0.0}, {"maxit": 0}):
+        with pytest.raises(ValueError):
+            build_inner_preconditioner("inner_krylov", op, **params)
+
+
 def test_factorization_failure_on_singular():
     op = SparseOperator(sp.csr_matrix(np.zeros((4, 4))))
     with pytest.raises(FactorizationFailure):

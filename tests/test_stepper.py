@@ -163,6 +163,140 @@ def test_pair_preconditioner_squares_the_fft_solve():
     assert np.linalg.norm(fused - twice) <= 1e-13 * np.linalg.norm(twice)
 
 
+def test_fft_apply_gives_both_powers_from_one_forward_transform(monkeypatch):
+    grid = GridSpec(dim=2, n=12)
+    M = IdentityMass(grid.size)
+    L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4)
+    P = build_inner_preconditioner("exact", shifted_operator(1.7, 0.2, M, L))
+    v = np.random.default_rng(12).standard_normal(grid.size)
+    once, twice = P.apply(v), P.apply(v, power=2)
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    before = P.applications
+    Pv, PPv = P.apply(v, power=(1, 2))
+    assert P.applications - before == 2
+    assert calls == {"rfftn": 1, "irfftn": 2}
+    assert np.array_equal(Pv, once) and np.array_equal(PPv, twice)
+
+
+def _image_setup(label):
+    """(problem, grid) for an exact inner solve: the sparse LU in 1D with
+    identity or FEM mass, the FFT in 2D."""
+    if label == "fft-identity":
+        g = GridSpec(dim=2, n=16)
+        L = build_advdiff(g, (0.85, 1.0), (0.3, 0.25), 4)
+        return LinearProblem(IdentityMass(g.size), L), g
+    g = GridSpec(dim=1, n=48)
+    M = build_fem_mass_1d(g) if label == "lu-fem" else IdentityMass(g.size)
+    return LinearProblem(M, build_advdiff(g, 1.0, 0.02, 4)), g
+
+
+def _count_op_applies(ops):
+    calls = {}
+    for op in set(ops):
+        calls[op] = 0
+
+        def counted(x, _op=op, _fn=op.apply):
+            calls[_op] += 1
+            return _fn(x)
+        op.apply = counted
+    return calls
+
+
+@pytest.mark.parametrize("label", ["lu-identity", "lu-fem", "fft-identity"])
+def test_exact_inner_image_matches_operator_apply(label):
+    # M Q_eta (P M P v) = v - 2 delta M P v + (delta^2 + beta^2) M P M P v
+    # for a pair and A_eta P v = v for a real factor, with no operator
+    # apply; the bound is fixed by the mass: rounding in M and M^{-1}
+    prob, grid = _image_setup(label)
+    bound = 1e-9 if label == "lu-fem" else 1e-12
+    v = np.random.default_rng(31).standard_normal(prob.n)
+    errors = {}
+    for fam, s in SUPPORTED_TABLEAUX:
+        tab = build_tableau(fam, s)
+        for mode in ("gamma_star", "eta"):
+            for ratio in (2, 32):
+                st = IRKStepper(tab, prob, ratio * grid.h, gamma_mode=mode)
+                for idx, (_f, _g, op, pc) in enumerate(st._solvers):
+                    calls = _count_op_applies([op])
+                    z, w = pc.apply_with_image(v, op)
+                    assert calls[op] == 0, (fam, s, mode, ratio, idx)
+                    ref = op.apply(z)
+                    errors[fam, s, mode, ratio, idx] = \
+                        np.linalg.norm(w - ref) / np.linalg.norm(ref)
+    assert max(errors.values()) <= bound, max(errors.items(),
+                                              key=lambda kv: kv[1])
+
+
+@pytest.mark.parametrize("label", ["lu-identity", "lu-fem", "fft-identity"])
+def test_exact_inner_solve_applies_its_operator_once(label):
+    # the true residual at exit is the only operator apply.  A gs:2 inner
+    # solve still applies the operator once per iteration and at exit;
+    # on a real factor or an SDIRK stage the GS sweeps are built on that
+    # same operator, and the second sweep applies it once more
+    prob, grid = _image_setup(label)
+    u = np.random.default_rng(32).standard_normal(prob.n)
+    gmres = KrylovConfig(method="gmres", rel_tol=1e-10)
+    for inner, params in (("exact", {}), ("gauss_seidel", {"sweeps": 2})):
+        per_iter = {"pair": 0, "real": 0} if inner == "exact" \
+            else {"pair": 1, "real": 2}
+        for tab in (build_tableau("gauss", 2), build_tableau("radauIIA", 3),
+                    build_tableau("lobattoIIIC", 5)):
+            st = IRKStepper(tab, prob, 2 * grid.h, outer_cfg=gmres,
+                            inner_kind=inner, inner_params=params)
+            calls = _count_op_applies([op for _f, _g, op, _pc in st._solvers])
+            _u, reps = st.advance(u, 0.0)
+            for (f, _g, op, _pc), rep in zip(st._solvers, reps):
+                assert rep.converged and rep.iterations < gmres.restart
+                k = per_iter["real" if f.is_real else "pair"]
+                assert calls[op] == 1 + k * rep.iterations, (tab.family, f)
+        sd = SDIRKStepper(build_tableau("sdirk3l", 3), prob, 2 * grid.h,
+                          outer_cfg=gmres, inner_kind=inner,
+                          inner_params=params)
+        calls = _count_op_applies([op for op, _pc in sd._stages])
+        _u, reps = sd.advance(u, 0.0)
+        assert all(r.converged and r.iterations < gmres.restart for r in reps)
+        assert sum(calls.values()) == sum(1 + per_iter["real"] * r.iterations
+                                          for r in reps)
+
+
+def test_mismatched_inner_solve_applies_the_operator():
+    # an exact inner solve built for another operator than the factor's
+    # gives no identity, and the image comes from op.apply: on a real
+    # factor any other operator, on a pair another dt or another L.  For
+    # a pair, another gamma is no mismatch: the identity holds for every
+    # exact (gamma M - dt L)^{-1}, with delta = gamma - eta read from the
+    # two operators, so it is still taken and still exact
+    prob, grid = _image_setup("fft-identity")
+    M, L, dt = prob.M, prob.L, 2 * grid.h
+    st = IRKStepper(build_tableau("radauIIA", 3), prob, dt)
+    (pair, _g, op, _pc), (_real, _g2, op_real, _pc2) = st._solvers
+    v = np.random.default_rng(33).standard_normal(prob.n)
+    gamma = pair.gamma_star
+    shifted = shifted_operator(gamma + 0.5, dt, M, L)
+    other_dt = shifted_operator(gamma, 1.5 * dt, M, L)
+    other_L = shifted_operator(gamma, dt, M, SparseOperator(0.5 * L.mat))
+    cases = [(op_real, build_inner_preconditioner("exact", A), 1)
+             for A in (shifted, other_dt, other_L)]
+    cases += [(op, _SandwichPreconditioner(
+        build_inner_preconditioner("exact", A), M), int(A is not shifted))
+        for A in (shifted, other_dt, other_L)]
+    for target, pc, applies in cases:
+        calls = _count_op_applies([target])
+        z, w = pc.apply_with_image(v, target)
+        assert calls[target] == applies
+        ref = target.apply(z)
+        assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+        if applies:
+            assert np.array_equal(w, ref)
+
+
 def test_solve_factors_zero_operator_scaling():
     # L = 0: y = z / P_s(0) = z / det(A0^{-1})
     n = 4
