@@ -19,7 +19,6 @@ from .tableaux import (
 from .spectral import (
     Factor,
     SpectralData,
-    StagePolynomials,
     spectral_decompose,
     adjugate_row_polynomials,
     factor_list,

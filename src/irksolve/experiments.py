@@ -48,7 +48,7 @@ class ExperimentSpec:
     t_final: float = 2.0
     fd_order: int = 4
     krylov: KrylovConfig = field(default_factory=lambda: KrylovConfig(method="auto"))
-    inner: str = "exact"           # exact | splu | jacobi:k | gs:k | krylov:tol
+    inner: str = "exact"           # exact | jacobi:k | gs:k | krylov:tol
     gamma_mode: str = "gamma_star"
     integrator: str = "irk"        # irk | sdirk | gsl | ld
 
@@ -111,29 +111,40 @@ def records_to_csv(records, header=True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_inner(spec: str, dim=None):
-    """Map an inner-preconditioner spec string to (kind, params).
+_RELAXATION = (("sweeps", int),)
+_KRYLOV = (("tol", float), ("maxit", int))
 
+#: lower-case spec name -> (kind, the spec's positional parameters)
+_INNER_SPECS = {
+    "exact": ("exact", ()),
+    "jacobi": ("jacobi", _RELAXATION),
+    "gs": ("gauss_seidel", _RELAXATION),
+    "gauss_seidel": ("gauss_seidel", _RELAXATION),
+    "gauss-seidel": ("gauss_seidel", _RELAXATION),
+    "krylov": ("inner_krylov", _KRYLOV),
+    "inner_krylov": ("inner_krylov", _KRYLOV),
+    "inner-krylov": ("inner_krylov", _KRYLOV),
+}
+
+
+def parse_inner(spec: str, dim=None):
+    """Map an inner-preconditioner spec 'name[:p1[:p2]]' to (kind,
+    params), the arguments of linop.build_inner_preconditioner.
+
+    This is the one reader of the spec.  The name is case-insensitive;
+    the positional parameters are sweeps for jacobi and gs, and tol and
+    maxit for krylov; one left out takes the constructor's default.
     'exact' is an exact solve chosen from the operator's structure (see
-    linop.build_inner_preconditioner); 'splu' and 'exact_sparse_lu'
-    force the sparse LU.  dim is ignored; it is kept only because the
-    benchmark workloads still pass it.
+    linop.build_inner_preconditioner).  dim is ignored; it is kept only
+    because the benchmark workloads still pass it.
     """
-    parts = spec.split(":")
-    name = parts[0].lower()
-    if name == "exact":
-        return "exact", {}
-    if name in ("exact_sparse_lu", "exact-sparse-lu", "splu"):
-        return "exact_sparse_lu", {}
-    if name in ("jacobi", "gs", "gauss_seidel", "gauss-seidel"):
-        sweeps = int(parts[1]) if len(parts) > 1 else 1
-        kind = "jacobi" if name == "jacobi" else "gauss_seidel"
-        return kind, {"sweeps": sweeps}
-    if name in ("krylov", "inner_krylov", "inner-krylov"):
-        tol = float(parts[1]) if len(parts) > 1 else 1e-2
-        maxit = int(parts[2]) if len(parts) > 2 else 100
-        return "inner_krylov", {"tol": tol, "maxit": maxit}
-    raise ValueError(f"unknown inner preconditioner spec {spec!r}")
+    name, *args = spec.split(":")
+    try:
+        kind, fields = _INNER_SPECS[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown inner preconditioner spec {spec!r}") from None
+    return kind, {key: cast(a) for (key, cast), a in zip(fields, args)}
 
 
 def build_problem(spec: ExperimentSpec, n: int):
@@ -280,12 +291,12 @@ def run_inner_sweep(spec: ExperimentSpec, sweep):
     """Re-run the integration with k = sweep[i] relaxation sweeps per
     preconditioner application.  Non-convergence is a recorded outcome
     (rows are never fatal)."""
-    base_kind = spec.inner.split(":")[0]
-    if base_kind not in ("jacobi", "gs", "gauss_seidel", "gauss-seidel"):
+    kind, _ = parse_inner(spec.inner)
+    if kind not in ("jacobi", "gauss_seidel"):
         raise ValueError("inner sweep needs a relaxation inner kind")
     records = []
     for k in sweep:
-        s = replace(spec, inner=f"{base_kind}:{int(k)}")
+        s = replace(spec, inner=f"{kind}:{int(k)}")
         records.append((int(k), _integrate_one(s, spec.grids[-1])))
     return records
 

@@ -235,7 +235,6 @@ class Preconditioner:
     preconditioner inverts, None when that operator has none.  Keeping
     the shift, not the operator, lets the operator's matrix be freed."""
 
-    kind = "abstract"
     exact = False
     shift = None
 
@@ -263,7 +262,6 @@ class Preconditioner:
 class ExactSparseLU(Preconditioner):
     """Exact solve through one sparse LU of the assembled operator."""
 
-    kind = "exact_sparse_lu"
     exact = True
 
     def __init__(self, op: LinearOperator):
@@ -294,7 +292,6 @@ class ExactFFT(Preconditioner):
     P^2 v from them instead of applying the operator.
     """
 
-    kind = "exact_fft"
     exact = True
 
     def __init__(self, op: CirculantOperator):
@@ -379,70 +376,61 @@ class GaussSeidel(_Relaxation):
 
 
 class InnerKrylov(Preconditioner):
-    """GMRES run to a fixed tolerance as a preconditioner that changes
-    between applications, optionally accelerating a relaxation
-    preconditioner.  Leaf application counts delegate to the wrapped
-    preconditioner."""
-
-    kind = "inner_krylov"
+    """Unpreconditioned GMRES run to a fixed tolerance, a preconditioner
+    that changes between applications; each inner iteration counts as
+    one application."""
 
     def __init__(self, op: LinearOperator, tol: float = 1e-2,
-                 maxit: int = 100, base: Preconditioner | None = None):
+                 maxit: int = 100):
         super().__init__(op.n)
         self._op = op
-        self.base = base
         self._cfg = KrylovConfig(method="gmres", rel_tol=float(tol),
                                  max_iters=int(maxit), restart=int(maxit))
 
-    @property
-    def applications(self):
-        return self.base.applications if self.base is not None else self._count
-
     def apply(self, v):
-        x, rep = solve(self._op, v, self.base, self._cfg)
-        if self.base is None:
-            self._count += rep.iterations
+        x, rep = solve(self._op, v, None, self._cfg)
+        self._count += rep.iterations
         return x
+
+
+_INNER_KINDS = {"jacobi": Jacobi, "gauss_seidel": GaussSeidel,
+                "inner_krylov": InnerKrylov}
 
 
 def build_inner_preconditioner(kind: str, op: LinearOperator,
                                **params) -> Preconditioner:
     """Build a preconditioner of the requested kind for op.
 
-    kind: exact | exact_sparse_lu | jacobi | gauss_seidel | inner_krylov.
-    exact is an FFT solve when op is circulant on more than one grid
-    axis, where the LU's fill grows superlinearly, and the sparse LU
-    otherwise: a 1D periodic banded LU is O(n) per solve and beats two
-    FFTs.  exact_sparse_lu always takes the LU.  Relaxation kinds take
-    sweeps=k >= 1; inner_krylov takes tol, maxit and an optional base
-    preconditioner.
+    kind: exact | jacobi | gauss_seidel | inner_krylov, the canonical
+    names experiments.parse_inner resolves a spec to; params go to the
+    constructor unchanged.  exact is an FFT solve when op is circulant
+    on more than one grid axis, where the LU's fill grows
+    superlinearly, and the sparse LU otherwise: a 1D periodic banded LU
+    is O(n) per solve and beats two FFTs.  Relaxation kinds take
+    sweeps=k >= 1; inner_krylov takes tol and maxit.
     """
-    key = kind.replace("-", "_").lower()
-    if key == "exact" and isinstance(op, CirculantOperator) \
-            and op.symbol.ndim > 1:
-        return ExactFFT(op)
-    if key in ("exact", "exact_sparse_lu"):
-        return ExactSparseLU(op)
-    if key == "jacobi":
-        return Jacobi(op, sweeps=params.get("sweeps", 1))
-    if key in ("gauss_seidel", "gs"):
-        return GaussSeidel(op, sweeps=params.get("sweeps", 1))
-    if key == "inner_krylov":
-        return InnerKrylov(op, tol=params.get("tol", 1e-2),
-                           maxit=params.get("maxit", 100),
-                           base=params.get("base"))
-    raise ValueError(f"unknown preconditioner kind {kind!r}")
+    if kind == "exact":
+        if isinstance(op, CirculantOperator) and op.symbol.ndim > 1:
+            return ExactFFT(op, **params)
+        return ExactSparseLU(op, **params)
+    if kind not in _INNER_KINDS:
+        raise ValueError(f"unknown preconditioner kind {kind!r}")
+    return _INNER_KINDS[kind](op, **params)
 
 
 # ----------------------------------------------------------------------
 
-def fov_upper_bound(L: LinearOperator, dense_limit: int = 1024) -> float:
+#: largest dimension for which fov_upper_bound takes a dense eigensolve
+DENSE_LIMIT = 1024
+
+
+def fov_upper_bound(L: LinearOperator) -> float:
     """max Re W(L) for real L: the largest eigenvalue of (L + L^T)/2.
 
     Nonpositive return certifies that the field of values lies in the
     closed left half plane.  A circulant is normal, so the value is the
     largest real part of its symbol, exactly.  Otherwise a dense solve
-    up to dense_limit; beyond that, Lanczos on the assembled symmetric
+    up to DENSE_LIMIT; beyond that, Lanczos on the assembled symmetric
     part, shifted positive so the ARPACK relative tolerance is
     meaningful when the true answer is 0.
     """
@@ -453,7 +441,7 @@ def fov_upper_bound(L: LinearOperator, dense_limit: int = 1024) -> float:
         scale = np.max(np.abs(S.data)) if S.nnz else 0.0
         if scale == 0.0:
             return 0.0
-        if L.n <= dense_limit:
+        if L.n <= DENSE_LIMIT:
             return float(np.linalg.eigvalsh(np.asarray(S.todense()))[-1])
         shift = float(np.abs(S).sum(axis=1).max())  # >= rho(S)
         try:
@@ -463,9 +451,9 @@ def fov_upper_bound(L: LinearOperator, dense_limit: int = 1024) -> float:
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
             raise EigenFailure(str(exc)) from exc
         return float(val[0]) - shift
-    if L.n > dense_limit:
+    if L.n > DENSE_LIMIT:
         raise EigenFailure(
-            f"matrix-free operator of dim {L.n} > {dense_limit}: "
+            f"matrix-free operator of dim {L.n} > {DENSE_LIMIT}: "
             "no sparse symmetric part available")
     A = L.to_dense()
     return float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])

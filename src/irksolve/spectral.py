@@ -2,9 +2,9 @@
 
 Everything the stepper needs from a tableau is derived here from
 B = A0^{-1}: its eigenvalues grouped into conjugate pairs (eta, beta)
-and reals, the monic characteristic polynomial and its real factored
-form, the per-factor preconditioner shifts gamma* = sqrt(eta^2 + beta^2)
-with their condition-number bounds sqrt(1 + beta^2/eta^2), and the
+and reals, the real factors of its characteristic polynomial, with the
+per-factor preconditioner shifts gamma* = sqrt(eta^2 + beta^2) and
+their condition-number bounds sqrt(1 + beta^2/eta^2), and the
 right-hand-side assembly polynomials R_i obtained by contracting
 b0^T A0^{-1} with the adjugate of (A0^{-1} - x I).
 """
@@ -19,7 +19,6 @@ from .tableaux import ButcherTableau
 __all__ = [
     "Factor",
     "SpectralData",
-    "StagePolynomials",
     "spectral_decompose",
     "adjugate_row_polynomials",
     "factor_list",
@@ -59,20 +58,10 @@ class Factor:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenstructure of A0^{-1}: conjugate pairs, reals, and the monic
-    characteristic polynomial (ascending coefficients)."""
+    """Eigenvalues of A0^{-1}: conjugate pairs and reals."""
 
     pairs: tuple
     reals: tuple
-    char_poly: np.ndarray
-
-
-@dataclass(frozen=True)
-class StagePolynomials:
-    """RHS-assembly polynomials: R[i, k] is the x^k coefficient of R_i,
-    so that z = sum_i R_i(Lhat) (M^{-1} f_i)."""
-
-    R: np.ndarray  # (s, s); degree <= s-1
 
 
 def faddeev_leverrier(B: np.ndarray):
@@ -103,50 +92,35 @@ def _inverse_eigenvalues(t: ButcherTableau) -> np.ndarray:
 
 
 def spectral_decompose(t: ButcherTableau) -> SpectralData:
-    """Eigenvalues of A0^{-1} merged into conjugate pairs and reals.
+    """Eigenvalues of A0^{-1} as conjugate pairs and reals.
 
+    The eigenvalues of a real matrix come in exact conjugate pairs, so
+    each pair is taken as its member with positive imaginary part.
     Pairs are sorted ascending by beta/eta (hardest factor last), reals
     ascending by eta, for a deterministic factor-solve order.
     """
     lam = _inverse_eigenvalues(t)
-    scale = np.abs(lam)
     if np.any(lam.real <= 0):
         raise StabilityViolation(
             f"eigenvalue with Re <= 0 in A0^(-1) of {t.family}({t.s})")
 
     reals = []
     pairs = []
-    used = np.zeros(len(lam), dtype=bool)
-    for i, l in enumerate(lam):
-        if used[i]:
-            continue
-        if abs(l.imag) < PAIRING_TOL * scale[i]:
+    for l in lam:
+        if abs(l.imag) < PAIRING_TOL * abs(l):
             reals.append(Factor(eta=float(l.real)))
-            used[i] = True
-            continue
-        if l.imag < 0:
-            continue  # handled with its conjugate
-        # find the conjugate partner
-        j = None
-        for k in range(len(lam)):
-            if not used[k] and k != i and abs(lam[k] - np.conj(l)) < 1e-8 * max(scale[i], 1.0):
-                j = k
-                break
-        if j is None:
-            raise EigenFailure(f"unpaired complex eigenvalue {l}")
-        pairs.append(Factor(eta=float(l.real), beta=float(abs(l.imag))))
-        used[i] = used[j] = True
+        elif l.imag > 0:
+            pairs.append(Factor(eta=float(l.real), beta=float(l.imag)))
 
     pairs.sort(key=lambda p: p.beta / p.eta)
     reals.sort(key=lambda p: p.eta)
-
-    coeffs, _ = faddeev_leverrier(np.linalg.inv(t.A0))
-    return SpectralData(pairs=tuple(pairs), reals=tuple(reals), char_poly=coeffs)
+    return SpectralData(pairs=tuple(pairs), reals=tuple(reals))
 
 
-def adjugate_row_polynomials(t: ButcherTableau) -> StagePolynomials:
-    """The polynomials R_i contracting b0^T A0^{-1} against the columns of
-    adj(A0^{-1} - x I).
+def adjugate_row_polynomials(t: ButcherTableau) -> np.ndarray:
+    """R, with R[i, k] the x^k coefficient of the polynomial R_i that
+    contracts b0^T A0^{-1} against the columns of adj(A0^{-1} - x I),
+    so that z = sum_i R_i(Lhat) (M^{-1} f_i); degree <= s-1.
 
     adj(B - x I) = (-1)^{s-1} adj(x I - B), with adj(x I - B) given by the
     Faddeev-LeVerrier coefficient matrices.
@@ -159,21 +133,10 @@ def adjugate_row_polynomials(t: ButcherTableau) -> StagePolynomials:
     R = np.zeros((s, s))
     for k, Nk in enumerate(mats):
         R[:, s - 1 - k] = sign * (w @ Nk)
-    return StagePolynomials(R=R)
+    return R
 
 
 def factor_list(sd: SpectralData):
     """Solve order for P_s(Lhat): conjugate-pair quadratics first
     (ascending beta/eta), then real linear factors."""
     return list(sd.pairs) + list(sd.reals)
-
-
-def char_poly_from_factors(sd: SpectralData) -> np.ndarray:
-    """Expand prod (x^2 - 2 eta x + eta^2 + beta^2) * prod (x - eta);
-    cross-check against the Faddeev-LeVerrier coefficients."""
-    poly = np.array([1.0])
-    for p in sd.pairs:
-        poly = np.convolve(poly, [p.eta**2 + p.beta**2, -2.0 * p.eta, 1.0])
-    for p in sd.reals:
-        poly = np.convolve(poly, [-p.eta, 1.0])
-    return poly

@@ -133,8 +133,6 @@ class _SandwichPreconditioner(Preconditioner):
     apply (with the FFT solve and M = I, from one rfftn and two irfftn).
     """
 
-    kind = "sandwich"
-
     def __init__(self, P: Preconditioner, M: MassOperator):
         super().__init__(P.n)
         self._P = P
@@ -198,9 +196,8 @@ class IRKStepper:
         self.problem = problem
         self.dt = float(dt)
         self.gamma_mode = gamma_mode
-        self.spectral = spectral_decompose(tableau)
-        self.polys = adjugate_row_polynomials(tableau)
-        self.factors = factor_list(self.spectral)
+        self.factors = factor_list(spectral_decompose(tableau))
+        self.R = adjugate_row_polynomials(tableau)
 
         params = dict(inner_params or {})
         M, L = problem.M, problem.L
@@ -234,7 +231,7 @@ class IRKStepper:
         prob = self.problem
         Lu_n = prob.L.apply(u_n)
         F = np.array([prob.stage_rhs(t_n + self.dt * c, Lu_n) for c in t.c0])
-        W = self.polys.R.T @ F
+        W = self.R.T @ F
         z = prob.M.solve(W[-1])
         for w_k in W[-2::-1]:
             z = prob.M.solve(self.dt * prob.L.apply(z) + w_k)

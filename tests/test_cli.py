@@ -82,20 +82,13 @@ def test_run_roundtrip_reproduces_output(capsys):
     assert out2 == out1
 
 
-def test_splu_counts_match_exact_2d(capsys):
-    # the FFT solve behind "exact" and the forced sparse LU are both
-    # exact, so the outer Krylov counts agree
-    counts = []
-    for inner in ("exact", "splu"):
-        code, out = run_cli(capsys, ["run", "--problem", "advdiff2d",
-                                     "--family", "gauss", "--stages", "2",
-                                     "--grids", "32", "--tf", "0.25",
-                                     "--inner", inner])
-        assert code == 0
-        data = [l.split(",") for l in out.splitlines()
-                if not l.startswith("#")][1:]
-        counts.append([row[12:] for row in data])
-    assert counts[0] == counts[1]
+@pytest.mark.parametrize("inner", ["splu", "exact_sparse_lu"])
+def test_forced_sparse_lu_spec_is_gone(capsys, inner):
+    code = main(["run", "--problem", "advdiff1d", "--family", "gauss",
+                 "--stages", "2", "--grids", "16", "--tf", "0.25",
+                 "--inner", inner])
+    assert code == 2
+    assert repr(inner) in capsys.readouterr().err
 
 
 def test_run_nonconvergence_exits_1(capsys):
@@ -128,6 +121,23 @@ def test_inner_sweep_cli(capsys):
                                  "--sweep", "2,5", "--tol", "1e-10"])
     assert code == 0
     assert sum(1 for l in out.splitlines() if l.startswith("# sweep")) == 2
+
+
+@pytest.mark.filterwarnings("ignore:.*not diagonally dominant")
+def test_inner_sweep_reads_every_gauss_seidel_spelling(capsys):
+    # the sweep takes its relaxation kind from the one spec reader, so
+    # each spelling "run" accepts gives the rows of "gs"
+    rows = {}
+    for inner in ("gs", "Gauss-Seidel", "GS:2"):
+        code, out = run_cli(capsys, ["inner-sweep", "--family", "gauss",
+                                     "--stages", "3", "--grids", "48",
+                                     "--tf", "0.25", "--inner", inner,
+                                     "--sweep", "1,2", "--tol", "1e-10"])
+        assert code == 0
+        rows[inner] = [l for l in out.splitlines()
+                       if not l.startswith("# cmd:")]
+    assert rows["Gauss-Seidel"] == rows["gs"]
+    assert rows["GS:2"] == rows["gs"]
 
 
 def test_baseline_cli(capsys):

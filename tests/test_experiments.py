@@ -29,15 +29,20 @@ def test_spec_validation():
 def test_parse_inner():
     assert parse_inner("exact", 1) == ("exact", {})
     assert parse_inner("exact", 2) == ("exact", {})
-    assert parse_inner("splu") == ("exact_sparse_lu", {})
     assert parse_inner("gs:3", 1) == ("gauss_seidel", {"sweeps": 3})
+    for spec in ("GS:3", "Gauss-Seidel:3", "gauss_seidel:3"):
+        assert parse_inner(spec) == ("gauss_seidel", {"sweeps": 3})
+    # a parameter left out takes the constructor's default
+    assert parse_inner("gs") == ("gauss_seidel", {})
+    assert parse_inner("krylov:1e-3") == ("inner_krylov", {"tol": 1e-3})
     assert parse_inner("jacobi:2", 2) == ("jacobi", {"sweeps": 2})
     assert parse_inner("krylov:1e-4:60", 1) == ("inner_krylov",
                                                 {"tol": 1e-4, "maxit": 60})
 
 
 def test_exact_banded_spelling_is_gone():
-    for spec in ("exact_banded", "exact-banded"):
+    for spec in ("exact_banded", "exact-banded", "splu", "exact_sparse_lu",
+                 "exact-sparse-lu"):
         with pytest.raises(ValueError, match="unknown inner"):
             parse_inner(spec)
 

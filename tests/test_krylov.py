@@ -33,7 +33,7 @@ def test_identity_converges_in_one_iteration():
 
 def test_exactly_preconditioned_spd_one_iteration():
     op = spd_tridiag(16)
-    pc = build_inner_preconditioner("exact_sparse_lu", op)
+    pc = build_inner_preconditioner("exact", op)
     b = rng.standard_normal(16)
     x, rep = solve(op, b, pc, KrylovConfig(method="cg", rel_tol=1e-12))
     assert rep.converged and rep.iterations == 1
@@ -89,7 +89,7 @@ def test_cg_symmetry_probe_rejects_nonsymmetric():
 
 def test_preconditioner_application_count():
     op = spd_tridiag(64)
-    pc = build_inner_preconditioner("gs", op, sweeps=2)
+    pc = build_inner_preconditioner("gauss_seidel", op, sweeps=2)
     b = rng.standard_normal(64)
     _x, rep = solve(op, b, pc, KrylovConfig(method="gmres", rel_tol=1e-10,
                                             restart=30, max_iters=200))
@@ -109,9 +109,7 @@ def test_fgmres_with_variable_preconditioner():
     grid = GridSpec(dim=1, n=96)
     L = build_advdiff(grid, 0.3, 1.0, 2)
     op = shifted_operator(2.0, 0.08, IdentityMass(96), L)
-    base = build_inner_preconditioner("gs", op, sweeps=1)
-    pc = build_inner_preconditioner("inner_krylov", op, tol=1e-2, maxit=50,
-                                    base=base)
+    pc = build_inner_preconditioner("inner_krylov", op, tol=1e-2, maxit=50)
     b = rng.standard_normal(96)
     x, rep = solve(op, b, pc, KrylovConfig(method="gmres", rel_tol=1e-11,
                                            restart=30, max_iters=300))
@@ -186,7 +184,7 @@ def test_nonfinite_preconditioner_stops_at_first_iteration(method):
 def test_resolve_method():
     sym = spd_tridiag(8)
     nonsym = SparseOperator(sp.csr_matrix(rng.standard_normal((8, 8))))
-    exact = build_inner_preconditioner("exact_sparse_lu", sym)
+    exact = build_inner_preconditioner("exact", sym)
     relax = build_inner_preconditioner("jacobi", sym)
     inner = build_inner_preconditioner("inner_krylov", sym)
     auto = KrylovConfig(method="auto", rel_tol=1e-9, max_iters=7, restart=5)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irksolve.linop import (ExactFFT, ExactSparseLU, FactorizationFailure,
-                            GaussSeidel, IdentityMass, Jacobi, SparseMass,
-                            SparseOperator, ZeroOperator,
+from irksolve.linop import (DENSE_LIMIT, ExactFFT, ExactSparseLU,
+                            FactorizationFailure, GaussSeidel, IdentityMass,
+                            Jacobi, SparseMass, SparseOperator, ZeroOperator,
                             build_inner_preconditioner, fov_upper_bound,
                             shifted_operator)
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
@@ -63,13 +63,16 @@ def test_exact_matches_dense_solve():
         dense = op.to_dense()
         v = rng.standard_normal(n)
         ref = np.linalg.solve(dense, v)
-        pc = build_inner_preconditioner("exact_sparse_lu", op)
+        pc = build_inner_preconditioner("exact", op)
         assert np.linalg.norm(pc.apply(v) - ref) < 1e-10 * np.linalg.norm(ref)
 
 
 def test_exact_banded_kind_is_gone():
+    # nor the forced sparse LU ("exact" picks the solve), nor any spec
+    # alias: experiments.parse_inner resolves those to canonical kinds
     op = SparseOperator(sp.identity(8, format="csr"))
-    for kind in ("exact_banded", "exact-banded"):
+    for kind in ("exact_banded", "exact-banded", "exact_sparse_lu", "gs",
+                 "Gauss_Seidel", "inner-krylov"):
         with pytest.raises(ValueError, match="unknown preconditioner kind"):
             build_inner_preconditioner(kind, op)
 
@@ -86,7 +89,7 @@ def test_relaxation_counts_sweeps():
     grid = GridSpec(dim=1, n=32)
     op = shifted_operator(3.0, 0.05, IdentityMass(32),
                           build_advdiff(grid, 0.0, 1.0, 2))
-    pc = build_inner_preconditioner("gs", op, sweeps=3)
+    pc = build_inner_preconditioner("gauss_seidel", op, sweeps=3)
     pc.apply(rng.standard_normal(32))
     pc.apply(rng.standard_normal(32))
     assert pc.applications == 6
@@ -104,9 +107,8 @@ def test_inner_krylov_residual_reduction():
     grid = GridSpec(dim=2, n=16)
     L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 2)
     op = shifted_operator(2.5, 0.1, IdentityMass(grid.size), L)
-    base = build_inner_preconditioner("gs", op, sweeps=1)
     pc = build_inner_preconditioner("inner_krylov", op, tol=1e-10,
-                                    maxit=500, base=base)
+                                    maxit=500)
     v = rng.standard_normal(op.n)
     x = pc.apply(v)
     assert np.linalg.norm(op.apply(x) - v) <= 1e-10 * np.linalg.norm(v) * 10
@@ -123,7 +125,7 @@ def test_inner_krylov_rejects_a_bad_tolerance_when_built():
 def test_factorization_failure_on_singular():
     op = SparseOperator(sp.csr_matrix(np.zeros((4, 4))))
     with pytest.raises(FactorizationFailure):
-        build_inner_preconditioner("exact_sparse_lu", op)
+        build_inner_preconditioner("exact", op)
 
 
 def test_mass_factorization_failure():
@@ -150,11 +152,13 @@ def test_fov_upwind_nonpositive():
 
 
 def test_fov_lanczos_path_matches_dense():
-    grid = GridSpec(dim=2, n=40)  # N = 1600 > default dense limit
+    grid = GridSpec(dim=2, n=40)  # N = 1600 > DENSE_LIMIT
     # the bare matrix, without the symbol that would bypass Lanczos
     L = SparseOperator(build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4).mat)
+    assert L.n > DENSE_LIMIT
     val = fov_upper_bound(L)
-    ref = fov_upper_bound(L, dense_limit=4096)
+    A = L.to_dense()
+    ref = np.linalg.eigvalsh(0.5 * (A + A.T))[-1]
     assert val == pytest.approx(ref, abs=1e-8)
     assert val <= 1e-8
 
@@ -267,8 +271,6 @@ def test_exact_kind_follows_the_grid():
         L = build_advdiff(grid, 0.5, 0.5, 2)
         op = shifted_operator(2.0, 0.1, IdentityMass(grid.size), L)
         assert type(build_inner_preconditioner("exact", op)) is kind
-        assert type(build_inner_preconditioner("exact_sparse_lu", op)) \
-            is ExactSparseLU
     # a circulant L with a non-identity mass is not circulant-shifted
     grid = GridSpec(dim=1, n=16)
     prob = build_fem_diffusion_1d(grid)

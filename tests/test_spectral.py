@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from irksolve.spectral import (adjugate_row_polynomials,
-                               char_poly_from_factors, factor_list,
+from irksolve.spectral import (adjugate_row_polynomials, factor_list,
                                faddeev_leverrier, spectral_decompose)
 from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
 
@@ -121,14 +120,35 @@ def test_counts_and_charpoly_all_families():
         t = build_tableau(fam, s)
         sd = spectral_decompose(t)
         assert 2 * len(sd.pairs) + len(sd.reals) == s
-        # factored form reproduces the char poly coefficientwise
-        expanded = char_poly_from_factors(sd)
-        scale = np.maximum(np.abs(sd.char_poly), 1.0)
-        assert np.max(np.abs(expanded - sd.char_poly) / scale) < 1e-10
-        # independent oracle: np.poly on the dense eigenvalues
+        # the expanded real factors give the char poly coefficientwise,
+        # against np.poly on the dense eigenvalues
+        expanded = np.array([1.0])
+        for f in factor_list(sd):
+            quad = [1.0, -2.0 * f.eta, f.eta ** 2 + f.beta ** 2]
+            expanded = np.convolve(expanded,
+                                   [1.0, -f.eta] if f.is_real else quad)
         lam = np.linalg.eigvals(np.linalg.inv(t.A0))
-        ref = np.real(np.poly(lam))[::-1]
-        assert np.max(np.abs(ref - sd.char_poly) / scale) < 1e-10
+        ref = np.real(np.poly(lam))
+        scale = np.maximum(np.abs(ref), 1.0)
+        assert np.max(np.abs(expanded - ref) / scale) < 1e-10
+
+
+def test_factors_account_for_each_eigenvalue_once():
+    # eta +- i beta for a pair, eta for a real factor: together the
+    # eigenvalues of A0^{-1}, each matched exactly once
+    for fam, s in SUPPORTED_TABLEAUX:
+        t = build_tableau(fam, s)
+        claimed = []
+        for f in factor_list(spectral_decompose(t)):
+            claimed += [complex(f.eta)] if f.is_real else \
+                [complex(f.eta, f.beta), complex(f.eta, -f.beta)]
+        lam = np.linalg.eigvals(np.linalg.inv(t.A0))
+        assert len(claimed) == len(lam) == s
+        unused = list(claimed)
+        for l in lam:
+            j = int(np.argmin([abs(c - l) for c in unused]))
+            assert abs(unused.pop(j) - l) <= 1e-12 * max(1.0, abs(l)), \
+                (fam, s, l)
 
 
 def test_inverse_eigenvalues_are_reciprocals():
@@ -155,8 +175,8 @@ def test_factor_list_order_and_tags():
 
 
 def test_backward_euler_R_is_one():
-    polys = adjugate_row_polynomials(build_tableau("backwardEuler", 1))
-    assert np.max(np.abs(polys.R - [[1.0]])) < 1e-15
+    R = adjugate_row_polynomials(build_tableau("backwardEuler", 1))
+    assert np.max(np.abs(R - [[1.0]])) < 1e-15
 
 
 def test_R_against_cofactor_oracle():
@@ -166,7 +186,7 @@ def test_R_against_cofactor_oracle():
         adj = ring_adjugate_polys(B)
         w = t.b0 @ B
         R_oracle = np.einsum("j,jik->ik", w, adj)
-        R = adjugate_row_polynomials(t).R
+        R = adjugate_row_polynomials(t)
         assert np.max(np.abs(R - R_oracle)) < 1e-10 * max(1.0, np.max(np.abs(R)))
 
 
@@ -179,7 +199,7 @@ def test_R_against_kronecker_oracle():
         X = X - X.T - 0.4 * (lambda b: b @ b.T)(rng.standard_normal((n, n)))
         f = rng.standard_normal(s * n)
         z_oracle = kron_adjugate_apply(t, X, f)
-        R = adjugate_row_polynomials(t).R
+        R = adjugate_row_polynomials(t)
         z = apply_R(R, X, f.reshape(s, n))
         assert np.linalg.norm(z - z_oracle) < 1e-10 * max(1.0, np.linalg.norm(z_oracle))
 
@@ -193,7 +213,7 @@ def test_stiffly_accurate_R_is_last_adjugate_row():
         R_last_row = np.zeros((s, s))
         for k, Nk in enumerate(mats):
             R_last_row[:, s - 1 - k] = sign * Nk[s - 1, :]
-        R = adjugate_row_polynomials(t).R
+        R = adjugate_row_polynomials(t)
         assert np.max(np.abs(R - R_last_row)) < 1e-11
 
 

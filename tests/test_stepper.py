@@ -568,7 +568,7 @@ def test_fem_gauss3_completes_where_cg_broke_down():
     dt = 2 * grid.h
     st = IRKStepper(build_tableau("gauss", 3), prob, dt,
                     outer_cfg=KrylovConfig(method="auto", rel_tol=1e-10),
-                    inner_kind="exact_sparse_lu")
+                    inner_kind="exact")
     assert st.outer_cfg.method == "cg"
     phi = np.random.default_rng(17).uniform(0.0, 2.0 * np.pi)
     x = grid.points_1d()
