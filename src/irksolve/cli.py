@@ -142,15 +142,22 @@ def _spec_from_args(args, **overrides):
 
 
 class _Out:
+    """Standard output, or the -o file, opened at the first line written.
+    Each command checks its scheme and builds its spec (which reads
+    --inner) before its echo line, so a usage error found there leaves
+    no output and no file."""
+
     def __init__(self, path):
-        self._fh = open(path, "w") if path else sys.stdout
-        self._close = path is not None
+        self._path = path
+        self._fh = None if path else sys.stdout
 
     def line(self, s=""):
+        if self._fh is None:
+            self._fh = open(self._path, "w")
         self._fh.write(s + "\n")
 
     def done(self):
-        if self._close:
+        if self._path and self._fh is not None:
             self._fh.close()
 
 
@@ -162,9 +169,9 @@ def _emit_echo(out, toks):
 # subcommand implementations
 
 def _cmd_tableau(args, out):
+    t = build_tableau(args.family, args.stages)
     _emit_echo(out, ["tableau", "--family", args.family, "--stages",
                      str(args.stages)] + (["--csv"] if args.csv else []))
-    t = build_tableau(args.family, args.stages)
     rep = validate_tableau(t)
     if args.csv:
         out.line("i,j,a_ij")
@@ -192,9 +199,9 @@ def _cmd_tableau(args, out):
 
 
 def _cmd_spectrum(args, out):
+    t = build_tableau(args.family, args.stages)
     _emit_echo(out, ["spectrum", "--family", args.family, "--stages",
                      str(args.stages)] + (["--csv"] if args.csv else []))
-    t = build_tableau(args.family, args.stages)
     factors = factor_list(spectral_decompose(t))
     if args.csv:
         out.line("factor,eta,beta,gamma_star,kappa_bound")
@@ -216,12 +223,12 @@ def _cmd_cond(args, out):
     for flag, value in counts.get(args.mode, ()):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    t = build_tableau(args.family, args.stages)
     _emit_echo(out, ["cond", "--family", args.family, "--stages",
                      str(args.stages), "--mode", args.mode,
                      "--trials", str(args.trials), "--size", str(args.size),
                      "--seed", str(args.seed),
                      "--gamma-points", str(args.gamma_points)])
-    t = build_tableau(args.family, args.stages)
     factors = factor_list(spectral_decompose(t))
     out.line("factor,eta,beta,gamma,kappa_measured,kappa_bound")
 
@@ -265,11 +272,11 @@ def _records_exit(records):
 
 
 def _cmd_run(args, out):
+    spec = _spec_from_args(args, gamma_mode=args.gamma_mode,
+                           integrator=args.integrator)
     toks = _echo_run_flags(args, ["--gamma-mode", args.gamma_mode,
                                   "--integrator", args.integrator])
     _emit_echo(out, toks)
-    spec = _spec_from_args(args, gamma_mode=args.gamma_mode,
-                           integrator=args.integrator)
     records, orders = run_convergence(spec)
     for (na, nb, o_inf, o_l2) in orders:
         out.line(f"# observed_order {na}->{nb}: linf={o_inf:.4f} l2={o_l2:.4f}")
@@ -278,8 +285,8 @@ def _cmd_run(args, out):
 
 
 def _cmd_compare_gamma(args, out):
-    _emit_echo(out, _echo_run_flags(args))
     spec = _spec_from_args(args)
+    _emit_echo(out, _echo_run_flags(args))
     records, speedups = run_gamma_comparison(spec)
     for (nx, idx, eta, beta, it_e, it_g, ratio) in speedups:
         out.line(f"# speedup nx={nx} factor={idx} eta={eta:.4f} "
@@ -290,10 +297,10 @@ def _cmd_compare_gamma(args, out):
 
 
 def _cmd_inner_sweep(args, out):
-    toks = _echo_run_flags(args, ["--sweep", args.sweep])
-    _emit_echo(out, toks)
     spec = _spec_from_args(args)
     sweep = [int(k) for k in args.sweep.split(",")]
+    toks = _echo_run_flags(args, ["--sweep", args.sweep])
+    _emit_echo(out, toks)
     rows = run_inner_sweep(spec, sweep)
     for k, rec in rows:
         total = sum(f.total_precond_apps for f in rec.factors)
@@ -304,9 +311,9 @@ def _cmd_inner_sweep(args, out):
 
 
 def _cmd_baseline(args, out):
+    spec = _spec_from_args(args)
     toks = _echo_run_flags(args, ["--sdirk-family", args.sdirk_family])
     _emit_echo(out, toks)
-    spec = _spec_from_args(args)
     rows = run_baseline_comparison(spec, sdirk_family=args.sdirk_family)
     u_irk = rows[0][3]
     for name, rec, per_stage, u in rows:
@@ -347,15 +354,14 @@ def main(argv=None) -> int:
             print(f"invalid --grids value {args.grids!r}", file=sys.stderr)
             return EXIT_USAGE
 
-    try:
-        out = _Out(getattr(args, "output", None))
-    except OSError as exc:
-        print(f"error: cannot open output file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out = _Out(getattr(args, "output", None))
     try:
         return _DISPATCH[args.command](args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # solver-level failures
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -60,11 +60,13 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(grids, grids[1:])):
             raise ValueError("grid list must be strictly increasing")
         object.__setattr__(self, "grids", grids)
-        object.__setattr__(self, "family", canonical_family(self.family))
+        object.__setattr__(self, "family",
+                           build_tableau(self.family, self.stages).family)
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
         if self.dt_ratio <= 0:
             raise ValueError("dt_ratio must be positive")
+        parse_inner(self.inner)
 
 
 @dataclass
@@ -133,8 +135,9 @@ def parse_inner(spec: str, dim=None):
 
     This is the one reader of the spec.  The name is case-insensitive;
     the positional parameters are sweeps for jacobi and gs, and tol and
-    maxit for krylov; one left out takes the constructor's default.
-    'exact' is an exact solve chosen from the operator's structure (see
+    maxit for krylov; one left out takes the constructor's default, and
+    one more than the kind takes is a ValueError.  'exact' is an exact
+    solve chosen from the operator's structure (see
     linop.build_inner_preconditioner).  dim is ignored; it is kept only
     because the benchmark workloads still pass it.
     """
@@ -144,6 +147,9 @@ def parse_inner(spec: str, dim=None):
     except KeyError:
         raise ValueError(
             f"unknown inner preconditioner spec {spec!r}") from None
+    if len(args) > len(fields):
+        raise ValueError(f"inner preconditioner spec {spec!r} takes at most "
+                         f"{len(fields)} parameter(s)")
     return kind, {key: cast(a) for (key, cast), a in zip(fields, args)}
 
 

@@ -6,9 +6,13 @@ true residual rather than a preconditioner-scaled one.  It keeps the
 preconditioned directions and updates x from them, so one iteration
 costs exactly one preconditioner application, and a preconditioner
 that changes between applications (an inner Krylov loop) needs no
-separate method.  Each iteration takes the direction z = P v and its
-image op z from one Preconditioner.apply_with_image call; an exact
+separate method.  Each iteration takes the direction of z = P v and
+its image op z from one Preconditioner.apply_with_image call; an exact
 preconditioner built for op returns the image without applying op.
+The directions are kept in the preconditioner's own representation
+(z itself, or the half-spectrum of v for an FFT solve), and
+Preconditioner.combine forms sum_j y_j z_j from them once per restart
+cycle.
 Every solve recomputes the true residual with op.apply once at exit
 (and at each restart) and bases the convergence flag on that, never on
 the in-iteration estimate.
@@ -82,6 +86,13 @@ def _direction(op, precond, v):
     if precond is None:
         return v, op.apply(v)
     return precond.apply_with_image(v, op)
+
+
+def _combine(precond, Z, y):
+    """sum_j y_j z_j for the directions Z that _direction returned."""
+    if precond is None:
+        return np.array(Z).T @ y
+    return precond.combine(Z, y)
 
 
 def _finite(rnorm):
@@ -164,8 +175,8 @@ def _cg(op, b, precond, cfg, target):
 def _gmres(op, b, precond, cfg, target):
     """Restarted GMRES, right-preconditioned, so the monitored Givens
     residual estimates the true residual regardless of preconditioner
-    scaling.  The preconditioned directions Z = P V are kept and x is
-    updated from them, so P is applied once per iteration and may
+    scaling.  The directions of Z = P V are kept and x is updated from
+    them by precond.combine, so P is applied once per iteration and may
     change between iterations.  V and Z grow by one vector per
     iteration.  Returns (x, report, true residual norm)."""
     rep = KrylovReport()
@@ -228,7 +239,7 @@ def _gmres(op, b, precond, cfg, target):
         y = np.zeros(j)
         for i in range(j - 1, -1, -1):
             y[i] = (g[i] - H[i, i + 1:j] @ y[i + 1:j]) / H[i, i]
-        x = x + np.array(Z).T @ y
+        x = x + _combine(precond, Z, y)
 
         if rep.residual_history[-1] <= target or rep.iterations >= cfg.max_iters:
             return x, rep, float(np.linalg.norm(b - op.apply(x)))

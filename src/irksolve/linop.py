@@ -250,13 +250,24 @@ class Preconditioner:
         raise NotImplementedError
 
     def apply_with_image(self, v: np.ndarray, op: LinearOperator):
-        """(z, op z) for z = apply(v).  An exact preconditioner for a
-        shifted operator with op's shift gives op z = v, so op is not
-        applied."""
+        """(d, op z) for z = apply(v) and its direction d, the form in
+        which combine takes it back; here d is z itself.  An exact
+        preconditioner for a shifted operator with op's shift gives
+        op z = v, so op is not applied."""
         z = self.apply(v)
-        if self.exact and self.shift is not None and op.shift == self.shift:
+        if self._inverts(op):
             return z, v
         return z, op.apply(z)
+
+    def combine(self, D, y) -> np.ndarray:
+        """sum_j y_j z_j for the directions D that apply_with_image
+        returned."""
+        return np.array(D).T @ y
+
+    def _inverts(self, op) -> bool:
+        """Whether this is an exact solve built for an operator with
+        op's shift."""
+        return self.exact and self.shift is not None and op.shift == self.shift
 
 
 class ExactSparseLU(Preconditioner):
@@ -282,14 +293,17 @@ class ExactFFT(Preconditioner):
 
     apply(v, power=k) is op^{-k} v in one rfftn/irfftn round trip, by
     the k-th power of the inverse symbol, and counts k applications.
-    For a tuple of powers it returns the tuple of results from one
-    rfftn and one irfftn per power, and counts the largest power.  The
-    conjugate-pair preconditioner P M P with M = I is apply(v, 2), so
+    The conjugate-pair preconditioner P M P with M = I is apply(v, 2), so
     each outer iteration on a pair costs one round trip, not two: a 2D
     Gauss-2 step of 6 iterations makes 12 applications in 6 round
-    trips.  A GMRES iteration on a pair takes (P v, P^2 v) from
-    apply(v, (1, 2)), one irfftn more, and gets the operator image of
-    P^2 v from them instead of applying the operator.
+    trips.
+
+    GMRES on an operator this solve is exact for keeps its directions
+    on the half-spectrum: apply with image=(delta, c) returns the
+    direction vh = rfftn(v) with its operator image, and combine maps
+    sum_j y_j vh_j back by one irfftn per restart cycle.  A GMRES
+    iteration then costs one rfftn and one irfftn on a pair, and one
+    rfftn on a real factor or an SDIRK stage.
     """
 
     exact = True
@@ -301,6 +315,7 @@ class ExactFFT(Preconditioner):
         self._shape = op.symbol.shape
         self._axes = tuple(range(op.symbol.ndim))
         self._inv = {1: 1.0 / op.symbol[..., :self._shape[-1] // 2 + 1]}
+        self._image = {}
 
     def _inverse(self, power):
         inv = self._inv.get(power)
@@ -308,14 +323,43 @@ class ExactFFT(Preconditioner):
             inv = self._inv[power] = self._inv[1] ** power
         return inv
 
-    def apply(self, v, power=1):
-        powers = power if isinstance(power, tuple) else (power,)
-        self._count += max(powers)
+    def _image_symbol(self, delta, c):
+        """c inv^2 - 2 delta inv, None when delta = c = 0."""
+        key = (delta, c)
+        if key not in self._image:
+            self._image[key] = None if key == (0.0, 0.0) else \
+                c * self._inverse(2) - 2.0 * delta * self._inv[1]
+        return self._image[key]
+
+    def _irfftn(self, vh):
+        return np.fft.irfftn(vh, s=self._shape, axes=self._axes).reshape(-1)
+
+    def apply(self, v, power=1, image=None):
+        """op^{-power} v, counted as power applications.  With
+        image=(delta, c), GMRES's direction of it instead: (vh, w) for
+        vh = rfftn(v) and w = v + irfftn(vh * (c inv^2 - 2 delta inv)),
+        the image of op^{-power} v under (op - delta)^2 + c - delta^2
+        for a pair (power 2), or under op itself, w = v with no irfftn,
+        for a real factor (power 1, delta = c = 0)."""
+        self._count += power
         vh = np.fft.rfftn(v.reshape(self._shape))
-        out = tuple(np.fft.irfftn(vh * self._inverse(k), s=self._shape,
-                                  axes=self._axes).reshape(-1)
-                    for k in powers)
-        return out if isinstance(power, tuple) else out[0]
+        if image is None:
+            return self._irfftn(vh * self._inverse(power))
+        k = self._image_symbol(*image)
+        return vh, (v if k is None else v + self._irfftn(vh * k))
+
+    def apply_with_image(self, v, op):
+        if not self._inverts(op):
+            return super().apply_with_image(v, op)
+        return self.apply(v, image=(0.0, 0.0))
+
+    def combine(self, D, y, power=1):
+        """sum_j y_j z_j for z_j = op^{-power} v_j, in one irfftn from
+        the half-spectra D of the v_j.  A real D holds the z_j
+        themselves: op.apply gave their images."""
+        if not np.iscomplexobj(D[0]):
+            return super().combine(D, y)
+        return self._irfftn(self._inverse(power) * np.tensordot(y, D, 1))
 
 
 class _Relaxation(Preconditioner):

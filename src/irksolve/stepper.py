@@ -14,14 +14,18 @@ One step works entirely on N-vectors (no stage storage):
    sqrt(eta^2 + beta^2) (or eta, for comparison runs); real eigenvalues
    contribute a single shifted solve.  Per iteration: one preconditioner
    application (for a pair, two inner applications; with the FFT inner
-   solve and M = I these are one rfftn and two irfftn) and the image of
-   its result under the operator.  In GMRES with an exact inner solve
-   built for the factor, that image comes from the inner solves (for a
-   pair, v - 2 delta M P v + (delta^2 + beta^2) M P M P v with
+   solve and M = I these are one FFT round trip) and the image of its
+   result under the operator.  In GMRES with an exact inner solve built
+   for the factor, that image comes from the inner solves (for a pair,
+   v - 2 delta M P v + (delta^2 + beta^2) M P M P v with
    delta = gamma - eta; for a real factor, v), and the operator is
-   applied only for the true residual, at restarts and at exit.  CG and
-   every other inner solve apply the operator every iteration (for a
-   pair, two applies of eta M - dt L and one M solve);
+   applied only for the true residual, at restarts and at exit.  With
+   the FFT inner solve and M = I, GMRES keeps its directions on the
+   half-spectrum: an iteration costs one rfftn and one irfftn on a pair
+   and one rfftn on a real factor, plus one irfftn per restart cycle
+   for the update.  CG and every other inner solve apply the operator
+   every iteration (for a pair, two applies of eta M - dt L and one M
+   solve);
 3. update u_{n+1} = u_n + dt * y.
 
 A dense direct-solve oracle over the full stage system is provided as
@@ -130,7 +134,10 @@ class _SandwichPreconditioner(Preconditioner):
     delta = gamma - eta, so the operator image of a direction is
     M Q_eta (P M P v) = v - 2 delta M P v + (delta^2 + beta^2) M P M P v:
     apply_with_image gives it from the two inner solves and no operator
-    apply (with the FFT solve and M = I, from one rfftn and two irfftn).
+    apply.  With the FFT solve and M = I the direction stays on the
+    half-spectrum (ExactFFT.apply(v, 2, image=(delta, c))): one rfftn and
+    one irfftn per iteration, and combine adds one irfftn per restart
+    cycle.
     """
 
     def __init__(self, P: Preconditioner, M: MassOperator):
@@ -166,11 +173,15 @@ class _SandwichPreconditioner(Preconditioner):
             return super().apply_with_image(v, op)
         c = delta * delta + op.beta * op.beta
         if self._squared:
-            Pv, z = self._P.apply(v, power=(1, 2))
-            return z, v - 2.0 * delta * Pv + c * z
+            return self._P.apply(v, power=2, image=(delta, c))
         MPv = self._M.apply(self._P.apply(v))
         z = self._P.apply(MPv)
         return z, v - 2.0 * delta * MPv + c * self._M.apply(z)
+
+    def combine(self, D, y):
+        if self._squared:
+            return self._P.combine(D, y, power=2)
+        return super().combine(D, y)
 
 
 class IRKStepper:

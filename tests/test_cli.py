@@ -91,6 +91,38 @@ def test_forced_sparse_lu_spec_is_gone(capsys, inner):
     assert repr(inner) in capsys.readouterr().err
 
 
+RUN_SPLU = ["run", "--problem", "advdiff2d", "--family", "gauss",
+            "--stages", "2", "--grids", "32", "--tf", "0.25",
+            "--inner", "splu"]
+
+
+@pytest.mark.parametrize("argv", [
+    RUN_SPLU, ["run", "--problem", "advdiff2d", "--family", "gauss",
+               "--stages", "9", "--grids", "32", "--tf", "0.25"]])
+def test_usage_error_writes_no_output(capsys, argv):
+    # the "# cmd:" echo used to go out before --inner and --stages were read
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_usage_error_leaves_no_echo_in_output_file(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    code = main(RUN_SPLU + ["-o", str(path)])
+    assert code == 2
+    assert "'splu'" in capsys.readouterr().err
+    assert not path.exists() or "# cmd:" not in path.read_text()
+
+
+@pytest.mark.parametrize("inner", ["exact:7", "gs:2:9"])
+def test_surplus_inner_parameter_exits_2(capsys, inner):
+    code, out = run_cli(capsys, ["run", "--problem", "advdiff1d",
+                                 "--family", "gauss", "--stages", "2",
+                                 "--grids", "16", "--inner", inner])
+    assert code == 2
+    assert out == ""
+
+
 def test_run_nonconvergence_exits_1(capsys):
     code, out = run_cli(capsys, ["run", "--problem", "advdiff1d",
                                  "--family", "gauss", "--stages", "3",

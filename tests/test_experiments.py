@@ -40,6 +40,15 @@ def test_parse_inner():
                                                 {"tol": 1e-4, "maxit": 60})
 
 
+@pytest.mark.parametrize("spec", ["exact:7", "gs:2:9", "krylov:1e-2:50:3"])
+def test_parse_inner_rejects_surplus_parameters(spec):
+    # used to drop the extras: exact:7 ran as exact, gs:2:9 as gs:2
+    with pytest.raises(ValueError, match=repr(spec)):
+        parse_inner(spec)
+    with pytest.raises(ValueError, match="at most"):
+        small_spec(inner=spec)
+
+
 def test_exact_banded_spelling_is_gone():
     for spec in ("exact_banded", "exact-banded", "splu", "exact_sparse_lu",
                  "exact-sparse-lu"):

@@ -9,7 +9,7 @@ from irksolve.krylov import KrylovConfig
 from irksolve.linop import (ExactFFT, IdentityMass, SparseOperator,
                             ZeroOperator, build_inner_preconditioner,
                             shifted_operator)
-from irksolve.spatial import (GridSpec, build_advdiff,
+from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
                               build_fem_diffusion_1d, build_fem_mass_1d)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
@@ -163,13 +163,8 @@ def test_pair_preconditioner_squares_the_fft_solve():
     assert np.linalg.norm(fused - twice) <= 1e-13 * np.linalg.norm(twice)
 
 
-def test_fft_apply_gives_both_powers_from_one_forward_transform(monkeypatch):
-    grid = GridSpec(dim=2, n=12)
-    M = IdentityMass(grid.size)
-    L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4)
-    P = build_inner_preconditioner("exact", shifted_operator(1.7, 0.2, M, L))
-    v = np.random.default_rng(12).standard_normal(grid.size)
-    once, twice = P.apply(v), P.apply(v, power=2)
+def _count_ffts(monkeypatch):
+    """Counts of np.fft.rfftn and np.fft.irfftn calls from here on."""
     calls = {"rfftn": 0, "irfftn": 0}
     for name in calls:
         fn = getattr(np.fft, name)
@@ -178,11 +173,52 @@ def test_fft_apply_gives_both_powers_from_one_forward_transform(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    before = P.applications
-    Pv, PPv = P.apply(v, power=(1, 2))
-    assert P.applications - before == 2
-    assert calls == {"rfftn": 1, "irfftn": 2}
-    assert np.array_equal(Pv, once) and np.array_equal(PPv, twice)
+    return calls
+
+
+def test_fft_direction_takes_one_rfftn_and_one_irfftn_on_a_pair(monkeypatch):
+    # GMRES's direction is the half-spectrum of v: its image costs one
+    # irfftn on a pair and none on a real factor, and combine maps it
+    # back to P^2 v (P v) with one more
+    grid = GridSpec(dim=2, n=12)
+    prob = LinearProblem(IdentityMass(grid.size),
+                         build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4))
+    st = IRKStepper(build_tableau("radauIIA", 3), prob, 0.2)
+    v = np.random.default_rng(12).standard_normal(grid.size)
+    cases = [(op, pc, pc.apply(v), 2 - int(f.is_real))
+             for f, _g, op, pc in st._solvers]
+    assert [apps for *_rest, apps in cases] == [2, 1]
+    calls = _count_ffts(monkeypatch)
+    for op, pc, ref, apps in cases:
+        before = pc.applications
+        calls.update(rfftn=0, irfftn=0)
+        d, _w = pc.apply_with_image(v, op)
+        assert pc.applications - before == apps
+        assert calls == {"rfftn": 1, "irfftn": apps - 1}
+        z = pc.combine([d], np.ones(1))
+        assert calls == {"rfftn": 1, "irfftn": apps}
+        assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("restart", [30, 2])
+@pytest.mark.parametrize("scheme", [("gauss", 2), ("radauIIA", 3)])
+def test_fft_gmres_step_transform_budget(monkeypatch, scheme, restart):
+    # one advdiff2d step, exact FFT inner solve, GMRES: one rfftn per
+    # iteration, one irfftn per pair iteration and none per real-factor
+    # iteration, and one irfftn per restart cycle for the update
+    prob = build_fd_mms(GridSpec(dim=2, n=16))
+    gmres = KrylovConfig(method="gmres", rel_tol=1e-10, restart=restart)
+    st = IRKStepper(build_tableau(*scheme), prob, 0.25, outer_cfg=gmres)
+    u = prob.exact_solution(0.0)
+    calls = _count_ffts(monkeypatch)
+    _u, reps = st.advance(u, 0.0)
+    iters = [r.iterations for r in reps]
+    pair_iters = sum(n for (f, *_rest), n in zip(st._solvers, iters)
+                     if not f.is_real)
+    cycles = sum(-(-n // restart) for n in iters)
+    assert all(r.converged for r in reps)
+    assert restart == 30 or cycles > len(reps)
+    assert calls == {"rfftn": sum(iters), "irfftn": pair_iters + cycles}
 
 
 def _image_setup(label):
@@ -225,8 +261,9 @@ def test_exact_inner_image_matches_operator_apply(label):
                 st = IRKStepper(tab, prob, ratio * grid.h, gamma_mode=mode)
                 for idx, (_f, _g, op, pc) in enumerate(st._solvers):
                     calls = _count_op_applies([op])
-                    z, w = pc.apply_with_image(v, op)
+                    d, w = pc.apply_with_image(v, op)
                     assert calls[op] == 0, (fam, s, mode, ratio, idx)
+                    z = pc.combine([d], np.ones(1))
                     ref = op.apply(z)
                     errors[fam, s, mode, ratio, idx] = \
                         np.linalg.norm(w - ref) / np.linalg.norm(ref)
@@ -289,8 +326,9 @@ def test_mismatched_inner_solve_applies_the_operator():
         for A in (shifted, other_dt, other_L)]
     for target, pc, applies in cases:
         calls = _count_op_applies([target])
-        z, w = pc.apply_with_image(v, target)
+        d, w = pc.apply_with_image(v, target)
         assert calls[target] == applies
+        z = pc.combine([d], np.ones(1))
         ref = target.apply(z)
         assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
         if applies:
