@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: tableau, spectrum, cond, run, compare-gamma, inner-sweep,
-baseline.  Every run first echoes its fully resolved configuration as
-'#'-prefixed comment lines; re-feeding the echoed flags reproduces the
-output verbatim.  Exit codes: 0 success, 1 solver non-convergence,
-2 invalid arguments.
+baseline.  Each command collects its output lines; `main` writes them
+once, after the command returns, behind a '# cmd:' echo line built from
+the subcommand's own argparse definitions (every flag but -o, in
+definition order), so re-feeding the echo reproduces the output
+verbatim.  Stdout, or the -o file (opened only at that write), gets
+nothing unless the command finishes.  Exit codes: 0 success, 1 solver
+non-convergence or failure, 2 invalid arguments or an unwritable -o
+file.
 """
 
 import argparse
@@ -31,138 +35,124 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _build_parser():
+    """The parser, and per subcommand the actions its flags define, in
+    definition order."""
     p = argparse.ArgumentParser(prog="irksolve",
                                 description="IRK integration with "
                                 "conjugate-pair preconditioning")
     sub = p.add_subparsers(dest="command", required=True)
+    actions = {}
 
-    def add_scheme_flags(sp):
-        sp.add_argument("--family", required=True,
-                        help="gauss | radauIIA | lobattoIIIC | sdirk2l | "
-                             "sdirk3l | backwardEuler")
-        sp.add_argument("--stages", type=int, required=True)
+    def command(name, help):
+        sp = sub.add_parser(name, help=help)
+        defined = actions[name] = []
 
-    def add_output(sp):
-        sp.add_argument("-o", "--output", default=None,
-                        help="write to file instead of stdout")
+        def flag(*names, **kw):
+            defined.append(sp.add_argument(*names, **kw))
+        return flag
 
-    sp = sub.add_parser("tableau", help="print a Butcher tableau and its "
-                                        "validation residuals")
-    add_scheme_flags(sp)
-    sp.add_argument("--csv", action="store_true")
-    add_output(sp)
+    def add_scheme_flags(flag):
+        flag("--family", required=True,
+             help="gauss | radauIIA | lobattoIIIC | sdirk2l | "
+                  "sdirk3l | backwardEuler")
+        flag("--stages", type=int, required=True)
 
-    sp = sub.add_parser("spectrum", help="per-factor eigenvalues, optimal "
-                                         "shifts and condition-number bounds")
-    add_scheme_flags(sp)
-    sp.add_argument("--csv", action="store_true")
-    add_output(sp)
+    def add_output(flag):
+        flag("-o", "--output", default=None,
+             help="write to file instead of stdout")
 
-    sp = sub.add_parser("cond", help="condition-number verification")
-    add_scheme_flags(sp)
-    sp.add_argument("--mode", choices=("tight", "random", "scan", "optimality"),
-                    default="tight")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--size", type=int, default=32)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--gamma-points", type=int, default=20)
-    add_output(sp)
+    for name, help in (("tableau", "print a Butcher tableau and its "
+                                   "validation residuals"),
+                       ("spectrum", "per-factor eigenvalues, optimal "
+                                    "shifts and condition-number bounds")):
+        flag = command(name, help)
+        add_scheme_flags(flag)
+        flag("--csv", action="store_true")
+        add_output(flag)
 
-    def add_run_flags(sp, default_problem, default_ratio):
-        sp.add_argument("--problem", choices=PROBLEMS, default=default_problem)
-        add_scheme_flags(sp)
-        sp.add_argument("--grids", default="32",
-                        help="comma-separated grid sizes, e.g. 16,32,64")
-        sp.add_argument("--order-space", type=int, default=4, choices=(2, 4))
-        sp.add_argument("--tf", type=float, default=2.0)
-        sp.add_argument("--dt-ratio", type=float, default=default_ratio,
-                        help="dt = ratio * h")
-        sp.add_argument("--krylov", default="auto",
-                        choices=("auto", "cg", "gmres"))
-        sp.add_argument("--tol", type=float, default=1e-12)
-        sp.add_argument("--restart", type=int, default=30)
-        sp.add_argument("--max-iters", type=int, default=2000)
-        sp.add_argument("--inner", default="exact",
-                        help="exact | jacobi:k | gs:k | krylov:tol[:maxit]")
-        add_output(sp)
+    flag = command("cond", "condition-number verification")
+    add_scheme_flags(flag)
+    flag("--mode", choices=("tight", "random", "scan", "optimality"),
+         default="tight")
+    flag("--trials", type=int, default=20)
+    flag("--size", type=int, default=32)
+    flag("--seed", type=int, default=0)
+    flag("--gamma-points", type=int, default=20)
+    add_output(flag)
 
-    sp = sub.add_parser("run", help="convergence / robustness study")
-    add_run_flags(sp, "advdiff2d", 2.0)
-    sp.add_argument("--gamma-mode", choices=("gamma_star", "eta"),
-                    default="gamma_star")
-    sp.add_argument("--integrator", choices=("irk", "sdirk", "gsl", "ld"),
-                    default="irk")
+    def run_command(name, help, default_problem, default_ratio):
+        flag = command(name, help)
+        flag("--problem", choices=PROBLEMS, default=default_problem)
+        add_scheme_flags(flag)
+        flag("--grids", type=_int_list, default="32",
+             help="comma-separated grid sizes, e.g. 16,32,64")
+        flag("--order-space", type=int, default=4, choices=(2, 4))
+        flag("--tf", type=float, default=2.0)
+        flag("--dt-ratio", type=float, default=default_ratio,
+             help="dt = ratio * h")
+        flag("--krylov", default="auto", choices=("auto", "cg", "gmres"))
+        flag("--tol", type=float, default=1e-12)
+        flag("--restart", type=int, default=30)
+        flag("--max-iters", type=int, default=2000)
+        flag("--inner", default="exact",
+             help="exact | jacobi:k | gs:k | krylov:tol[:maxit]")
+        add_output(flag)
+        return flag
 
-    sp = sub.add_parser("compare-gamma",
-                        help="optimal vs naive preconditioner shift")
-    add_run_flags(sp, "advect1d-upwind", 8.0)
+    flag = run_command("run", "convergence / robustness study",
+                       "advdiff2d", 2.0)
+    flag("--gamma-mode", choices=("gamma_star", "eta"), default="gamma_star")
+    flag("--integrator", choices=("irk", "sdirk", "gsl", "ld"), default="irk")
 
-    sp = sub.add_parser("inner-sweep",
-                        help="outer cost vs inner relaxation sweeps")
-    add_run_flags(sp, "advdiff1d", 2.0)
-    sp.add_argument("--sweep", default="1,2,3,5",
-                    help="comma-separated sweep counts")
+    run_command("compare-gamma", "optimal vs naive preconditioner shift",
+                "advect1d-upwind", 8.0)
 
-    sp = sub.add_parser("baseline",
-                        help="IRK vs GSL/LD/SDIRK preconditioner cost")
-    add_run_flags(sp, "advdiff1d", 2.0)
-    sp.add_argument("--sdirk-family", default="sdirk2l")
+    flag = run_command("inner-sweep", "outer cost vs inner relaxation sweeps",
+                       "advdiff1d", 2.0)
+    flag("--sweep", type=_int_list, default="1,2,3,5",
+         help="comma-separated sweep counts")
 
-    return p
+    flag = run_command("baseline", "IRK vs GSL/LD/SDIRK preconditioner cost",
+                       "advdiff1d", 2.0)
+    flag("--sdirk-family", default="sdirk2l")
+
+    return p, actions
 
 
-def _echo_run_flags(args, extra=()):
-    toks = [args.command,
-            "--problem", args.problem,
-            "--family", args.family,
-            "--stages", str(args.stages),
-            "--grids", ",".join(str(g) for g in args.grid_list),
-            "--order-space", str(args.order_space),
-            "--tf", _f(args.tf),
-            "--dt-ratio", _f(args.dt_ratio),
-            "--krylov", args.krylov,
-            "--tol", _f(args.tol),
-            "--restart", str(args.restart),
-            "--max-iters", str(args.max_iters),
-            "--inner", args.inner]
-    toks += list(extra)
-    return toks
+def _echo(args, actions) -> str:
+    """The '# cmd:' line: every flag of the subcommand but -o, so that
+    parsing it back gives the same namespace."""
+    toks = [args.command]
+    for a in actions:
+        value = getattr(args, a.dest)
+        if a.nargs == 0:  # store_true: written only when set
+            toks += a.option_strings if value else []
+        elif a.dest != "output":
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            toks += [a.option_strings[0],
+                     repr(value) if isinstance(value, float) else str(value)]
+    return "# cmd: " + " ".join(toks)
 
 
 def _spec_from_args(args, **overrides):
     cfg = KrylovConfig(method=args.krylov, rel_tol=args.tol,
                        max_iters=args.max_iters, restart=args.restart)
     kw = dict(problem=args.problem, family=args.family, stages=args.stages,
-              grids=tuple(args.grid_list), dt_ratio=args.dt_ratio,
+              grids=tuple(args.grids), dt_ratio=args.dt_ratio,
               t_final=args.tf, fd_order=args.order_space, krylov=cfg,
               inner=args.inner)
     kw.update(overrides)
     return ExperimentSpec(**kw)
-
-
-class _Out:
-    """Standard output, or the -o file, opened at the first line written.
-    Each command checks its scheme and builds its spec (which reads
-    --inner) before its echo line, so a usage error found there leaves
-    no output and no file."""
-
-    def __init__(self, path):
-        self._path = path
-        self._fh = None if path else sys.stdout
-
-    def line(self, s=""):
-        if self._fh is None:
-            self._fh = open(self._path, "w")
-        self._fh.write(s + "\n")
-
-    def done(self):
-        if self._path and self._fh is not None:
-            self._fh.close()
-
-
-def _emit_echo(out, toks):
-    out.line("# cmd: " + " ".join(toks))
 
 
 # ----------------------------------------------------------------------
@@ -170,50 +160,46 @@ def _emit_echo(out, toks):
 
 def _cmd_tableau(args, out):
     t = build_tableau(args.family, args.stages)
-    _emit_echo(out, ["tableau", "--family", args.family, "--stages",
-                     str(args.stages)] + (["--csv"] if args.csv else []))
     rep = validate_tableau(t)
     if args.csv:
-        out.line("i,j,a_ij")
+        out.append("i,j,a_ij")
         for i in range(t.s):
             for j in range(t.s):
-                out.line(f"{i},{j},{_f(t.A0[i, j])}")
-        out.line("i,b_i,c_i")
+                out.append(f"{i},{j},{_f(t.A0[i, j])}")
+        out.append("i,b_i,c_i")
         for i in range(t.s):
-            out.line(f"{i},{_f(t.b0[i])},{_f(t.c0[i])}")
+            out.append(f"{i},{_f(t.b0[i])},{_f(t.c0[i])}")
     else:
-        out.line(f"{t.family}  stages={t.s}  order={t.order}")
+        out.append(f"{t.family}  stages={t.s}  order={t.order}")
         width = 22
-        out.line("A0:")
+        out.append("A0:")
         for row in t.A0:
-            out.line("  " + "".join(f"{v:>{width}.15g}" for v in row))
-        out.line("b0:")
-        out.line("  " + "".join(f"{v:>{width}.15g}" for v in t.b0))
-        out.line("c0:")
-        out.line("  " + "".join(f"{v:>{width}.15g}" for v in t.c0))
-        out.line("validation:")
+            out.append("  " + "".join(f"{v:>{width}.15g}" for v in row))
+        out.append("b0:")
+        out.append("  " + "".join(f"{v:>{width}.15g}" for v in t.b0))
+        out.append("c0:")
+        out.append("  " + "".join(f"{v:>{width}.15g}" for v in t.c0))
+        out.append("validation:")
         for name, res, tol, ok in rep.checks:
-            out.line(f"  {name:<28s} residual={res:.3e}  tol={tol:.0e}  "
-                     f"{'pass' if ok else 'FAIL'}")
+            out.append(f"  {name:<28s} residual={res:.3e}  tol={tol:.0e}  "
+                       f"{'pass' if ok else 'FAIL'}")
     return EXIT_OK if rep.passed else EXIT_SOLVER
 
 
 def _cmd_spectrum(args, out):
     t = build_tableau(args.family, args.stages)
-    _emit_echo(out, ["spectrum", "--family", args.family, "--stages",
-                     str(args.stages)] + (["--csv"] if args.csv else []))
     factors = factor_list(spectral_decompose(t))
     if args.csv:
-        out.line("factor,eta,beta,gamma_star,kappa_bound")
+        out.append("factor,eta,beta,gamma_star,kappa_bound")
         for i, f in enumerate(factors):
-            out.line(f"{i},{_f(f.eta)},{_f(f.beta)},{_f(f.gamma_star)},"
-                     f"{_f(f.kappa_bound)}")
+            out.append(f"{i},{_f(f.eta)},{_f(f.beta)},{_f(f.gamma_star)},"
+                       f"{_f(f.kappa_bound)}")
     else:
-        out.line(f"{t.family}({t.s}): {len(factors)} factor(s)")
+        out.append(f"{t.family}({t.s}): {len(factors)} factor(s)")
         for i, f in enumerate(factors):
             kind = "real" if f.is_real else "conjugate pair"
-            out.line(f"  [{i}] {kind:<14s} eta={f.eta:.6f} beta={f.beta:.6f} "
-                     f"gamma*={f.gamma_star:.6f} kappa_bound={f.kappa_bound:.4f}")
+            out.append(f"  [{i}] {kind:<14s} eta={f.eta:.6f} beta={f.beta:.6f} "
+                       f"gamma*={f.gamma_star:.6f} kappa_bound={f.kappa_bound:.4f}")
     return EXIT_OK
 
 
@@ -224,16 +210,11 @@ def _cmd_cond(args, out):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     t = build_tableau(args.family, args.stages)
-    _emit_echo(out, ["cond", "--family", args.family, "--stages",
-                     str(args.stages), "--mode", args.mode,
-                     "--trials", str(args.trials), "--size", str(args.size),
-                     "--seed", str(args.seed),
-                     "--gamma-points", str(args.gamma_points)])
     factors = factor_list(spectral_decompose(t))
-    out.line("factor,eta,beta,gamma,kappa_measured,kappa_bound")
+    out.append("factor,eta,beta,gamma,kappa_measured,kappa_bound")
 
     def emit(i, eta, beta, gamma, km, kb):
-        out.line(f"{i},{_f(eta)},{_f(beta)},{_f(gamma)},{_f(km)},{_f(kb)}")
+        out.append(f"{i},{_f(eta)},{_f(beta)},{_f(gamma)},{_f(km)},{_f(kb)}")
 
     rng = np.random.default_rng(args.seed)
     for i, f in enumerate(factors):
@@ -274,58 +255,47 @@ def _records_exit(records):
 def _cmd_run(args, out):
     spec = _spec_from_args(args, gamma_mode=args.gamma_mode,
                            integrator=args.integrator)
-    toks = _echo_run_flags(args, ["--gamma-mode", args.gamma_mode,
-                                  "--integrator", args.integrator])
-    _emit_echo(out, toks)
     records, orders = run_convergence(spec)
     for (na, nb, o_inf, o_l2) in orders:
-        out.line(f"# observed_order {na}->{nb}: linf={o_inf:.4f} l2={o_l2:.4f}")
-    out.line(records_to_csv(records).rstrip("\n"))
+        out.append(f"# observed_order {na}->{nb}: linf={o_inf:.4f} l2={o_l2:.4f}")
+    out.append(records_to_csv(records).rstrip("\n"))
     return _records_exit(records)
 
 
 def _cmd_compare_gamma(args, out):
-    spec = _spec_from_args(args)
-    _emit_echo(out, _echo_run_flags(args))
-    records, speedups = run_gamma_comparison(spec)
+    records, speedups = run_gamma_comparison(_spec_from_args(args))
     for (nx, idx, eta, beta, it_e, it_g, ratio) in speedups:
-        out.line(f"# speedup nx={nx} factor={idx} eta={eta:.4f} "
-                 f"beta={beta:.4f} iters_eta={it_e:.2f} "
-                 f"iters_gamma_star={it_g:.2f} ratio={ratio:.3f}")
-    out.line(records_to_csv(records).rstrip("\n"))
+        out.append(f"# speedup nx={nx} factor={idx} eta={eta:.4f} "
+                   f"beta={beta:.4f} iters_eta={it_e:.2f} "
+                   f"iters_gamma_star={it_g:.2f} ratio={ratio:.3f}")
+    out.append(records_to_csv(records).rstrip("\n"))
     return _records_exit(records)
 
 
 def _cmd_inner_sweep(args, out):
-    spec = _spec_from_args(args)
-    sweep = [int(k) for k in args.sweep.split(",")]
-    toks = _echo_run_flags(args, ["--sweep", args.sweep])
-    _emit_echo(out, toks)
-    rows = run_inner_sweep(spec, sweep)
+    rows = run_inner_sweep(_spec_from_args(args), args.sweep)
     for k, rec in rows:
         total = sum(f.total_precond_apps for f in rec.factors)
         ok = all(f.converged for f in rec.factors)
-        out.line(f"# sweep k={k} converged={int(ok)} total_precond_apps={total}")
-    out.line(records_to_csv([rec for _, rec in rows]).rstrip("\n"))
+        out.append(f"# sweep k={k} converged={int(ok)} total_precond_apps={total}")
+    out.append(records_to_csv([rec for _, rec in rows]).rstrip("\n"))
     return EXIT_OK  # recorded non-convergence is an expected outcome here
 
 
 def _cmd_baseline(args, out):
-    spec = _spec_from_args(args)
-    toks = _echo_run_flags(args, ["--sdirk-family", args.sdirk_family])
-    _emit_echo(out, toks)
-    rows = run_baseline_comparison(spec, sdirk_family=args.sdirk_family)
+    rows = run_baseline_comparison(_spec_from_args(args),
+                                   sdirk_family=args.sdirk_family)
     u_irk = rows[0][3]
     for name, rec, per_stage, u in rows:
         drift = (float(np.linalg.norm(u - u_irk)
                        / max(np.linalg.norm(u_irk), 1e-300))
                  if name in ("gsl", "ld") else float("nan"))
-        out.line(f"# integrator={name} apps_per_step_per_stage={per_stage:.3f}"
-                 f" rel_diff_vs_irk={drift:.3e}")
-    out.line(CSV_HEADER)
+        out.append(f"# integrator={name} apps_per_step_per_stage={per_stage:.3f}"
+                   f" rel_diff_vs_irk={drift:.3e}")
+    out.append(CSV_HEADER)
     for name, rec, _ps, _u in rows:
-        out.line(f"# integrator={name}")
-        out.line(records_to_csv([rec], header=False).rstrip("\n"))
+        out.append(f"# integrator={name}")
+        out.append(records_to_csv([rec], header=False).rstrip("\n"))
     return _records_exit([r for _, r, _, _ in rows])
 
 
@@ -341,33 +311,33 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, actions = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
 
-    if hasattr(args, "grids"):
-        try:
-            args.grid_list = [int(g) for g in str(args.grids).split(",")]
-        except ValueError:
-            print(f"invalid --grids value {args.grids!r}", file=sys.stderr)
-            return EXIT_USAGE
-
-    out = _Out(getattr(args, "output", None))
+    lines = [_echo(args, actions[args.command])]
     try:
-        return _DISPATCH[args.command](args, out)
+        code = _DISPATCH[args.command](args, lines)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # solver-level failures
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    finally:
-        out.done()
+
+    text = "\n".join(lines) + "\n"
+    try:
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 def console_main():

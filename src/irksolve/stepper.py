@@ -325,6 +325,8 @@ class SDIRKStepper:
                  dt: float, outer_cfg: KrylovConfig | None = None,
                  inner_kind: str = "exact",
                  inner_params: dict | None = None):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
         if not tableau.is_lower_triangular:
             raise ValueError(f"{tableau.family} is not diagonally implicit")
         self.tableau = tableau
@@ -420,6 +422,8 @@ class BlockStepper:
                  dt: float, outer_cfg: KrylovConfig | None = None,
                  inner_kind: str = "exact",
                  inner_params: dict | None = None, variant: str = "GSL"):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
         variant = variant.upper()
         if variant not in ("GSL", "LD"):
             raise ValueError(f"unknown block preconditioner variant {variant!r}")

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from irksolve.cli import main
+from irksolve.cli import _build_parser, main
 from irksolve.experiments import CSV_HEADER
 
 
@@ -69,10 +74,64 @@ def test_run_produces_contract_csv(capsys):
     assert any(l.startswith("# observed_order") for l in lines)
 
 
-def test_run_roundtrip_reproduces_output(capsys):
-    argv = ["run", "--problem", "advdiff1d", "--family", "gauss",
-            "--stages", "2", "--grids", "16", "--tf", "0.25"]
-    code, out1 = run_cli(capsys, argv)
+# One argv per subcommand and the exact echo it prints.  Between them
+# they set a non-default float, int and comma list, and --csv.
+ECHOES = {
+    "tableau": ("tableau --family radau --stages 2 --csv",
+                "tableau --family radau --stages 2 --csv"),
+    "spectrum": ("spectrum --family gauss --stages 4 --csv",
+                 "spectrum --family gauss --stages 4 --csv"),
+    "cond": ("cond --family lobattoIIIC --stages 2 --mode random --trials 3 "
+             "--size 8 --seed 5",
+             "cond --family lobattoIIIC --stages 2 --mode random --trials 3 "
+             "--size 8 --seed 5 --gamma-points 20"),
+    "run": ("run --problem advdiff1d --family gauss --stages 2 --grids 16,32 "
+            "--tf 0.25",
+            "run --problem advdiff1d --family gauss --stages 2 --grids 16,32 "
+            "--order-space 4 --tf 0.25 --dt-ratio 2.0 --krylov auto "
+            "--tol 1e-12 --restart 30 --max-iters 2000 --inner exact "
+            "--gamma-mode gamma_star --integrator irk"),
+    "compare-gamma": ("compare-gamma --family lobattoIIIC --stages 3 "
+                      "--grids 16 --tf 0.1",
+                      "compare-gamma --problem advect1d-upwind "
+                      "--family lobattoIIIC --stages 3 --grids 16 "
+                      "--order-space 4 --tf 0.1 --dt-ratio 8.0 "
+                      "--krylov auto --tol 1e-12 --restart 30 "
+                      "--max-iters 2000 --inner exact"),
+    "inner-sweep": ("inner-sweep --family gauss --stages 2 --grids 24 "
+                    "--tf 0.1 --inner gs --sweep 1,2 --tol 1e-10",
+                    "inner-sweep --problem advdiff1d --family gauss "
+                    "--stages 2 --grids 24 --order-space 4 --tf 0.1 "
+                    "--dt-ratio 2.0 --krylov auto --tol 1e-10 --restart 30 "
+                    "--max-iters 2000 --inner gs --sweep 1,2"),
+    "baseline": ("baseline --family gauss --stages 2 --grids 16 --tf 0.1 "
+                 "--order-space 2",
+                 "baseline --problem advdiff1d --family gauss --stages 2 "
+                 "--grids 16 --order-space 2 --tf 0.1 --dt-ratio 2.0 "
+                 "--krylov auto --tol 1e-12 --restart 30 --max-iters 2000 "
+                 "--inner exact --sdirk-family sdirk2l"),
+}
+
+
+@pytest.mark.parametrize("command", ECHOES)
+def test_echo_line_is_unchanged(capsys, command):
+    argv, echo = ECHOES[command]
+    _code, out = run_cli(capsys, argv.split())
+    assert out.splitlines()[0] == "# cmd: " + echo
+
+
+@pytest.mark.parametrize("command", ECHOES)
+def test_echo_parses_back_to_the_same_namespace(capsys, command):
+    argv, _echo = ECHOES[command]
+    _code, out = run_cli(capsys, argv.split())
+    parser, _actions = _build_parser()
+    echoed = out.splitlines()[0][len("# cmd: "):].split()
+    assert parser.parse_args(echoed) == parser.parse_args(argv.split())
+
+
+@pytest.mark.parametrize("command", ECHOES)
+def test_run_roundtrip_reproduces_output(capsys, command):
+    code, out1 = run_cli(capsys, ECHOES[command][0].split())
     assert code == 0
     echoed = out1.splitlines()[0]
     assert echoed.startswith("# cmd: ")
@@ -96,22 +155,47 @@ RUN_SPLU = ["run", "--problem", "advdiff2d", "--family", "gauss",
             "--inner", "splu"]
 
 
-@pytest.mark.parametrize("argv", [
-    RUN_SPLU, ["run", "--problem", "advdiff2d", "--family", "gauss",
-               "--stages", "9", "--grids", "32", "--tf", "0.25"]])
+SMALL_1D = ["--family", "gauss", "--stages", "2", "--grids", "16",
+            "--tf", "0.1"]
+USAGE_ERRORS = [
+    RUN_SPLU,
+    ["run", "--problem", "advdiff2d", "--family", "gauss",
+     "--stages", "9", "--grids", "32", "--tf", "0.25"],
+    ["inner-sweep"] + SMALL_1D + ["--inner", "exact"],
+    ["inner-sweep"] + SMALL_1D + ["--inner", "gs", "--sweep", "0,1"],
+    ["baseline"] + SMALL_1D + ["--sdirk-family", "gauss"],
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--inner", "jacobi:0"],
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--krylov", "cg"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_error_writes_no_output(capsys, argv):
-    # the "# cmd:" echo used to go out before --inner and --stages were read
+    # the "# cmd:" echo used to go out before checks made by the drivers
+    # and the preconditioner constructors
     code, out = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
 
 
-def test_usage_error_leaves_no_echo_in_output_file(tmp_path, capsys):
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_error_leaves_no_echo_in_output_file(tmp_path, capsys, argv):
     path = tmp_path / "out.csv"
-    code = main(RUN_SPLU + ["-o", str(path)])
+    code = main(argv + ["-o", str(path)])
     assert code == 2
-    assert "'splu'" in capsys.readouterr().err
-    assert not path.exists() or "# cmd:" not in path.read_text()
+    assert capsys.readouterr().err.startswith("error:")
+    assert not path.exists()
+
+
+def test_solver_failure_writes_no_output(capsys, monkeypatch):
+    def fail(spec):
+        raise RuntimeError("boom")
+    monkeypatch.setattr("irksolve.cli.run_convergence", fail)
+    code = main(["run", "--problem", "advdiff1d"] + SMALL_1D)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "solver failure: boom\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("inner", ["exact:7", "gs:2:9"])
@@ -189,6 +273,21 @@ def test_output_file(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("# cmd: spectrum")
     assert "factor,eta,beta,gamma_star,kappa_bound" in text
+
+
+def test_module_entry_point_writes_output_file(tmp_path, capsys):
+    # console entry point and the real -o write, end to end
+    argv = ["spectrum", "--family", "gauss", "--stages", "2", "--csv"]
+    _code, expected = run_cli(capsys, argv)
+    path = tmp_path / "spectrum.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "irksolve.cli", *argv,
+                           "-o", str(path)],
+                          capture_output=True, env=env, check=False)
+    assert proc.returncode == 0
+    assert proc.stdout == b""
+    assert path.read_bytes() == expected.encode()
 
 
 def test_fem_gauss3_run_exits_0(capsys):

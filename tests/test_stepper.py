@@ -520,6 +520,17 @@ def test_dt_must_be_positive():
         IRKStepper(build_tableau("gauss", 2), prob, dt=0.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1])
+@pytest.mark.parametrize("family,stepper", [("gauss", IRKStepper),
+                                            ("SDIRK2L", SDIRKStepper),
+                                            ("gauss", BlockStepper)])
+def test_every_stepper_rejects_nonpositive_dt(family, stepper, dt):
+    # SDIRK and GSL used to step backward in time for dt < 0
+    prob = build_fd_mms(GridSpec(1, 16))
+    with pytest.raises(ValueError, match="dt must be positive"):
+        stepper(build_tableau(family, 2), prob, dt)
+
+
 def test_sdirk_advance_matches_oracle():
     n = 12
     prob = random_problem(n, seed=12)
