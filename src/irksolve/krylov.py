@@ -7,8 +7,9 @@ preconditioned directions and updates x from them, so one iteration
 costs exactly one preconditioner application, and a preconditioner
 that changes between applications (an inner Krylov loop) needs no
 separate method.  Each iteration takes the direction of z = P v and
-its image op z from one Preconditioner.apply_with_image call; an exact
-preconditioner built for op returns the image without applying op.
+its image op z from one Preconditioner.apply_with_image call; only
+when op is precond.op, the operator an exact preconditioner was built
+to solve, is the image returned without applying op.
 The directions are kept in the preconditioner's own representation
 (z itself, or the half-spectrum of v for an FFT solve), and
 Preconditioner.combine forms sum_j y_j z_j from them once per restart

@@ -54,13 +54,10 @@ class LinearOperator:
     Subclasses implement apply(v); mat is the assembled sparse form when
     one exists (None for purely matrix-free operators).  symmetric is
     decided once per operator: from the matrix, from the parts of a
-    composite operator, False for a matrix-free one.  shift is
-    (gamma, dt, M, L) for the operator gamma M - dt L that
-    shifted_operator builds, None otherwise.
+    composite operator, False for a matrix-free one.
     """
 
     symmetric = False
-    shift = None
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -221,7 +218,6 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
     else:
         op = ComposedOperator(L.n, lambda v: gamma * M.apply(v) - dt * L.apply(v))
     op.symmetric = M.symmetric and L.symmetric
-    op.shift = (gamma, dt, M, L)
     return op
 
 
@@ -229,18 +225,22 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
 # Inner preconditioners
 
 class Preconditioner:
-    """Approximation of op^{-1} with a leaf application counter.  exact
-    marks one built on exact solves, so SPD for an SPD operator; shift
-    is the shift (gamma, dt, M, L) of the operator an exact
-    preconditioner inverts, None when that operator has none.  Keeping
-    the shift, not the operator, lets the operator's matrix be freed."""
+    """Approximation of op^{-1} with a leaf application counter.  A
+    subclass implements apply; an exact one also sets op, the operator
+    it solves exactly (None for an inexact one), and GMRES then takes
+    the image of a direction under op from apply_with_image without
+    applying op.  exact marks one with an op, so SPD for an SPD
+    operator."""
 
-    exact = False
-    shift = None
+    op = None
 
     def __init__(self, n: int):
         self.n = n
         self._count = 0
+
+    @property
+    def exact(self) -> bool:
+        return self.op is not None
 
     @property
     def applications(self) -> int:
@@ -251,35 +251,25 @@ class Preconditioner:
 
     def apply_with_image(self, v: np.ndarray, op: LinearOperator):
         """(d, op z) for z = apply(v) and its direction d, the form in
-        which combine takes it back; here d is z itself.  An exact
-        preconditioner for a shifted operator with op's shift gives
-        op z = v, so op is not applied."""
+        which combine takes it back; here d is z itself.  For op this
+        preconditioner's own op, op z = v and op is not applied."""
         z = self.apply(v)
-        if self._inverts(op):
-            return z, v
-        return z, op.apply(z)
+        return z, (v if op is self.op else op.apply(z))
 
     def combine(self, D, y) -> np.ndarray:
         """sum_j y_j z_j for the directions D that apply_with_image
         returned."""
         return np.array(D).T @ y
 
-    def _inverts(self, op) -> bool:
-        """Whether this is an exact solve built for an operator with
-        op's shift."""
-        return self.exact and self.shift is not None and op.shift == self.shift
-
 
 class ExactSparseLU(Preconditioner):
     """Exact solve through one sparse LU of the assembled operator."""
-
-    exact = True
 
     def __init__(self, op: LinearOperator):
         super().__init__(op.n)
         if op.mat is None:
             raise FactorizationFailure("exact factorization needs an assembled matrix")
-        self.shift = op.shift
+        self.op = op
         self._lu = _sparse_lu(op.mat)
 
     def apply(self, v):
@@ -291,75 +281,68 @@ class ExactFFT(Preconditioner):
     """Exact solve of a circulant operator by two real FFTs: the
     inverse symbol is kept on the rfftn half-spectrum.
 
-    apply(v, power=k) is op^{-k} v in one rfftn/irfftn round trip, by
-    the k-th power of the inverse symbol, and counts k applications.
-    The conjugate-pair preconditioner P M P with M = I is apply(v, 2), so
-    each outer iteration on a pair costs one round trip, not two: a 2D
-    Gauss-2 step of 6 iterations makes 12 applications in 6 round
+    square turns it into P^2, the conjugate-pair preconditioner P M P
+    with M = I, so each outer iteration on a pair costs one
+    rfftn/irfftn round trip, not two, and counts two applications: a
+    2D Gauss-2 step of 6 iterations makes 12 applications in 6 round
     trips.
 
-    GMRES on an operator this solve is exact for keeps its directions
-    on the half-spectrum: apply with image=(delta, c) returns the
-    direction vh = rfftn(v) with its operator image, and combine maps
-    sum_j y_j vh_j back by one irfftn per restart cycle.  A GMRES
-    iteration then costs one rfftn and one irfftn on a pair, and one
-    rfftn on a real factor or an SDIRK stage.
+    GMRES on op keeps its directions on the half-spectrum:
+    apply_with_image returns the direction vh = rfftn(v) with its image
+    under op, and combine maps sum_j y_j vh_j back by one irfftn per
+    restart cycle.  A GMRES iteration then costs one rfftn and one
+    irfftn on a pair, and one rfftn on a real factor or an SDIRK stage.
     """
-
-    exact = True
 
     def __init__(self, op: CirculantOperator):
         super().__init__(op.n)
         _check_pivots(np.abs(op.symbol), op.mat)
-        self.shift = op.shift
+        self.op = op
         self._shape = op.symbol.shape
         self._axes = tuple(range(op.symbol.ndim))
-        self._inv = {1: 1.0 / op.symbol[..., :self._shape[-1] // 2 + 1]}
-        self._image = {}
+        self._inv = 1.0 / op.symbol[..., :self._shape[-1] // 2 + 1]
+        self._image = None
+        self._apps = 1
 
-    def _inverse(self, power):
-        inv = self._inv.get(power)
-        if inv is None:
-            inv = self._inv[power] = self._inv[1] ** power
-        return inv
-
-    def _image_symbol(self, delta, c):
-        """c inv^2 - 2 delta inv, None when delta = c = 0."""
-        key = (delta, c)
-        if key not in self._image:
-            self._image[key] = None if key == (0.0, 0.0) else \
-                c * self._inverse(2) - 2.0 * delta * self._inv[1]
-        return self._image[key]
+    def square(self, pair_op: LinearOperator, delta: float, c: float):
+        """Make this solve of gamma - dt L the pair preconditioner P^2
+        for pair_op = (op - delta)^2 + c - delta^2, delta = gamma - eta:
+        the image of P^2 v under pair_op is
+        v + irfftn(rfftn(v) (c inv^2 - 2 delta inv))."""
+        self._image = c * self._inv ** 2 - 2.0 * delta * self._inv
+        self._inv = self._inv ** 2
+        self._apps = 2
+        self.op = pair_op
+        return self
 
     def _irfftn(self, vh):
         return np.fft.irfftn(vh, s=self._shape, axes=self._axes).reshape(-1)
 
-    def apply(self, v, power=1, image=None):
-        """op^{-power} v, counted as power applications.  With
-        image=(delta, c), GMRES's direction of it instead: (vh, w) for
-        vh = rfftn(v) and w = v + irfftn(vh * (c inv^2 - 2 delta inv)),
-        the image of op^{-power} v under (op - delta)^2 + c - delta^2
-        for a pair (power 2), or under op itself, w = v with no irfftn,
-        for a real factor (power 1, delta = c = 0)."""
-        self._count += power
+    def apply(self, v, image=False):
+        """The solve of v in one rfftn/irfftn round trip.  With image,
+        GMRES's direction of it instead, so that every application is
+        one apply call: (vh, w) for vh = rfftn(v) and w its image under
+        op, v itself with no irfftn unless squared."""
+        self._count += self._apps
         vh = np.fft.rfftn(v.reshape(self._shape))
-        if image is None:
-            return self._irfftn(vh * self._inverse(power))
-        k = self._image_symbol(*image)
-        return vh, (v if k is None else v + self._irfftn(vh * k))
+        if not image:
+            return self._irfftn(vh * self._inv)
+        if self._image is None:
+            return vh, v
+        return vh, v + self._irfftn(vh * self._image)
 
     def apply_with_image(self, v, op):
-        if not self._inverts(op):
+        if op is not self.op:
             return super().apply_with_image(v, op)
-        return self.apply(v, image=(0.0, 0.0))
+        return self.apply(v, image=True)
 
-    def combine(self, D, y, power=1):
-        """sum_j y_j z_j for z_j = op^{-power} v_j, in one irfftn from
-        the half-spectra D of the v_j.  A real D holds the z_j
-        themselves: op.apply gave their images."""
+    def combine(self, D, y):
+        """sum_j y_j z_j in one irfftn from the half-spectra D of the
+        v_j.  A real D holds the z_j themselves: op.apply gave their
+        images."""
         if not np.iscomplexobj(D[0]):
             return super().combine(D, y)
-        return self._irfftn(self._inverse(power) * np.tensordot(y, D, 1))
+        return self._irfftn(self._inv * np.tensordot(y, D, 1))
 
 
 class _Relaxation(Preconditioner):

@@ -14,18 +14,18 @@ One step works entirely on N-vectors (no stage storage):
    sqrt(eta^2 + beta^2) (or eta, for comparison runs); real eigenvalues
    contribute a single shifted solve.  Per iteration: one preconditioner
    application (for a pair, two inner applications; with the FFT inner
-   solve and M = I these are one FFT round trip) and the image of its
-   result under the operator.  In GMRES with an exact inner solve built
-   for the factor, that image comes from the inner solves (for a pair,
-   v - 2 delta M P v + (delta^2 + beta^2) M P M P v with
-   delta = gamma - eta; for a real factor, v), and the operator is
-   applied only for the true residual, at restarts and at exit.  With
-   the FFT inner solve and M = I, GMRES keeps its directions on the
-   half-spectrum: an iteration costs one rfftn and one irfftn on a pair
-   and one rfftn on a real factor, plus one irfftn per restart cycle
-   for the update.  CG and every other inner solve apply the operator
-   every iteration (for a pair, two applies of eta M - dt L and one M
-   solve);
+   solve and M = I, one round trip of the squared solve) and the image
+   of its result under the operator.  An exact preconditioner is built
+   with the factor's operator as its op, so GMRES takes that image from
+   the inner solves (for a pair, v - 2 delta M P v + c M P M P v with
+   delta = gamma - eta and c = delta^2 + beta^2, both passed in when it
+   is built; for a real factor, v), and the operator is applied only
+   for the true residual, at restarts and at exit.  With the FFT inner
+   solve and M = I, GMRES keeps its directions on the half-spectrum: an
+   iteration costs one rfftn and one irfftn on a pair and one rfftn on
+   a real factor, plus one irfftn per restart cycle for the update.  CG
+   and every other inner solve apply the operator every iteration (for
+   a pair, two applies of eta M - dt L and one M solve);
 3. update u_{n+1} = u_n + dt * y.
 
 A dense direct-solve oracle over the full stage system is provided as
@@ -115,7 +115,6 @@ class _QuadraticSystem(LinearOperator):
         super().__init__(A_eta.n)
         self.A_eta = A_eta
         self.M = M
-        self.beta = beta
         self._b2 = beta * beta
         self.symmetric = A_eta.symmetric and M.symmetric
 
@@ -125,63 +124,48 @@ class _QuadraticSystem(LinearOperator):
 
 
 class _SandwichPreconditioner(Preconditioner):
-    """P M P, the conjugate-pair preconditioner for M Q_eta.  With exact
-    P = (gamma M - dt L)^{-1} the preconditioned operator is exactly the
-    P_gamma of the condition-number theory.  An FFT solve with M = I
-    applies P twice in one round trip (ExactFFT.apply(v, power=2)).
+    """P M P, the conjugate-pair preconditioner for op = M Q_eta.  With
+    exact P = (gamma M - dt L)^{-1} the preconditioned operator is
+    exactly the P_gamma of the condition-number theory, and this is an
+    exact solve for op.
 
     With that exact P, eta M - dt L = P^{-1} - delta M for
     delta = gamma - eta, so the operator image of a direction is
-    M Q_eta (P M P v) = v - 2 delta M P v + (delta^2 + beta^2) M P M P v:
-    apply_with_image gives it from the two inner solves and no operator
-    apply.  With the FFT solve and M = I the direction stays on the
-    half-spectrum (ExactFFT.apply(v, 2, image=(delta, c))): one rfftn and
-    one irfftn per iteration, and combine adds one irfftn per restart
-    cycle.
+    M Q_eta (P M P v) = v - 2 delta M P v + c M P M P v with
+    c = delta^2 + beta^2: apply_with_image gives it from the two inner
+    solves and no operator apply.
     """
 
-    def __init__(self, P: Preconditioner, M: MassOperator):
+    def __init__(self, P: Preconditioner, op: LinearOperator,
+                 M: MassOperator, delta: float, c: float):
         super().__init__(P.n)
         self._P = P
         self._M = M
-        self.exact = P.exact
-        self._squared = isinstance(P, ExactFFT) and M.is_identity
+        self._delta = delta
+        self._c = c
+        self.op = op if P.exact else None
 
     @property
     def applications(self):
         return self._P.applications
 
     def apply(self, v):
-        if self._squared:
-            return self._P.apply(v, power=2)
         return self._P.apply(self._M.apply(self._P.apply(v)))
 
-    def _delta(self, op):
-        """gamma - eta when P is exact for gamma M - dt L and op is the
-        M Q_eta of eta M - dt L with the same dt, M and L; else None."""
-        if not (self.exact and isinstance(op, _QuadraticSystem)):
-            return None
-        inner, outer = self._P.shift, op.A_eta.shift
-        if inner is None or outer is None or inner[1:] != outer[1:] \
-                or inner[2] is not self._M or op.M is not self._M:
-            return None
-        return inner[0] - outer[0]
-
     def apply_with_image(self, v, op):
-        delta = self._delta(op)
-        if delta is None:
+        if op is not self.op:
             return super().apply_with_image(v, op)
-        c = delta * delta + op.beta * op.beta
-        if self._squared:
-            return self._P.apply(v, power=2, image=(delta, c))
         MPv = self._M.apply(self._P.apply(v))
         z = self._P.apply(MPv)
-        return z, v - 2.0 * delta * MPv + c * self._M.apply(z)
+        return z, v - 2.0 * self._delta * MPv + self._c * self._M.apply(z)
 
-    def combine(self, D, y):
-        if self._squared:
-            return self._P.combine(D, y, power=2)
-        return super().combine(D, y)
+
+def _pair_preconditioner(P, op, M, delta, c):
+    """The conjugate-pair preconditioner P M P for op: an FFT solve
+    squared in place when M = I, else the sandwich around P."""
+    if isinstance(P, ExactFFT) and M.is_identity:
+        return P.square(op, delta, c)
+    return _SandwichPreconditioner(P, op, M, delta, c)
 
 
 class IRKStepper:
@@ -225,7 +209,9 @@ class IRKStepper:
                 precond = inner
             else:
                 op = _QuadraticSystem(A_eta, M, f.beta)
-                precond = _SandwichPreconditioner(inner, M)
+                delta = gamma - f.eta
+                precond = _pair_preconditioner(
+                    inner, op, M, delta, delta * delta + f.beta * f.beta)
             self._solvers.append((f, gamma, op, precond))
         # every factor has the same inner kind and is symmetric exactly
         # when the problem is, so the last one resolves "auto" for all

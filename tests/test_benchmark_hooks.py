@@ -43,9 +43,9 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_traced_step_has_every_layer(tracing, case):
-    build_problem, scheme = CASES[case]
+def _traced_step(tracing, build_problem, scheme):
+    """One traced set-up and one traced step, as run.py drives them:
+    (tracer, problem, the step's Krylov reports)."""
     tracer = tracing.Tracer()
     tracer.begin_setup(0)
     try:
@@ -62,7 +62,12 @@ def test_traced_step_has_every_layer(tracing, case):
         _u, reports = advance(u0, 0.0)
     finally:
         tracer.unpatch()
+    return tracer, problem, reports
 
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_traced_step_has_every_layer(tracing, case):
+    tracer, problem, reports = _traced_step(tracing, *CASES[case])
     spans = {tracer.names[i] for i in tracer.table()[:, 3]}
     expected = {"linop.shift", "linop.factorize", "spectral.setup",
                 "linop.fov", "stepper.advance", "stepper.rhs",
@@ -77,3 +82,16 @@ def test_traced_step_has_every_layer(tracing, case):
     assert layers["linop.precond_apply_s"] > 0.0
     assert layers["stepper.rhs_s"] > 0.0
     assert sum(r.preconditioner_applications for r in reports) > 0
+
+
+@pytest.mark.parametrize("scheme", [("gauss", 2), ("radauIIA", 3)])
+def test_fft_step_traces_one_precond_apply_per_iteration(tracing, scheme):
+    # on the FFT path every GMRES iteration, pair or real factor, goes
+    # through the traced apply of the inner solve exactly once
+    build_problem, _scheme = CASES["mms2d"]
+    tracer, _problem, reports = _traced_step(tracing, build_problem, scheme)
+    t = tracer.table()
+    step = t[t[:, 0] > 0]
+    spans = np.count_nonzero(
+        step[:, 3] == tracer.names.index("linop.precond_apply"))
+    assert spans == sum(r.iterations for r in reports)

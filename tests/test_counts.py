@@ -11,8 +11,11 @@ P M P is two inner applications, and gs:2 is two leaf sweeps each.
 import pytest
 
 from irksolve.experiments import ExperimentSpec, run_convergence
+from irksolve.krylov import KrylovConfig
 
 ADV = dict(problem="advdiff1d", grids=(16,))
+# 2D periodic grid: the exact inner solve is the FFT
+ADV2D = dict(problem="advdiff2d", grids=(16,))
 
 GOLDEN = {
     # IRK, GMRES outer, exact (sparse LU) inner: 8 steps x 5 x 2
@@ -37,6 +40,20 @@ GOLDEN = {
             [(5.0, 80)]),
     "ld": (dict(ADV, family="gauss", stages=2, integrator="ld"),
            [(5.0, 80)]),
+    # IRK, GMRES outer, FFT inner squared into the pair preconditioner
+    "fft-gauss": (dict(ADV2D, family="gauss", stages=2), [(8.0, 128)]),
+    # a pair and a real factor
+    "fft-radau": (dict(ADV2D, family="radauIIA", stages=3),
+                  [(10.0, 160), (1.0, 8)]),
+    # gamma = eta, so delta = 0
+    "fft-eta": (dict(ADV2D, family="gauss", stages=2, gamma_mode="eta"),
+                [(11.0, 176)]),
+    "fft-sdirk": (dict(ADV2D, family="sdirk2l", stages=2, integrator="sdirk"),
+                  [(1.0, 8), (1.0, 8)]),
+    # one combine per restart cycle
+    "fft-restart2": (dict(ADV2D, family="gauss", stages=2,
+                          krylov=KrylovConfig(method="gmres", restart=2)),
+                     [(8.0, 128)]),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from irksolve.conditioning import random_stable_matrix
-from irksolve.krylov import KrylovConfig
+from irksolve.krylov import KrylovConfig, solve
 from irksolve.linop import (ExactFFT, IdentityMass, SparseOperator,
                             ZeroOperator, build_inner_preconditioner,
                             shifted_operator)
@@ -14,7 +14,8 @@ from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
                               LinearProblem, SDIRKStepper,
-                              _SandwichPreconditioner, advance_oracle)
+                              _pair_preconditioner, _QuadraticSystem,
+                              advance_oracle)
 from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
 
 rng = np.random.default_rng(2024)
@@ -148,19 +149,27 @@ def test_rhs_assembly_costs_s_mass_solves_and_s_L_applies(fam, s, mass):
 
 
 def test_pair_preconditioner_squares_the_fft_solve():
-    # P I P in one FFT round trip equals two solves, and counts as two
+    # P I P in one FFT round trip equals two solves, counts as two, and
+    # square makes the solve exact for the pair operator it is given
     grid = GridSpec(dim=2, n=24)
     M = IdentityMass(grid.size)
     L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4)
     P = build_inner_preconditioner("exact", shifted_operator(2.3, 0.1, M, L))
     assert isinstance(P, ExactFFT)
-    pair = _SandwichPreconditioner(P, M)
     v = np.random.default_rng(11).standard_normal(grid.size)
     twice = P.apply(P.apply(v))
+    eta, beta = 1.3, 0.8
+    pair_op = _QuadraticSystem(shifted_operator(eta, 0.1, M, L), M, beta)
+    delta = 2.3 - eta
+    pair = P.square(pair_op, delta, delta * delta + beta * beta)
+    assert pair is P and pair.op is pair_op
     before = pair.applications
     fused = pair.apply(v)
     assert pair.applications - before == 2
     assert np.linalg.norm(fused - twice) <= 1e-13 * np.linalg.norm(twice)
+    d, w = pair.apply_with_image(v, pair_op)
+    ref = pair_op.apply(pair.combine([d], np.ones(1)))
+    assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _count_ffts(monkeypatch):
@@ -248,25 +257,33 @@ def _count_op_applies(ops):
 @pytest.mark.parametrize("label", ["lu-identity", "lu-fem", "fft-identity"])
 def test_exact_inner_image_matches_operator_apply(label):
     # M Q_eta (P M P v) = v - 2 delta M P v + (delta^2 + beta^2) M P M P v
-    # for a pair and A_eta P v = v for a real factor, with no operator
-    # apply; the bound is fixed by the mass: rounding in M and M^{-1}
+    # for a pair and A_eta P v = v for a real factor or an SDIRK stage,
+    # with no operator apply; the bound is fixed by the mass: rounding in
+    # M and M^{-1}
     prob, grid = _image_setup(label)
     bound = 1e-9 if label == "lu-fem" else 1e-12
     v = np.random.default_rng(31).standard_normal(prob.n)
-    errors = {}
-    for fam, s in SUPPORTED_TABLEAUX:
-        tab = build_tableau(fam, s)
-        for mode in ("gamma_star", "eta"):
-            for ratio in (2, 32):
-                st = IRKStepper(tab, prob, ratio * grid.h, gamma_mode=mode)
+    cases = {}
+    for ratio in (2, 32):
+        dt = ratio * grid.h
+        for fam, s in SUPPORTED_TABLEAUX:
+            tab = build_tableau(fam, s)
+            for mode in ("gamma_star", "eta"):
+                st = IRKStepper(tab, prob, dt, gamma_mode=mode)
                 for idx, (_f, _g, op, pc) in enumerate(st._solvers):
-                    calls = _count_op_applies([op])
-                    d, w = pc.apply_with_image(v, op)
-                    assert calls[op] == 0, (fam, s, mode, ratio, idx)
-                    z = pc.combine([d], np.ones(1))
-                    ref = op.apply(z)
-                    errors[fam, s, mode, ratio, idx] = \
-                        np.linalg.norm(w - ref) / np.linalg.norm(ref)
+                    cases[fam, s, mode, ratio, idx] = (op, pc)
+        for fam, s in (("sdirk2l", 2), ("sdirk3l", 3), ("backwardEuler", 1)):
+            sd = SDIRKStepper(build_tableau(fam, s), prob, dt)
+            for idx, (op, pc) in enumerate(sd._stages):
+                cases[fam, s, "sdirk", ratio, idx] = (op, pc)
+    errors = {}
+    for key, (op, pc) in cases.items():
+        calls = _count_op_applies([op])
+        d, w = pc.apply_with_image(v, op)
+        assert calls[op] == 0, key
+        z = pc.combine([d], np.ones(1))
+        ref = op.apply(z)
+        errors[key] = np.linalg.norm(w - ref) / np.linalg.norm(ref)
     assert max(errors.values()) <= bound, max(errors.items(),
                                               key=lambda kv: kv[1])
 
@@ -303,36 +320,62 @@ def test_exact_inner_solve_applies_its_operator_once(label):
                                           for r in reps)
 
 
-def test_mismatched_inner_solve_applies_the_operator():
-    # an exact inner solve built for another operator than the factor's
-    # gives no identity, and the image comes from op.apply: on a real
-    # factor any other operator, on a pair another dt or another L.  For
-    # a pair, another gamma is no mismatch: the identity holds for every
-    # exact (gamma M - dt L)^{-1}, with delta = gamma - eta read from the
-    # two operators, so it is still taken and still exact
-    prob, grid = _image_setup("fft-identity")
+def _mismatched_cases(label):
+    """(operator, exact preconditioner whose op is another operator)
+    pairs for the exact inner solve of label."""
+    prob, grid = _image_setup(label)
     M, L, dt = prob.M, prob.L, 2 * grid.h
     st = IRKStepper(build_tableau("radauIIA", 3), prob, dt)
-    (pair, _g, op, _pc), (_real, _g2, op_real, _pc2) = st._solvers
-    v = np.random.default_rng(33).standard_normal(prob.n)
-    gamma = pair.gamma_star
-    shifted = shifted_operator(gamma + 0.5, dt, M, L)
+    (pair, gamma, op, pc), (real, _g, op_real, pc_real) = st._solvers
+    twin_real = shifted_operator(real.eta, dt, M, L)
+    twin_pair = _QuadraticSystem(shifted_operator(pair.eta, dt, M, L), M,
+                                 pair.beta)
     other_dt = shifted_operator(gamma, 1.5 * dt, M, L)
     other_L = shifted_operator(gamma, dt, M, SparseOperator(0.5 * L.mat))
-    cases = [(op_real, build_inner_preconditioner("exact", A), 1)
-             for A in (shifted, other_dt, other_L)]
-    cases += [(op, _SandwichPreconditioner(
-        build_inner_preconditioner("exact", A), M), int(A is not shifted))
-        for A in (shifted, other_dt, other_L)]
-    for target, pc, applies in cases:
-        calls = _count_op_applies([target])
-        d, w = pc.apply_with_image(v, target)
-        assert calls[target] == applies
-        z = pc.combine([d], np.ones(1))
-        ref = target.apply(z)
-        assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
-        if applies:
-            assert np.array_equal(w, ref)
+    cases = [(target, pc_real) for target in (twin_real, op, other_dt)]
+    cases += [(op_real, build_inner_preconditioner("exact", A))
+              for A in (twin_real, shifted_operator(gamma, dt, M, L),
+                        other_dt, other_L)]
+    delta = gamma - pair.eta
+    c = delta * delta + pair.beta * pair.beta
+    for target in (twin_pair, op_real, other_dt):
+        inner = build_inner_preconditioner(
+            "exact", shifted_operator(gamma, dt, M, L))
+        cases.append((target, _pair_preconditioner(inner, op, M, delta, c)))
+    return cases + [(twin_pair, pc)]
+
+
+def test_mismatched_inner_solve_applies_the_operator():
+    # an exact preconditioner (sparse LU, FFT or pair) gives the image
+    # without applying the operator only for its own op.  Any other
+    # operator is applied once, also one equal in value to op that
+    # shifted_operator built separately with the same gamma, dt, M and L
+    for label in ("lu-identity", "lu-fem", "fft-identity"):
+        cases = _mismatched_cases(label)
+        v = np.random.default_rng(33).standard_normal(cases[0][0].n)
+        for target, p in cases:
+            assert p.exact and p.op is not target
+            calls = _count_op_applies([target])
+            d, w = p.apply_with_image(v, target)
+            assert calls[target] == 1, label
+            z = p.combine([d], np.ones(1))
+            assert np.array_equal(w, target.apply(z)), label
+
+
+@pytest.mark.parametrize("label", ["lu-identity", "lu-fem", "fft-identity"])
+def test_exact_solve_of_another_operator_still_converges(label):
+    # GMRES on A_eta preconditioned with an exact solve of A_gamma: the
+    # image comes from A_eta.apply, so the solve is a correct one
+    prob, grid = _image_setup(label)
+    M, L, dt = prob.M, prob.L, 2 * grid.h
+    pair = spectral_decompose(build_tableau("gauss", 2)).pairs[0]
+    A_eta = shifted_operator(pair.eta, dt, M, L)
+    P = build_inner_preconditioner(
+        "exact", shifted_operator(pair.gamma_star, dt, M, L))
+    b = np.random.default_rng(34).standard_normal(prob.n)
+    x, rep = solve(A_eta, b, P, KrylovConfig(method="gmres", rel_tol=1e-10))
+    assert rep.converged and rep.iterations > 1
+    assert rep.final_residual == np.linalg.norm(b - A_eta.apply(x))
 
 
 def test_solve_factors_zero_operator_scaling():
