@@ -22,7 +22,9 @@ from .spectral import (
     spectral_decompose,
     adjugate_row_polynomials,
     factor_list,
+    partial_fractions,
     StabilityViolation,
+    DefectiveTableau,
 )
 from .linop import (
     LinearOperator,
@@ -47,6 +49,7 @@ from .stepper import (
     SDIRKStepper,
     BlockStepper,
     advance_oracle,
+    advance_symbol,
     FactorSolveFailure,
 )
 from .spatial import (

@@ -17,6 +17,14 @@ cycle.
 Every solve recomputes the true residual with op.apply once at exit
 (and at each restart) and bases the convergence flag on that, never on
 the in-iteration estimate.
+
+A solve stops at max(rel_tol * scale, FLOOR * eps * ||op|| * ||x||).
+scale is ||b|| unless the caller passes another norm.  The second term
+is the residual that a backward-stable solve can certify in double
+precision (Rigal & Gaches 1967; Higham, Accuracy and Stability, 7.1),
+with ||op|| = op.norm; a target below it is met at the floor, and the
+report says so.  ||x|| is the iterate at the true-residual check: GMRES
+takes the x of the cycle start inside a cycle, CG the current x.
 """
 
 from dataclasses import dataclass, field, replace
@@ -30,6 +38,10 @@ __all__ = ["KrylovConfig", "KrylovReport", "solve", "resolve_method",
 #: a recurrence denominator below this fraction of the norms it is formed
 #: from (in GMRES, its Hessenberg column's norm) counts as zero
 BREAKDOWN_TOL = 1e-14
+
+#: c of the residual floor c * eps * ||op|| * ||x||
+FLOOR = 1.0
+EPS = float(np.finfo(float).eps)
 
 
 class Breakdown(RuntimeError):
@@ -58,11 +70,17 @@ class KrylovConfig:
 
 @dataclass
 class KrylovReport:
+    """target is rel_tol times the scale; floor_limited is set when the
+    residual floor at the final x was above it, so the solve stopped at
+    that floor."""
+
     iterations: int = 0
     residual_history: list = field(default_factory=list)
     converged: bool = False
     preconditioner_applications: int = 0
     final_residual: float = 0.0
+    target: float = 0.0
+    floor_limited: bool = False
 
 
 def resolve_method(cfg: KrylovConfig | None, op, precond) -> KrylovConfig:
@@ -102,49 +120,62 @@ def _finite(rnorm):
     return rnorm
 
 
-def solve(op, b, precond, cfg: KrylovConfig):
+def solve(op, b, precond, cfg: KrylovConfig, scale=None):
     """Solve op x = b.  Returns (x, KrylovReport).
 
     precond approximates op^{-1} (None for unpreconditioned); for CG it
-    must be SPD and op must be marked symmetric.  The report counts
-    every leaf preconditioner application performed during the solve.
+    must be SPD and op must be marked symmetric.  The target is
+    cfg.rel_tol * scale, with scale = ||b|| when None.  The report
+    counts every leaf preconditioner application performed during the
+    solve.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != op.n:
         raise ValueError(f"rhs of dim {b.shape[0]} for operator of dim {op.n}")
     count0 = precond.applications if precond is not None else 0
-    target = cfg.rel_tol * float(np.linalg.norm(b))
+    if scale is None:
+        scale = float(np.linalg.norm(b))
+    target = cfg.rel_tol * scale
+    floor = FLOOR * EPS * op.norm
 
     method = cfg.method.lower()
     if method == "cg":
         if not op.symmetric:
             raise ValueError("CG requested on an operator not marked "
                              "symmetric")
-        x, rep, rtrue = _cg(op, b, precond, cfg, target)
+        x, rep, rtrue, stop = _cg(op, b, precond, cfg, target, floor)
     elif method == "gmres":
-        x, rep, rtrue = _gmres(op, b, precond, cfg, target)
+        x, rep, rtrue, stop = _gmres(op, b, precond, cfg, target, floor)
     else:
         raise ValueError(f"unknown Krylov method {cfg.method!r}")
 
     rep.final_residual = rtrue
-    rep.converged = rtrue <= target
+    rep.target = target
+    rep.floor_limited = stop > target
+    rep.converged = rtrue <= stop
     if precond is not None:
         rep.preconditioner_applications = precond.applications - count0
     return x, rep
 
 
-def _cg(op, b, precond, cfg, target):
-    """Preconditioned CG.  When the recurrence residual meets the target
-    the true residual is checked; if it misses, CG restarts from it, for
-    as long as each pass lowers it.  Returns (x, report, true residual
-    norm)."""
+def _stop(target, floor, x):
+    """max(target, floor ||x||): the residual a solve at x stops at."""
+    return max(target, floor * float(np.linalg.norm(x)))
+
+
+def _cg(op, b, precond, cfg, target, floor):
+    """Preconditioned CG.  When the recurrence residual meets the stop
+    residual at x, the true residual is checked; if it misses, CG
+    restarts from it, for as long as each pass lowers it.  Returns
+    (x, report, true residual norm, stop residual at x)."""
     rep = KrylovReport()
     x = np.zeros_like(b)
     r = b.copy()
     rnorm = _finite(float(np.linalg.norm(r)))
     rep.residual_history.append(rnorm)
     start = math.inf
-    while target < rnorm < start and rep.iterations < cfg.max_iters:
+    stop = target
+    while stop < rnorm < start and rep.iterations < cfg.max_iters:
         start = rnorm
         z = _apply_precond(precond, r)
         p = z.copy()
@@ -160,7 +191,7 @@ def _cg(op, b, precond, cfg, target):
             rep.iterations += 1
             rnorm = _finite(float(np.linalg.norm(r)))
             rep.residual_history.append(rnorm)
-            if rnorm <= target:
+            if rnorm <= _stop(target, floor, x):
                 break
             z = _apply_precond(precond, r)
             rz_new = r @ z
@@ -170,26 +201,33 @@ def _cg(op, b, precond, cfg, target):
             rz = rz_new
         r = b - op.apply(x)
         rnorm = _finite(float(np.linalg.norm(r)))
-    return x, rep, rnorm
+        stop = _stop(target, floor, x)
+    return x, rep, rnorm, stop
 
 
-def _gmres(op, b, precond, cfg, target):
+def _gmres(op, b, precond, cfg, target, floor):
     """Restarted GMRES, right-preconditioned, so the monitored Givens
     residual estimates the true residual regardless of preconditioner
     scaling.  The directions of Z = P V are kept and x is updated from
     them by precond.combine, so P is applied once per iteration and may
     change between iterations.  V and Z grow by one vector per
-    iteration.  Returns (x, report, true residual norm)."""
+    iteration.  Each cycle starts from the true residual; GMRES stops
+    when that meets the stop residual at x, or when it is no lower than
+    at the last cycle start.  Returns (x, report, true residual norm,
+    stop residual at x)."""
     rep = KrylovReport()
     x = np.zeros(op.n)
+    start = math.inf
 
     while True:
         r = b - op.apply(x) if rep.iterations else b.copy()
         beta = _finite(float(np.linalg.norm(r)))
         if not rep.residual_history:
             rep.residual_history.append(beta)
-        if beta <= target or rep.iterations >= cfg.max_iters:
-            return x, rep, beta
+        stop = _stop(target, floor, x) if rep.iterations else target
+        if not stop < beta < start or rep.iterations >= cfg.max_iters:
+            return x, rep, beta, stop
+        start = beta
 
         m = cfg.restart
         V = [r / beta]
@@ -233,7 +271,7 @@ def _gmres(op, b, precond, cfg, target):
             if not happy:
                 V.append(w / H[j + 1, j])
             j += 1
-            if res <= target or happy:
+            if res <= stop or happy:
                 break
 
         # solve the least-squares problem and update x
@@ -241,6 +279,3 @@ def _gmres(op, b, precond, cfg, target):
         for i in range(j - 1, -1, -1):
             y[i] = (g[i] - H[i, i + 1:j] @ y[i + 1:j]) / H[i, i]
         x = x + _combine(precond, Z, y)
-
-        if rep.residual_history[-1] <= target or rep.iterations >= cfg.max_iters:
-            return x, rep, float(np.linalg.norm(b - op.apply(x)))

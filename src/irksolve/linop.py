@@ -54,10 +54,15 @@ class LinearOperator:
     Subclasses implement apply(v); mat is the assembled sparse form when
     one exists (None for purely matrix-free operators).  symmetric is
     decided once per operator: from the matrix, from the parts of a
-    composite operator, False for a matrix-free one.
+    composite operator, False for a matrix-free one.  norm is ||op||,
+    which scales the residual floor of krylov.solve: the infinity-norm
+    of an assembled matrix, the exact 2-norm of a circulant, a bound built
+    from the parts of a composite operator, and 0 (no floor) when
+    nothing is known.
     """
 
     symmetric = False
+    norm = 0.0
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -91,8 +96,18 @@ class SparseOperator(LinearOperator):
         scale = np.max(np.abs(self.mat.data))
         return bool(np.max(np.abs(d.data)) <= 1e-12 * scale)
 
+    @cached_property
+    def norm(self) -> float:
+        """The infinity-norm, the largest absolute row sum."""
+        return float(_abs_row_sums(self.mat).max(initial=0.0))
+
     def apply(self, v):
         return self.mat @ v
+
+
+def _abs_row_sums(mat):
+    """sum_j |m_ij| for each row i of a sparse matrix."""
+    return np.abs(mat).sum(axis=1).A1
 
 
 class CirculantOperator(SparseOperator):
@@ -108,6 +123,11 @@ class CirculantOperator(SparseOperator):
         if self.symbol.size != self.n:
             raise DimensionMismatch(
                 f"symbol of shape {self.symbol.shape} for dimension {self.n}")
+
+    @cached_property
+    def norm(self) -> float:
+        """The 2-norm, exactly: the largest modulus of the symbol."""
+        return float(np.abs(self.symbol).max())
 
 
 class ZeroOperator(LinearOperator):
@@ -136,7 +156,10 @@ class ComposedOperator(LinearOperator):
 # Mass operators
 
 class MassOperator(LinearOperator):
-    """Mass matrix with an exact solve."""
+    """Mass matrix with an exact solve.  inv_norm bounds ||M^{-1}||, 0
+    when no bound is known."""
+
+    inv_norm = 0.0
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -148,6 +171,8 @@ class MassOperator(LinearOperator):
 
 class IdentityMass(MassOperator):
     symmetric = True
+    norm = 1.0
+    inv_norm = 1.0
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -181,7 +206,7 @@ def _sparse_lu(mat):
 def _check_pivots(pivots, mat):
     """FactorizationFailure when the smallest pivot (LU diagonal or
     symbol modulus) is at most 1e-14 of the largest absolute row sum."""
-    row_norm = np.abs(mat).sum(axis=1).max()
+    row_norm = _abs_row_sums(mat).max()
     if pivots.min() <= 1e-14 * row_norm:
         raise FactorizationFailure(
             f"near-zero pivot {pivots.min():.3e} (row norm {row_norm:.3e})")
@@ -193,6 +218,15 @@ class SparseMass(SparseOperator, MassOperator):
     def __init__(self, mat):
         super().__init__(mat)
         self._lu = _sparse_lu(self.mat)
+
+    @cached_property
+    def inv_norm(self) -> float:
+        """1 / min_i (2 m_ii - sum_j |m_ij|), the Gershgorin bound on
+        ||M^{-1}|| for an SPD M (3/h for the linear-FEM mass); 0 when
+        M is not diagonally dominant."""
+        gap = float(np.min(2.0 * self.mat.diagonal()
+                           - _abs_row_sums(self.mat)))
+        return 1.0 / gap if gap > 0.0 else 0.0
 
     def solve(self, v):
         return self._lu.solve(v)
@@ -360,7 +394,7 @@ class _Relaxation(Preconditioner):
                              f"got {self.sweeps}")
         self._op = op
         d = np.abs(op.mat.diagonal())
-        off = np.abs(op.mat).sum(axis=1).A1 - d
+        off = _abs_row_sums(op.mat) - d
         if np.any(d < off - 1e-14 * (d + off)):
             warnings.warn(f"{self.kind}: operator is not diagonally dominant; "
                           "relaxation may be a weak preconditioner", stacklevel=3)

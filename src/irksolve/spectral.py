@@ -2,11 +2,19 @@
 
 Everything the stepper needs from a tableau is derived here from
 B = A0^{-1}: its eigenvalues grouped into conjugate pairs (eta, beta)
-and reals, the real factors of its characteristic polynomial, with the
-per-factor preconditioner shifts gamma* = sqrt(eta^2 + beta^2) and
-their condition-number bounds sqrt(1 + beta^2/eta^2), and the
-right-hand-side assembly polynomials R_i obtained by contracting
-b0^T A0^{-1} with the adjugate of (A0^{-1} - x I).
+and reals, with the per-factor preconditioner shifts
+gamma* = sqrt(eta^2 + beta^2) and their condition-number bounds
+sqrt(1 + beta^2/eta^2), and the weights of the partial-fraction form
+of one step (Butcher's eigen-transformation),
+
+    u_{n+1} = R(inf) u_n + sum_j (lambda_j M - dt L)^{-1} w_j,
+    w_j = c_j M u_n + dt e_j F,   F = [f(t_n + c_i dt)]_i,
+
+over the eigenvalues lambda_j of B = X Lambda X^{-1}, with
+R(inf) = 1 - b^T B 1, c_j = (b^T X Lambda)_j (Lambda X^{-1} 1)_j and
+e_j = (b^T X Lambda)_j X^{-1}[j, :].  A conjugate pair is carried by its
+member with beta > 0 and doubled weights.  An SDIRK tableau, whose B is
+defective, takes the confluent form of the same sum instead.
 """
 
 from dataclasses import dataclass
@@ -23,15 +31,28 @@ __all__ = [
     "adjugate_row_polynomials",
     "factor_list",
     "faddeev_leverrier",
+    "PartialFractions",
+    "partial_fractions",
     "StabilityViolation",
+    "DefectiveTableau",
 ]
 
 #: eigenvalues with |Im| below this (relative) are treated as real
 PAIRING_TOL = 1e-10
 
+#: largest condition number (1-norm of the real form) of the eigenvector
+#: matrix X of A0^{-1} that the partial-fraction weights accept: they
+#: lose about log10 cond(X) digits.  The shipped non-SDIRK tableaux
+#: have at most 256 (2-norm: 165), both for Gauss-5
+MAX_EIGENVECTOR_COND = 1e4
+
 
 class StabilityViolation(RuntimeError):
     """An eigenvalue of A0^{-1} has nonpositive real part."""
+
+
+class DefectiveTableau(ValueError):
+    """A0^{-1} is too close to defective for its eigenvector form."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +83,22 @@ class SpectralData:
 
     pairs: tuple
     reals: tuple
+
+
+@dataclass(frozen=True)
+class PartialFractions:
+    """The weights of u_{n+1} = r_inf u_n + sum_j y_j, one solve per
+    entry of factors: y_j = (lambda_j M - dt L)^{-1} w_j with
+    w_j = c[j] M u_n + dt E[j] @ F.  For a pair, lambda_j = eta + i beta
+    and y_j is the real part of that complex solve.  chained (the
+    confluent SDIRK form) feeds each solve the previous answer as well:
+    w_j gains M y_{j-1}, and the last y_j alone is the sum."""
+
+    r_inf: float
+    factors: tuple
+    c: np.ndarray
+    E: np.ndarray
+    chained: bool = False
 
 
 def faddeev_leverrier(B: np.ndarray):
@@ -118,7 +155,8 @@ def spectral_decompose(t: ButcherTableau) -> SpectralData:
 
 
 def adjugate_row_polynomials(t: ButcherTableau) -> np.ndarray:
-    """R, with R[i, k] the x^k coefficient of the polynomial R_i that
+    """The right-hand-side polynomials of the adjugate form that the
+    partial fractions replaced; no stepper calls it.  R, with R[i, k] the x^k coefficient of the polynomial R_i that
     contracts b0^T A0^{-1} against the columns of adj(A0^{-1} - x I),
     so that z = sum_i R_i(Lhat) (M^{-1} f_i); degree <= s-1.
 
@@ -140,3 +178,58 @@ def factor_list(sd: SpectralData):
     """Solve order for P_s(Lhat): conjugate-pair quadratics first
     (ascending beta/eta), then real linear factors."""
     return list(sd.pairs) + list(sd.reals)
+
+
+def _is_confluent(t: ButcherTableau) -> bool:
+    """Lower-triangular A0 with one repeated diagonal entry (SDIRK and
+    backward Euler): B = lambda I + N with N nilpotent."""
+    d = np.diag(t.A0)
+    return np.ptp(d) <= 1e-14 * abs(d[0]) and t.is_lower_triangular
+
+
+def partial_fractions(t: ButcherTableau, factors) -> PartialFractions:
+    """The partial-fraction weights of t, in the solve order of factors
+    (factor_list of its spectral_decompose).
+
+    For a confluent A0, B = lambda I + N gives
+    b^T (B - Z)^{-1} = sum_{k<s} b^T (-N)^k (lambda - Z)^{-(k+1)}: s
+    chained real solves with shift lambda, k = s-1 first, and factors is
+    not used.  Otherwise B = X Lambda X^{-1}, and DefectiveTableau is
+    raised when cond(X) > MAX_EIGENVECTOR_COND.
+    """
+    B = np.linalg.inv(t.A0)
+    ones = np.ones(t.s)
+    r_inf = float(1.0 - t.b0 @ B @ ones)
+    if _is_confluent(t):
+        lam = 1.0 / t.A0[0, 0]
+        N = np.tril(B, -1)
+        B = lam * np.eye(t.s) + N
+        rows = [t.b0]
+        for _ in range(t.s - 1):
+            rows.append(-(rows[-1] @ N))
+        E = np.array(rows[::-1]) @ B
+        return PartialFractions(r_inf, (Factor(eta=float(lam)),) * t.s,
+                                E @ B @ ones, E, chained=True)
+
+    lam, X = np.linalg.eig(B)
+    # X and X^{-1} through the real form [[Re X, -Im X], [Im X, Re X]],
+    # which has the singular values of X
+    real_form = np.empty((2 * t.s, 2 * t.s))
+    real_form[:t.s, :t.s] = real_form[t.s:, t.s:] = X.real
+    real_form[t.s:, :t.s] = X.imag
+    real_form[:t.s, t.s:] = -X.imag
+    inv = np.linalg.inv(real_form)
+    cond = np.linalg.norm(real_form, 1) * np.linalg.norm(inv, 1)
+    if not cond <= MAX_EIGENVECTOR_COND:
+        raise DefectiveTableau(
+            f"eigenvector matrix of A0^(-1) of {t.family}({t.s}) has "
+            f"condition {cond:.3e} > {MAX_EIGENVECTOR_COND:.0e}")
+    Xinv = inv[:t.s, :t.s] + 1j * inv[t.s:, :t.s]
+    bXL = (t.b0 @ X) * lam
+    c = bXL * lam * (Xinv @ ones)
+    E = bXL[:, None] * Xinv
+    pick = [int(np.argmin(np.abs(lam - complex(f.eta, f.beta))))
+            for f in factors]
+    scale = np.array([1.0 if f.is_real else 2.0 for f in factors])
+    return PartialFractions(r_inf, tuple(factors), scale * c[pick],
+                            scale[:, None] * E[pick])

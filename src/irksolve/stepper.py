@@ -1,18 +1,27 @@
 """The IRK time stepper.
 
-One step works entirely on N-vectors (no stage storage):
+One step is the partial-fraction form of the stage problem
+(spectral.partial_fractions): u_{n+1} = R(inf) u_n + sum_j y_j, one
+independent real solve per eigenvalue pair or real eigenvalue of
+A0^{-1}, and no stage storage:
 
-1. assemble z = sum_i R_i(Lhat) (M^{-1} f_i) from the adjugate-row
-   polynomials, with f_i = f(t_n + c_i dt) + L u_n.  Regrouped as
-   z = sum_k Lhat^k M^{-1} w_k with w_k = sum_i R[i, k] f_i, it is one
-   Horner pass in mass form: s forcing evaluations, s M solves and s L
-   applies (L u_n included) per step;
-2. solve P_s(Lhat) y = z one real factor at a time: each conjugate pair
-   is the quadratic M Q_eta y = M z solved by an outer Krylov iteration
+1. assemble each factor's right-hand side from u_n and the forcing
+   values F = [f(t_n + c_i dt)] alone: w_j = c_j M u_n + dt e_j F for a
+   real factor, and for a conjugate pair the real form of its complex
+   solve, eta Re w_j + beta Im w_j - dt L x_j with
+   x_j = Re(c_j) u_n + M^{-1} Re(dt e_j F).  s forcing evaluations and
+   one M apply per step, plus one L apply per pair and, with forcing
+   and a mass matrix, one M solve per pair;
+2. solve each factor to rel_tol * min(||rhs_j||, kappa_j s_n), with
+   s_n = ||M u_n|| + dt ||F|| and kappa_j = eta^2 for a pair, eta for a
+   real factor, the bound 1/kappa_j on the norm of the factor's inverse
+   when W(L) <= 0; so the error of y_j is relative to the state, however
+   much dt L amplifies rough data in rhs_j.  Each conjugate pair is the
+   quadratic M Q_eta y = rhs solved by an outer Krylov iteration
    preconditioned with P M P, where P approximates the backward-Euler
    matrix (gamma M - dt L)^{-1} and gamma is the pair's optimal shift
-   sqrt(eta^2 + beta^2) (or eta, for comparison runs); real eigenvalues
-   contribute a single shifted solve.  Per iteration: one preconditioner
+   sqrt(eta^2 + beta^2) (or eta, for comparison runs); a real eigenvalue
+   is a single shifted solve.  Per iteration: one preconditioner
    application (for a pair, two inner applications; with the FFT inner
    solve and M = I, one round trip of the squared solve) and the image
    of its result under the operator.  An exact preconditioner is built
@@ -25,27 +34,34 @@ One step works entirely on N-vectors (no stage storage):
    iteration costs one rfftn and one irfftn on a pair and one rfftn on
    a real factor, plus one irfftn per restart cycle for the update.  CG
    and every other inner solve apply the operator every iteration (for
-   a pair, two applies of eta M - dt L and one M solve);
-3. update u_{n+1} = u_n + dt * y.
+   a pair, two applies of eta M - dt L and one M solve).  An SDIRK
+   tableau's A0^{-1} is defective: its s solves share one operator and
+   are chained, each adding M times the previous answer to its rhs;
+3. update u_{n+1} = R(inf) u_n + sum_j y_j.
 
-A dense direct-solve oracle over the full stage system is provided as
-the reference, along with SDIRK and block-preconditioned (GSL / LD)
+A dense direct-solve oracle over the full stage system and an exact
+Fourier-symbol oracle for circulant problems are provided as
+references, along with SDIRK and block-preconditioned (GSL / LD)
 baseline steppers for iteration-count comparisons.  All three steppers
 share one protocol: factor once at construction for a fixed dt, then
 advance(u, t) -> (u, reports) per step, with factor_summary() naming
 the rows of the reports.
 """
 
+from functools import cached_property
 import math
 
 import numpy as np
 
 from .krylov import KrylovConfig, KrylovReport, resolve_method, solve
-from .linop import (ComposedOperator, ExactFFT, LinearOperator,
-                    MassOperator, Preconditioner, build_inner_preconditioner,
-                    fov_upper_bound, shifted_operator)
-from .spectral import (adjugate_row_polynomials, factor_list,
-                       spectral_decompose)
+from .linop import (CirculantOperator, ComposedOperator, ExactFFT,
+                    LinearOperator, MassOperator, Preconditioner,
+                    build_inner_preconditioner, fov_upper_bound,
+                    shifted_operator)
+# adjugate_row_polynomials is no longer called: perfbench/tracing.py
+# still looks the name up in this module
+from .spectral import (adjugate_row_polynomials, factor_list,  # noqa: F401
+                       partial_fractions, spectral_decompose)
 from .tableaux import ButcherTableau
 
 __all__ = [
@@ -54,6 +70,7 @@ __all__ = [
     "SDIRKStepper",
     "BlockStepper",
     "advance_oracle",
+    "advance_symbol",
     "FactorSolveFailure",
     "SingularSystem",
 ]
@@ -118,6 +135,18 @@ class _QuadraticSystem(LinearOperator):
         self._b2 = beta * beta
         self.symmetric = A_eta.symmetric and M.symmetric
 
+    @cached_property
+    def norm(self) -> float:
+        """Exact from the symbol for a circulant A_eta with M = I, else
+        the bound ||A_eta||^2 ||M^{-1}|| + beta^2 ||M|| (0 when
+        ||M^{-1}|| has none)."""
+        A, M = self.A_eta, self.M
+        if isinstance(A, CirculantOperator) and M.is_identity:
+            return float(np.abs(A.symbol ** 2 + self._b2).max())
+        if not M.inv_norm:
+            return 0.0
+        return A.norm ** 2 * M.inv_norm + self._b2 * M.norm
+
     def apply(self, v):
         w = self.A_eta.apply(self.M.solve(self.A_eta.apply(v)))
         return w + self._b2 * self.M.apply(v)
@@ -168,9 +197,17 @@ def _pair_preconditioner(P, op, M, delta, c):
     return _SandwichPreconditioner(P, op, M, delta, c)
 
 
+def _accumulate(out, coeffs, vectors):
+    """out += sum_i coeffs[i] vectors[i], one N-vector at a time."""
+    for a, v in zip(coeffs, vectors):
+        out += a * v
+    return out
+
+
 class IRKStepper:
-    """Advances M u' = L u + f with a fully implicit RK scheme, solving
-    the stage problem by sequential conjugate-pair factor solves.
+    """Advances M u' = L u + f with a fully implicit RK scheme in the
+    partial-fraction form: one independent solve per factor (for an
+    SDIRK tableau, s chained solves with one operator), summed.
 
     gamma_mode selects the preconditioner shift for quadratic factors:
     "gamma_star" (optimal, default) or "eta" (the naive choice, kept for
@@ -191,13 +228,32 @@ class IRKStepper:
         self.problem = problem
         self.dt = float(dt)
         self.gamma_mode = gamma_mode
-        self.factors = factor_list(spectral_decompose(tableau))
-        self.R = adjugate_row_polynomials(tableau)
+        pf = partial_fractions(tableau,
+                               factor_list(spectral_decompose(tableau)))
+        self.factors = list(pf.factors)
+        self._r_inf = pf.r_inf
+        self._chained = pf.chained
+        # (a, d, xc, xe) per factor: rhs = a M u_n + d F, less dt L x
+        # with x = xc u_n + M^{-1} xe F for a pair (see assemble_rhs_z)
+        self._weights = []
+        for f, c, e in zip(self.factors, pf.c, self.dt * pf.E):
+            if f.is_real:
+                self._weights.append((c.real, e.real, None, None))
+            else:
+                self._weights.append(
+                    (f.eta * c.real + f.beta * c.imag,
+                     f.eta * e.real + f.beta * e.imag, c.real, e.real))
+        # the norm of each factor's inverse is at most 1/kappa when
+        # W(L) <= 0: (eta - Z)^{-1} has norm at most 1/eta
+        self._kappa = [f.eta if f.is_real else f.eta * f.eta
+                       for f in self.factors]
 
         params = dict(inner_params or {})
         M, L = problem.M, problem.L
-        self._solvers = []
+        built = {}
         for f in self.factors:
+            if f in built:
+                continue
             gamma = f.gamma_star if gamma_mode == "gamma_star" else f.eta
             A_eta = shifted_operator(f.eta, self.dt, M, L)
             A_gamma = A_eta if gamma == f.eta else \
@@ -212,47 +268,75 @@ class IRKStepper:
                 delta = gamma - f.eta
                 precond = _pair_preconditioner(
                     inner, op, M, delta, delta * delta + f.beta * f.beta)
-            self._solvers.append((f, gamma, op, precond))
+            built[f] = (f, gamma, op, precond)
+        self._solvers = [built[f] for f in self.factors]
         # every factor has the same inner kind and is symmetric exactly
         # when the problem is, so the last one resolves "auto" for all
         self.outer_cfg = resolve_method(outer_cfg, op, precond)
 
     # -- algorithm stages ------------------------------------------------
 
-    def assemble_rhs_z(self, u_n: np.ndarray, t_n: float) -> np.ndarray:
-        """z = sum_i R_i(Lhat)(M^{-1} f_i) = sum_k Lhat^k M^{-1} w_k with
-        w_k = sum_i R[i, k] f_i, by one Horner pass in mass form:
-        z <- M^{-1} w_{s-1}, then z <- M^{-1}(dt L z + w_k).  s mass
-        solves and s L applies, L u_n included."""
-        t = self.tableau
-        prob = self.problem
-        Lu_n = prob.L.apply(u_n)
-        F = np.array([prob.stage_rhs(t_n + self.dt * c, Lu_n) for c in t.c0])
-        W = self.R.T @ F
-        z = prob.M.solve(W[-1])
-        for w_k in W[-2::-1]:
-            z = prob.M.solve(self.dt * prob.L.apply(z) + w_k)
-        return z
+    def assemble_rhs_z(self, u_n: np.ndarray, t_n: float):
+        """(rhs, scale): the right-hand side of each factor's solve, in
+        solve order, and the state scale ||M u_n|| + dt ||F|| that the
+        targets are relative to, F = [f(t_n + c_i dt)]_i.
 
-    def solve_factors(self, z: np.ndarray):
-        """y = P_s(Lhat)^{-1} z: each factor fully converged before the
-        next, quadratic pairs via M Q_eta y = M z."""
+        With w = c M u_n + dt e F, a real factor gets w.  A pair solves
+        Re (A + i beta M)^{-1} w = (M Q_eta)^{-1} (A M^{-1} Re w
+        + beta Im w), A = eta M - dt L, so it gets
+        eta Re w + beta Im w - dt L x with x = M^{-1} Re w
+        = Re(c) u_n + M^{-1} Re(dt e F).  s forcing evaluations and one
+        M apply, and per pair one L apply and, with forcing, one M
+        solve."""
+        prob = self.problem
+        M = prob.M
+        Mu = M.apply(u_n)
+        scale = float(np.linalg.norm(Mu))
+        F = []
+        if prob.forcing is not None:
+            F = [prob.forcing(t_n + self.dt * c) for c in self.tableau.c0]
+            scale += self.dt * math.sqrt(sum(f @ f for f in F))
+        rhs = []
+        for a, d, xc, xe in self._weights:
+            b = _accumulate(a * Mu, d, F)
+            if xc is not None:
+                x = xc * u_n
+                if F:
+                    x += M.solve(_accumulate(xe[0] * F[0], xe[1:], F[1:]))
+                Lx = prob.L.apply(x)
+                Lx *= self.dt
+                b -= Lx
+            rhs.append(b)
+        return rhs, scale
+
+    def solve_factors(self, rhs, scale: float):
+        """y = sum_j y_j, each y_j solved from rhs[j] to rel_tol times
+        min(||rhs_j||, kappa_j scale), kappa_j = eta^2 for a pair and
+        eta for a real factor.  Chained solves add M y_{j-1} to rhs[j],
+        and y is the last y_j."""
         reports = []
-        cur = z
-        for idx, (_f, _gamma, op, precond) in enumerate(self._solvers):
-            rhs = self.problem.M.apply(cur)
-            y, rep = solve(op, rhs, precond, self.outer_cfg)
+        y = None
+        for idx, ((_f, _g, op, precond), b, kappa) in enumerate(
+                zip(self._solvers, rhs, self._kappa)):
+            if self._chained and idx:
+                b = b + self.problem.M.apply(y)
+            x, rep = solve(op, b, precond, self.outer_cfg,
+                           min(float(np.linalg.norm(b)), kappa * scale))
             reports.append(rep)
             if not rep.converged:
                 raise FactorSolveFailure(idx, rep)
-            cur = y
-        return cur, reports
+            if y is None or self._chained:
+                y = x
+            else:
+                y += x
+        return y, reports
 
     def advance(self, u_n: np.ndarray, t_n: float):
         """One step: returns (u_{n+1}, per-factor Krylov reports)."""
-        z = self.assemble_rhs_z(u_n, t_n)
-        y, reports = self.solve_factors(z)
-        return u_n + self.dt * y, reports
+        rhs, scale = self.assemble_rhs_z(u_n, t_n)
+        y, reports = self.solve_factors(rhs, scale)
+        y += self._r_inf * u_n
+        return y, reports
 
     def factor_summary(self):
         """(index, eta, beta, gamma) per factor, in solve order."""
@@ -284,6 +368,34 @@ def advance_oracle(tableau: ButcherTableau, problem: LinearProblem,
         raise SingularSystem(str(exc)) from exc
     k = k.reshape(s, n)
     return u_n + dt * (tableau.b0 @ k)
+
+
+def advance_symbol(tableau: ButcherTableau, problem: LinearProblem,
+                   u_n: np.ndarray, t_n: float, dt: float) -> np.ndarray:
+    """The exact step of a circulant problem with M = I, mode by mode:
+    with lambda the symbol of L, (I - dt lambda A0) k = f_hat_i
+    + lambda u_hat is solved for every Fourier mode in one batched solve,
+    and u + dt b^T k is transformed back.  Reference at any n and in 2D,
+    where advance_oracle's dense system is out of reach."""
+    L = problem.L
+    if not (isinstance(L, CirculantOperator) and problem.M.is_identity):
+        raise ValueError("advance_symbol needs a circulant L and M = I")
+    shape, axes = L.symbol.shape, tuple(range(L.symbol.ndim))
+
+    def fft(v):
+        return np.fft.fftn(v.reshape(shape), axes=axes).reshape(-1)
+
+    lam = L.symbol.reshape(-1)
+    u_hat = fft(u_n)
+    rhs = np.repeat((lam * u_hat)[:, None], tableau.s, axis=1)
+    if problem.forcing is not None:
+        for i, c in enumerate(tableau.c0):
+            rhs[:, i] += fft(problem.forcing(t_n + dt * c))
+    system = np.eye(tableau.s) - dt * lam[:, None, None] * tableau.A0
+    k = np.linalg.solve(system, rhs[..., None])[..., 0]
+    step = np.fft.ifftn((u_hat + dt * (k @ tableau.b0)).reshape(shape),
+                        axes=axes)
+    return step.real.reshape(-1)
 
 
 def _stage_solvers(diagonal, problem: LinearProblem, dt: float,

@@ -159,14 +159,11 @@ def test_c06_convergence_orders_2d():
     msgs = []
     ok = True
     for fam, s, integ, expected in cases:
-        # rel_tol 1e-10: the true-residual floor for the eta = 1 factor
-        # at n = 128 is eps * kappa(MQ) ~ 4e-12, and discretization
-        # errors are >= 1e-7, so 1e-10 is both attainable and inert
         spec = ExperimentSpec(problem="advdiff2d", family=fam, stages=s,
                               grids=(16, 32, 64, 128), dt_ratio=2.0,
                               t_final=2.0, fd_order=4, integrator=integ,
                               krylov=KrylovConfig(method="auto",
-                                                  rel_tol=1e-10,
+                                                  rel_tol=1e-12,
                                                   max_iters=2000))
         records, orders = run_convergence(spec)
         assert all(f.converged for rec in records for f in rec.factors)
@@ -191,12 +188,10 @@ def test_c07_h_robustness_1d():
 
 
 def test_c07_h_robustness_2d():
-    # rel_tol 1e-10 as in C6: 1e-12 sits below the true-residual floor
-    # of the eta = 1 factor at n = 128
     spec = ExperimentSpec(problem="advdiff2d", family="gauss", stages=2,
                           grids=(32, 64, 128, 256), dt_ratio=2.0,
                           t_final=1.0, fd_order=4, inner="exact",
-                          krylov=KrylovConfig(method="auto", rel_tol=1e-10,
+                          krylov=KrylovConfig(method="auto", rel_tol=1e-12,
                                               max_iters=2000))
     records, _ = run_convergence(spec)
     assert [rec.nx for rec in records] == list(spec.grids)

@@ -195,3 +195,42 @@ def test_resolve_method():
     assert resolve_method(None, sym, exact) == KrylovConfig(method="cg")
     explicit = KrylovConfig(method="gmres", rel_tol=1e-9)
     assert resolve_method(explicit, sym, exact) is explicit
+
+
+def test_scale_sets_the_target():
+    # rel_tol scales the norm the caller passes, ||b|| by default
+    op = spd_tridiag(30)
+    b = rng.standard_normal(30)
+    cfg = KrylovConfig(method="gmres", rel_tol=1e-6)
+    _x, rep = solve(op, b, None, cfg)
+    assert rep.target == 1e-6 * np.linalg.norm(b)
+    x, rep = solve(op, b, None, cfg, 1e-3)
+    assert rep.target == 1e-9 and rep.converged
+    assert np.linalg.norm(b - op.apply(x)) <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["cg", "gmres"])
+def test_target_below_the_floor_stops_at_the_floor(method):
+    # a target no double-precision solve can certify: the solve stops
+    # at eps ||op|| ||x||, converged and flagged floor-limited.  Without
+    # a norm (a matrix-free operator) there is no floor, and it fails
+    op = spd_tridiag(40)
+    b = rng.standard_normal(40)
+    cfg = KrylovConfig(method=method, rel_tol=1e-20, max_iters=200)
+    x, rep = solve(op, b, None, cfg)
+    floor = np.finfo(float).eps * op.norm * np.linalg.norm(x)
+    assert rep.converged and rep.floor_limited
+    assert rep.target < floor and rep.final_residual <= floor
+    assert rep.final_residual == pytest.approx(
+        np.linalg.norm(b - op.apply(x)), rel=1e-12)
+    free = ComposedOperator(40, op.apply)
+    if method == "gmres":
+        _x, rep = solve(free, b, None, cfg)
+        assert not rep.converged and not rep.floor_limited
+
+
+def test_target_above_the_floor_is_not_floor_limited():
+    op = spd_tridiag(40)
+    _x, rep = solve(op, rng.standard_normal(40), None,
+                    KrylovConfig(method="cg", rel_tol=1e-8))
+    assert rep.converged and not rep.floor_limited

@@ -276,3 +276,24 @@ def test_exact_kind_follows_the_grid():
     prob = build_fem_diffusion_1d(grid)
     op = shifted_operator(2.0, 0.1, prob.M, prob.L)
     assert type(build_inner_preconditioner("exact", op)) is ExactSparseLU
+
+
+def test_operator_norms():
+    # a circulant's norm is its exact 2-norm, an assembled matrix's its
+    # infinity-norm, and the FEM mass's Gershgorin bound on ||M^{-1}||
+    # is 3/h
+    grid = GridSpec(dim=1, n=24)
+    L = build_advdiff(grid, 0.7, 0.2, 4)
+    assert L.norm == pytest.approx(np.linalg.norm(L.to_dense(), 2),
+                                   rel=1e-12)
+    A = SparseOperator(sp.csr_matrix(rng.standard_normal((9, 9))))
+    assert A.norm == pytest.approx(np.linalg.norm(A.to_dense(), np.inf),
+                                   rel=1e-14)
+    M = build_fem_mass_1d(grid)
+    assert M.inv_norm == pytest.approx(3.0 / grid.h, rel=1e-12)
+    assert M.inv_norm >= np.linalg.norm(np.linalg.inv(M.to_dense()), 2)
+    assert IdentityMass(4).norm == IdentityMass(4).inv_norm == 1.0
+    assert ZeroOperator(5).norm == 0.0
+    # no bound for a mass that is not diagonally dominant
+    spd = np.full((3, 3), 0.6) + 0.4 * np.eye(3)
+    assert SparseMass(sp.csr_matrix(spd)).inv_norm == 0.0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from irksolve.spectral import (adjugate_row_polynomials, factor_list,
-                               faddeev_leverrier, spectral_decompose)
-from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
+from irksolve.spectral import (DefectiveTableau, adjugate_row_polynomials,
+                               factor_list, faddeev_leverrier,
+                               partial_fractions, spectral_decompose)
+from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
+                               build_tableau)
 
 MAIN_FAMILIES = [(f, s) for f, s in SUPPORTED_TABLEAUX
                  if f in ("Gauss", "RadauIIA", "LobattoIIIC")]
@@ -253,3 +255,70 @@ def test_stability_violation_on_bad_tableau():
                          b0=np.array([1.0]), c0=np.array([-1.0]), order=1)
     with pytest.raises(StabilityViolation):
         spectral_decompose(bad)
+
+
+# ----------------------------------------------------------------------
+# partial fractions
+
+def _partial_fraction_sum(pf, z):
+    """(R(z), b^T (I - z A0)^{-1}) from the weights at scalar z: a real
+    factor contributes w / (eta - z), a pair (its weights doubled) the
+    two conjugate terms, and chained solves nest as Horner steps."""
+    R, G = pf.r_inf, 0.0
+    y, yE = 0.0, 0.0
+    for f, c, e in zip(pf.factors, pf.c, pf.E):
+        if pf.chained:
+            y, yE = (c + y) / (f.eta - z), (e + yE) / (f.eta - z)
+        elif f.is_real:
+            R, G = R + c.real / (f.eta - z), G + e.real / (f.eta - z)
+        else:
+            lam = complex(f.eta, f.beta)
+            R += c / 2 / (lam - z) + np.conj(c) / 2 / (np.conj(lam) - z)
+            G += e / 2 / (lam - z) + np.conj(e) / 2 / (np.conj(lam) - z)
+    return R + y, G + yE
+
+
+def test_partial_fractions_reproduce_the_stability_function():
+    # R(inf) + sum_j w_j / (lambda_j - z) = 1 + z b^T (I - z A0)^{-1} 1,
+    # and the forcing rows sum to b^T (I - z A0)^{-1}, for every tableau
+    # (SDIRK in the confluent form) at z on and left of the imaginary axis
+    zs = [0.0, -0.5, -7.0, -1e3, -1e6, 3j, 2e3j, -4.0 + 25j, -1e2 - 1e4j]
+    worst = {}
+    for fam, s in SUPPORTED_TABLEAUX:
+        t = build_tableau(fam, s)
+        pf = partial_fractions(t, factor_list(spectral_decompose(t)))
+        assert pf.chained == (fam in ("SDIRK2L", "SDIRK3L", "BackwardEuler")
+                              or (fam, s) in (("Gauss", 1), ("RadauIIA", 1)))
+        err = 0.0
+        for z in zs:
+            res = np.linalg.inv(np.eye(s) - z * t.A0)
+            R = 1.0 + z * t.b0 @ res @ np.ones(s)
+            G = t.b0 @ res
+            got_R, got_G = _partial_fraction_sum(pf, z)
+            err = max(err, abs(got_R - R) / max(1.0, abs(R)),
+                      np.max(np.abs(got_G - G)) / max(1.0, np.max(np.abs(G))))
+        worst[fam, s] = err
+    assert max(worst.values()) <= 1e-12, worst
+
+
+def test_partial_fractions_r_inf_and_solves():
+    # R(inf) is (-1)^s for Gauss and 0 for the stiffly accurate families;
+    # one solve per pair or real eigenvalue, and s for an SDIRK tableau
+    for fam, s in SUPPORTED_TABLEAUX:
+        t = build_tableau(fam, s)
+        factors = factor_list(spectral_decompose(t))
+        pf = partial_fractions(t, factors)
+        want = (-1.0) ** s if fam == "Gauss" else 0.0
+        assert pf.r_inf == pytest.approx(want, abs=1e-13), (fam, s)
+        assert len(pf.factors) == (s if pf.chained else len(factors))
+
+
+def test_near_defective_tableau_is_rejected():
+    # lower triangular with two diagonal entries 1e-9 apart: not the
+    # confluent form, and its eigenvectors are nearly parallel
+    bad = ButcherTableau(family="nearDefective", s=2,
+                         A0=np.array([[0.3, 0.0], [0.4, 0.3 + 1e-9]]),
+                         b0=np.array([0.5, 0.5]), c0=np.array([0.3, 0.7]),
+                         order=1)
+    with pytest.raises(DefectiveTableau, match="condition"):
+        partial_fractions(bad, factor_list(spectral_decompose(bad)))
