@@ -46,7 +46,6 @@ from .krylov import (KrylovConfig, KrylovReport, solve, Breakdown,
 from .stepper import (
     LinearProblem,
     IRKStepper,
-    SDIRKStepper,
     BlockStepper,
     advance_oracle,
     advance_symbol,

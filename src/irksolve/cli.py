@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from . import conditioning as cond_mod
-from .experiments import (CSV_HEADER, PROBLEMS, ExperimentSpec,
-                          records_to_csv, run_baseline_comparison,
-                          run_convergence, run_gamma_comparison,
-                          run_inner_sweep)
+from .experiments import (CSV_HEADER, GAMMA_MODES, PROBLEMS,
+                          ExperimentSpec, records_to_csv,
+                          run_baseline_comparison, run_convergence,
+                          run_gamma_comparison, run_inner_sweep)
 from .krylov import KrylovConfig
 from .spectral import factor_list, spectral_decompose
 from .tableaux import build_tableau, validate_tableau
@@ -110,8 +110,11 @@ def _build_parser():
 
     flag = run_command("run", "convergence / robustness study",
                        "advdiff2d", 2.0)
-    flag("--gamma-mode", choices=("gamma_star", "eta"), default="gamma_star")
-    flag("--integrator", choices=("irk", "sdirk", "gsl", "ld"), default="irk")
+    flag("--gamma-mode", choices=GAMMA_MODES, default="gamma_star")
+    flag("--integrator", default="irk",  # ExperimentSpec checks it
+         help="how the stage system is solved: irk (every tableau, SDIRK "
+              "included) | gsl | ld (block-preconditioned GMRES on the "
+              "stage system); --family chooses the scheme")
 
     run_command("compare-gamma", "optimal vs naive preconditioner shift",
                 "advect1d-upwind", 8.0)

@@ -3,8 +3,9 @@
 Convergence studies against manufactured solutions, mesh-robustness
 sweeps, optimal-shift versus naive-shift comparisons on the hyperbolic
 problem, inner-iteration trade-off sweeps, and baseline comparisons
-against SDIRK and block-preconditioned stage solves.  All drivers are
-deterministic: a fixed spec produces a byte-identical CSV.
+against SDIRK (run by IRKStepper, like every tableau) and
+block-preconditioned stage solves.  All drivers are deterministic: a
+fixed spec produces a byte-identical CSV.
 """
 
 from dataclasses import dataclass, field, replace
@@ -12,8 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .krylov import KrylovConfig
-from .stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
-                      LinearProblem, SDIRKStepper)
+from .stepper import (GAMMA_MODES, BlockStepper, FactorSolveFailure,
+                      IRKStepper, LinearProblem)
 from .spatial import (GridSpec, build_fd_mms, build_fem_diffusion_1d,
                       build_upwind_advection)
 from .linop import IdentityMass
@@ -36,6 +37,7 @@ CSV_HEADER = ("family,stages,gamma_mode,nx,dt,steps,err_linf,err_l2,"
               "total_precond_apps,converged")
 
 PROBLEMS = ("advdiff1d", "advdiff2d", "advect1d-upwind", "diffusion1d-fem")
+INTEGRATORS = ("irk", "gsl", "ld")
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class ExperimentSpec:
     fd_order: int = 4
     krylov: KrylovConfig = field(default_factory=lambda: KrylovConfig(method="auto"))
     inner: str = "exact"           # exact | jacobi:k | gs:k | krylov:tol
-    gamma_mode: str = "gamma_star"
-    integrator: str = "irk"        # irk | sdirk | gsl | ld
+    gamma_mode: str = "gamma_star"  # gamma_star | eta
+    integrator: str = "irk"        # irk (any tableau) | gsl | ld
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -67,6 +69,13 @@ class ExperimentSpec:
         if self.dt_ratio <= 0:
             raise ValueError("dt_ratio must be positive")
         parse_inner(self.inner)
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"unknown integrator {self.integrator!r}; "
+                             f"choose from {INTEGRATORS} (SDIRK tableaux "
+                             f"run with integrator 'irk')")
+        if self.gamma_mode not in GAMMA_MODES:
+            raise ValueError(f"unknown gamma_mode {self.gamma_mode!r}; "
+                             f"choose from {GAMMA_MODES}")
 
 
 @dataclass
@@ -205,12 +214,8 @@ def _integrate_one(spec: ExperimentSpec, n: int, return_solution=False):
     common = dict(outer_cfg=spec.krylov, inner_kind=kind, inner_params=params)
     if spec.integrator == "irk":
         st = IRKStepper(tab, prob, dt, gamma_mode=spec.gamma_mode, **common)
-    elif spec.integrator == "sdirk":
-        st = SDIRKStepper(tab, prob, dt, **common)
-    elif spec.integrator in ("gsl", "ld"):
-        st = BlockStepper(tab, prob, dt, variant=spec.integrator, **common)
     else:
-        raise ValueError(f"unknown integrator {spec.integrator!r}")
+        st = BlockStepper(tab, prob, dt, variant=spec.integrator, **common)
     summary = st.factor_summary()
 
     nfac = len(summary)
@@ -312,8 +317,8 @@ _SDIRK_STAGES = {"SDIRK2L": 2, "SDIRK3L": 3, "BackwardEuler": 1}
 
 def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L"):
     """IRK (this framework), GSL, LD on spec's tableau plus an SDIRK
-    baseline, all on the same problem.  Returns rows of
-    (integrator, record, apps_per_step_per_stage, final_solution).
+    baseline, all on the same problem.  Returns rows (name, record,
+    apps_per_step_per_stage, final_solution) named irk, gsl, ld, sdirk.
 
     IRK/GSL/LD compute the same discrete update, so their final
     solutions agree to solver tolerance; the SDIRK baseline is a
@@ -323,12 +328,12 @@ def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L")
     if fam not in _SDIRK_STAGES:
         raise ValueError(f"{fam} is not an SDIRK baseline; choose from "
                          f"{', '.join(_SDIRK_STAGES)}")
-    cases = [replace(spec, integrator=integ) for integ in ("irk", "gsl", "ld")]
-    cases.append(replace(spec, integrator="sdirk", family=fam,
-                         stages=_SDIRK_STAGES[fam]))
+    cases = [(integ, replace(spec, integrator=integ)) for integ in INTEGRATORS]
+    cases.append(("sdirk", replace(spec, integrator="irk", family=fam,
+                                   stages=_SDIRK_STAGES[fam])))
     rows = []
-    for case in cases:
+    for name, case in cases:
         rec, u = _integrate_one(case, spec.grids[-1], return_solution=True)
         total = sum(f.total_precond_apps for f in rec.factors)
-        rows.append((case.integrator, rec, total / rec.steps / rec.stages, u))
+        rows.append((name, rec, total / rec.steps / rec.stages, u))
     return rows

@@ -122,6 +122,10 @@ def faddeev_leverrier(B: np.ndarray):
 
 
 def _inverse_eigenvalues(t: ButcherTableau) -> np.ndarray:
+    """Eigenvalues of A0^{-1}, exactly 1/a_ii for a lower-triangular A0:
+    eigvals of a defective inverse is accurate only to eps^(1/k)."""
+    if t.is_lower_triangular:
+        return 1.0 / np.diag(t.A0)
     try:
         return np.linalg.eigvals(np.linalg.inv(t.A0))
     except np.linalg.LinAlgError as exc:

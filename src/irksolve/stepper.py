@@ -41,9 +41,10 @@ A0^{-1}, and no stage storage:
 
 A dense direct-solve oracle over the full stage system and an exact
 Fourier-symbol oracle for circulant problems are provided as
-references, along with SDIRK and block-preconditioned (GSL / LD)
-baseline steppers for iteration-count comparisons.  All three steppers
-share one protocol: factor once at construction for a fixed dt, then
+references, along with a block-preconditioned (GSL / LD) baseline
+stepper for iteration-count comparisons; SDIRK baselines are
+IRKStepper runs of their tableaux.  Both steppers share one protocol:
+factor once at construction for a fixed dt, then
 advance(u, t) -> (u, reports) per step, with factor_summary() naming
 the rows of the reports.
 """
@@ -67,13 +68,15 @@ from .tableaux import ButcherTableau
 __all__ = [
     "LinearProblem",
     "IRKStepper",
-    "SDIRKStepper",
     "BlockStepper",
     "advance_oracle",
     "advance_symbol",
     "FactorSolveFailure",
     "SingularSystem",
 ]
+
+
+GAMMA_MODES = ("gamma_star", "eta")
 
 
 class FactorSolveFailure(RuntimeError):
@@ -222,7 +225,7 @@ class IRKStepper:
                  gamma_mode: str = "gamma_star"):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if gamma_mode not in ("gamma_star", "eta"):
+        if gamma_mode not in GAMMA_MODES:
             raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
         self.tableau = tableau
         self.problem = problem
@@ -398,69 +401,6 @@ def advance_symbol(tableau: ButcherTableau, problem: LinearProblem,
     return step.real.reshape(-1)
 
 
-def _stage_solvers(diagonal, problem: LinearProblem, dt: float,
-                   inner_kind: str, inner_params: dict | None):
-    """(operator, inner preconditioner) for each entry d of diagonal, one
-    pair built per distinct d: the stage equation (M - dt d L) x = r is
-    run as ((1/d) M - dt L) x = r / d, so it reuses the backward-Euler
-    preconditioner machinery with gamma = 1/d."""
-    built = {}
-    for d in diagonal:
-        key = round(d, 14)
-        if key not in built:
-            op = shifted_operator(1.0 / d, dt, problem.M, problem.L)
-            built[key] = (op, build_inner_preconditioner(
-                inner_kind, op, **(inner_params or {})))
-    return [built[round(d, 14)] for d in diagonal]
-
-
-class SDIRKStepper:
-    """Stage-by-stage substitution for lower-triangular A0: each stage is
-    one shifted solve (M - dt a_ii L) k_i = f_i + dt sum_{j<i} a_ij L k_j.
-    Reports one Krylov solve per stage."""
-
-    def __init__(self, tableau: ButcherTableau, problem: LinearProblem,
-                 dt: float, outer_cfg: KrylovConfig | None = None,
-                 inner_kind: str = "exact",
-                 inner_params: dict | None = None):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if not tableau.is_lower_triangular:
-            raise ValueError(f"{tableau.family} is not diagonally implicit")
-        self.tableau = tableau
-        self.problem = problem
-        self.dt = float(dt)
-        self._stages = _stage_solvers(np.diag(tableau.A0), problem, self.dt,
-                                      inner_kind, inner_params)
-        self.outer_cfg = resolve_method(outer_cfg, *self._stages[0])
-
-    def advance(self, u_n: np.ndarray, t_n: float):
-        """One step: returns (u_{n+1}, per-stage Krylov reports)."""
-        tab, prob, dt = self.tableau, self.problem, self.dt
-        Lu_n = prob.L.apply(u_n)
-        Lk = []
-        update = np.zeros(prob.n)
-        reports = []
-        for i, (op, pc) in enumerate(self._stages):
-            rhs = prob.stage_rhs(t_n + dt * tab.c0[i], Lu_n)
-            if i:
-                rhs = rhs + dt * sum(tab.A0[i, j] * Lk[j] for j in range(i))
-            k_i, rep = solve(op, rhs / tab.A0[i, i], pc, self.outer_cfg)
-            reports.append(rep)
-            if not rep.converged:
-                raise FactorSolveFailure(i, rep)
-            if i + 1 < tab.s:
-                Lk.append(prob.L.apply(k_i))
-            update += tab.b0[i] * k_i
-        return u_n + dt * update, reports
-
-    def factor_summary(self):
-        """(index, 1/a_ii, 0, 1/a_ii) per stage: each stage is a real
-        backward-Euler solve with shift 1/a_ii."""
-        return [(i, 1.0 / a, 0.0, 1.0 / a)
-                for i, a in enumerate(np.diag(self.tableau.A0))]
-
-
 class _BlockTriangularPreconditioner(Preconditioner):
     """Forward substitution with (I x M - dt T x L) for lower-triangular
     T, diagonal blocks applied via per-stage inner preconditioners."""
@@ -471,8 +411,17 @@ class _BlockTriangularPreconditioner(Preconditioner):
         self._T = T
         self._p = problem
         self._dt = dt
-        self._inner = [pc for _op, pc in _stage_solvers(
-            np.diag(T), problem, dt, inner_kind, inner_params)]
+        # (M - dt T_ii L) x = r is solved as ((1/T_ii) M - dt L) x
+        # = r / T_ii, one inner solve per distinct T_ii
+        built = {}
+        for d in np.diag(T):
+            key = round(d, 14)
+            if key not in built:
+                built[key] = build_inner_preconditioner(
+                    inner_kind,
+                    shifted_operator(1.0 / d, dt, problem.M, problem.L),
+                    **(inner_params or {}))
+        self._inner = [built[round(d, 14)] for d in np.diag(T)]
 
     @property
     def applications(self):
@@ -487,7 +436,6 @@ class _BlockTriangularPreconditioner(Preconditioner):
             r = R[i].copy()
             for j in range(i):
                 r += self._dt * self._T[i, j] * LX[j]
-            # (M - dt T_ii L) x = r  solved as ((1/T_ii) M - dt L) x = r/T_ii
             X[i] = self._inner[i].apply(r / self._T[i, i])
             if i + 1 < s:
                 LX[i] = self._p.L.apply(X[i])

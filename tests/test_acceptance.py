@@ -154,14 +154,14 @@ def test_c05_oracle_equivalence():
 
 
 def test_c06_convergence_orders_2d():
-    cases = [("gauss", 2, "irk", 4.0), ("radauIIA", 2, "irk", 3.0),
-             ("lobattoIIIC", 2, "irk", 2.0), ("sdirk2l", 2, "sdirk", 2.0)]
+    cases = [("gauss", 2, 4.0), ("radauIIA", 2, 3.0),
+             ("lobattoIIIC", 2, 2.0), ("sdirk2l", 2, 2.0)]
     msgs = []
     ok = True
-    for fam, s, integ, expected in cases:
+    for fam, s, expected in cases:
         spec = ExperimentSpec(problem="advdiff2d", family=fam, stages=s,
                               grids=(16, 32, 64, 128), dt_ratio=2.0,
-                              t_final=2.0, fd_order=4, integrator=integ,
+                              t_final=2.0, fd_order=4,
                               krylov=KrylovConfig(method="auto",
                                                   rel_tol=1e-12,
                                                   max_iters=2000))

@@ -8,6 +8,7 @@ import pytest
 
 from irksolve.cli import _build_parser, main
 from irksolve.experiments import CSV_HEADER
+from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
 
 
 def run_cli(capsys, argv):
@@ -166,6 +167,8 @@ USAGE_ERRORS = [
     ["baseline"] + SMALL_1D + ["--sdirk-family", "gauss"],
     ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--inner", "jacobi:0"],
     ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--krylov", "cg"],
+    # SDIRK tableaux run on the default integrator
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--integrator", "sdirk"],
 ]
 
 
@@ -337,8 +340,8 @@ def test_non_sdirk_baseline_family_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--problem", "advdiff1d", "--integrator", "sdirk",
-     "--family", "sdirk2l", "--stages", "2", "--grids", "16", "--tf", "0.1"],
+    ["run", "--problem", "advdiff1d", "--family", "sdirk2l", "--stages", "2",
+     "--grids", "16", "--tf", "0.1"],
     ["baseline", "--family", "gauss", "--stages", "2", "--grids", "16",
      "--tf", "0.1"],
 ])
@@ -400,3 +403,21 @@ def test_cond_optimality_one_gamma_point(capsys):
     rows = [l for l in out.splitlines() if not l.startswith("#")]
     assert rows[0] == "factor,eta,beta,gamma,kappa_measured,kappa_bound"
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("family,stages", [
+    (fam, s) for fam, s in SUPPORTED_TABLEAUX
+    if build_tableau(fam, s).is_lower_triangular])
+def test_triangular_spectrum_matches_run_factor_columns(capsys, family,
+                                                        stages):
+    # spectrum used to take the eigenvalues of a defective A0^{-1} from
+    # eigvals, off in the 8th digit, while run solved with 1/a_ii
+    scheme = ["--family", family, "--stages", str(stages)]
+    _code, out = run_cli(capsys, ["spectrum", "--csv"] + scheme)
+    spectrum = [l.split(",")[1:4] for l in out.splitlines()[2:]]
+    code, out = run_cli(capsys, ["run", "--problem", "advdiff1d", "--grids",
+                                 "16", "--tf", "0.1"] + scheme)
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()
+            if not l.startswith("#")][1:]
+    assert [r[9:12] for r in rows] == spectrum

@@ -34,8 +34,8 @@ GOLDEN = {
     # rounding of the RHS assembly; the outer count does not.
     "irk-krylov": (dict(ADV, family="gauss", stages=2, inner="krylov:1e-2"),
                    [(7.375, 731)]),
-    "sdirk": (dict(ADV, family="sdirk2l", stages=2, integrator="sdirk"),
-              [(1.0, 8), (1.0, 8)]),
+    # SDIRK: two chained real solves with one operator
+    "sdirk": (dict(ADV, family="sdirk2l", stages=2), [(1.0, 8), (1.0, 8)]),
     "gsl": (dict(ADV, family="gauss", stages=2, integrator="gsl"),
             [(5.0, 80)]),
     "ld": (dict(ADV, family="gauss", stages=2, integrator="ld"),
@@ -48,7 +48,7 @@ GOLDEN = {
     # gamma = eta, so delta = 0
     "fft-eta": (dict(ADV2D, family="gauss", stages=2, gamma_mode="eta"),
                 [(11.0, 176)]),
-    "fft-sdirk": (dict(ADV2D, family="sdirk2l", stages=2, integrator="sdirk"),
+    "fft-sdirk": (dict(ADV2D, family="sdirk2l", stages=2),
                   [(1.0, 8), (1.0, 8)]),
     # one combine per restart cycle
     "fft-restart2": (dict(ADV2D, family="gauss", stages=2,

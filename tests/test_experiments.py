@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from irksolve.experiments import (CSV_HEADER, ExperimentSpec, parse_inner,
-                                  records_to_csv, run_baseline_comparison,
-                                  run_convergence, run_gamma_comparison,
-                                  run_inner_sweep)
+from irksolve.experiments import (CSV_HEADER, INTEGRATORS, ExperimentSpec,
+                                  parse_inner, records_to_csv,
+                                  run_baseline_comparison, run_convergence,
+                                  run_gamma_comparison, run_inner_sweep)
 from irksolve.krylov import KrylovConfig
 
 TIGHT = KrylovConfig(method="auto", rel_tol=1e-12, max_iters=3000)
@@ -24,6 +24,25 @@ def test_spec_validation():
         small_spec(t_final=-1.0)
     with pytest.raises(ValueError):
         small_spec(problem="no-such")
+
+
+def test_spec_rejects_unknown_integrator():
+    # used to construct, and fail only when the first grid ran
+    with pytest.raises(ValueError, match="unknown integrator 'nope'"):
+        small_spec(integrator="nope")
+
+
+def test_spec_sends_sdirk_to_the_irk_integrator():
+    with pytest.raises(ValueError,
+                       match="SDIRK tableaux run with integrator 'irk'"):
+        small_spec(family="sdirk2l", integrator="sdirk")
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_spec_rejects_unknown_gamma_mode(integrator):
+    # with a block integrator it used to run to completion, unread
+    with pytest.raises(ValueError, match="unknown gamma_mode 'bogus'"):
+        small_spec(gamma_mode="bogus", integrator=integrator)
 
 
 def test_parse_inner():

@@ -137,20 +137,37 @@ def test_counts_and_charpoly_all_families():
 
 def test_factors_account_for_each_eigenvalue_once():
     # eta +- i beta for a pair, eta for a real factor: together the
-    # eigenvalues of A0^{-1}, each matched exactly once
+    # eigenvalues of A0^{-1}, each matched exactly once.  A triangular
+    # A0 has the exact reference 1/a_ii: eigvals of its defective
+    # inverse is accurate only to eps^(1/k)
     for fam, s in SUPPORTED_TABLEAUX:
         t = build_tableau(fam, s)
         claimed = []
         for f in factor_list(spectral_decompose(t)):
             claimed += [complex(f.eta)] if f.is_real else \
                 [complex(f.eta, f.beta), complex(f.eta, -f.beta)]
-        lam = np.linalg.eigvals(np.linalg.inv(t.A0))
+        lam = (1.0 / np.diag(t.A0) if t.is_lower_triangular
+               else np.linalg.eigvals(np.linalg.inv(t.A0)))
         assert len(claimed) == len(lam) == s
         unused = list(claimed)
         for l in lam:
             j = int(np.argmin([abs(c - l) for c in unused]))
             assert abs(unused.pop(j) - l) <= 1e-12 * max(1.0, abs(l)), \
                 (fam, s, l)
+
+
+def test_triangular_tableau_factors_are_the_reciprocal_diagonal():
+    # SDIRK3L used to list a real factor and a "conjugate pair" with
+    # beta 7.6e-9, and SDIRK2L two reals off 2 + sqrt(2) in the 8th digit
+    triangular = [build_tableau(fam, s) for fam, s in SUPPORTED_TABLEAUX
+                  if build_tableau(fam, s).is_lower_triangular]
+    assert {"SDIRK2L", "SDIRK3L", "BackwardEuler"} <= \
+        {t.family for t in triangular}
+    for t in triangular:
+        factors = factor_list(spectral_decompose(t))
+        assert [(f.eta, f.beta) for f in factors] == \
+            [(1.0 / a, 0.0) for a in sorted(np.diag(t.A0), reverse=True)], \
+            (t.family, t.s)
 
 
 def test_inverse_eigenvalues_are_reciprocals():

@@ -13,9 +13,9 @@ from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
                               build_fem_diffusion_1d, build_fem_mass_1d)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
-                              LinearProblem, SDIRKStepper,
-                              _pair_preconditioner, _QuadraticSystem,
-                              advance_oracle, advance_symbol)
+                              LinearProblem, _pair_preconditioner,
+                              _QuadraticSystem, advance_oracle,
+                              advance_symbol)
 from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
 
 rng = np.random.default_rng(2024)
@@ -286,10 +286,6 @@ def test_exact_inner_image_matches_operator_apply(label):
                 st = IRKStepper(tab, prob, dt, gamma_mode=mode)
                 for idx, (_f, _g, op, pc) in enumerate(st._solvers):
                     cases[fam, s, mode, ratio, idx] = (op, pc)
-        for fam, s in (("sdirk2l", 2), ("sdirk3l", 3), ("backwardEuler", 1)):
-            sd = SDIRKStepper(build_tableau(fam, s), prob, dt)
-            for idx, (op, pc) in enumerate(sd._stages):
-                cases[fam, s, "sdirk", ratio, idx] = (op, pc)
     errors = {}
     for key, (op, pc) in cases.items():
         calls = _count_op_applies([op])
@@ -324,10 +320,11 @@ def test_exact_inner_solve_applies_its_operator_once(label):
                 assert rep.converged and rep.iterations < gmres.restart
                 k = per_iter["real" if f.is_real else "pair"]
                 assert calls[op] == 1 + k * rep.iterations, (tab.family, f)
-        sd = SDIRKStepper(build_tableau("sdirk3l", 3), prob, 2 * grid.h,
-                          outer_cfg=gmres, inner_kind=inner,
-                          inner_params=params)
-        calls = _count_op_applies([op for op, _pc in sd._stages])
+        # the three chained SDIRK solves share one operator
+        sd = IRKStepper(build_tableau("sdirk3l", 3), prob, 2 * grid.h,
+                        outer_cfg=gmres, inner_kind=inner,
+                        inner_params=params)
+        calls = _count_op_applies([op for _f, _g, op, _pc in sd._solvers])
         _u, reps = sd.advance(u, 0.0)
         assert all(r.converged and r.iterations < gmres.restart for r in reps)
         assert sum(calls.values()) == sum(1 + per_iter["real"] * r.iterations
@@ -626,18 +623,11 @@ def test_no_stage_storage():
     assert peaks[5] - peaks[2] < 6 * n * 8
 
 
-def test_dt_must_be_positive():
-    prob = random_problem(4, seed=8)
-    with pytest.raises(ValueError):
-        IRKStepper(build_tableau("gauss", 2), prob, dt=0.0)
-
-
 @pytest.mark.parametrize("dt", [0.0, -0.1])
 @pytest.mark.parametrize("family,stepper", [("gauss", IRKStepper),
-                                            ("SDIRK2L", SDIRKStepper),
                                             ("gauss", BlockStepper)])
 def test_every_stepper_rejects_nonpositive_dt(family, stepper, dt):
-    # SDIRK and GSL used to step backward in time for dt < 0
+    # GSL used to step backward in time for dt < 0
     prob = build_fd_mms(GridSpec(1, 16))
     with pytest.raises(ValueError, match="dt must be positive"):
         stepper(build_tableau(family, 2), prob, dt)
@@ -649,16 +639,9 @@ def test_sdirk_advance_matches_oracle():
     u = rng.standard_normal(n)
     for fam, s in [("BackwardEuler", 1), ("SDIRK2L", 2), ("SDIRK3L", 3)]:
         tab = build_tableau(fam, s)
-        ua, _ = SDIRKStepper(tab, prob, 0.2, outer_cfg=TIGHT).advance(u, 0.0)
+        ua, _ = IRKStepper(tab, prob, 0.2, outer_cfg=TIGHT).advance(u, 0.0)
         uo = advance_oracle(tab, prob, u, 0.0, 0.2)
         assert np.linalg.norm(ua - uo) < 1e-11 * np.linalg.norm(uo), fam
-
-
-def test_sdirk_advance_rejects_full_tableau():
-    prob = random_problem(4, seed=13)
-    with pytest.raises(ValueError):
-        SDIRKStepper(build_tableau("gauss", 2), prob, 0.1).advance(
-            np.zeros(4), 0.0)
 
 
 def test_block_prec_advance_matches_oracle():
@@ -707,7 +690,7 @@ def test_baseline_steppers_match_oracle_over_steps_at_each_dt():
     u0 = rng.standard_normal(n)
     sdirk, gauss = build_tableau("SDIRK2L", 2), build_tableau("gauss", 2)
     for dt in (0.1, 0.2):
-        steppers = [SDIRKStepper(sdirk, prob, dt, outer_cfg=TIGHT)]
+        steppers = [IRKStepper(sdirk, prob, dt, outer_cfg=TIGHT)]
         steppers += [BlockStepper(gauss, prob, dt, outer_cfg=TIGHT, variant=v)
                      for v in ("GSL", "LD")]
         for st in steppers:
