@@ -22,7 +22,6 @@ from .spectral import (
     spectral_decompose,
     adjugate_row_polynomials,
     factor_list,
-    partial_fractions,
     StabilityViolation,
     DefectiveTableau,
 )

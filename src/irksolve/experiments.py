@@ -18,7 +18,7 @@ from .stepper import (GAMMA_MODES, BlockStepper, FactorSolveFailure,
 from .spatial import (GridSpec, build_fd_mms, build_fem_diffusion_1d,
                       build_upwind_advection)
 from .linop import IdentityMass
-from .tableaux import build_tableau, canonical_family
+from .tableaux import SUPPORTED_TABLEAUX, build_tableau, canonical_family
 
 __all__ = [
     "ExperimentSpec",
@@ -76,6 +76,9 @@ class ExperimentSpec:
         if self.gamma_mode not in GAMMA_MODES:
             raise ValueError(f"unknown gamma_mode {self.gamma_mode!r}; "
                              f"choose from {GAMMA_MODES}")
+        if self.gamma_mode != "gamma_star" and self.integrator != "irk":
+            raise ValueError(f"gamma_mode {self.gamma_mode!r} needs "
+                             f"integrator 'irk': {self.integrator} takes none")
 
 
 @dataclass
@@ -312,7 +315,13 @@ def run_inner_sweep(spec: ExperimentSpec, sweep):
     return records
 
 
-_SDIRK_STAGES = {"SDIRK2L": 2, "SDIRK3L": 3, "BackwardEuler": 1}
+def _sdirk_baselines() -> dict:
+    """{family: s} for the SDIRK baselines: the families with one
+    supported tableau (s stages), and that tableau lower triangular."""
+    families = [fam for fam, _s in SUPPORTED_TABLEAUX]
+    return {fam: s for fam, s in SUPPORTED_TABLEAUX
+            if families.count(fam) == 1
+            and build_tableau(fam, s).is_lower_triangular}
 
 
 def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L"):
@@ -324,13 +333,13 @@ def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L")
     solutions agree to solver tolerance; the SDIRK baseline is a
     different discretization and is reported for cost only.
     """
-    fam = canonical_family(sdirk_family)
-    if fam not in _SDIRK_STAGES:
+    fam, baselines = canonical_family(sdirk_family), _sdirk_baselines()
+    if fam not in baselines:
         raise ValueError(f"{fam} is not an SDIRK baseline; choose from "
-                         f"{', '.join(_SDIRK_STAGES)}")
+                         f"{', '.join(baselines)}")
     cases = [(integ, replace(spec, integrator=integ)) for integ in INTEGRATORS]
     cases.append(("sdirk", replace(spec, integrator="irk", family=fam,
-                                   stages=_SDIRK_STAGES[fam])))
+                                   stages=baselines[fam])))
     rows = []
     for name, case in cases:
         rec, u = _integrate_one(case, spec.grids[-1], return_solution=True)

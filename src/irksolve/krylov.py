@@ -60,6 +60,9 @@ class KrylovConfig:
     restart: int = 30
 
     def __post_init__(self):
+        if self.method not in ("auto", "cg", "gmres"):
+            raise ValueError(f"unknown Krylov method {self.method!r}; "
+                             "choose from auto, cg, gmres")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if self.max_iters < 1:
@@ -123,9 +126,9 @@ def _finite(rnorm):
 def solve(op, b, precond, cfg: KrylovConfig, scale=None):
     """Solve op x = b.  Returns (x, KrylovReport).
 
-    precond approximates op^{-1} (None for unpreconditioned); for CG it
-    must be SPD and op must be marked symmetric.  The target is
-    cfg.rel_tol * scale, with scale = ||b|| when None.  The report
+    precond approximates op^{-1} (None for unpreconditioned); for CG
+    both must be marked symmetric, and precond must be SPD.  The target
+    is cfg.rel_tol * scale, with scale = ||b|| when None.  The report
     counts every leaf preconditioner application performed during the
     solve.
     """
@@ -138,13 +141,15 @@ def solve(op, b, precond, cfg: KrylovConfig, scale=None):
     target = cfg.rel_tol * scale
     floor = FLOOR * EPS * op.norm
 
-    method = cfg.method.lower()
-    if method == "cg":
+    if cfg.method == "cg":
         if not op.symmetric:
             raise ValueError("CG requested on an operator not marked "
                              "symmetric")
+        if precond is not None and not precond.symmetric:
+            raise ValueError("CG requested with a preconditioner not "
+                             "marked symmetric")
         x, rep, rtrue, stop = _cg(op, b, precond, cfg, target, floor)
-    elif method == "gmres":
+    elif cfg.method == "gmres":
         x, rep, rtrue, stop = _gmres(op, b, precond, cfg, target, floor)
     else:
         raise ValueError(f"unknown Krylov method {cfg.method!r}")

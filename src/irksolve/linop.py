@@ -264,9 +264,11 @@ class Preconditioner:
     it solves exactly (None for an inexact one), and GMRES then takes
     the image of a direction under op from apply_with_image without
     applying op.  exact marks one with an op, so SPD for an SPD
-    operator."""
+    operator.  symmetric marks one that is symmetric whenever its
+    operator is, as CG needs."""
 
     op = None
+    symmetric = True
 
     def __init__(self, n: int):
         self.n = n
@@ -427,6 +429,7 @@ class GaussSeidel(_Relaxation):
     """k forward Gauss-Seidel sweeps."""
 
     kind = "gauss_seidel"
+    symmetric = False
 
     def __init__(self, op: LinearOperator, sweeps: int = 1):
         super().__init__(op, sweeps)
@@ -440,6 +443,8 @@ class InnerKrylov(Preconditioner):
     """Unpreconditioned GMRES run to a fixed tolerance, a preconditioner
     that changes between applications; each inner iteration counts as
     one application."""
+
+    symmetric = False
 
     def __init__(self, op: LinearOperator, tol: float = 1e-2,
                  maxit: int = 100):

@@ -15,6 +15,9 @@ R(inf) = 1 - b^T B 1, c_j = (b^T X Lambda)_j (Lambda X^{-1} 1)_j and
 e_j = (b^T X Lambda)_j X^{-1}[j, :].  A conjugate pair is carried by its
 member with beta > 0 and doubled weights.  An SDIRK tableau, whose B is
 defective, takes the confluent form of the same sum instead.
+spectral_decompose derives the eigenvalues and the weights together,
+from one inverse and one eigen-decomposition, so the weights come in
+the solve order of factor_list.
 """
 
 from dataclasses import dataclass
@@ -31,8 +34,6 @@ __all__ = [
     "adjugate_row_polynomials",
     "factor_list",
     "faddeev_leverrier",
-    "PartialFractions",
-    "partial_fractions",
     "StabilityViolation",
     "DefectiveTableau",
 ]
@@ -79,23 +80,17 @@ class Factor:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues of A0^{-1}: conjugate pairs and reals."""
-
-    pairs: tuple
-    reals: tuple
-
-
-@dataclass(frozen=True)
-class PartialFractions:
-    """The weights of u_{n+1} = r_inf u_n + sum_j y_j, one solve per
-    entry of factors: y_j = (lambda_j M - dt L)^{-1} w_j with
-    w_j = c[j] M u_n + dt E[j] @ F.  For a pair, lambda_j = eta + i beta
-    and y_j is the real part of that complex solve.  chained (the
+    """Eigenvalues of A0^{-1} as conjugate pairs and reals, and the
+    weights of u_{n+1} = r_inf u_n + sum_j y_j, one solve per entry of
+    factor_list(self), in that order: y_j = (lambda_j M - dt L)^{-1} w_j
+    with w_j = c[j] M u_n + dt E[j] @ F.  For a pair, lambda_j = eta + i
+    beta and y_j is the real part of that complex solve.  chained (the
     confluent SDIRK form) feeds each solve the previous answer as well:
     w_j gains M y_{j-1}, and the last y_j alone is the sum."""
 
+    pairs: tuple
+    reals: tuple
     r_inf: float
-    factors: tuple
     c: np.ndarray
     E: np.ndarray
     chained: bool = False
@@ -121,41 +116,80 @@ def faddeev_leverrier(B: np.ndarray):
     return coeffs, mats
 
 
-def _inverse_eigenvalues(t: ButcherTableau) -> np.ndarray:
-    """Eigenvalues of A0^{-1}, exactly 1/a_ii for a lower-triangular A0:
-    eigvals of a defective inverse is accurate only to eps^(1/k)."""
-    if t.is_lower_triangular:
-        return 1.0 / np.diag(t.A0)
-    try:
-        return np.linalg.eigvals(np.linalg.inv(t.A0))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-
-
-def spectral_decompose(t: ButcherTableau) -> SpectralData:
-    """Eigenvalues of A0^{-1} as conjugate pairs and reals.
-
-    The eigenvalues of a real matrix come in exact conjugate pairs, so
-    each pair is taken as its member with positive imaginary part.
-    Pairs are sorted ascending by beta/eta (hardest factor last), reals
-    ascending by eta, for a deterministic factor-solve order.
-    """
-    lam = _inverse_eigenvalues(t)
-    if np.any(lam.real <= 0):
+def _check_stable(t: ButcherTableau, lam):
+    if np.any(np.real(lam) <= 0):
         raise StabilityViolation(
             f"eigenvalue with Re <= 0 in A0^(-1) of {t.family}({t.s})")
 
-    reals = []
-    pairs = []
-    for l in lam:
-        if abs(l.imag) < PAIRING_TOL * abs(l):
-            reals.append(Factor(eta=float(l.real)))
-        elif l.imag > 0:
-            pairs.append(Factor(eta=float(l.real), beta=float(l.imag)))
 
-    pairs.sort(key=lambda p: p.beta / p.eta)
-    reals.sort(key=lambda p: p.eta)
-    return SpectralData(pairs=tuple(pairs), reals=tuple(reals))
+def spectral_decompose(t: ButcherTableau) -> SpectralData:
+    """Eigenvalues and partial-fraction weights of B = A0^{-1}, from one
+    inverse and one eigen-decomposition.
+
+    A confluent A0 (lower triangular with one repeated diagonal entry:
+    SDIRK and backward Euler) has B = lambda I + N, lambda = 1/a_11
+    exactly and N nilpotent, and
+    b^T (B - Z)^{-1} = sum_{k<s} b^T (-N)^k (lambda - Z)^{-(k+1)}: s
+    chained real solves with shift lambda, k = s-1 first.
+
+    Otherwise B = X Lambda X^{-1}, and DefectiveTableau is raised when
+    cond(X) > MAX_EIGENVECTOR_COND.  The eigenvalues of a real matrix
+    come in exact conjugate pairs, so each pair is taken as its member
+    with positive imaginary part, with its weights doubled.  Pairs are
+    sorted ascending by beta/eta (hardest factor last), reals ascending
+    by eta, for a deterministic factor-solve order.
+    """
+    try:
+        B = np.linalg.inv(t.A0)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    ones = np.ones(t.s)
+    r_inf = float(1.0 - t.b0 @ B @ ones)
+    d = np.diag(t.A0)
+    if t.is_lower_triangular and np.ptp(d) <= 1e-14 * abs(d[0]):
+        lam = 1.0 / d[0]
+        _check_stable(t, lam)
+        N = np.tril(B, -1)
+        B = lam * np.eye(t.s) + N
+        rows = [t.b0]
+        for _ in range(t.s - 1):
+            rows.append(-(rows[-1] @ N))
+        E = np.array(rows[::-1]) @ B
+        return SpectralData((), (Factor(eta=float(lam)),) * t.s, r_inf,
+                            E @ B @ ones, E, chained=True)
+
+    try:
+        lam, X = np.linalg.eig(B)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    _check_stable(t, lam)
+    # X and X^{-1} through the real form [[Re X, -Im X], [Im X, Re X]],
+    # which has the singular values of X
+    real_form = np.empty((2 * t.s, 2 * t.s))
+    real_form[:t.s, :t.s] = real_form[t.s:, t.s:] = X.real
+    real_form[t.s:, :t.s] = X.imag
+    real_form[:t.s, t.s:] = -X.imag
+    inv = np.linalg.inv(real_form)
+    cond = np.linalg.norm(real_form, 1) * np.linalg.norm(inv, 1)
+    if not cond <= MAX_EIGENVECTOR_COND:
+        raise DefectiveTableau(
+            f"eigenvector matrix of A0^(-1) of {t.family}({t.s}) has "
+            f"condition {cond:.3e} > {MAX_EIGENVECTOR_COND:.0e}")
+    Xinv = inv[:t.s, :t.s] + 1j * inv[t.s:, :t.s]
+    bXL = (t.b0 @ X) * lam
+    c = bXL * lam * (Xinv @ ones)
+    E = bXL[:, None] * Xinv
+
+    real = np.abs(lam.imag) < PAIRING_TOL * np.abs(lam)
+    pairs = sorted(np.flatnonzero(~real & (lam.imag > 0)),
+                   key=lambda j: lam[j].imag / lam[j].real)
+    reals = sorted(np.flatnonzero(real), key=lambda j: lam[j].real)
+    order = pairs + reals
+    scale = np.where(real[order], 1.0, 2.0)
+    return SpectralData(
+        tuple(Factor(float(lam[j].real), float(lam[j].imag)) for j in pairs),
+        tuple(Factor(float(lam[j].real)) for j in reals),
+        r_inf, scale * c[order], scale[:, None] * E[order])
 
 
 def adjugate_row_polynomials(t: ButcherTableau) -> np.ndarray:
@@ -182,58 +216,3 @@ def factor_list(sd: SpectralData):
     """Solve order for P_s(Lhat): conjugate-pair quadratics first
     (ascending beta/eta), then real linear factors."""
     return list(sd.pairs) + list(sd.reals)
-
-
-def _is_confluent(t: ButcherTableau) -> bool:
-    """Lower-triangular A0 with one repeated diagonal entry (SDIRK and
-    backward Euler): B = lambda I + N with N nilpotent."""
-    d = np.diag(t.A0)
-    return np.ptp(d) <= 1e-14 * abs(d[0]) and t.is_lower_triangular
-
-
-def partial_fractions(t: ButcherTableau, factors) -> PartialFractions:
-    """The partial-fraction weights of t, in the solve order of factors
-    (factor_list of its spectral_decompose).
-
-    For a confluent A0, B = lambda I + N gives
-    b^T (B - Z)^{-1} = sum_{k<s} b^T (-N)^k (lambda - Z)^{-(k+1)}: s
-    chained real solves with shift lambda, k = s-1 first, and factors is
-    not used.  Otherwise B = X Lambda X^{-1}, and DefectiveTableau is
-    raised when cond(X) > MAX_EIGENVECTOR_COND.
-    """
-    B = np.linalg.inv(t.A0)
-    ones = np.ones(t.s)
-    r_inf = float(1.0 - t.b0 @ B @ ones)
-    if _is_confluent(t):
-        lam = 1.0 / t.A0[0, 0]
-        N = np.tril(B, -1)
-        B = lam * np.eye(t.s) + N
-        rows = [t.b0]
-        for _ in range(t.s - 1):
-            rows.append(-(rows[-1] @ N))
-        E = np.array(rows[::-1]) @ B
-        return PartialFractions(r_inf, (Factor(eta=float(lam)),) * t.s,
-                                E @ B @ ones, E, chained=True)
-
-    lam, X = np.linalg.eig(B)
-    # X and X^{-1} through the real form [[Re X, -Im X], [Im X, Re X]],
-    # which has the singular values of X
-    real_form = np.empty((2 * t.s, 2 * t.s))
-    real_form[:t.s, :t.s] = real_form[t.s:, t.s:] = X.real
-    real_form[t.s:, :t.s] = X.imag
-    real_form[:t.s, t.s:] = -X.imag
-    inv = np.linalg.inv(real_form)
-    cond = np.linalg.norm(real_form, 1) * np.linalg.norm(inv, 1)
-    if not cond <= MAX_EIGENVECTOR_COND:
-        raise DefectiveTableau(
-            f"eigenvector matrix of A0^(-1) of {t.family}({t.s}) has "
-            f"condition {cond:.3e} > {MAX_EIGENVECTOR_COND:.0e}")
-    Xinv = inv[:t.s, :t.s] + 1j * inv[t.s:, :t.s]
-    bXL = (t.b0 @ X) * lam
-    c = bXL * lam * (Xinv @ ones)
-    E = bXL[:, None] * Xinv
-    pick = [int(np.argmin(np.abs(lam - complex(f.eta, f.beta))))
-            for f in factors]
-    scale = np.array([1.0 if f.is_real else 2.0 for f in factors])
-    return PartialFractions(r_inf, tuple(factors), scale * c[pick],
-                            scale[:, None] * E[pick])

@@ -1,9 +1,10 @@
 """The IRK time stepper.
 
-One step is the partial-fraction form of the stage problem
-(spectral.partial_fractions): u_{n+1} = R(inf) u_n + sum_j y_j, one
-independent real solve per eigenvalue pair or real eigenvalue of
-A0^{-1}, and no stage storage:
+One step is the partial-fraction form of the stage problem, with the
+weights of spectral.spectral_decompose: u_{n+1} = R(inf) u_n
++ sum_j y_j, one independent real solve per eigenvalue pair or real
+eigenvalue of A0^{-1}, each kept as one FactorSolve record, and no
+stage storage:
 
 1. assemble each factor's right-hand side from u_n and the forcing
    values F = [f(t_n + c_i dt)] alone: w_j = c_j M u_n + dt e_j F for a
@@ -49,6 +50,7 @@ advance(u, t) -> (u, reports) per step, with factor_summary() naming
 the rows of the reports.
 """
 
+from collections import namedtuple
 from functools import cached_property
 import math
 
@@ -62,7 +64,7 @@ from .linop import (CirculantOperator, ComposedOperator, ExactFFT,
 # adjugate_row_polynomials is no longer called: perfbench/tracing.py
 # still looks the name up in this module
 from .spectral import (adjugate_row_polynomials, factor_list,  # noqa: F401
-                       partial_fractions, spectral_decompose)
+                       spectral_decompose)
 from .tableaux import ButcherTableau
 
 __all__ = [
@@ -176,6 +178,7 @@ class _SandwichPreconditioner(Preconditioner):
         self._delta = delta
         self._c = c
         self.op = op if P.exact else None
+        self.symmetric = P.symmetric
 
     @property
     def applications(self):
@@ -207,6 +210,15 @@ def _accumulate(out, coeffs, vectors):
     return out
 
 
+#: one factor solve: the Factor, its preconditioner shift gamma, the
+#: operator and preconditioner, kappa (when W(L) <= 0, 1/kappa bounds the
+#: norm of the factor's inverse: (eta - Z)^{-1} has norm at most 1/eta)
+#: and the weights of rhs = a M u_n + d F, less dt L x with
+#: x = xc u_n + M^{-1} xe F for a pair (see assemble_rhs_z)
+FactorSolve = namedtuple("FactorSolve",
+                         "factor gamma op precond kappa a d xc xe")
+
+
 class IRKStepper:
     """Advances M u' = L u + f with a fully implicit RK scheme in the
     partial-fraction form: one independent solve per factor (for an
@@ -231,31 +243,22 @@ class IRKStepper:
         self.problem = problem
         self.dt = float(dt)
         self.gamma_mode = gamma_mode
-        pf = partial_fractions(tableau,
-                               factor_list(spectral_decompose(tableau)))
-        self.factors = list(pf.factors)
-        self._r_inf = pf.r_inf
-        self._chained = pf.chained
-        # (a, d, xc, xe) per factor: rhs = a M u_n + d F, less dt L x
-        # with x = xc u_n + M^{-1} xe F for a pair (see assemble_rhs_z)
-        self._weights = []
-        for f, c, e in zip(self.factors, pf.c, self.dt * pf.E):
-            if f.is_real:
-                self._weights.append((c.real, e.real, None, None))
-            else:
-                self._weights.append(
-                    (f.eta * c.real + f.beta * c.imag,
-                     f.eta * e.real + f.beta * e.imag, c.real, e.real))
-        # the norm of each factor's inverse is at most 1/kappa when
-        # W(L) <= 0: (eta - Z)^{-1} has norm at most 1/eta
-        self._kappa = [f.eta if f.is_real else f.eta * f.eta
-                       for f in self.factors]
-
+        sd = spectral_decompose(tableau)
+        self._r_inf = sd.r_inf
+        self._chained = sd.chained
         params = dict(inner_params or {})
         M, L = problem.M, problem.L
-        built = {}
-        for f in self.factors:
-            if f in built:
+        self.solves = []
+        for f, c, e in zip(factor_list(sd), sd.c, self.dt * sd.E):
+            if f.is_real:
+                w = dict(a=c.real, d=e.real, xc=None, xe=None)
+            else:
+                w = dict(a=f.eta * c.real + f.beta * c.imag,
+                         d=f.eta * e.real + f.beta * e.imag,
+                         xc=c.real, xe=e.real)
+            if self._chained and self.solves:
+                # the chained solves share one operator: only w changes
+                self.solves.append(self.solves[0]._replace(**w))
                 continue
             gamma = f.gamma_star if gamma_mode == "gamma_star" else f.eta
             A_eta = shifted_operator(f.eta, self.dt, M, L)
@@ -271,8 +274,8 @@ class IRKStepper:
                 delta = gamma - f.eta
                 precond = _pair_preconditioner(
                     inner, op, M, delta, delta * delta + f.beta * f.beta)
-            built[f] = (f, gamma, op, precond)
-        self._solvers = [built[f] for f in self.factors]
+            kappa = f.eta if f.is_real else f.eta * f.eta
+            self.solves.append(FactorSolve(f, gamma, op, precond, kappa, **w))
         # every factor has the same inner kind and is symmetric exactly
         # when the problem is, so the last one resolves "auto" for all
         self.outer_cfg = resolve_method(outer_cfg, op, precond)
@@ -300,12 +303,13 @@ class IRKStepper:
             F = [prob.forcing(t_n + self.dt * c) for c in self.tableau.c0]
             scale += self.dt * math.sqrt(sum(f @ f for f in F))
         rhs = []
-        for a, d, xc, xe in self._weights:
-            b = _accumulate(a * Mu, d, F)
-            if xc is not None:
-                x = xc * u_n
+        for sv in self.solves:
+            b = _accumulate(sv.a * Mu, sv.d, F)
+            if sv.xc is not None:
+                x = sv.xc * u_n
                 if F:
-                    x += M.solve(_accumulate(xe[0] * F[0], xe[1:], F[1:]))
+                    x += M.solve(_accumulate(sv.xe[0] * F[0], sv.xe[1:],
+                                             F[1:]))
                 Lx = prob.L.apply(x)
                 Lx *= self.dt
                 b -= Lx
@@ -319,12 +323,11 @@ class IRKStepper:
         and y is the last y_j."""
         reports = []
         y = None
-        for idx, ((_f, _g, op, precond), b, kappa) in enumerate(
-                zip(self._solvers, rhs, self._kappa)):
+        for idx, (sv, b) in enumerate(zip(self.solves, rhs)):
             if self._chained and idx:
                 b = b + self.problem.M.apply(y)
-            x, rep = solve(op, b, precond, self.outer_cfg,
-                           min(float(np.linalg.norm(b)), kappa * scale))
+            x, rep = solve(sv.op, b, sv.precond, self.outer_cfg,
+                           min(float(np.linalg.norm(b)), sv.kappa * scale))
             reports.append(rep)
             if not rep.converged:
                 raise FactorSolveFailure(idx, rep)
@@ -343,8 +346,8 @@ class IRKStepper:
 
     def factor_summary(self):
         """(index, eta, beta, gamma) per factor, in solve order."""
-        return [(idx, f.eta, f.beta, gamma)
-                for idx, (f, gamma, _op, _pc) in enumerate(self._solvers)]
+        return [(idx, sv.factor.eta, sv.factor.beta, sv.gamma)
+                for idx, sv in enumerate(self.solves)]
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from irksolve.cli import _build_parser, main
 from irksolve.experiments import CSV_HEADER
-from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
+from irksolve.tableaux import SUPPORTED_TABLEAUX
 
 
 def run_cli(capsys, argv):
@@ -169,6 +169,13 @@ USAGE_ERRORS = [
     ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--krylov", "cg"],
     # SDIRK tableaux run on the default integrator
     ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--integrator", "sdirk"],
+    # the block stepper takes no shift: its eta rows equaled gamma_star's
+    ["run", "--problem", "advdiff1d", "--family", "gauss", "--stages", "2",
+     "--grids", "16", "--tf", "0.25", "--integrator", "gsl",
+     "--gamma-mode", "eta"],
+    # CG with a Gauss-Seidel inner solve used to run 2000 iterations
+    ["run", "--problem", "diffusion1d-fem"] + SMALL_1D
+    + ["--krylov", "cg", "--inner", "gs:2"],
 ]
 
 
@@ -405,13 +412,13 @@ def test_cond_optimality_one_gamma_point(capsys):
     assert len(rows) == 2
 
 
-@pytest.mark.parametrize("family,stages", [
-    (fam, s) for fam, s in SUPPORTED_TABLEAUX
-    if build_tableau(fam, s).is_lower_triangular])
+@pytest.mark.parametrize("family,stages", SUPPORTED_TABLEAUX)
 def test_triangular_spectrum_matches_run_factor_columns(capsys, family,
                                                         stages):
     # spectrum used to take the eigenvalues of a defective A0^{-1} from
-    # eigvals, off in the 8th digit, while run solved with 1/a_ii
+    # eigvals, off in the 8th digit, while run solved with 1/a_ii.  For
+    # every tableau, the factors and their order in spectrum are those
+    # of run's solve records
     scheme = ["--family", family, "--stages", str(stages)]
     _code, out = run_cli(capsys, ["spectrum", "--csv"] + scheme)
     spectrum = [l.split(",")[1:4] for l in out.splitlines()[2:]]

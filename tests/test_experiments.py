@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from irksolve.experiments import (CSV_HEADER, INTEGRATORS, ExperimentSpec,
-                                  parse_inner, records_to_csv,
+                                  _sdirk_baselines, parse_inner,
+                                  records_to_csv,
                                   run_baseline_comparison, run_convergence,
                                   run_gamma_comparison, run_inner_sweep)
 from irksolve.krylov import KrylovConfig
@@ -132,6 +133,14 @@ def test_inner_sweep_records_failures():
 def test_inner_sweep_needs_relaxation():
     with pytest.raises(ValueError):
         run_inner_sweep(small_spec(inner="exact"), [1, 2])
+
+
+def test_sdirk_baselines_come_from_the_tableaux():
+    # the families whose one supported tableau is lower triangular, in
+    # the order of the hand-written list they replace; Gauss-1 and
+    # RadauIIA-1 are 1x1 triangles of families with more stages
+    assert list(_sdirk_baselines().items()) == \
+        [("SDIRK2L", 2), ("SDIRK3L", 3), ("BackwardEuler", 1)]
 
 
 def test_baseline_s1_all_methods_coincide():

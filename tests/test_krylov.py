@@ -6,9 +6,9 @@ import scipy.sparse as sp
 
 from irksolve.krylov import (KrylovConfig, NonFiniteResidual, resolve_method,
                              solve)
-from irksolve.linop import (ComposedOperator, IdentityMass, Preconditioner,
-                            SparseOperator, build_inner_preconditioner,
-                            shifted_operator)
+from irksolve.linop import (ComposedOperator, GaussSeidel, IdentityMass,
+                            Preconditioner, SparseOperator,
+                            build_inner_preconditioner, shifted_operator)
 from irksolve.spatial import GridSpec, build_advdiff
 from irksolve.stepper import IRKStepper, LinearProblem
 from irksolve.tableaux import build_tableau
@@ -31,6 +31,23 @@ def test_identity_converges_in_one_iteration():
         assert np.allclose(x, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("method", ["AUTO", "Gmres", "bogus"])
+def test_config_rejects_unknown_method(method):
+    # "AUTO" used to construct and fail at the first solve, and "Gmres"
+    # to run, since solve lowercased the name and resolve_method did not
+    with pytest.raises(ValueError, match="unknown Krylov method"):
+        KrylovConfig(method=method)
+
+
+def test_cg_refuses_nonsymmetric_preconditioner():
+    # forward Gauss-Seidel is not symmetric: CG used to run to max_iters
+    op = spd_tridiag(16)
+    pc = GaussSeidel(op, sweeps=2)
+    with pytest.raises(ValueError, match="preconditioner not marked"):
+        solve(op, rng.standard_normal(16), pc, KrylovConfig(method="cg"))
+    assert pc.applications == 0
+
+
 def test_exactly_preconditioned_spd_one_iteration():
     op = spd_tridiag(16)
     pc = build_inner_preconditioner("exact", op)
@@ -48,7 +65,7 @@ def test_cg_iteration_bound_on_quadratic_factor():
     prob = LinearProblem(IdentityMass(128), build_advdiff(grid, 0.0, 1.0, 2))
     st = IRKStepper(build_tableau("gauss", 2), prob, dt=2 * grid.h,
                     outer_cfg=KrylovConfig(method="cg", rel_tol=1e-12))
-    (_f, _g, op, pc) = st._solvers[0]
+    op, pc = st.solves[0].op, st.solves[0].precond
     b = prob.M.apply(rng.standard_normal(128))
     x, rep = solve(op, b, pc, st.outer_cfg)
     assert rep.converged

@@ -3,7 +3,7 @@ import pytest
 
 from irksolve.spectral import (DefectiveTableau, adjugate_row_polynomials,
                                factor_list, faddeev_leverrier,
-                               partial_fractions, spectral_decompose)
+                               spectral_decompose)
 from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
                                build_tableau)
 
@@ -170,7 +170,7 @@ def test_triangular_tableau_factors_are_the_reciprocal_diagonal():
             (t.family, t.s)
 
 
-def test_inverse_eigenvalues_are_reciprocals():
+def test_eigenvalues_of_the_inverse_are_reciprocals():
     for fam, s in MAIN_FAMILIES:
         t = build_tableau(fam, s)
         a = np.sort_complex(np.linalg.eigvals(t.A0))
@@ -277,14 +277,14 @@ def test_stability_violation_on_bad_tableau():
 # ----------------------------------------------------------------------
 # partial fractions
 
-def _partial_fraction_sum(pf, z):
+def _partial_fraction_sum(sd, z):
     """(R(z), b^T (I - z A0)^{-1}) from the weights at scalar z: a real
     factor contributes w / (eta - z), a pair (its weights doubled) the
     two conjugate terms, and chained solves nest as Horner steps."""
-    R, G = pf.r_inf, 0.0
+    R, G = sd.r_inf, 0.0
     y, yE = 0.0, 0.0
-    for f, c, e in zip(pf.factors, pf.c, pf.E):
-        if pf.chained:
+    for f, c, e in zip(factor_list(sd), sd.c, sd.E):
+        if sd.chained:
             y, yE = (c + y) / (f.eta - z), (e + yE) / (f.eta - z)
         elif f.is_real:
             R, G = R + c.real / (f.eta - z), G + e.real / (f.eta - z)
@@ -303,15 +303,15 @@ def test_partial_fractions_reproduce_the_stability_function():
     worst = {}
     for fam, s in SUPPORTED_TABLEAUX:
         t = build_tableau(fam, s)
-        pf = partial_fractions(t, factor_list(spectral_decompose(t)))
-        assert pf.chained == (fam in ("SDIRK2L", "SDIRK3L", "BackwardEuler")
+        sd = spectral_decompose(t)
+        assert sd.chained == (fam in ("SDIRK2L", "SDIRK3L", "BackwardEuler")
                               or (fam, s) in (("Gauss", 1), ("RadauIIA", 1)))
         err = 0.0
         for z in zs:
             res = np.linalg.inv(np.eye(s) - z * t.A0)
             R = 1.0 + z * t.b0 @ res @ np.ones(s)
             G = t.b0 @ res
-            got_R, got_G = _partial_fraction_sum(pf, z)
+            got_R, got_G = _partial_fraction_sum(sd, z)
             err = max(err, abs(got_R - R) / max(1.0, abs(R)),
                       np.max(np.abs(got_G - G)) / max(1.0, np.max(np.abs(G))))
         worst[fam, s] = err
@@ -323,11 +323,11 @@ def test_partial_fractions_r_inf_and_solves():
     # one solve per pair or real eigenvalue, and s for an SDIRK tableau
     for fam, s in SUPPORTED_TABLEAUX:
         t = build_tableau(fam, s)
-        factors = factor_list(spectral_decompose(t))
-        pf = partial_fractions(t, factors)
+        sd = spectral_decompose(t)
         want = (-1.0) ** s if fam == "Gauss" else 0.0
-        assert pf.r_inf == pytest.approx(want, abs=1e-13), (fam, s)
-        assert len(pf.factors) == (s if pf.chained else len(factors))
+        assert sd.r_inf == pytest.approx(want, abs=1e-13), (fam, s)
+        assert len(factor_list(sd)) == len(sd.c) == len(sd.E) == \
+            (s if sd.chained else s - len(sd.pairs))
 
 
 def test_near_defective_tableau_is_rejected():
@@ -338,4 +338,4 @@ def test_near_defective_tableau_is_rejected():
                          b0=np.array([0.5, 0.5]), c0=np.array([0.3, 0.7]),
                          order=1)
     with pytest.raises(DefectiveTableau, match="condition"):
-        partial_fractions(bad, factor_list(spectral_decompose(bad)))
+        spectral_decompose(bad)

@@ -93,8 +93,9 @@ def _dense_factor_solves(st, rhs):
     solves: y_j from rhs_j + M y_{j-1}, and the last y_j)."""
     Md = st.problem.M.to_dense()
     y = np.zeros(st.problem.n)
-    for (_f, _g, op, _pc), b in zip(st._solvers, rhs):
-        x = np.linalg.solve(op.to_dense(), b + (Md @ y if st._chained else 0))
+    for sv, b in zip(st.solves, rhs):
+        x = np.linalg.solve(sv.op.to_dense(),
+                            b + (Md @ y if st._chained else 0))
         y = x if st._chained else y + x
     return y
 
@@ -145,7 +146,7 @@ def test_rhs_assembly_cost(fam, s, mass):
     r = np.random.default_rng(5)
     prob = _problem_with_stage_forcing(n, mass, r)
     st = IRKStepper(build_tableau(fam, s), prob, 0.2, outer_cfg=TIGHT)
-    pairs = sum(not f.is_real for f in st.factors)
+    pairs = sum(not sv.factor.is_real for sv in st.solves)
     calls = dict.fromkeys(("forcing", "M_apply", "M_solve", "L_apply"), 0)
     _counting(prob, "forcing", calls, "forcing")
     _counting(prob.M, "apply", calls, "M_apply")
@@ -208,8 +209,8 @@ def test_fft_direction_takes_one_rfftn_and_one_irfftn_on_a_pair(monkeypatch):
                          build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4))
     st = IRKStepper(build_tableau("radauIIA", 3), prob, 0.2)
     v = np.random.default_rng(12).standard_normal(grid.size)
-    cases = [(op, pc, pc.apply(v), 2 - int(f.is_real))
-             for f, _g, op, pc in st._solvers]
+    cases = [(sv.op, sv.precond, sv.precond.apply(v),
+              2 - int(sv.factor.is_real)) for sv in st.solves]
     assert [apps for *_rest, apps in cases] == [2, 1]
     calls = _count_ffts(monkeypatch)
     for op, pc, ref, apps in cases:
@@ -236,8 +237,8 @@ def test_fft_gmres_step_transform_budget(monkeypatch, scheme, restart):
     calls = _count_ffts(monkeypatch)
     _u, reps = st.advance(u, 0.0)
     iters = [r.iterations for r in reps]
-    pair_iters = sum(n for (f, *_rest), n in zip(st._solvers, iters)
-                     if not f.is_real)
+    pair_iters = sum(n for sv, n in zip(st.solves, iters)
+                     if not sv.factor.is_real)
     cycles = sum(-(-n // restart) for n in iters)
     assert all(r.converged for r in reps)
     assert restart == 30 or cycles > len(reps)
@@ -284,8 +285,8 @@ def test_exact_inner_image_matches_operator_apply(label):
             tab = build_tableau(fam, s)
             for mode in ("gamma_star", "eta"):
                 st = IRKStepper(tab, prob, dt, gamma_mode=mode)
-                for idx, (_f, _g, op, pc) in enumerate(st._solvers):
-                    cases[fam, s, mode, ratio, idx] = (op, pc)
+                for idx, sv in enumerate(st.solves):
+                    cases[fam, s, mode, ratio, idx] = (sv.op, sv.precond)
     errors = {}
     for key, (op, pc) in cases.items():
         calls = _count_op_applies([op])
@@ -296,6 +297,20 @@ def test_exact_inner_image_matches_operator_apply(label):
         errors[key] = np.linalg.norm(w - ref) / np.linalg.norm(ref)
     assert max(errors.values()) <= bound, max(errors.items(),
                                               key=lambda kv: kv[1])
+
+
+@pytest.mark.parametrize("scheme", [("sdirk2l", 2), ("sdirk3l", 3)])
+def test_chained_solves_share_one_operator_and_preconditioner(scheme):
+    # each chained record reuses the first one's operator and
+    # preconditioner objects, with its own weights
+    prob, grid = _image_setup("lu-fem")
+    st = IRKStepper(build_tableau(*scheme), prob, 2 * grid.h)
+    first = st.solves[0]
+    assert st._chained and len(st.solves) == scheme[1]
+    for sv in st.solves[1:]:
+        assert sv.op is first.op and sv.precond is first.precond
+        assert (sv.factor, sv.gamma, sv.kappa) == \
+            (first.factor, first.gamma, first.kappa)
 
 
 @pytest.mark.parametrize("label", ["lu-identity", "lu-fem", "fft-identity"])
@@ -314,17 +329,18 @@ def test_exact_inner_solve_applies_its_operator_once(label):
                     build_tableau("lobattoIIIC", 5)):
             st = IRKStepper(tab, prob, 2 * grid.h, outer_cfg=gmres,
                             inner_kind=inner, inner_params=params)
-            calls = _count_op_applies([op for _f, _g, op, _pc in st._solvers])
+            calls = _count_op_applies([sv.op for sv in st.solves])
             _u, reps = st.advance(u, 0.0)
-            for (f, _g, op, _pc), rep in zip(st._solvers, reps):
+            for sv, rep in zip(st.solves, reps):
                 assert rep.converged and rep.iterations < gmres.restart
-                k = per_iter["real" if f.is_real else "pair"]
-                assert calls[op] == 1 + k * rep.iterations, (tab.family, f)
+                k = per_iter["real" if sv.factor.is_real else "pair"]
+                assert calls[sv.op] == 1 + k * rep.iterations, \
+                    (tab.family, sv.factor)
         # the three chained SDIRK solves share one operator
         sd = IRKStepper(build_tableau("sdirk3l", 3), prob, 2 * grid.h,
                         outer_cfg=gmres, inner_kind=inner,
                         inner_params=params)
-        calls = _count_op_applies([op for _f, _g, op, _pc in sd._solvers])
+        calls = _count_op_applies([sv.op for sv in sd.solves])
         _u, reps = sd.advance(u, 0.0)
         assert all(r.converged and r.iterations < gmres.restart for r in reps)
         assert sum(calls.values()) == sum(1 + per_iter["real"] * r.iterations
@@ -337,7 +353,8 @@ def _mismatched_cases(label):
     prob, grid = _image_setup(label)
     M, L, dt = prob.M, prob.L, 2 * grid.h
     st = IRKStepper(build_tableau("radauIIA", 3), prob, dt)
-    (pair, gamma, op, pc), (real, _g, op_real, pc_real) = st._solvers
+    (pair, gamma, op, pc), (real, _g, op_real, pc_real) = \
+        [sv[:4] for sv in st.solves]
     twin_real = shifted_operator(real.eta, dt, M, L)
     twin_pair = _QuadraticSystem(shifted_operator(pair.eta, dt, M, L), M,
                                  pair.beta)
@@ -397,10 +414,11 @@ def test_solve_factors_zero_operator_scaling():
     prob = LinearProblem(IdentityMass(n), ZeroOperator(n))
     for fam, s in [("gauss", 2), ("radauIIA", 3), ("sdirk3l", 3)]:
         st = IRKStepper(build_tableau(fam, s), prob, dt=0.2, outer_cfg=TIGHT)
-        rhs = [rng.standard_normal(n) for _ in st.factors]
+        rhs = [rng.standard_normal(n) for _ in st.solves]
         y, _ = st.solve_factors(rhs, 1.0)
         ref = np.zeros(n)
-        for f, b in zip(st.factors, rhs):
+        for sv, b in zip(st.solves, rhs):
+            f = sv.factor
             q = f.eta if f.is_real else f.eta ** 2 + f.beta ** 2
             ref = (b + ref) / q if st._chained else ref + b / q
         assert np.linalg.norm(y - ref) < 1e-11 * np.linalg.norm(ref), fam
@@ -734,7 +752,7 @@ def test_pair_operator_norm(label):
     # otherwise; either way at least the 2-norm of M Q_eta
     prob, grid = _image_setup(label)
     st = IRKStepper(build_tableau("radauIIA", 3), prob, 2 * grid.h)
-    (_f, _g, op, _pc), _real = st._solvers
+    op = st.solves[0].op
     dense = np.linalg.norm(op.to_dense(), 2)
     if label == "fft-identity":
         assert op.norm == pytest.approx(dense, rel=1e-12)
