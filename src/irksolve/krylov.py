@@ -89,11 +89,13 @@ class KrylovReport:
 def resolve_method(cfg: KrylovConfig | None, op, precond) -> KrylovConfig:
     """cfg with method "auto" (or cfg None) resolved for solving op with
     precond: cg for a symmetric operator with an exact preconditioner,
-    gmres otherwise.  An explicit method passes through unchanged."""
+    gmres otherwise (precond None counts as not exact).  An explicit
+    method passes through unchanged."""
     cfg = cfg or KrylovConfig(method="auto")
     if cfg.method != "auto":
         return cfg
-    method = "cg" if op.symmetric and precond.exact else "gmres"
+    exact = precond is not None and precond.exact
+    method = "cg" if op.symmetric and exact else "gmres"
     return replace(cfg, method=method)
 
 
@@ -126,15 +128,16 @@ def _finite(rnorm):
 def solve(op, b, precond, cfg: KrylovConfig, scale=None):
     """Solve op x = b.  Returns (x, KrylovReport).
 
-    precond approximates op^{-1} (None for unpreconditioned); for CG
-    both must be marked symmetric, and precond must be SPD.  The target
-    is cfg.rel_tol * scale, with scale = ||b|| when None.  The report
-    counts every leaf preconditioner application performed during the
-    solve.
+    precond approximates op^{-1} (None for unpreconditioned), and
+    resolve_method resolves method "auto".  For CG both must be marked
+    symmetric, and precond must be SPD.  The target is cfg.rel_tol *
+    scale, with scale = ||b|| when None.  The report counts every leaf
+    preconditioner application performed during the solve.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != op.n:
         raise ValueError(f"rhs of dim {b.shape[0]} for operator of dim {op.n}")
+    cfg = resolve_method(cfg, op, precond)
     count0 = precond.applications if precond is not None else 0
     if scale is None:
         scale = float(np.linalg.norm(b))

@@ -6,7 +6,10 @@ preconditioners approximate (gamma*M - dt*L)^{-1} and carry an
 application counter so Krylov reports can account for every
 preconditioner application, including those inside inner iterations.
 A circulant operator also carries its Fourier symbol, which gives an
-exact FFT solve and an exact field-of-values certificate.
+exact FFT solve, an exact field-of-values certificate, its symmetry,
+its norm and the pivot scale of that solve.  A matrix is assembled only
+where something applies or factors it: the circulant shift that only
+the FFT solves never is.
 """
 
 from functools import cached_property
@@ -53,20 +56,20 @@ class LinearOperator:
 
     Subclasses implement apply(v); mat is the assembled sparse form when
     one exists (None for purely matrix-free operators).  symmetric is
-    decided once per operator: from the matrix, from the parts of a
-    composite operator, False for a matrix-free one.  norm is ||op||,
-    which scales the residual floor of krylov.solve: the infinity-norm
-    of an assembled matrix, the exact 2-norm of a circulant, a bound built
-    from the parts of a composite operator, and 0 (no floor) when
-    nothing is known.
+    decided once per operator: from the matrix, from the symbol of a
+    circulant, from the parts of a composite operator, False for a
+    matrix-free one.  norm is ||op||, which scales the residual floor of
+    krylov.solve: the infinity-norm of an assembled matrix, the exact
+    2-norm of a circulant, a bound built from the parts of a composite
+    operator, and 0 (no floor) when nothing is known.
     """
 
     symmetric = False
     norm = 0.0
+    mat = None
 
     def __init__(self, n: int):
         self.n = int(n)
-        self.mat = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -111,18 +114,37 @@ def _abs_row_sums(mat):
 
 
 class CirculantOperator(SparseOperator):
-    """Periodic operator on a grid: the assembled matrix plus its
-    eigenvalues, the symbol, in numpy FFT order with the grid's shape.
-    The grid vector is flattened in C order, so mat acts as
-    ifftn(symbol * fftn(v)).  A circulant is normal, so its field of
-    values is the convex hull of the symbol."""
+    """Periodic operator on a grid: the matrix plus its eigenvalues, the
+    symbol, in numpy FFT order with the grid's shape.  The grid vector
+    is flattened in C order, so mat acts as ifftn(symbol * fftn(v)).  A
+    circulant is normal, so its field of values is the convex hull of
+    the symbol; symmetry and norm come from the symbol too.
+
+    mat is the assembled matrix, or a function that assembles it: then
+    it is assembled on first use (an apply, a factorization), so an
+    operator that only the FFT solves never holds one."""
 
     def __init__(self, mat, symbol):
-        super().__init__(mat)
         self.symbol = np.asarray(symbol, dtype=complex)
+        if callable(mat):
+            LinearOperator.__init__(self, self.symbol.size)
+            self._assemble = mat
+        else:
+            super().__init__(mat)
         if self.symbol.size != self.n:
             raise DimensionMismatch(
                 f"symbol of shape {self.symbol.shape} for dimension {self.n}")
+
+    @cached_property
+    def mat(self):
+        """The matrix, assembled on first use."""
+        return sp.csr_matrix(self._assemble())
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """A real circulant is symmetric exactly when its symbol is
+        real: here to 1e-12 of the symbol's largest modulus."""
+        return bool(np.abs(self.symbol.imag).max() <= 1e-12 * self.norm)
 
     @cached_property
     def norm(self) -> float:
@@ -199,17 +221,17 @@ def _sparse_lu(mat):
         lu = spla.splu(A)
     except RuntimeError as exc:
         raise FactorizationFailure(str(exc)) from exc
-    _check_pivots(np.abs(lu.U.diagonal()), A)
+    _check_pivots(np.abs(lu.U.diagonal()), _abs_row_sums(A).max())
     return lu
 
 
-def _check_pivots(pivots, mat):
+def _check_pivots(pivots, scale):
     """FactorizationFailure when the smallest pivot (LU diagonal or
-    symbol modulus) is at most 1e-14 of the largest absolute row sum."""
-    row_norm = _abs_row_sums(mat).max()
-    if pivots.min() <= 1e-14 * row_norm:
+    symbol modulus) is at most 1e-14 of scale (the largest absolute row
+    sum, or the symbol's largest modulus)."""
+    if pivots.min() <= 1e-14 * scale:
         raise FactorizationFailure(
-            f"near-zero pivot {pivots.min():.3e} (row norm {row_norm:.3e})")
+            f"near-zero pivot {pivots.min():.3e} (scale {scale:.3e})")
 
 
 class SparseMass(SparseOperator, MassOperator):
@@ -238,14 +260,15 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
                      L: LinearOperator) -> LinearOperator:
     """The backward-Euler-type operator gamma*M - dt*L.
 
-    Circulant when L is and M is the identity, assembled sparse when
-    both inputs expose a sparse form, composed matrix-free otherwise;
-    symmetric when M and L are.
+    Circulant when L is and M is the identity, with its matrix
+    assembled on first use; assembled sparse when both inputs expose a
+    sparse form, composed matrix-free otherwise; symmetric when M and L
+    are.
     """
     if M.n != L.n:
         raise DimensionMismatch(f"mass dim {M.n} != operator dim {L.n}")
     if isinstance(L, CirculantOperator) and M.is_identity:
-        op = CirculantOperator(gamma * M.mat - dt * L.mat,
+        op = CirculantOperator(lambda: gamma * M.mat - dt * L.mat,
                                gamma - dt * L.symbol)
     elif M.mat is not None and L.mat is not None:
         op = SparseOperator(gamma * M.mat - dt * L.mat)
@@ -328,11 +351,14 @@ class ExactFFT(Preconditioner):
     under op, and combine maps sum_j y_j vh_j back by one irfftn per
     restart cycle.  A GMRES iteration then costs one rfftn and one
     irfftn on a pair, and one rfftn on a real factor or an SDIRK stage.
+
+    It reads only op's symbol, and its pivot check scales by the
+    symbol's largest modulus, so op's matrix is not assembled for it.
     """
 
     def __init__(self, op: CirculantOperator):
         super().__init__(op.n)
-        _check_pivots(np.abs(op.symbol), op.mat)
+        _check_pivots(np.abs(op.symbol), op.norm)
         self.op = op
         self._shape = op.symbol.shape
         self._axes = tuple(range(op.symbol.ndim))
@@ -449,6 +475,7 @@ class InnerKrylov(Preconditioner):
     def __init__(self, op: LinearOperator, tol: float = 1e-2,
                  maxit: int = 100):
         super().__init__(op.n)
+        op.mat  # applied by every application: assembled now
         self._op = op
         self._cfg = KrylovConfig(method="gmres", rel_tol=float(tol),
                                  max_iters=int(maxit), restart=int(maxit))

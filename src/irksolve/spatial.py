@@ -89,6 +89,25 @@ def circulant(n: int, offsets, coeffs) -> CirculantOperator:
                              symbol)
 
 
+def _eye_kron_eye(A, p: int, q: int) -> sp.csr_matrix:
+    """I_p x A x I_q from the CSR arrays of a canonical A with the same
+    number c of entries in every row, as a circulant has; the same
+    arrays as sp.kron gives.  Row (i n + a) q + j holds row a of A, with
+    each column b moved to (i n + b) q + j."""
+    n = A.shape[0]
+    c = int(A.indptr[1])
+    if np.any(np.diff(A.indptr) != c):
+        raise ValueError("Kronecker term of a matrix with rows of "
+                         "different lengths")
+    cols = ((A.indices.reshape(1, n, 1, c)
+             + n * np.arange(p).reshape(p, 1, 1, 1)) * q
+            + np.arange(q).reshape(1, 1, q, 1))
+    data = np.broadcast_to(A.data.reshape(1, n, 1, c), cols.shape)
+    size = p * n * q
+    return sp.csr_matrix((data.ravel(), cols.ravel(),
+                          c * np.arange(size + 1)), shape=(size, size))
+
+
 def kronecker_sum(axes) -> CirculantOperator:
     """sum_k I x .. x A_k x .. x I for 1D circulants A_k, one per grid
     axis (axis 0 varies slowest); the symbol is the sum of the axis
@@ -96,9 +115,8 @@ def kronecker_sum(axes) -> CirculantOperator:
     sizes = [A.n for A in axes]
     mat, symbol = None, 0.0
     for k, A in enumerate(axes):
-        term = sp.kron(sp.kron(sp.identity(math.prod(sizes[:k])), A.mat,
-                               format="csr"),
-                       sp.identity(math.prod(sizes[k + 1:])), format="csr")
+        term = _eye_kron_eye(A.mat, math.prod(sizes[:k]),
+                             math.prod(sizes[k + 1:]))
         mat = term if mat is None else mat + term
         symbol = symbol + A.symbol.reshape(
             [-1 if j == k else 1 for j in range(len(axes))])

@@ -262,6 +262,9 @@ class IRKStepper:
                 continue
             gamma = f.gamma_star if gamma_mode == "gamma_star" else f.eta
             A_eta = shifted_operator(f.eta, self.dt, M, L)
+            # every step applies A_eta, so it is assembled here and not in
+            # the first step; a circulant A_gamma only the FFT solves never is
+            A_eta.mat
             A_gamma = A_eta if gamma == f.eta else \
                 shifted_operator(gamma, self.dt, M, L)
             inner = build_inner_preconditioner(inner_kind, A_gamma,

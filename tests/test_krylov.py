@@ -31,6 +31,15 @@ def test_identity_converges_in_one_iteration():
         assert np.allclose(x, b, atol=1e-12)
 
 
+def test_solve_resolves_auto():
+    # solve used to raise "unknown Krylov method 'auto'": no
+    # preconditioner counts as not exact, so auto is GMRES
+    op = SparseOperator(sp.identity(4, format="csr"))
+    x, rep = solve(op, np.ones(4), None, KrylovConfig(method="auto"))
+    assert rep.converged and rep.iterations == 1
+    assert np.array_equal(x, np.ones(4))
+
+
 @pytest.mark.parametrize("method", ["AUTO", "Gmres", "bogus"])
 def test_config_rejects_unknown_method(method):
     # "AUTO" used to construct and fail at the first solve, and "Gmres"
@@ -210,6 +219,7 @@ def test_resolve_method():
     assert resolve_method(auto, sym, relax).method == "gmres"
     assert resolve_method(auto, sym, inner).method == "gmres"
     assert resolve_method(None, sym, exact) == KrylovConfig(method="cg")
+    assert resolve_method(auto, sym, None).method == "gmres"
     explicit = KrylovConfig(method="gmres", rel_tol=1e-9)
     assert resolve_method(explicit, sym, exact) is explicit
 

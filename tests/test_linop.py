@@ -232,6 +232,22 @@ def test_symmetry_flags():
 # ----------------------------------------------------------------------
 # Circulant operators
 
+def test_circulant_symmetry_from_the_symbol_matches_the_transpose_test():
+    shipped = []
+    for dim in (1, 2):
+        grid = GridSpec(dim=dim, n=12)
+        for order in (2, 4):
+            for adv in (0.0, 0.85):
+                for diff in (0.0, 0.3):
+                    shipped.append(build_advdiff(grid, adv, diff, order))
+    grid = GridSpec(dim=1, n=12)
+    shipped += [build_upwind_advection(grid, a) for a in (1.3, -1.3)]
+    shipped.append(build_fem_diffusion_1d(grid).L)
+    flags = [L.symmetric for L in shipped]
+    assert flags == [SparseOperator(L.mat).symmetric for L in shipped]
+    assert any(flags) and not all(flags)
+
+
 def test_exact_fft_residual():
     for n in (16, 33):
         grid = GridSpec(dim=2, n=n)

@@ -142,19 +142,24 @@ def test_advdiff_is_the_kronecker_sum_bit_for_bit():
                 and np.array_equal(A.indices, B.indices)
                 and np.array_equal(A.indptr, B.indptr))
 
-    for n in (5, 16):
+    # with zero diffusion the 1D axes store no diagonal, and with zero
+    # advection only the second-derivative stencil
+    coefficients = [((0.85, 1.0), (0.3, 0.25)), ((0.85, 1.0), (0.0, 0.0)),
+                    ((0.0, 0.0), (0.3, 0.25))]
+    for n in (5, 16, 128):
         h = 2.0 / n
         for order in (2, 4):
             def axis(a, d):
                 return -a * d1_matrix(n, h, order) + d * d2_matrix(n, h, order)
 
-            L1 = build_advdiff(GridSpec(dim=1, n=n), 0.85, 0.3, order).mat
-            assert same(L1, sp.csr_matrix(axis(0.85, 0.3)))
             eye = sp.identity(n, format="csr")
-            L2 = build_advdiff(GridSpec(dim=2, n=n), (0.85, 1.0),
-                               (0.3, 0.25), order).mat
-            assert same(L2, sp.kron(axis(0.85, 0.3), eye, format="csr")
-                        + sp.kron(eye, axis(1.0, 0.25), format="csr"))
+            for (ax, ay), (dx, dy) in coefficients:
+                L1 = build_advdiff(GridSpec(dim=1, n=n), ax, dx, order).mat
+                assert same(L1, sp.csr_matrix(axis(ax, dx)))
+                L2 = build_advdiff(GridSpec(dim=2, n=n), (ax, ay),
+                                   (dx, dy), order).mat
+                assert same(L2, sp.kron(axis(ax, dx), eye, format="csr")
+                            + sp.kron(eye, axis(ay, dy), format="csr"))
 
 
 def test_mms_residual_invariant():

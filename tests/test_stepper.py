@@ -603,6 +603,33 @@ def test_linearity_in_initial_data():
     assert np.linalg.norm(u1s - a * u1) < 1e-12 * np.linalg.norm(a * u1)
 
 
+@pytest.mark.parametrize("dim, scheme", [(2, ("gauss", 2)),
+                                         (2, ("radauIIA", 3)),
+                                         (1, ("gauss", 2))])
+def test_setup_assembles_what_the_step_applies_and_no_more(monkeypatch, dim,
+                                                           scheme):
+    # the step applies L and each factor's op (a pair's through its
+    # A_eta): their matrices exist when the constructor returns, so no
+    # assembly moves into the first step.  A shift that only the 2D FFT
+    # solves never holds one; in 1D the LU factors it
+    shifts = []
+
+    def recording(*args):
+        shifts.append(shifted_operator(*args))
+        return shifts[-1]
+    monkeypatch.setattr("irksolve.stepper.shifted_operator", recording)
+    grid = GridSpec(dim=dim, n=12)
+    prob = build_fd_mms(grid)
+    st = IRKStepper(build_tableau(*scheme), prob, 2 * grid.h)
+    applied = [prob.L] + [sv.op if sv.factor.is_real else sv.op.A_eta
+                          for sv in st.solves]
+    assert all(vars(op).get("mat") is not None for op in applied)
+    unapplied = [op for op in shifts if all(op is not a for a in applied)]
+    assert len(unapplied) == 1
+    st.advance(prob.exact_solution(0.0), 0.0)
+    assert ("mat" in vars(unapplied[0])) == (dim == 1)
+
+
 def test_gamma_mode_switches_preconditioner_shift():
     n = 8
     prob = random_problem(n, seed=6, forcing=False)
