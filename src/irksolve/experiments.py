@@ -49,7 +49,7 @@ class ExperimentSpec:
     dt_ratio: float = 2.0          # dt = dt_ratio * h
     t_final: float = 2.0
     fd_order: int = 4
-    krylov: KrylovConfig = field(default_factory=lambda: KrylovConfig(method="auto"))
+    krylov: KrylovConfig = field(default_factory=KrylovConfig)
     inner: str = "exact"           # exact | jacobi:k | gs:k | krylov:tol
     gamma_mode: str = "gamma_star"  # gamma_star | eta
     integrator: str = "irk"        # irk (any tableau) | gsl | ld

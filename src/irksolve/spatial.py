@@ -63,11 +63,9 @@ class GridSpec:
 class MMSProblem(LinearProblem):
     """LinearProblem with a manufactured exact solution and its source."""
 
-    def __init__(self, M, L, forcing, exact_solution, grid: GridSpec,
-                 residual_fn=None):
+    def __init__(self, M, L, forcing, exact_solution, residual_fn=None):
         super().__init__(M, L, forcing=forcing,
                          exact_solution=exact_solution)
-        self.grid = grid
         self.residual_fn = residual_fn  # pointwise PDE residual u_t + a.grad u - d:hess u - s
 
 
@@ -139,14 +137,6 @@ def _derivative(n: int, h: float, order: int, k: int) -> CirculantOperator:
             f"{('first', 'second')[k - 1]}-derivative order {order}")
     off, co = _STENCILS[k][order]
     return circulant(n, off, np.asarray(co) / h ** k)
-
-
-def d1_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
-    return _derivative(n, h, order, 1).mat
-
-
-def d2_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
-    return _derivative(n, h, order, 2).mat
 
 
 def build_advdiff(grid: GridSpec, adv, diff,
@@ -270,7 +260,7 @@ def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> MMSProblem:
     return MMSProblem(IdentityMass(grid.size), L,
                       forcing=lambda t: mms_source(X, t).reshape(-1),
                       exact_solution=lambda t: mms_solution(X, t).reshape(-1),
-                      grid=grid, residual_fn=residual)
+                      residual_fn=residual)
 
 
 def build_fem_mass_1d(grid: GridSpec) -> SparseMass:

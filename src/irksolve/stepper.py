@@ -47,7 +47,8 @@ stepper for iteration-count comparisons; SDIRK baselines are
 IRKStepper runs of their tableaux.  Both steppers share one protocol:
 factor once at construction for a fixed dt, then
 advance(u, t) -> (u, reports) per step, with factor_summary() naming
-the rows of the reports.
+the rows of the reports.  Both pass the caller's outer_cfg to every
+krylov.solve unchanged, and solve picks CG or GMRES for each solve.
 """
 
 from collections import namedtuple
@@ -56,7 +57,7 @@ import math
 
 import numpy as np
 
-from .krylov import KrylovConfig, KrylovReport, resolve_method, solve
+from .krylov import KrylovConfig, KrylovReport, solve
 from .linop import (CirculantOperator, ComposedOperator, ExactFFT,
                     LinearOperator, MassOperator, Preconditioner,
                     build_inner_preconditioner, fov_upper_bound,
@@ -279,9 +280,7 @@ class IRKStepper:
                     inner, op, M, delta, delta * delta + f.beta * f.beta)
             kappa = f.eta if f.is_real else f.eta * f.eta
             self.solves.append(FactorSolve(f, gamma, op, precond, kappa, **w))
-        # every factor has the same inner kind and is symmetric exactly
-        # when the problem is, so the last one resolves "auto" for all
-        self.outer_cfg = resolve_method(outer_cfg, op, precond)
+        self.outer_cfg = outer_cfg
 
     # -- algorithm stages ------------------------------------------------
 
@@ -486,7 +485,7 @@ class BlockStepper:
         self._op = ComposedOperator(tableau.s * problem.n, self._stage_system)
         self._precond = _BlockTriangularPreconditioner(
             T, problem, self.dt, inner_kind, inner_params)
-        self.outer_cfg = resolve_method(outer_cfg, self._op, self._precond)
+        self.outer_cfg = outer_cfg
 
     def _stage_system(self, v):
         """(I x M - dt A0 x L) v, for v the stacked stages."""

@@ -218,11 +218,12 @@ def test_surplus_inner_parameter_exits_2(capsys, inner):
 
 
 def test_run_nonconvergence_exits_1(capsys):
-    code, out = run_cli(capsys, ["run", "--problem", "advdiff1d",
-                                 "--family", "gauss", "--stages", "3",
-                                 "--grids", "48", "--tf", "0.25",
-                                 "--inner", "gs:1", "--max-iters", "50",
-                                 "--tol", "1e-12"])
+    with pytest.warns(UserWarning, match="not diagonally dominant"):
+        code, out = run_cli(capsys, ["run", "--problem", "advdiff1d",
+                                     "--family", "gauss", "--stages", "3",
+                                     "--grids", "48", "--tf", "0.25",
+                                     "--inner", "gs:1", "--max-iters", "50",
+                                     "--tol", "1e-12"])
     assert code == 1
     data = [l for l in out.splitlines() if not l.startswith("#")]
     assert any(l.endswith(",0") for l in data[1:])  # non-converged row

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -214,14 +212,33 @@ def test_resolve_method():
     relax = build_inner_preconditioner("jacobi", sym)
     inner = build_inner_preconditioner("inner_krylov", sym)
     auto = KrylovConfig(method="auto", rel_tol=1e-9, max_iters=7, restart=5)
-    assert resolve_method(auto, sym, exact) == replace(auto, method="cg")
-    assert resolve_method(auto, nonsym, exact).method == "gmres"
-    assert resolve_method(auto, sym, relax).method == "gmres"
-    assert resolve_method(auto, sym, inner).method == "gmres"
-    assert resolve_method(None, sym, exact) == KrylovConfig(method="cg")
-    assert resolve_method(auto, sym, None).method == "gmres"
+    assert resolve_method(auto, sym, exact) == "cg"
+    assert resolve_method(auto, nonsym, exact) == "gmres"
+    assert resolve_method(auto, sym, relax) == "gmres"
+    assert resolve_method(auto, sym, inner) == "gmres"
+    assert resolve_method(None, sym, exact) == "cg"
+    assert resolve_method(auto, sym, None) == "gmres"
     explicit = KrylovConfig(method="gmres", rel_tol=1e-9)
-    assert resolve_method(explicit, sym, exact) is explicit
+    assert resolve_method(explicit, sym, exact) == "gmres"
+
+
+def test_none_and_the_default_config_are_one_policy():
+    # KrylovConfig() is auto, as cfg None is: on an SPD operator with an
+    # exact preconditioner both run CG, and a stepper passes the
+    # caller's config on as it is
+    op = spd_tridiag(30)
+    P = build_inner_preconditioner("exact", op)
+    b = rng.standard_normal(30)
+    assert KrylovConfig().method == "auto"
+    assert resolve_method(KrylovConfig(), op, P) == "cg"
+    x0, rep0 = solve(op, b, P, None)
+    x1, rep1 = solve(op, b, P, KrylovConfig())
+    assert np.array_equal(x0, x1) and rep0 == rep1
+    grid = GridSpec(dim=1, n=16)
+    prob = LinearProblem(IdentityMass(16), build_advdiff(grid, 1.0, 0.1))
+    cfg = KrylovConfig(rel_tol=1e-9)
+    st = IRKStepper(build_tableau("gauss", 2), prob, 0.1, outer_cfg=cfg)
+    assert st.outer_cfg is cfg
 
 
 def test_scale_sets_the_target():

@@ -7,9 +7,9 @@ from irksolve.linop import (DENSE_LIMIT, ExactFFT, ExactSparseLU,
                             Jacobi, SparseMass, SparseOperator, ZeroOperator,
                             build_inner_preconditioner, fov_upper_bound,
                             shifted_operator)
+from irksolve import spatial
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
-                              build_fem_mass_1d, build_upwind_advection,
-                              d2_matrix)
+                              build_fem_mass_1d, build_upwind_advection)
 
 rng = np.random.default_rng(11)
 
@@ -38,7 +38,7 @@ def test_shifted_operator_trivial_cases():
     v = rng.standard_normal(n)
     assert np.allclose(op.apply(v), v)
 
-    D2 = d2_matrix(n, 0.5, 2)
+    D2 = spatial._derivative(n, 0.5, 2, 2).mat
     op = shifted_operator(2.0, 0.1, M, SparseOperator(D2))
     ref = 2.0 * np.eye(n) - 0.1 * D2.toarray()
     assert np.max(np.abs(op.to_dense() - ref)) < 1e-14
@@ -220,7 +220,7 @@ def test_fov_failure_is_the_package_eigen_failure():
 
 def test_symmetry_flags():
     n = 16
-    sym = SparseOperator(d2_matrix(n, 2.0 / n, 2))
+    sym = SparseOperator(spatial._derivative(n, 2.0 / n, 2, 2).mat)
     adv = build_upwind_advection(GridSpec(dim=1, n=n), 1.0)
     fem = build_fem_mass_1d(GridSpec(dim=1, n=n))
     assert sym.symmetric and fem.symmetric and IdentityMass(n).symmetric

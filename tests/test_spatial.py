@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from irksolve import spatial
 from irksolve.linop import fov_upper_bound
 from irksolve.spatial import (DIFF_X, DIFF_Y, GridSpec, UnsupportedOrder,
                               build_advdiff, build_fd_mms,
                               build_fem_diffusion_1d, build_fem_mass_1d,
-                              build_upwind_advection, d1_matrix, d2_matrix,
-                              mms_solution, mms_source)
+                              build_upwind_advection, mms_solution,
+                              mms_source)
 
 rng = np.random.default_rng(31)
 
 
 def test_second_order_d2_stencil_rows():
     n, h = 8, 0.25
-    D2 = d2_matrix(n, h, 2).toarray()
+    D2 = spatial._derivative(n, h, 2, 2).mat.toarray()
     row = D2[3]
     assert row[2] == pytest.approx(1.0 / h ** 2)
     assert row[3] == pytest.approx(-2.0 / h ** 2)
@@ -26,7 +27,7 @@ def test_fourth_order_d2_stencil_taylor_oracle():
     # Taylor oracle: sum c_o o^k = 0 for k in {0,1,3}, = 2 for k = 2, and
     # the h^4 accuracy condition sum c_o o^4 = 0
     n, h = 12, 1.0
-    row = d2_matrix(n, h, 4).toarray()[5]
+    row = spatial._derivative(n, h, 4, 2).mat.toarray()[5]
     offsets = np.arange(n) - 5
     offsets = np.where(offsets > n // 2, offsets - n, offsets)
     for k, want in [(0, 0.0), (1, 0.0), (2, 2.0), (3, 0.0), (4, 0.0)]:
@@ -38,7 +39,7 @@ def test_fourth_order_d2_stencil_taylor_oracle():
 
 
 def test_fourth_order_d1_is_skew():
-    D1 = d1_matrix(16, 0.125, 4)
+    D1 = spatial._derivative(16, 0.125, 4, 1).mat
     assert abs(D1 + D1.T).max() < 1e-14
 
 
@@ -150,7 +151,8 @@ def test_advdiff_is_the_kronecker_sum_bit_for_bit():
         h = 2.0 / n
         for order in (2, 4):
             def axis(a, d):
-                return -a * d1_matrix(n, h, order) + d * d2_matrix(n, h, order)
+                return (-a * spatial._derivative(n, h, order, 1).mat
+                        + d * spatial._derivative(n, h, order, 2).mat)
 
             eye = sp.identity(n, format="csr")
             for (ax, ay), (dx, dy) in coefficients:

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from irksolve.conditioning import random_stable_matrix
-from irksolve.krylov import KrylovConfig, solve
+from irksolve.krylov import KrylovConfig, resolve_method, solve
 from irksolve.linop import (ExactFFT, IdentityMass, SparseOperator,
                             ZeroOperator, build_inner_preconditioner,
                             shifted_operator)
@@ -257,6 +258,13 @@ def _image_setup(label):
     return LinearProblem(M, build_advdiff(g, 1.0, 0.02, 4)), g
 
 
+def _gs_warning(expected):
+    """Expect Gauss-Seidel's dominance warning when expected, else none."""
+    if not expected:
+        return contextlib.nullcontext()
+    return pytest.warns(UserWarning, match="not diagonally dominant")
+
+
 def _count_op_applies(ops):
     calls = {}
     for op in set(ops):
@@ -318,17 +326,21 @@ def test_exact_inner_solve_applies_its_operator_once(label):
     # the true residual at exit is the only operator apply.  A gs:2 inner
     # solve still applies the operator once per iteration and at exit;
     # on a real factor or an SDIRK stage the GS sweeps are built on that
-    # same operator, and the second sweep applies it once more
+    # same operator, and the second sweep applies it once more.  The
+    # sweeps warn on a shift that is not diagonally dominant: each one
+    # with the FEM mass, and the SDIRK stage's in 2D
     prob, grid = _image_setup(label)
     u = np.random.default_rng(32).standard_normal(prob.n)
     gmres = KrylovConfig(method="gmres", rel_tol=1e-10)
     for inner, params in (("exact", {}), ("gauss_seidel", {"sweeps": 2})):
+        gs = inner == "gauss_seidel"
         per_iter = {"pair": 0, "real": 0} if inner == "exact" \
             else {"pair": 1, "real": 2}
         for tab in (build_tableau("gauss", 2), build_tableau("radauIIA", 3),
                     build_tableau("lobattoIIIC", 5)):
-            st = IRKStepper(tab, prob, 2 * grid.h, outer_cfg=gmres,
-                            inner_kind=inner, inner_params=params)
+            with _gs_warning(gs and label == "lu-fem"):
+                st = IRKStepper(tab, prob, 2 * grid.h, outer_cfg=gmres,
+                                inner_kind=inner, inner_params=params)
             calls = _count_op_applies([sv.op for sv in st.solves])
             _u, reps = st.advance(u, 0.0)
             for sv, rep in zip(st.solves, reps):
@@ -337,9 +349,10 @@ def test_exact_inner_solve_applies_its_operator_once(label):
                 assert calls[sv.op] == 1 + k * rep.iterations, \
                     (tab.family, sv.factor)
         # the three chained SDIRK solves share one operator
-        sd = IRKStepper(build_tableau("sdirk3l", 3), prob, 2 * grid.h,
-                        outer_cfg=gmres, inner_kind=inner,
-                        inner_params=params)
+        with _gs_warning(gs and label != "lu-identity"):
+            sd = IRKStepper(build_tableau("sdirk3l", 3), prob, 2 * grid.h,
+                            outer_cfg=gmres, inner_kind=inner,
+                            inner_params=params)
         calls = _count_op_applies([sv.op for sv in sd.solves])
         _u, reps = sd.advance(u, 0.0)
         assert all(r.converged and r.iterations < gmres.restart for r in reps)
@@ -758,7 +771,8 @@ def test_fem_gauss3_completes_where_cg_broke_down():
     st = IRKStepper(build_tableau("gauss", 3), prob, dt,
                     outer_cfg=KrylovConfig(method="auto", rel_tol=1e-10),
                     inner_kind="exact")
-    assert st.outer_cfg.method == "cg"
+    assert all(resolve_method(st.outer_cfg, sv.op, sv.precond) == "cg"
+               for sv in st.solves)
     phi = np.random.default_rng(17).uniform(0.0, 2.0 * np.pi)
     x = grid.points_1d()
     u = np.sin(np.pi * x + phi)
