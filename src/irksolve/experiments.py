@@ -9,6 +9,7 @@ fixed spec produces a byte-identical CSV.
 """
 
 from dataclasses import dataclass, field, replace
+import math
 
 import numpy as np
 
@@ -64,10 +65,11 @@ class ExperimentSpec:
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "family",
                            build_tableau(self.family, self.stages).family)
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
-        if self.dt_ratio <= 0:
-            raise ValueError("dt_ratio must be positive")
+        for name in ("t_final", "dt_ratio"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         parse_inner(self.inner)
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}; "

@@ -9,19 +9,17 @@ it, and the solve ends when that meets the stop residual, when a pass
 did not lower it, or at max_iters.  The convergence flag rests on that
 true residual, never on the in-iteration estimate.
 
-GMRES is right-preconditioned so the in-iteration Givens estimate
-tracks the true residual rather than a preconditioner-scaled one.  It
-keeps the preconditioned directions and updates x from them, so one
-iteration costs exactly one preconditioner application, and a
-preconditioner that changes between applications (an inner Krylov
-loop) needs no separate method.  Each iteration takes the direction of
-z = P v and its image op z from one Preconditioner.apply_with_image
-call; only when op is precond.op, the operator an exact preconditioner
-was built to solve, is the image returned without applying op.
-The directions are kept in the preconditioner's own representation
-(z itself, or the half-spectrum of v for an FFT solve), and
-Preconditioner.combine forms sum_j y_j z_j from them once per restart
-cycle.
+Preconditioner is the protocol every preconditioner implements; the
+base class is the identity, which solve uses for precond None.  GMRES
+is right-preconditioned, so its Givens estimate tracks the true
+residual, and keeps the preconditioned directions, so an iteration
+costs one preconditioner application and a preconditioner may change
+between applications (an inner Krylov loop).  Once per cycle it checks
+op is precond.op, the operator an exact preconditioner solves: then
+each iteration takes z = P v with op z from precond.apply_with_image(v)
+without applying op, in the preconditioner's own representation (the
+half-spectrum of v for an FFT solve), and precond.combine sums the
+directions once per cycle; otherwise it applies P, then op.
 
 A solve stops at max(rel_tol * scale, FLOOR * eps * ||op|| * ||x||).
 scale is ||b|| unless the caller passes another norm.  The second term
@@ -37,8 +35,8 @@ import math
 
 import numpy as np
 
-__all__ = ["KrylovConfig", "KrylovReport", "solve", "resolve_method",
-           "Breakdown", "NonFiniteResidual"]
+__all__ = ["KrylovConfig", "KrylovReport", "Preconditioner", "solve",
+           "resolve_method", "Breakdown", "NonFiniteResidual"]
 
 #: a recurrence denominator below this fraction of the norms it is formed
 #: from (in GMRES, its Hessenberg column's norm) counts as zero
@@ -68,8 +66,9 @@ class KrylovConfig:
         if self.method not in ("auto", "cg", "gmres"):
             raise ValueError(f"unknown Krylov method {self.method!r}; "
                              "choose from auto, cg, gmres")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        # a target at or above ||b|| is met by x = 0
+        if not 0 < self.rel_tol < 1:
+            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.restart < 1:
@@ -95,6 +94,45 @@ class KrylovReport:
     floor_limited: bool = False
 
 
+class Preconditioner:
+    """Approximation of op^{-1} with a leaf application counter; this
+    base class is the identity, which counts nothing.  A subclass
+    implements apply; an exact one also sets op, the operator it solves
+    exactly (None for an inexact one), and GMRES on that op calls
+    apply_with_image and combine instead of apply.  exact marks one
+    with an op, so SPD for an SPD operator.  symmetric marks one that
+    is symmetric whenever its operator is, as CG needs."""
+
+    op = None
+    symmetric = True
+
+    def __init__(self, n: int):
+        self.n = n
+        self._count = 0
+
+    @property
+    def exact(self) -> bool:
+        return self.op is not None
+
+    @property
+    def applications(self) -> int:
+        return self._count
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return v
+
+    def apply_with_image(self, v: np.ndarray):
+        """(d, op z) for z = apply(v) and its direction d, the form in
+        which combine takes it back; here d is z itself, and op z = v,
+        as for any exact solve of op."""
+        return self.apply(v), v
+
+    def combine(self, D, y) -> np.ndarray:
+        """sum_j y_j z_j for the directions D that apply_with_image
+        returned."""
+        return np.array(D).T @ y
+
+
 def resolve_method(cfg: KrylovConfig | None, op, precond) -> str:
     """The method, "cg" or "gmres", that cfg (None meaning KrylovConfig())
     names for solving op with precond.  "auto" is cg for a symmetric
@@ -106,26 +144,6 @@ def resolve_method(cfg: KrylovConfig | None, op, precond) -> str:
     return "cg" if op.symmetric and exact else "gmres"
 
 
-def _apply_precond(precond, v):
-    if precond is None:
-        return v
-    return precond.apply(v)
-
-
-def _direction(op, precond, v):
-    """(z, op z) for the preconditioned direction z = P v."""
-    if precond is None:
-        return v, op.apply(v)
-    return precond.apply_with_image(v, op)
-
-
-def _combine(precond, Z, y):
-    """sum_j y_j z_j for the directions Z that _direction returned."""
-    if precond is None:
-        return np.array(Z).T @ y
-    return precond.combine(Z, y)
-
-
 def _finite(rnorm):
     if not math.isfinite(rnorm):
         raise NonFiniteResidual(f"residual norm {rnorm} in Krylov iteration")
@@ -135,10 +153,11 @@ def _finite(rnorm):
 def solve(op, b, precond, cfg: KrylovConfig | None = None, scale=None):
     """Solve op x = b.  Returns (x, KrylovReport).
 
-    precond approximates op^{-1} (None for unpreconditioned), cfg None
-    means KrylovConfig(), and resolve_method picks the method.  For CG
-    both must be marked symmetric, and precond must be SPD.  The target
-    is cfg.rel_tol * scale, with scale = ||b|| when None.
+    precond approximates op^{-1} (None means the identity,
+    Preconditioner(op.n)), cfg None means KrylovConfig(), and
+    resolve_method picks the method.  For CG both must be marked
+    symmetric, and precond must be SPD.  The target is
+    cfg.rel_tol * scale, with scale = ||b|| when None.
 
     Every pass (a CG run or a GMRES cycle) starts from the true residual,
     which is recomputed after it.  The solve ends when that meets the
@@ -150,13 +169,15 @@ def solve(op, b, precond, cfg: KrylovConfig | None = None, scale=None):
     if b.shape[0] != op.n:
         raise ValueError(f"rhs of dim {b.shape[0]} for operator of dim {op.n}")
     cfg = cfg or _DEFAULT
+    if precond is None:
+        precond = Preconditioner(op.n)
     cg = resolve_method(cfg, op, precond) == "cg"
     if cg and not op.symmetric:
         raise ValueError("CG requested on an operator not marked symmetric")
-    if cg and precond is not None and not precond.symmetric:
+    if cg and not precond.symmetric:
         raise ValueError("CG requested with a preconditioner not marked "
                          "symmetric")
-    count0 = precond.applications if precond is not None else 0
+    count0 = precond.applications
     if scale is None:
         scale = float(np.linalg.norm(b))
     target = cfg.rel_tol * scale
@@ -183,8 +204,7 @@ def solve(op, b, precond, cfg: KrylovConfig | None = None, scale=None):
     rep.target = target
     rep.floor_limited = stop > target
     rep.converged = rnorm <= stop
-    if precond is not None:
-        rep.preconditioner_applications = precond.applications - count0
+    rep.preconditioner_applications = precond.applications - count0
     return x, rep
 
 
@@ -197,7 +217,7 @@ def _cg(op, precond, cfg, rep, x, r, target, floor):
     """One preconditioned CG pass from x with residual r, to where the
     recurrence residual meets the stop residual at the current x.
     Returns the new x."""
-    z = _apply_precond(precond, r)
+    z = precond.apply(r)
     p = z.copy()
     rz = r @ z
     while rep.iterations < cfg.max_iters:
@@ -213,7 +233,7 @@ def _cg(op, precond, cfg, rep, x, r, target, floor):
         rep.residual_history.append(rnorm)
         if rnorm <= _stop(target, floor, x):
             break
-        z = _apply_precond(precond, r)
+        z = precond.apply(r)
         rz_new = r @ z
         if abs(rz_new) < BREAKDOWN_TOL * rnorm * np.linalg.norm(z):
             raise Breakdown("r^T z ~ 0 in CG")
@@ -223,14 +243,11 @@ def _cg(op, precond, cfg, rep, x, r, target, floor):
 
 
 def _gmres(op, precond, cfg, rep, x, r, beta, stop):
-    """One restart cycle of GMRES from x with residual r of norm beta,
-    right-preconditioned, so the monitored Givens residual estimates the
-    true residual regardless of preconditioner scaling.  The directions
-    of Z = P V are kept and x is updated from them by precond.combine,
-    so P is applied once per iteration and may change between
-    iterations.  V and Z grow by one vector per iteration.  The cycle
-    ends when the Givens residual meets stop, the stop residual at the
-    cycle start.  Returns the new x."""
+    """One restart cycle of right-preconditioned GMRES from x with
+    residual r of norm beta, to where the Givens residual meets stop,
+    the stop residual at the cycle start.  V and Z = P V grow by one
+    vector per iteration, and x is updated from Z.  Returns the new x."""
+    image = op is precond.op
     m = cfg.restart
     V = [r / beta]
     Z = []
@@ -242,7 +259,11 @@ def _gmres(op, precond, cfg, rep, x, r, beta, stop):
 
     j = 0
     while j < m and rep.iterations < cfg.max_iters:
-        z, w = _direction(op, precond, V[j])
+        if image:
+            z, w = precond.apply_with_image(V[j])
+        else:
+            z = precond.apply(V[j])
+            w = op.apply(z)
         Z.append(z)
         for i in range(j + 1):
             H[i, j] = V[i] @ w
@@ -280,4 +301,6 @@ def _gmres(op, precond, cfg, rep, x, r, beta, stop):
     y = np.zeros(j)
     for i in range(j - 1, -1, -1):
         y[i] = (g[i] - H[i, i + 1:j] @ y[i + 1:j]) / H[i, i]
-    return x + _combine(precond, Z, y)
+    if image:
+        return x + precond.combine(Z, y)
+    return x + np.array(Z).T @ y

@@ -2,14 +2,17 @@
 
 The scaled operator Lhat = dt * M^{-1} L is never formed; every
 polynomial evaluation composes M.solve with L.apply.  Inner
-preconditioners approximate (gamma*M - dt*L)^{-1} and carry an
-application counter so Krylov reports can account for every
-preconditioner application, including those inside inner iterations.
-A circulant operator also carries its Fourier symbol, which gives an
-exact FFT solve, an exact field-of-values certificate, its symmetry,
-its norm and the pivot scale of that solve.  A matrix is assembled only
-where something applies or factors it: the circulant shift that only
-the FFT solves never is.
+preconditioners approximate (gamma*M - dt*L)^{-1}.  They implement
+krylov.Preconditioner, re-exported here, and carry its application
+counter so Krylov reports can account for every preconditioner
+application, including those inside inner iterations.  An exact one
+names the operator it solves as its op, and GMRES on that op takes the
+image of each direction from the solve instead of applying the
+operator.  A circulant operator also carries its Fourier symbol, which
+gives an exact FFT solve, an exact field-of-values certificate, its
+symmetry, its norm and the pivot scale of that solve.  A matrix is
+assembled only where something applies or factors it: the circulant
+shift that only the FFT solves never is.
 """
 
 from functools import cached_property
@@ -19,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .krylov import KrylovConfig, solve
+from .krylov import KrylovConfig, Preconditioner, solve
 
 __all__ = [
     "LinearOperator",
@@ -281,46 +284,6 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
 # ----------------------------------------------------------------------
 # Inner preconditioners
 
-class Preconditioner:
-    """Approximation of op^{-1} with a leaf application counter.  A
-    subclass implements apply; an exact one also sets op, the operator
-    it solves exactly (None for an inexact one), and GMRES then takes
-    the image of a direction under op from apply_with_image without
-    applying op.  exact marks one with an op, so SPD for an SPD
-    operator.  symmetric marks one that is symmetric whenever its
-    operator is, as CG needs."""
-
-    op = None
-    symmetric = True
-
-    def __init__(self, n: int):
-        self.n = n
-        self._count = 0
-
-    @property
-    def exact(self) -> bool:
-        return self.op is not None
-
-    @property
-    def applications(self) -> int:
-        return self._count
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply_with_image(self, v: np.ndarray, op: LinearOperator):
-        """(d, op z) for z = apply(v) and its direction d, the form in
-        which combine takes it back; here d is z itself.  For op this
-        preconditioner's own op, op z = v and op is not applied."""
-        z = self.apply(v)
-        return z, (v if op is self.op else op.apply(z))
-
-    def combine(self, D, y) -> np.ndarray:
-        """sum_j y_j z_j for the directions D that apply_with_image
-        returned."""
-        return np.array(D).T @ y
-
-
 class ExactSparseLU(Preconditioner):
     """Exact solve through one sparse LU of the assembled operator."""
 
@@ -351,6 +314,8 @@ class ExactFFT(Preconditioner):
     under op, and combine maps sum_j y_j vh_j back by one irfftn per
     restart cycle.  A GMRES iteration then costs one rfftn and one
     irfftn on a pair, and one rfftn on a real factor or an SDIRK stage.
+    GMRES on any other operator takes apply(v) and applies that
+    operator instead.
 
     It reads only op's symbol, and its pivot check scales by the
     symbol's largest modulus, so op's matrix is not assembled for it.
@@ -393,17 +358,12 @@ class ExactFFT(Preconditioner):
             return vh, v
         return vh, v + self._irfftn(vh * self._image)
 
-    def apply_with_image(self, v, op):
-        if op is not self.op:
-            return super().apply_with_image(v, op)
+    def apply_with_image(self, v):
         return self.apply(v, image=True)
 
     def combine(self, D, y):
         """sum_j y_j z_j in one irfftn from the half-spectra D of the
-        v_j.  A real D holds the z_j themselves: op.apply gave their
-        images."""
-        if not np.iscomplexobj(D[0]):
-            return super().combine(D, y)
+        v_j."""
         return self._irfftn(self._inv * np.tensordot(y, D, 1))
 
 

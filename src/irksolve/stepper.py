@@ -26,8 +26,9 @@ stage storage:
    application (for a pair, two inner applications; with the FFT inner
    solve and M = I, one round trip of the squared solve) and the image
    of its result under the operator.  An exact preconditioner is built
-   with the factor's operator as its op, so GMRES takes that image from
-   the inner solves (for a pair, v - 2 delta M P v + c M P M P v with
+   with the factor's operator as its op, so GMRES, which checks
+   op is precond.op once per restart cycle, takes that image from the
+   inner solves (for a pair, v - 2 delta M P v + c M P M P v with
    delta = gamma - eta and c = delta^2 + beta^2, both passed in when it
    is built; for a real factor, v), and the operator is applied only
    for the true residual, at restarts and at exit.  With the FFT inner
@@ -57,11 +58,10 @@ import math
 
 import numpy as np
 
-from .krylov import KrylovConfig, KrylovReport, solve
+from .krylov import KrylovConfig, KrylovReport, Preconditioner, solve
 from .linop import (CirculantOperator, ComposedOperator, ExactFFT,
-                    LinearOperator, MassOperator, Preconditioner,
-                    build_inner_preconditioner, fov_upper_bound,
-                    shifted_operator)
+                    LinearOperator, MassOperator, build_inner_preconditioner,
+                    fov_upper_bound, shifted_operator)
 # adjugate_row_polynomials is no longer called: perfbench/tracing.py
 # still looks the name up in this module
 from .spectral import (adjugate_row_polynomials, factor_list,  # noqa: F401
@@ -168,7 +168,8 @@ class _SandwichPreconditioner(Preconditioner):
     delta = gamma - eta, so the operator image of a direction is
     M Q_eta (P M P v) = v - 2 delta M P v + c M P M P v with
     c = delta^2 + beta^2: apply_with_image gives it from the two inner
-    solves and no operator apply.
+    solves and no operator apply.  GMRES calls it only on op; on any
+    other operator it takes apply(v) and applies that operator.
     """
 
     def __init__(self, P: Preconditioner, op: LinearOperator,
@@ -188,9 +189,7 @@ class _SandwichPreconditioner(Preconditioner):
     def apply(self, v):
         return self._P.apply(self._M.apply(self._P.apply(v)))
 
-    def apply_with_image(self, v, op):
-        if op is not self.op:
-            return super().apply_with_image(v, op)
+    def apply_with_image(self, v):
         MPv = self._M.apply(self._P.apply(v))
         z = self._P.apply(MPv)
         return z, v - 2.0 * self._delta * MPv + self._c * self._M.apply(z)
@@ -236,8 +235,8 @@ class IRKStepper:
                  inner_kind: str = "exact",
                  inner_params: dict | None = None,
                  gamma_mode: str = "gamma_star"):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         if gamma_mode not in GAMMA_MODES:
             raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
         self.tableau = tableau
@@ -473,8 +472,8 @@ class BlockStepper:
                  dt: float, outer_cfg: KrylovConfig | None = None,
                  inner_kind: str = "exact",
                  inner_params: dict | None = None, variant: str = "GSL"):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         variant = variant.upper()
         if variant not in ("GSL", "LD"):
             raise ValueError(f"unknown block preconditioner variant {variant!r}")

@@ -176,6 +176,15 @@ USAGE_ERRORS = [
     # CG with a Gauss-Seidel inner solve used to run 2000 iterations
     ["run", "--problem", "diffusion1d-fem"] + SMALL_1D
     + ["--krylov", "cg", "--inner", "gs:2"],
+    # a target at or above ||b|| was met by x = 0 in 0 iterations
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--tol", "inf"],
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--tol", "1"],
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--tol", "nan"],
+    # non-finite times used to exit 1 as solver failures
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--tf", "inf"],
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--tf", "nan"],
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--dt-ratio", "inf"],
+    ["run", "--problem", "advdiff1d"] + SMALL_1D + ["--dt-ratio", "nan"],
 ]
 
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irksolve.krylov import (KrylovConfig, NonFiniteResidual, resolve_method,
-                             solve)
+from irksolve import linop
+from irksolve.krylov import (KrylovConfig, NonFiniteResidual, Preconditioner,
+                             resolve_method, solve)
 from irksolve.linop import (ComposedOperator, GaussSeidel, IdentityMass,
-                            Preconditioner, SparseOperator,
-                            build_inner_preconditioner, shifted_operator)
+                            SparseOperator, build_inner_preconditioner,
+                            shifted_operator)
 from irksolve.spatial import GridSpec, build_advdiff
 from irksolve.stepper import IRKStepper, LinearProblem
 from irksolve.tableaux import build_tableau
@@ -239,6 +240,58 @@ def test_none_and_the_default_config_are_one_policy():
     cfg = KrylovConfig(rel_tol=1e-9)
     st = IRKStepper(build_tableau("gauss", 2), prob, 0.1, outer_cfg=cfg)
     assert st.outer_cfg is cfg
+
+
+@pytest.mark.parametrize("method", ["cg", "gmres"])
+def test_no_preconditioner_is_the_identity(method):
+    # solve takes precond None as Preconditioner(n), the identity, which
+    # linop re-exports; it counts no application
+    op = spd_tridiag(30)
+    b = np.random.default_rng(41).standard_normal(30)
+    cfg = KrylovConfig(method=method, rel_tol=1e-10, restart=4)
+    identity = Preconditioner(op.n)
+    x0, rep0 = solve(op, b, None, cfg)
+    x1, rep1 = solve(op, b, identity, cfg)
+    assert np.array_equal(x0, x1) and rep0 == rep1
+    assert rep1.converged and rep1.iterations > 4
+    assert rep1.preconditioner_applications == 0 == identity.applications
+    assert linop.Preconditioner is Preconditioner
+
+
+def _count_precond_calls(pc):
+    calls = {"apply": 0, "apply_with_image": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(pc, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        setattr(pc, name, counted)
+    return calls
+
+
+def test_gmres_takes_the_image_only_from_a_solve_of_its_operator():
+    # GMRES calls apply_with_image once per iteration when op is
+    # precond.op (the sparse LU in 1D, the FFT in 2D), and apply, then
+    # op, for an inexact preconditioner or an exact solve of another
+    # operator; apply_with_image goes through apply, so either way each
+    # iteration is one apply call
+    b = np.random.default_rng(42).standard_normal(64)
+    ops = [spd_tridiag(64), shifted_operator(
+        2.0, 0.1, IdentityMass(64),
+        build_advdiff(GridSpec(dim=2, n=8), (0.85, 1.0), (0.3, 0.25), 4))]
+    gmres = KrylovConfig(method="gmres", rel_tol=1e-10, restart=4)
+    for op in ops:
+        other = SparseOperator(op.mat + 0.5 * sp.identity(op.n))
+        exact = build_inner_preconditioner("exact", op)
+        assert exact.op is op
+        for pc, image in ((exact, True),
+                          (build_inner_preconditioner("jacobi", op), False),
+                          (build_inner_preconditioner("exact", other), False)):
+            calls = _count_precond_calls(pc)
+            _x, rep = solve(op, b, pc, gmres)
+            assert rep.converged
+            assert calls == {"apply": rep.iterations,
+                             "apply_with_image": rep.iterations if image
+                             else 0}
 
 
 def test_scale_sets_the_target():

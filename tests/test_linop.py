@@ -117,7 +117,8 @@ def test_inner_krylov_residual_reduction():
 def test_inner_krylov_rejects_a_bad_tolerance_when_built():
     op = shifted_operator(2.5, 0.1, IdentityMass(8),
                           SparseOperator(-sp.identity(8, format="csr")))
-    for params in ({"tol": -1}, {"tol": 0.0}, {"maxit": 0}):
+    for params in ({"tol": -1}, {"tol": 0.0}, {"tol": 1.0},
+                   {"tol": float("nan")}, {"maxit": 0}):
         with pytest.raises(ValueError):
             build_inner_preconditioner("inner_krylov", op, **params)
 
