@@ -9,13 +9,14 @@ application, including those inside inner iterations.  An exact one
 names the operator it solves as its op, and GMRES on that op takes the
 image of each direction from the solve instead of applying the
 operator.  A circulant operator also carries its Fourier symbol, which
-gives an exact FFT solve, an exact field-of-values certificate, its
-symmetry, its norm and the pivot scale of that solve.  A matrix is
-assembled only where something applies or factors it: the circulant
-shift that only the FFT solves never is.
+gives its exact solve (by FFT, on any grid), an exact field-of-values
+certificate, its symmetry, its norm and the pivot scale of that solve,
+so no circulant is factored.  A circulant's matrix is assembled only
+when something applies it: the shift that only the FFT solves never is.
 """
 
 from functools import cached_property
+import sys
 import warnings
 
 import numpy as np
@@ -185,19 +186,17 @@ class MassOperator(LinearOperator):
     when no bound is known."""
 
     inv_norm = 0.0
+    is_identity = False
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    @property
-    def is_identity(self) -> bool:
-        return False
 
 
 class IdentityMass(MassOperator):
     symmetric = True
     norm = 1.0
     inv_norm = 1.0
+    is_identity = True
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -208,10 +207,6 @@ class IdentityMass(MassOperator):
 
     def solve(self, v):
         return v
-
-    @property
-    def is_identity(self):
-        return True
 
 
 def _sparse_lu(mat):
@@ -300,8 +295,8 @@ class ExactSparseLU(Preconditioner):
 
 
 class ExactFFT(Preconditioner):
-    """Exact solve of a circulant operator by two real FFTs: the
-    inverse symbol is kept on the rfftn half-spectrum.
+    """Exact solve of a circulant operator on any grid by two real
+    FFTs: the inverse symbol is kept on the rfftn half-spectrum.
 
     square turns it into P^2, the conjugate-pair preconditioner P M P
     with M = I, so each outer iteration on a pair costs one
@@ -367,6 +362,14 @@ class ExactFFT(Preconditioner):
         return self._irfftn(self._inv * np.tensordot(y, D, 1))
 
 
+def _warn_at_caller(message):
+    """Warn at the first frame outside this module: the solve's builder."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 class _Relaxation(Preconditioner):
     """k sweeps x <- x + B (v - A x) from a zero initial guess, where the
     subclass's _sweep applies B, an approximate inverse of the assembled
@@ -383,9 +386,13 @@ class _Relaxation(Preconditioner):
         self._op = op
         d = np.abs(op.mat.diagonal())
         off = _abs_row_sums(op.mat) - d
-        if np.any(d < off - 1e-14 * (d + off)):
-            warnings.warn(f"{self.kind}: operator is not diagonally dominant; "
-                          "relaxation may be a weak preconditioner", stacklevel=3)
+        bad = np.flatnonzero(d < off - 1e-14 * (d + off))
+        if bad.size:
+            i = bad[np.argmin(d[bad] / off[bad])]
+            _warn_at_caller(
+                f"{self.kind}: operator is not diagonally dominant (row {i}: "
+                f"|a_ii| / sum_j!=i |a_ij| = {d[i] / off[i]:.6g}); "
+                "relaxation may be a weak preconditioner")
 
     def _sweep(self, r):
         raise NotImplementedError
@@ -456,14 +463,12 @@ def build_inner_preconditioner(kind: str, op: LinearOperator,
 
     kind: exact | jacobi | gauss_seidel | inner_krylov, the canonical
     names experiments.parse_inner resolves a spec to; params go to the
-    constructor unchanged.  exact is an FFT solve when op is circulant
-    on more than one grid axis, where the LU's fill grows
-    superlinearly, and the sparse LU otherwise: a 1D periodic banded LU
-    is O(n) per solve and beats two FFTs.  Relaxation kinds take
-    sweeps=k >= 1; inner_krylov takes tol and maxit.
+    constructor unchanged.  exact is the FFT solve when op is circulant,
+    on any number of grid axes, and the sparse LU otherwise.  Relaxation
+    kinds take sweeps=k >= 1; inner_krylov takes tol and maxit.
     """
     if kind == "exact":
-        if isinstance(op, CirculantOperator) and op.symbol.ndim > 1:
+        if isinstance(op, CirculantOperator):
             return ExactFFT(op, **params)
         return ExactSparseLU(op, **params)
     if kind not in _INNER_KINDS:

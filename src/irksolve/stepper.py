@@ -23,20 +23,14 @@ stage storage:
    matrix (gamma M - dt L)^{-1} and gamma is the pair's optimal shift
    sqrt(eta^2 + beta^2) (or eta, for comparison runs); a real eigenvalue
    is a single shifted solve.  Per iteration: one preconditioner
-   application (for a pair, two inner applications; with the FFT inner
-   solve and M = I, one round trip of the squared solve) and the image
-   of its result under the operator.  An exact preconditioner is built
-   with the factor's operator as its op, so GMRES, which checks
-   op is precond.op once per restart cycle, takes that image from the
-   inner solves (for a pair, v - 2 delta M P v + c M P M P v with
-   delta = gamma - eta and c = delta^2 + beta^2, both passed in when it
-   is built; for a real factor, v), and the operator is applied only
-   for the true residual, at restarts and at exit.  With the FFT inner
-   solve and M = I, GMRES keeps its directions on the half-spectrum: an
-   iteration costs one rfftn and one irfftn on a pair and one rfftn on
-   a real factor, plus one irfftn per restart cycle for the update.  CG
-   and every other inner solve apply the operator every iteration (for
-   a pair, two applies of eta M - dt L and one M solve).  An SDIRK
+   application (for a pair, two inner applications) and the image of
+   its result under the operator.  An exact preconditioner is built
+   with the factor's operator as its op, so GMRES takes that image from
+   the inner solves (see _SandwichPreconditioner and linop.ExactFFT)
+   and applies the operator only for the true residual; CG and every
+   other inner solve apply it every iteration.  The exact inner solve
+   of a circulant L with M = I is the FFT, in 1D as in 2D: set-up
+   factors nothing, and a pair's P M P is one FFT round trip.  An SDIRK
    tableau's A0^{-1} is defective: its s solves share one operator and
    are chained, each adding M times the previous answer to its rhs;
 3. update u_{n+1} = R(inf) u_n + sum_j y_j.

@@ -45,9 +45,9 @@ class ButcherTableau:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "A0", _frozen(np.asarray(self.A0, dtype=float)))
-        object.__setattr__(self, "b0", _frozen(np.asarray(self.b0, dtype=float)))
-        object.__setattr__(self, "c0", _frozen(np.asarray(self.c0, dtype=float)))
+        for name in ("A0", "b0", "c0"):
+            object.__setattr__(self, name, _frozen(np.asarray(
+                getattr(self, name), dtype=float)))
 
     @property
     def is_lower_triangular(self) -> bool:
@@ -162,28 +162,29 @@ def _lagrange_basis(c: np.ndarray, j: int, tau: np.ndarray) -> np.ndarray:
     return num
 
 
+def _basis_integrals(c: np.ndarray, uppers) -> np.ndarray:
+    """[int_0^x l_j]_{x, j} for the Lagrange basis l_j on c, by Gauss-
+    Legendre quadrature (s+3 points, exact for degree s-1) on [0, x]."""
+    xq, wq = np.polynomial.legendre.leggauss(len(c) + 3)
+    out = np.zeros((len(uppers), len(c)))
+    for i, x in enumerate(uppers):
+        tau = 0.5 * x * (xq + 1.0)
+        for j in range(len(c)):
+            out[i, j] = 0.5 * x * np.dot(wq, _lagrange_basis(c, j, tau))
+    return out
+
+
 def _collocation_coeffs(c: np.ndarray):
-    """A and b from the collocation integrals, by Gauss-Legendre quadrature
-    (s+3 points, exact for the degree s-1 Lagrange basis)."""
-    s = len(c)
-    xq, wq = np.polynomial.legendre.leggauss(s + 3)
-    A = np.zeros((s, s))
-    b = np.zeros(s)
-    for j in range(s):
-        for i in range(s):
-            # map [-1,1] -> [0, c_i]
-            tau = 0.5 * c[i] * (xq + 1.0)
-            A[i, j] = 0.5 * c[i] * np.dot(wq, _lagrange_basis(c, j, tau))
-        tau = 0.5 * (xq + 1.0)
-        b[j] = 0.5 * np.dot(wq, _lagrange_basis(c, j, tau))
-    return A, b
+    """A and b from the collocation integrals over [0, c_i] and [0, 1]."""
+    ints = _basis_integrals(c, [*c, 1.0])
+    return ints[:-1], ints[-1]
 
 
 def _lobatto_iiic_coeffs(c: np.ndarray):
     """Lobatto IIIC rows from a_i1 = b_1 plus the C(s-1) conditions,
     solved rowwise as a small dense linear system."""
     s = len(c)
-    _, b = _collocation_coeffs(c)  # Lobatto quadrature weights
+    b = _basis_integrals(c, [1.0])[0]  # Lobatto quadrature weights
     A = np.zeros((s, s))
     for i in range(s):
         sys = np.zeros((s, s))

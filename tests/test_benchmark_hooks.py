@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from irksolve.krylov import KrylovConfig
-from irksolve.spatial import GridSpec, build_fd_mms, build_fem_diffusion_1d
-from irksolve.stepper import IRKStepper
+from irksolve.linop import IdentityMass
+from irksolve.spatial import (GridSpec, build_fd_mms, build_fem_diffusion_1d,
+                              build_upwind_advection)
+from irksolve.stepper import IRKStepper, LinearProblem
 from irksolve.tableaux import build_tableau
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,6 +42,10 @@ CASES = {
     # FEM mass: mass solves, CG
     "fem1d": (lambda: build_fem_diffusion_1d(GridSpec(dim=1, n=32)),
               ("gauss", 3)),
+    # circulant 1D operator, two pairs and a real factor: the FFT again
+    "upwind1d": (lambda: LinearProblem(
+        IdentityMass(32), build_upwind_advection(GridSpec(dim=1, n=32), 1.0)),
+        ("lobattoIIIC", 5)),
 }
 
 

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irksolve.linop import (DENSE_LIMIT, ExactFFT, ExactSparseLU,
-                            FactorizationFailure, GaussSeidel, IdentityMass,
-                            Jacobi, SparseMass, SparseOperator, ZeroOperator,
-                            build_inner_preconditioner, fov_upper_bound,
-                            shifted_operator)
+from irksolve.linop import (DENSE_LIMIT, ComposedOperator, ExactFFT,
+                            ExactSparseLU, FactorizationFailure, GaussSeidel,
+                            IdentityMass, Jacobi, SparseMass, SparseOperator,
+                            ZeroOperator, build_inner_preconditioner,
+                            fov_upper_bound, shifted_operator)
 from irksolve import spatial
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
                               build_fem_mass_1d, build_upwind_advection)
@@ -250,16 +252,31 @@ def test_circulant_symmetry_from_the_symbol_matches_the_transpose_test():
 
 
 def test_exact_fft_residual():
-    for n in (16, 33):
-        grid = GridSpec(dim=2, n=n)
-        L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4)
-        op = shifted_operator(2.0 * np.sqrt(3.0), 2 * grid.h,
-                              IdentityMass(grid.size), L)
+    # the FFT solve is exact on every grid, an odd size included, and so
+    # is its squared form for the Gauss-2 pair eta +- i beta: the image
+    # that apply_with_image gives is the pair operator's apply of the solve
+    eta, beta = 3.0, np.sqrt(3.0)
+    gamma = np.hypot(eta, beta)
+    delta = gamma - eta
+    for dim, n in ((1, 16), (1, 33), (2, 16), (2, 33)):
+        grid = GridSpec(dim=dim, n=n)
+        L = build_advdiff(grid, (0.85, 1.0)[:dim], (0.3, 0.25)[:dim], 4)
+        M, dt = IdentityMass(grid.size), 2 * grid.h
+        op = shifted_operator(gamma, dt, M, L)
         pc = ExactFFT(op)
         v = rng.standard_normal(op.n)
         x = pc.apply(v)
         assert pc.applications == 1
         assert np.linalg.norm(op.apply(x) - v) <= 1e-13 * np.linalg.norm(v)
+        A_eta = shifted_operator(eta, dt, M, L)
+        pair = ComposedOperator(
+            op.n, lambda u: A_eta.apply(A_eta.apply(u)) + beta ** 2 * u)
+        sq = ExactFFT(op).square(pair, delta, delta ** 2 + beta ** 2)
+        vh, w = sq.apply_with_image(v)
+        z = sq.combine([vh], np.ones(1))
+        assert sq.op is pair and sq.applications == 2
+        assert np.linalg.norm(z - sq.apply(v)) <= 1e-13 * np.linalg.norm(z)
+        assert np.linalg.norm(w - pair.apply(z)) <= 1e-13 * np.linalg.norm(w)
 
 
 def test_zero_mode_raises_factorization_failure():
@@ -282,12 +299,13 @@ def test_symbol_fov_matches_dense():
                 np.linalg.eigvalsh(S)[-1], abs=1e-12)
 
 
-def test_exact_kind_follows_the_grid():
-    for dim, kind in ((1, ExactSparseLU), (2, ExactFFT)):
+def test_exact_kind_follows_the_operator():
+    # every circulant shift gets the FFT solve, in 1D as in 2D
+    for dim in (1, 2):
         grid = GridSpec(dim=dim, n=16)
         L = build_advdiff(grid, 0.5, 0.5, 2)
         op = shifted_operator(2.0, 0.1, IdentityMass(grid.size), L)
-        assert type(build_inner_preconditioner("exact", op)) is kind
+        assert type(build_inner_preconditioner("exact", op)) is ExactFFT
     # a circulant L with a non-identity mass is not circulant-shifted
     grid = GridSpec(dim=1, n=16)
     prob = build_fem_diffusion_1d(grid)
@@ -314,3 +332,21 @@ def test_operator_norms():
     # no bound for a mass that is not diagonally dominant
     spd = np.full((3, 3), 0.6) + 0.4 * np.eye(3)
     assert SparseMass(sp.csr_matrix(spd)).inv_norm == 0.0
+
+
+def test_relaxation_warning_names_the_shift_at_the_caller():
+    # each non-dominant shift warns with its worst row and ratio, so two
+    # shifts built on one line give two warnings under the once-per-
+    # location filter, both reported at that line and not in linop.py
+    grid = GridSpec(dim=1, n=48)
+    M, L = build_fem_mass_1d(grid), build_advdiff(grid, 1.0, 0.02, 4)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("default")
+        for gamma in (1.0, 2.0):
+            build_inner_preconditioner(
+                "gauss_seidel", shifted_operator(gamma, 2 * grid.h, M, L))
+    assert len(rec) == 2
+    assert str(rec[0].message) != str(rec[1].message)
+    for r in rec:
+        assert "not diagonally dominant (row " in str(r.message)
+        assert r.filename == __file__

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from irksolve import linop
 from irksolve.conditioning import random_stable_matrix
 from irksolve.krylov import KrylovConfig, resolve_method, solve
 from irksolve.linop import (ExactFFT, IdentityMass, SparseOperator,
                             ZeroOperator, build_inner_preconditioner,
                             shifted_operator)
 from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
-                              build_fem_diffusion_1d, build_fem_mass_1d)
+                              build_fem_diffusion_1d, build_fem_mass_1d,
+                              build_upwind_advection)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
                               LinearProblem, _pair_preconditioner,
@@ -248,14 +250,17 @@ def test_fft_gmres_step_transform_budget(monkeypatch, scheme, restart):
 
 def _image_setup(label):
     """(problem, grid) for an exact inner solve: the sparse LU in 1D with
-    identity or FEM mass, the FFT in 2D."""
+    identity or FEM mass, the FFT in 2D.  With the identity, L is the
+    circulant's matrix alone, since a circulant shift gets the FFT."""
     if label == "fft-identity":
         g = GridSpec(dim=2, n=16)
         L = build_advdiff(g, (0.85, 1.0), (0.3, 0.25), 4)
         return LinearProblem(IdentityMass(g.size), L), g
     g = GridSpec(dim=1, n=48)
-    M = build_fem_mass_1d(g) if label == "lu-fem" else IdentityMass(g.size)
-    return LinearProblem(M, build_advdiff(g, 1.0, 0.02, 4)), g
+    L = build_advdiff(g, 1.0, 0.02, 4)
+    if label == "lu-fem":
+        return LinearProblem(build_fem_mass_1d(g), L), g
+    return LinearProblem(IdentityMass(g.size), SparseOperator(L.mat)), g
 
 
 def _gs_warning(expected):
@@ -628,8 +633,8 @@ def test_setup_assembles_what_the_step_applies_and_no_more(monkeypatch, dim,
                                                            scheme):
     # the step applies L and each factor's op (a pair's through its
     # A_eta): their matrices exist when the constructor returns, so no
-    # assembly moves into the first step.  A shift that only the 2D FFT
-    # solves never holds one; in 1D the LU factors it
+    # assembly moves into the first step.  A shift that only the FFT
+    # solves never holds one, in 1D as in 2D
     shifts = []
 
     def recording(*args):
@@ -645,7 +650,38 @@ def test_setup_assembles_what_the_step_applies_and_no_more(monkeypatch, dim,
     unapplied = [op for op in shifts if all(op is not a for a in applied)]
     assert len(unapplied) == 1
     st.advance(prob.exact_solution(0.0), 0.0)
-    assert ("mat" in vars(unapplied[0])) == (dim == 1)
+    assert "mat" not in vars(unapplied[0])
+
+
+SETUP_PROBLEMS = {
+    "advdiff1d": lambda: build_fd_mms(GridSpec(dim=1, n=16)),
+    "advect1d-upwind": lambda: LinearProblem(
+        IdentityMass(16), build_upwind_advection(GridSpec(dim=1, n=16), 1.0)),
+    "advdiff2d": lambda: build_fd_mms(GridSpec(dim=2, n=12)),
+    "diffusion1d-fem": lambda: build_fem_diffusion_1d(GridSpec(dim=1, n=16)),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(SETUP_PROBLEMS))
+def test_circulant_setup_factors_nothing(monkeypatch, problem):
+    # a circulant L with M = I gets the FFT for every exact solve, in 1D
+    # as in 2D, so neither stepper's set-up calls the sparse LU; the FEM
+    # mass makes each shift non-circulant, and each gets its own LU
+    prob = SETUP_PROBLEMS[problem]()
+    factored = []
+    sparse_lu = linop._sparse_lu
+
+    def recording(mat):
+        factored.append(mat)
+        return sparse_lu(mat)
+    monkeypatch.setattr(linop, "_sparse_lu", recording)
+    st = IRKStepper(build_tableau("lobattoIIIC", 5), prob, 0.1)
+    inner = {type(getattr(sv.precond, "_P", sv.precond)) for sv in st.solves}
+    fem = problem == "diffusion1d-fem"
+    assert inner == {linop.ExactSparseLU if fem else ExactFFT}
+    assert len(factored) == (len(st.solves) if fem else 0)
+    BlockStepper(build_tableau("radauIIA", 3), prob, 0.1)
+    assert bool(factored) == fem
 
 
 def test_gamma_mode_switches_preconditioner_shift():
