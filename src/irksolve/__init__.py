@@ -20,7 +20,6 @@ from .spectral import (
     Factor,
     SpectralData,
     spectral_decompose,
-    adjugate_row_polynomials,
     factor_list,
     StabilityViolation,
     DefectiveTableau,
@@ -29,7 +28,6 @@ from .linop import (
     LinearOperator,
     SparseOperator,
     CirculantOperator,
-    ZeroOperator,
     MassOperator,
     IdentityMass,
     SparseMass,
@@ -52,7 +50,6 @@ from .stepper import (
 )
 from .spatial import (
     GridSpec,
-    MMSProblem,
     build_advdiff,
     build_upwind_advection,
     build_fd_mms,

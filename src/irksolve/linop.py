@@ -29,7 +29,6 @@ __all__ = [
     "LinearOperator",
     "SparseOperator",
     "CirculantOperator",
-    "ZeroOperator",
     "MassOperator",
     "IdentityMass",
     "SparseMass",
@@ -154,17 +153,6 @@ class CirculantOperator(SparseOperator):
     def norm(self) -> float:
         """The 2-norm, exactly: the largest modulus of the symbol."""
         return float(np.abs(self.symbol).max())
-
-
-class ZeroOperator(LinearOperator):
-    symmetric = True
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.mat = sp.csr_matrix((n, n))
-
-    def apply(self, v):
-        return np.zeros_like(v)
 
 
 class ComposedOperator(LinearOperator):

@@ -19,7 +19,6 @@ from .stepper import LinearProblem
 
 __all__ = [
     "GridSpec",
-    "MMSProblem",
     "build_advdiff",
     "build_upwind_advection",
     "build_fd_mms",
@@ -58,15 +57,6 @@ class GridSpec:
 
     def meshgrid(self):
         return np.meshgrid(*[self.points_1d()] * self.dim, indexing="ij")
-
-
-class MMSProblem(LinearProblem):
-    """LinearProblem with a manufactured exact solution and its source."""
-
-    def __init__(self, M, L, forcing, exact_solution, residual_fn=None):
-        super().__init__(M, L, forcing=forcing,
-                         exact_solution=exact_solution)
-        self.residual_fn = residual_fn  # pointwise PDE residual u_t + a.grad u - d:hess u - s
 
 
 def periodic_stencil_matrix(n: int, offsets, coeffs) -> sp.csr_matrix:
@@ -226,7 +216,26 @@ def mms_source(xs, t):
     return np.exp(-decay * t) * s_val
 
 
-def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> MMSProblem:
+def mms_residual(xs, t, eps=1e-4):
+    """The pointwise PDE residual u_t + a.grad u - d:hess u - s of
+    mms_solution at the points xs, by central differences of step eps."""
+    adv, diff = _axis_constants(xs)
+    u = mms_solution
+
+    def shifted(k, e):
+        return u(xs[:k] + (xs[k] + e,) + xs[k + 1:], t)
+
+    r = (u(xs, t + eps) - u(xs, t - eps)) / (2 * eps)
+    for k, a in enumerate(adv):
+        ux = (shifted(k, eps) - shifted(k, -eps)) / (2 * eps)
+        r = r + a * ux
+    for k, d in enumerate(diff):
+        uxx = (shifted(k, eps) - 2 * u(xs, t) + shifted(k, -eps)) / eps ** 2
+        r = r - d * uxx
+    return r - mms_source(xs, t)
+
+
+def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> LinearProblem:
     """The flagship advection-diffusion MMS problem (M = I).
 
     The travelling sin^4 profile cancels the advective terms exactly,
@@ -239,28 +248,9 @@ def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> MMSProblem:
                     sparse=True)
     adv, diff = _axis_constants(X)
     L = build_advdiff(grid, adv, diff, fd_order)
-
-    def residual(x, y, t, eps=1e-4):
-        # pointwise u_t + a.grad u - d:hess u - s by central differences
-        xs = (x, y)[:grid.dim]
-        u = mms_solution
-
-        def shifted(k, e):
-            return u(xs[:k] + (xs[k] + e,) + xs[k + 1:], t)
-
-        r = (u(xs, t + eps) - u(xs, t - eps)) / (2 * eps)
-        for k, a in enumerate(adv):
-            ux = (shifted(k, eps) - shifted(k, -eps)) / (2 * eps)
-            r = r + a * ux
-        for k, d in enumerate(diff):
-            uxx = (shifted(k, eps) - 2 * u(xs, t) + shifted(k, -eps)) / eps ** 2
-            r = r - d * uxx
-        return r - mms_source(xs, t)
-
-    return MMSProblem(IdentityMass(grid.size), L,
-                      forcing=lambda t: mms_source(X, t).reshape(-1),
-                      exact_solution=lambda t: mms_solution(X, t).reshape(-1),
-                      residual_fn=residual)
+    return LinearProblem(IdentityMass(grid.size), L,
+                         forcing=lambda t: mms_source(X, t).reshape(-1),
+                         exact_solution=lambda t: mms_solution(X, t).reshape(-1))
 
 
 def build_fem_mass_1d(grid: GridSpec) -> SparseMass:
@@ -274,9 +264,9 @@ def build_fem_mass_1d(grid: GridSpec) -> SparseMass:
     return SparseMass(mat)
 
 
-def build_fem_diffusion_1d(grid: GridSpec, diff: float = 1.0):
-    """Periodic linear-FEM semi-discretization of u_t = d u_xx:
-    M u' = -d K u with stiffness rows (1/h)[-1, 2, -1].
+def build_fem_diffusion_1d(grid: GridSpec):
+    """Periodic linear-FEM semi-discretization of u_t = u_xx:
+    M u' = -K u with stiffness rows (1/h)[-1, 2, -1].
 
     The initial profile sin(pi x) is a discrete eigenvector of (K, M),
     so the exact semi-discrete solution is a pure exponential decay at
@@ -288,11 +278,11 @@ def build_fem_diffusion_1d(grid: GridSpec, diff: float = 1.0):
     n, h = grid.n, grid.h
     M = build_fem_mass_1d(grid)
     K = circulant(n, [-1, 0, 1], [-1.0 / h, 2.0 / h, -1.0 / h])
-    L = CirculantOperator(-diff * K.mat, -diff * K.symbol)
+    L = CirculantOperator(-K.mat, -K.symbol)
     x = grid.points_1d()
     u0 = np.sin(np.pi * x)
     theta = np.pi * h
-    mu = diff * (2.0 - 2.0 * np.cos(theta)) / h / ((h / 6.0) * (4.0 + 2.0 * np.cos(theta)))
+    mu = (2.0 - 2.0 * np.cos(theta)) / h / ((h / 6.0) * (4.0 + 2.0 * np.cos(theta)))
 
     def exact(t):
         return np.exp(-mu * t) * u0

@@ -31,9 +31,7 @@ __all__ = [
     "Factor",
     "SpectralData",
     "spectral_decompose",
-    "adjugate_row_polynomials",
     "factor_list",
-    "faddeev_leverrier",
     "StabilityViolation",
     "DefectiveTableau",
 ]
@@ -94,26 +92,6 @@ class SpectralData:
     c: np.ndarray
     E: np.ndarray
     chained: bool = False
-
-
-def faddeev_leverrier(B: np.ndarray):
-    """Characteristic polynomial and adjugate coefficient matrices of B.
-
-    Returns (coeffs, mats): coeffs is the monic char poly of B in
-    ascending powers (length s+1), and mats = [N_0, ..., N_{s-1}] with
-    adj(x I - B) = sum_k N_k x^{s-1-k}.
-    """
-    B = np.asarray(B, dtype=float)
-    s = B.shape[0]
-    coeffs = np.zeros(s + 1)
-    coeffs[s] = 1.0
-    mats = [np.eye(s)]
-    coeffs[s - 1] = -np.trace(B)
-    for k in range(1, s):
-        Nk = B @ mats[-1] + coeffs[s - k] * np.eye(s)
-        mats.append(Nk)
-        coeffs[s - k - 1] = -np.trace(B @ Nk) / (k + 1)
-    return coeffs, mats
 
 
 def _check_stable(t: ButcherTableau, lam):
@@ -190,26 +168,6 @@ def spectral_decompose(t: ButcherTableau) -> SpectralData:
         tuple(Factor(float(lam[j].real), float(lam[j].imag)) for j in pairs),
         tuple(Factor(float(lam[j].real)) for j in reals),
         r_inf, scale * c[order], scale[:, None] * E[order])
-
-
-def adjugate_row_polynomials(t: ButcherTableau) -> np.ndarray:
-    """The right-hand-side polynomials of the adjugate form that the
-    partial fractions replaced; no stepper calls it.  R, with R[i, k] the x^k coefficient of the polynomial R_i that
-    contracts b0^T A0^{-1} against the columns of adj(A0^{-1} - x I),
-    so that z = sum_i R_i(Lhat) (M^{-1} f_i); degree <= s-1.
-
-    adj(B - x I) = (-1)^{s-1} adj(x I - B), with adj(x I - B) given by the
-    Faddeev-LeVerrier coefficient matrices.
-    """
-    s = t.s
-    B = np.linalg.inv(t.A0)
-    _, mats = faddeev_leverrier(B)
-    w = t.b0 @ B
-    sign = -1.0 if s % 2 == 0 else 1.0
-    R = np.zeros((s, s))
-    for k, Nk in enumerate(mats):
-        R[:, s - 1 - k] = sign * (w @ Nk)
-    return R
 
 
 def factor_list(sd: SpectralData):

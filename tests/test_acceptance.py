@@ -14,7 +14,7 @@ from irksolve.conditioning import (compute_kappa, optimality_probe,
 from irksolve.experiments import (ExperimentSpec, run_convergence,
                                   run_gamma_comparison, run_inner_sweep)
 from irksolve.krylov import KrylovConfig
-from irksolve.linop import IdentityMass, SparseOperator, ZeroOperator
+from irksolve.linop import IdentityMass, SparseOperator
 from irksolve.spatial import GridSpec, build_fem_mass_1d
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import IRKStepper, LinearProblem, advance_oracle
@@ -256,7 +256,9 @@ def test_c10_quadrature_exactness():
             def f(t, k=k):
                 return np.array([t ** k])
 
-            prob = LinearProblem(IdentityMass(1), ZeroOperator(1), forcing=f)
+            prob = LinearProblem(IdentityMass(1),
+                                 SparseOperator(sp.csr_matrix((1, 1))),
+                                 forcing=f)
             st = IRKStepper(tab, prob, dt=0.7,
                             outer_cfg=KrylovConfig(method="auto",
                                                    rel_tol=1e-14))

@@ -101,3 +101,14 @@ def test_fft_step_traces_one_precond_apply_per_iteration(tracing, scheme):
     spans = np.count_nonzero(
         step[:, 3] == tracer.names.index("linop.precond_apply"))
     assert spans == sum(r.iterations for r in reports)
+
+
+def test_setup_hooks_and_stepper_placeholders_agree(tracing):
+    # every hooked name exists in irksolve.stepper, and a name kept there
+    # only as a None placeholder for a hook goes when its hook entry goes
+    import irksolve.stepper as stepper_module
+    hooked = {attr for attr, _name in tracing.SETUP_HOOKS}
+    assert hooked <= set(vars(stepper_module))
+    placeholders = {attr for attr, value in vars(stepper_module).items()
+                    if value is None and not attr.startswith("__")}
+    assert placeholders <= hooked

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from irksolve.linop import (DENSE_LIMIT, ComposedOperator, ExactFFT,
                             ExactSparseLU, FactorizationFailure, GaussSeidel,
                             IdentityMass, Jacobi, SparseMass, SparseOperator,
-                            ZeroOperator, build_inner_preconditioner,
-                            fov_upper_bound, shifted_operator)
+                            build_inner_preconditioner, fov_upper_bound,
+                            shifted_operator)
 from irksolve import spatial
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
                               build_fem_mass_1d, build_upwind_advection)
@@ -175,8 +175,10 @@ def test_mass_inverse_contract():
 
 
 def test_zero_operator():
-    z = ZeroOperator(5)
+    z = SparseOperator(sp.csr_matrix((5, 5)))
     assert np.all(z.apply(np.ones(5)) == 0)
+    assert z.symmetric
+    assert z.norm == 0.0
     assert fov_upper_bound(z) == 0.0
 
 
@@ -328,7 +330,7 @@ def test_operator_norms():
     assert M.inv_norm == pytest.approx(3.0 / grid.h, rel=1e-12)
     assert M.inv_norm >= np.linalg.norm(np.linalg.inv(M.to_dense()), 2)
     assert IdentityMass(4).norm == IdentityMass(4).inv_norm == 1.0
-    assert ZeroOperator(5).norm == 0.0
+    assert SparseOperator(sp.csr_matrix((5, 5))).norm == 0.0
     # no bound for a mass that is not diagonally dominant
     spd = np.full((3, 3), 0.6) + 0.4 * np.eye(3)
     assert SparseMass(sp.csr_matrix(spd)).inv_norm == 0.0

@@ -7,8 +7,8 @@ from irksolve.linop import fov_upper_bound
 from irksolve.spatial import (DIFF_X, DIFF_Y, GridSpec, UnsupportedOrder,
                               build_advdiff, build_fd_mms,
                               build_fem_diffusion_1d, build_fem_mass_1d,
-                              build_upwind_advection, mms_solution,
-                              mms_source)
+                              build_upwind_advection, mms_residual,
+                              mms_solution, mms_source)
 
 rng = np.random.default_rng(31)
 
@@ -164,15 +164,20 @@ def test_advdiff_is_the_kronecker_sum_bit_for_bit():
                             + sp.kron(eye, axis(ay, dy), format="csr"))
 
 
-def test_mms_residual_invariant():
+def test_mms_residual_invariant(monkeypatch):
     r = np.random.default_rng(77)
+    xs = r.uniform(-1, 1, size=20)
+    ys = r.uniform(-1, 1, size=20)
+    ts = r.uniform(0, 2, size=20)
     for dim in (1, 2):
-        prob = build_fd_mms(GridSpec(dim=dim, n=16), 4)
-        xs = r.uniform(-1, 1, size=20)
-        ys = r.uniform(-1, 1, size=20)
-        ts = r.uniform(0, 2, size=20)
-        res = prob.residual_fn(xs, ys, ts)
-        assert np.max(np.abs(res)) < 1e-6
+        assert np.max(np.abs(mms_residual((xs, ys)[:dim], ts))) < 1e-6
+    # negative control: a source off by 1% must show, so the check
+    # above cannot pass for a residual that ignores the source
+    source = spatial.mms_source
+    monkeypatch.setattr(spatial, "mms_source",
+                        lambda xs, t: 1.01 * source(xs, t))
+    for dim in (1, 2):
+        assert np.max(np.abs(mms_residual((xs, ys)[:dim], ts))) > 1e-3
 
 
 def test_fd_operators_converge_at_nominal_order():
@@ -235,7 +240,7 @@ def test_shipped_operators_match_their_symbol():
 
 def test_fem_diffusion_exact_discrete_decay():
     grid = GridSpec(dim=1, n=32)
-    prob = build_fem_diffusion_1d(grid, diff=1.0)
+    prob = build_fem_diffusion_1d(grid)
     u0 = prob.exact_solution(0.0)
     # M^{-1} L u0 = -mu u0 for the discrete eigenpair (skip sin zeros)
     mask = np.abs(u0) > 1e-8

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from irksolve.spectral import (DefectiveTableau, adjugate_row_polynomials,
-                               factor_list, faddeev_leverrier,
+from irksolve.spectral import (DefectiveTableau, factor_list,
                                spectral_decompose)
 from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
                                build_tableau)
@@ -10,81 +9,6 @@ from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
 MAIN_FAMILIES = [(f, s) for f, s in SUPPORTED_TABLEAUX
                  if f in ("Gauss", "RadauIIA", "LobattoIIIC")]
 
-
-# ----------------------------------------------------------------------
-# independent oracles
-
-def ring_adjugate_polys(B):
-    """Adjugate of (B - x I) over the polynomial ring by recursive
-    cofactor expansion; entries returned as ascending coefficient
-    arrays.  Exact (up to roundoff), independent of Faddeev-LeVerrier."""
-    s = B.shape[0]
-
-    def ring_det(rows, cols):
-        if len(rows) == 1:
-            i, j = rows[0], cols[0]
-            ent = [B[i, j]] + ([-1.0] if i == j else [0.0])
-            return np.array(ent)
-        total = np.zeros(len(rows) + 1)
-        for pos, j in enumerate(cols):
-            i = rows[0]
-            ent = np.array([B[i, j]] + ([-1.0] if i == j else [0.0]))
-            minor = ring_det(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = np.convolve(ent, minor)
-            total[:len(term)] += ((-1.0) ** pos) * term
-        return total
-
-    adj = np.zeros((s, s, s))  # adj[i, j] = cofactor polynomial, ascending
-    rows_all = list(range(s))
-    for i in range(s):
-        for j in range(s):
-            rows = rows_all[:j] + rows_all[j + 1:]
-            cols = tuple(rows_all[:i] + rows_all[i + 1:])
-            minor = ring_det(rows, cols)
-            adj[i, j, :len(minor)] = ((-1.0) ** (i + j)) * minor
-    return adj
-
-
-def kron_adjugate_apply(tableau, X, f):
-    """z = (b0^T A0^{-1} x I) adj(M_s) f computed densely through
-    adj(M_s) = (I x det_ring) M_s^{-1}, with det_ring = prod over
-    eigenvalues of (lambda_i I - X) assembled from real factors."""
-    s, n = tableau.s, X.shape[0]
-    B = np.linalg.inv(tableau.A0)
-    Ms = np.kron(B, np.eye(n)) - np.kron(np.eye(s), X)
-    lam = np.linalg.eigvals(B)
-    D = np.eye(n)
-    used = np.zeros(s, dtype=bool)
-    for i, l in enumerate(lam):
-        if used[i]:
-            continue
-        if abs(l.imag) < 1e-10 * abs(l):
-            D = D @ (l.real * np.eye(n) - X)
-            used[i] = True
-        elif l.imag > 0:
-            D = D @ ((l.real * np.eye(n) - X) @ (l.real * np.eye(n) - X)
-                     + l.imag ** 2 * np.eye(n))
-            used[i] = True
-            for k in range(s):
-                if not used[k] and abs(lam[k] - np.conj(l)) < 1e-8:
-                    used[k] = True
-                    break
-    w = tableau.b0 @ B
-    return np.kron(w, np.eye(n)) @ np.kron(np.eye(s), D) @ np.linalg.solve(Ms, f)
-
-
-def apply_R(R, X, f_blocks):
-    s = R.shape[0]
-    z = np.zeros(X.shape[0])
-    for i in range(s):
-        w = R[i, s - 1] * f_blocks[i]
-        for k in range(s - 2, -1, -1):
-            w = X @ w + R[i, k] * f_blocks[i]
-        z += w
-    return z
-
-
-# ----------------------------------------------------------------------
 
 def test_gauss2_pair_closed_form():
     # A0^{-1} = [[3, -3+2*sqrt3], [-3-2*sqrt3, 3]]: char x^2 - 6x + 12
@@ -191,78 +115,6 @@ def test_factor_list_order_and_tags():
     sd1 = spectral_decompose(build_tableau("radauIIA", 1))
     (f,) = factor_list(sd1)
     assert f.is_real and f.eta == pytest.approx(1.0)
-
-
-def test_backward_euler_R_is_one():
-    R = adjugate_row_polynomials(build_tableau("backwardEuler", 1))
-    assert np.max(np.abs(R - [[1.0]])) < 1e-15
-
-
-def test_R_against_cofactor_oracle():
-    for fam, s in [("RadauIIA", 3), ("Gauss", 4), ("LobattoIIIC", 5)]:
-        t = build_tableau(fam, s)
-        B = np.linalg.inv(t.A0)
-        adj = ring_adjugate_polys(B)
-        w = t.b0 @ B
-        R_oracle = np.einsum("j,jik->ik", w, adj)
-        R = adjugate_row_polynomials(t)
-        assert np.max(np.abs(R - R_oracle)) < 1e-10 * max(1.0, np.max(np.abs(R)))
-
-
-def test_R_against_kronecker_oracle():
-    rng = np.random.default_rng(7)
-    for fam, s in MAIN_FAMILIES:
-        t = build_tableau(fam, s)
-        n = 4
-        X = rng.standard_normal((n, n))
-        X = X - X.T - 0.4 * (lambda b: b @ b.T)(rng.standard_normal((n, n)))
-        f = rng.standard_normal(s * n)
-        z_oracle = kron_adjugate_apply(t, X, f)
-        R = adjugate_row_polynomials(t)
-        z = apply_R(R, X, f.reshape(s, n))
-        assert np.linalg.norm(z - z_oracle) < 1e-10 * max(1.0, np.linalg.norm(z_oracle))
-
-
-def test_stiffly_accurate_R_is_last_adjugate_row():
-    for s in (2, 3, 4):
-        t = build_tableau("radauIIA", s)
-        B = np.linalg.inv(t.A0)
-        _, mats = faddeev_leverrier(B)
-        sign = -1.0 if s % 2 == 0 else 1.0
-        R_last_row = np.zeros((s, s))
-        for k, Nk in enumerate(mats):
-            R_last_row[:, s - 1 - k] = sign * Nk[s - 1, :]
-        R = adjugate_row_polynomials(t)
-        assert np.max(np.abs(R - R_last_row)) < 1e-11
-
-
-def test_ring_adjugate_identity():
-    # adj(M_s) M_s = det(M_s) (x) I for random spatial blocks
-    rng = np.random.default_rng(3)
-    for fam, s in [("Gauss", 2), ("RadauIIA", 3), ("LobattoIIIC", 4),
-                   ("Gauss", 5)]:
-        t = build_tableau(fam, s)
-        B = np.linalg.inv(t.A0)
-        n = 3
-        X = rng.standard_normal((n, n))
-        Ms = np.kron(B, np.eye(n)) - np.kron(np.eye(s), X)
-        adj_polys = ring_adjugate_polys(B)
-        big_adj = np.zeros((s * n, s * n))
-        Xp = [np.eye(n)]
-        for _ in range(s - 1):
-            Xp.append(Xp[-1] @ X)
-        for i in range(s):
-            for j in range(s):
-                blk = sum(adj_polys[i, j, k] * Xp[k] for k in range(s))
-                big_adj[i * n:(i + 1) * n, j * n:(j + 1) * n] = blk
-        lam = np.linalg.eigvals(B)
-        D = np.eye(n, dtype=complex)
-        for l in lam:
-            D = D @ (l * np.eye(n) - X)
-        D = D.real
-        prod = big_adj @ Ms
-        ref = np.kron(np.eye(s), D)
-        assert np.max(np.abs(prod - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_stability_violation_on_bad_tableau():

@@ -9,8 +9,7 @@ from irksolve import linop
 from irksolve.conditioning import random_stable_matrix
 from irksolve.krylov import KrylovConfig, resolve_method, solve
 from irksolve.linop import (ExactFFT, IdentityMass, SparseOperator,
-                            ZeroOperator, build_inner_preconditioner,
-                            shifted_operator)
+                            build_inner_preconditioner, shifted_operator)
 from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
                               build_fem_diffusion_1d, build_fem_mass_1d,
                               build_upwind_advection)
@@ -47,7 +46,8 @@ def stability_function(tableau, z):
 
 def test_zero_rhs_zero_operator():
     n = 6
-    prob = LinearProblem(IdentityMass(n), ZeroOperator(n))
+    prob = LinearProblem(IdentityMass(n),
+                         SparseOperator(sp.csr_matrix((n, n))))
     st = IRKStepper(build_tableau("gauss", 2), prob, dt=0.5, outer_cfg=TIGHT)
     u = rng.standard_normal(n)
     rhs, scale = st.assemble_rhs_z(np.zeros(n), 0.0)
@@ -434,7 +434,8 @@ def test_solve_factors_zero_operator_scaling():
     # eta^2 + beta^2, and the answers add up; chained (SDIRK) solves
     # divide the running sum by eta once per stage
     n = 4
-    prob = LinearProblem(IdentityMass(n), ZeroOperator(n))
+    prob = LinearProblem(IdentityMass(n),
+                         SparseOperator(sp.csr_matrix((n, n))))
     for fam, s in [("gauss", 2), ("radauIIA", 3), ("sdirk3l", 3)]:
         st = IRKStepper(build_tableau(fam, s), prob, dt=0.2, outer_cfg=TIGHT)
         rhs = [rng.standard_normal(n) for _ in st.solves]
@@ -537,7 +538,8 @@ def test_polynomial_forcing_exact_integration():
     def f(t):
         return np.array([np.polyval(coeffs[::-1], t)])
 
-    prob = LinearProblem(IdentityMass(n), ZeroOperator(n), forcing=f)
+    prob = LinearProblem(IdentityMass(n),
+                         SparseOperator(sp.csr_matrix((n, n))), forcing=f)
     t = build_tableau("gauss", 2)
     dt, t0 = 0.7, 0.3
     st = IRKStepper(t, prob, dt, outer_cfg=TIGHT)
@@ -702,7 +704,8 @@ def test_no_stage_storage():
     # does not grow with s beyond the fixed Horner workspace
     n = 200_000
     ones = np.ones(n)
-    prob = LinearProblem(IdentityMass(n), ZeroOperator(n),
+    prob = LinearProblem(IdentityMass(n),
+                         SparseOperator(sp.csr_matrix((n, n))),
                          forcing=lambda t: ones)
     u = np.zeros(n)
 
