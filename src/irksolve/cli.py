@@ -24,7 +24,7 @@ from .experiments import (CSV_HEADER, GAMMA_MODES, PROBLEMS,
                           run_gamma_comparison, run_inner_sweep)
 from .krylov import KrylovConfig
 from .spectral import factor_list, spectral_decompose
-from .tableaux import build_tableau, validate_tableau
+from .tableaux import SUPPORTED_TABLEAUX, build_tableau, validate_tableau
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -62,8 +62,7 @@ def _build_parser():
 
     def add_scheme_flags(flag):
         flag("--family", required=True,
-             help="gauss | radauIIA | lobattoIIIC | sdirk2l | "
-                  "sdirk3l | backwardEuler")
+             help=" | ".join(dict.fromkeys(f for f, _ in SUPPORTED_TABLEAUX)))
         flag("--stages", type=int, required=True)
 
     def add_output(flag):

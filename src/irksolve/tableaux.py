@@ -1,11 +1,14 @@
 """Butcher tableaux for the implicit Runge-Kutta families.
 
-Gauss, Radau IIA and Lobatto IIIC tableaux are constructed numerically
-from their defining node polynomials: nodes come from companion-matrix
-eigenvalues polished by Newton iteration, the coefficient rows from the
-collocation integrals a_ij = int_0^{c_i} l_j and b_j = int_0^1 l_j
-(Lobatto IIIC uses the a_i1 = b_1 plus C(s-1) conditions instead, since
-it is not a collocation method).  SDIRK baselines are hardcoded.
+Gauss, Radau IIA and Lobatto IIIC are one family indexed by k = 0, 1, 2
+(`_COLLOCATION_K`): the s nodes are the zeros of P_s - P_{s-k} (P_s for
+Gauss), found as companion-matrix eigenvalues and polished by Newton on
+the same Legendre series, and the order is 2s - k.  The coefficient rows
+are the collocation integrals a_ij = int_0^{c_i} l_j and b_j = int_0^1 l_j,
+except for Lobatto IIIC (k = 2), which is not a collocation method and
+takes them from a_i1 = b_1 plus the C(s-1) conditions.  The DIRK
+baselines (SDIRK2L, SDIRK3L, backward Euler) are hardcoded in `_DIRK`.
+The supported (family, stages) pairs follow from these two tables.
 """
 
 from dataclasses import dataclass, field
@@ -84,70 +87,21 @@ class ValidationReport:
 
 
 # ----------------------------------------------------------------------
-# Node polynomials.  Values/derivatives of Legendre P_n via the standard
-# three-term recurrence, so roots can be polished by Newton to full
-# double precision regardless of how the initial guesses were obtained.
+# Node polynomials.
 
-def _legendre_and_deriv(n: int, x):
-    x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0, np.zeros_like(x)
-    p1 = x.copy()
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    # (1-x^2) P_n' = n (P_{n-1} - x P_n)
-    dp = n * (p0 - x * p1) / (1.0 - x * x)
-    return p1, dp
-
-
-def _newton_polish(x, f_and_df, iters=8):
-    for _ in range(iters):
-        f, df = f_and_df(x)
-        x = x - f / df
-    return x
-
-
-def _gauss_nodes(s: int) -> np.ndarray:
-    x, _ = np.polynomial.legendre.leggauss(s)
-    x = _newton_polish(x, lambda t: _legendre_and_deriv(s, t))
-    return np.sort((x + 1.0) / 2.0)
-
-
-def _radau_right_nodes(s: int) -> np.ndarray:
-    # roots of P_s - P_{s-1} on [-1,1]; x = 1 is always a root
-    coef = np.zeros(s + 1)
-    coef[s] = 1.0
-    coef[s - 1] = -1.0
-    x = np.sort(np.real(np.polynomial.legendre.legroots(coef)))
-
-    def f_and_df(t):
-        ps, dps = _legendre_and_deriv(s, t)
-        pm, dpm = _legendre_and_deriv(s - 1, t)
-        return ps - pm, dps - dpm
-
-    interior = _newton_polish(x[:-1], f_and_df) if s > 1 else x[:0]
-    x = np.concatenate([interior, [1.0]])
-    return (x + 1.0) / 2.0
-
-
-def _lobatto_nodes(s: int) -> np.ndarray:
-    # endpoints plus roots of P'_{s-1}
-    coef = np.zeros(s)
-    coef[s - 1] = 1.0
-    dcoef = np.polynomial.legendre.legder(coef)
-    x = np.sort(np.real(np.polynomial.legendre.legroots(dcoef)))
-
-    def f_and_df(t):
-        n = s - 1
-        p, dp = _legendre_and_deriv(n, t)
-        # P_n'' from the Legendre ODE, valid away from +-1
-        ddp = (2.0 * t * dp - n * (n + 1) * p) / (1.0 - t * t)
-        return dp, ddp
-
-    if len(x):
-        x = _newton_polish(x, f_and_df)
-    x = np.concatenate([[-1.0], x, [1.0]])
+def _nodes(s: int, k: int) -> np.ndarray:
+    """The s nodes on [0, 1] of the collocation family with index k: the
+    zeros of the Legendre series P_s - P_{s-k} (P_s alone for k = 0),
+    polished by Newton on that same series."""
+    leg = np.polynomial.legendre
+    p = np.zeros(s + 1)
+    p[s] = 1.0
+    if k:
+        p[s - k] = -1.0
+    dp = leg.legder(p)
+    x = leg.legroots(p).real
+    for _ in range(3):
+        x = x - leg.legval(x, p) / leg.legval(x, dp)
     return (x + 1.0) / 2.0
 
 
@@ -164,7 +118,8 @@ def _lagrange_basis(c: np.ndarray, j: int, tau: np.ndarray) -> np.ndarray:
 
 def _basis_integrals(c: np.ndarray, uppers) -> np.ndarray:
     """[int_0^x l_j]_{x, j} for the Lagrange basis l_j on c, by Gauss-
-    Legendre quadrature (s+3 points, exact for degree s-1) on [0, x]."""
+    Legendre quadrature on [0, x]: s+3 points, exact up to degree 2s+5,
+    for an integrand of degree s-1."""
     xq, wq = np.polynomial.legendre.leggauss(len(c) + 3)
     out = np.zeros((len(uppers), len(c)))
     for i, x in enumerate(uppers):
@@ -198,36 +153,37 @@ def _lobatto_iiic_coeffs(c: np.ndarray):
     return A, b
 
 
-def _sdirk2l():
-    # 2-stage, 2nd-order, L-stable, gamma = (2 - sqrt(2))/2
-    g = (2.0 - np.sqrt(2.0)) / 2.0
-    A = np.array([[g, 0.0], [1.0 - g, g]])
-    b = np.array([1.0 - g, g])
-    c = np.array([g, 1.0])
-    return A, b, c, 2
+#: the collocation-type families by their index k: nodes are the zeros
+#: of P_s - P_{s-k} and the order is 2s - k (Hairer & Wanner, Solving
+#: ODEs II, sec. IV.5)
+_COLLOCATION_K = {"Gauss": 0, "RadauIIA": 1, "LobattoIIIC": 2}
 
+# SDIRK2L: 2 stages, order 2, L-stable, gamma = (2 - sqrt(2))/2.
+# SDIRK3L: 3 stages, order 3, L-stable; gamma is the middle root of
+# x^3 - 3x^2 + 3x/2 - 1/6.  Both are stiffly accurate: b is A's last row.
+_G2 = (2.0 - np.sqrt(2.0)) / 2.0
+_G3 = 0.43586652150845899941601945
+_B3 = (-(6.0 * _G3 * _G3 - 16.0 * _G3 + 1.0) / 4.0,
+       (6.0 * _G3 * _G3 - 20.0 * _G3 + 5.0) / 4.0, _G3)
 
-def _sdirk3l():
-    # 3-stage, 3rd-order, L-stable; gamma is the middle root of
-    # x^3 - 3x^2 + 3x/2 - 1/6
-    g = 0.43586652150845899941601945
-    b1 = -(6.0 * g * g - 16.0 * g + 1.0) / 4.0
-    b2 = (6.0 * g * g - 20.0 * g + 5.0) / 4.0
-    A = np.array([[g, 0.0, 0.0],
-                  [(1.0 - g) / 2.0, g, 0.0],
-                  [b1, b2, g]])
-    b = np.array([b1, b2, g])
-    c = np.array([g, (1.0 + g) / 2.0, 1.0])
-    return A, b, c, 3
+#: hardcoded DIRK tableaux: family -> (A, b, c, order), with s = len(b)
+_DIRK = {
+    "SDIRK2L": (np.array([[_G2, 0.0], [1.0 - _G2, _G2]]),
+                np.array([1.0 - _G2, _G2]), np.array([_G2, 1.0]), 2),
+    "SDIRK3L": (np.array([[_G3, 0.0, 0.0],
+                          [(1.0 - _G3) / 2.0, _G3, 0.0],
+                          _B3]),
+                np.array(_B3), np.array([_G3, (1.0 + _G3) / 2.0, 1.0]), 3),
+    "BackwardEuler": (np.array([[1.0]]), np.array([1.0]), np.array([1.0]),
+                      1),
+}
 
-
+#: supported stage counts: up to the paper's 5 for the collocation
+#: families (at least 2 for Lobatto IIIC, whose ends are both nodes),
+#: and the one tableau of each DIRK family
 _FAMILY_RANGE = {
-    "Gauss": range(1, 6),
-    "RadauIIA": range(1, 6),
-    "LobattoIIIC": range(2, 6),
-    "SDIRK2L": (2,),
-    "SDIRK3L": (3,),
-    "BackwardEuler": (1,),
+    **{fam: range(max(k, 1), 6) for fam, k in _COLLOCATION_K.items()},
+    **{fam: (len(b),) for fam, (_A, b, _c, _p) in _DIRK.items()},
 }
 
 #: every (family, stages) pair build_tableau accepts
@@ -266,24 +222,13 @@ def build_tableau(family: str, s: int) -> ButcherTableau:
         raise UnsupportedScheme(f"{fam} with s={s} not supported "
                                 f"(valid: {list(_FAMILY_RANGE[fam])})")
 
-    if fam == "Gauss":
-        c = _gauss_nodes(s)
-        A, b = _collocation_coeffs(c)
-        order = 2 * s
-    elif fam == "RadauIIA":
-        c = _radau_right_nodes(s)
-        A, b = _collocation_coeffs(c)
-        order = 2 * s - 1
-    elif fam == "LobattoIIIC":
-        c = _lobatto_nodes(s)
-        A, b = _lobatto_iiic_coeffs(c)
-        order = 2 * s - 2
-    elif fam == "SDIRK2L":
-        A, b, c, order = _sdirk2l()
-    elif fam == "SDIRK3L":
-        A, b, c, order = _sdirk3l()
-    else:  # BackwardEuler
-        A, b, c, order = np.array([[1.0]]), np.array([1.0]), np.array([1.0]), 1
+    if fam in _DIRK:
+        A, b, c, order = _DIRK[fam]
+    else:
+        k = _COLLOCATION_K[fam]
+        c = _nodes(s, k)
+        A, b = _lobatto_iiic_coeffs(c) if k == 2 else _collocation_coeffs(c)
+        order = 2 * s - k
 
     t = ButcherTableau(family=fam, s=s, A0=A, b0=b, c0=c, order=order)
     report = validate_tableau(t)

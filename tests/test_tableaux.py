@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,73 @@ def test_sdirk_coefficients():
     assert t3.is_lower_triangular and t3.is_stiffly_accurate
     # L-stability needs all eigenvalues of A0 equal (single gamma)
     assert np.allclose(np.diag(t3.A0), t3.A0[0, 0])
+
+
+# index k of each collocation-type family: its nodes are the zeros of
+# P_s - P_{s-k} (P_s for Gauss)
+NODE_INDEX = {"Gauss": 0, "RadauIIA": 1, "LobattoIIIC": 2}
+COLLOCATION_TABLEAUX = [(fam, s) for fam, s in SUPPORTED_TABLEAUX
+                        if fam in NODE_INDEX]
+
+
+def _legendre_exact(n, x):
+    """P_n(x) in exact rational arithmetic by the three-term recurrence."""
+    p0, p1 = Fraction(1), x
+    if n == 0:
+        return p0
+    for m in range(1, n):
+        p0, p1 = p1, ((2 * m + 1) * x * p1 - m * p0) / (m + 1)
+    return p1
+
+
+@pytest.mark.parametrize("fam,s", COLLOCATION_TABLEAUX)
+def test_nodes_bracket_an_exact_zero(fam, s):
+    # each node is an exact zero of P_s - P_{s-k} on x = 2c - 1, or the
+    # series changes sign between c -+ 1.12e-16 (evaluated exactly); the
+    # end nodes of Radau IIA and Lobatto IIIC are exactly 1 and 0
+    k = NODE_INDEX[fam]
+
+    def node_poly(c):
+        x = 2 * c - 1
+        return _legendre_exact(s, x) - (_legendre_exact(s - k, x) if k else 0)
+
+    t = build_tableau(fam, s)
+    if k >= 1:
+        assert t.c0[-1] == 1.0
+    if k == 2:
+        assert t.c0[0] == 0.0
+    h = Fraction(1.12e-16)
+    for c in map(Fraction, t.c0):
+        assert node_poly(c) == 0 or node_poly(c - h) * node_poly(c + h) < 0, \
+            (fam, s, float(c))
+
+
+@pytest.mark.parametrize("fam,s", COLLOCATION_TABLEAUX)
+def test_simplifying_assumptions(fam, s):
+    # C(q): A c^{q-1} = c^q / q for q <= s (collocation), q <= s - 1 for
+    # Lobatto IIIC, which instead has a_i1 = b_1
+    t = build_tableau(fam, s)
+    q_max = s - 1 if fam == "LobattoIIIC" else s
+    for q in range(1, q_max + 1):
+        res = np.max(np.abs(t.A0 @ t.c0 ** (q - 1) - t.c0 ** q / q))
+        assert res < 1e-14, (fam, s, q, res)
+    if fam == "LobattoIIIC":
+        assert np.max(np.abs(t.A0[:, 0] - t.b0[0])) < 1e-14
+
+
+def test_dirk_tableaux_are_their_closed_forms():
+    # bit for bit the closed forms, written out independently here
+    g = (2.0 - np.sqrt(2.0)) / 2.0
+    expect = {("SDIRK2L", 2): ([[g, 0.0], [1.0 - g, g]], [1.0 - g, g],
+                               [g, 1.0], 2)}
+    g = 0.43586652150845899941601945
+    b1 = -(6.0 * g * g - 16.0 * g + 1.0) / 4.0
+    b2 = (6.0 * g * g - 20.0 * g + 5.0) / 4.0
+    expect["SDIRK3L", 3] = ([[g, 0.0, 0.0], [(1.0 - g) / 2.0, g, 0.0],
+                             [b1, b2, g]], [b1, b2, g],
+                            [g, (1.0 + g) / 2.0, 1.0], 3)
+    expect["BackwardEuler", 1] = ([[1.0]], [1.0], [1.0], 1)
+    for (fam, s), (A, b, c, order) in expect.items():
+        t = build_tableau(fam, s)
+        assert np.array_equal(t.A0, A) and np.array_equal(t.b0, b), fam
+        assert np.array_equal(t.c0, c) and t.order == order, fam
