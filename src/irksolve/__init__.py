@@ -37,6 +37,7 @@ from .linop import (
     DimensionMismatch,
     FactorizationFailure,
     EigenFailure,
+    FieldOfValuesViolation,
 )
 from .krylov import (KrylovConfig, KrylovReport, solve, Breakdown,
                      NonFiniteResidual)

@@ -21,7 +21,7 @@ without applying op, in the preconditioner's own representation (the
 half-spectrum of v for an FFT solve), and precond.combine sums the
 directions once per cycle; otherwise it applies P, then op.
 
-A solve stops at max(rel_tol * scale, FLOOR * eps * ||op|| * ||x||).
+A solve stops at max(rel_tol * scale, eps * ||op|| * ||x||).
 scale is ||b|| unless the caller passes another norm.  The second term
 is the residual that a backward-stable solve can certify in double
 precision (Rigal & Gaches 1967; Higham, Accuracy and Stability, 7.1),
@@ -42,8 +42,6 @@ __all__ = ["KrylovConfig", "KrylovReport", "Preconditioner", "solve",
 #: from (in GMRES, its Hessenberg column's norm) counts as zero
 BREAKDOWN_TOL = 1e-14
 
-#: c of the residual floor c * eps * ||op|| * ||x||
-FLOOR = 1.0
 EPS = float(np.finfo(float).eps)
 
 
@@ -181,7 +179,7 @@ def solve(op, b, precond, cfg: KrylovConfig | None = None, scale=None):
     if scale is None:
         scale = float(np.linalg.norm(b))
     target = cfg.rel_tol * scale
-    floor = FLOOR * EPS * op.norm
+    floor = EPS * op.norm
 
     rep = KrylovReport()
     x = np.zeros_like(b)

@@ -1,4 +1,5 @@
-"""Operator, mass-matrix and inner-preconditioner abstractions.
+"""Operators, masses, inner preconditioners, and all facts of a shift
+gamma*M - dt*L: structure, norm, exact solve, pair system, W(L) bound.
 
 The scaled operator Lhat = dt * M^{-1} L is never formed; every
 polynomial evaluation composes M.solve with L.apply.  Inner
@@ -13,6 +14,16 @@ gives its exact solve (by FFT, on any grid), an exact field-of-values
 certificate, its symmetry, its norm and the pivot scale of that solve,
 so no circulant is factored.  A circulant's matrix is assembled only
 when something applies it: the shift that only the FFT solves never is.
+A shift is circulant only when M = I.
+
+A conjugate pair eta +- i beta is the real system M Q_eta
+= (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M, preconditioned by
+P M P for P ~ (gamma M - dt L)^{-1}; pair_system builds both.  With P
+exact, eta M - dt L = P^{-1} - delta M for delta = gamma - eta, so
+GMRES takes the image M Q_eta (P M P v) = v - 2 delta M P v
++ c M P M P v, c = delta^2 + beta^2, from the two inner solves: on
+vectors in the sandwich, and in ExactFFT.square (M = I) as the
+multiplier c inv^2 - 2 delta inv of the inverse symbol inv.
 """
 
 from functools import cached_property
@@ -34,11 +45,13 @@ __all__ = [
     "SparseMass",
     "shifted_operator",
     "build_inner_preconditioner",
+    "pair_system",
     "fov_upper_bound",
     "Preconditioner",
     "DimensionMismatch",
     "FactorizationFailure",
     "EigenFailure",
+    "FieldOfValuesViolation",
 ]
 
 
@@ -54,6 +67,10 @@ class EigenFailure(RuntimeError):
     """An eigensolve failed or could not be run."""
 
 
+class FieldOfValuesViolation(ValueError):
+    """max Re W(L) > 1e-8 max(1, ||L||), LinearProblem's tolerance."""
+
+
 class LinearOperator:
     """Square linear operator of dimension n.
 
@@ -61,8 +78,9 @@ class LinearOperator:
     one exists (None for purely matrix-free operators).  symmetric is
     decided once per operator: from the matrix, from the symbol of a
     circulant, from the parts of a composite operator, False for a
-    matrix-free one.  norm is ||op||, which scales the residual floor of
-    krylov.solve: the infinity-norm of an assembled matrix, the exact
+    matrix-free one.  norm is ||op||, the one scale of krylov.solve's
+    residual floor, the exact solve's pivot check and the W(L) <= 0
+    tolerance: the infinity-norm of an assembled matrix, the exact
     2-norm of a circulant, a bound built from the parts of a composite
     operator, and 0 (no floor) when nothing is known.
     """
@@ -197,24 +215,22 @@ class IdentityMass(MassOperator):
         return v
 
 
-def _sparse_lu(mat):
-    """SuperLU factorization of mat with its defaults: COLAMD column
-    ordering and partial pivoting.  Raises FactorizationFailure for an
-    exactly singular matrix and for a pivot below 1e-14 of the largest
-    absolute row sum."""
-    A = sp.csc_matrix(mat)
+def _sparse_lu(op):
+    """SuperLU factorization of op's matrix with its defaults: COLAMD
+    column ordering and partial pivoting.  Raises FactorizationFailure
+    for an exactly singular matrix and for a pivot at most 1e-14 of
+    op.norm."""
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(sp.csc_matrix(op.mat))
     except RuntimeError as exc:
         raise FactorizationFailure(str(exc)) from exc
-    _check_pivots(np.abs(lu.U.diagonal()), _abs_row_sums(A).max())
+    _check_pivots(np.abs(lu.U.diagonal()), op.norm)
     return lu
 
 
 def _check_pivots(pivots, scale):
     """FactorizationFailure when the smallest pivot (LU diagonal or
-    symbol modulus) is at most 1e-14 of scale (the largest absolute row
-    sum, or the symbol's largest modulus)."""
+    symbol modulus) is at most 1e-14 of scale, the operator's norm."""
     if pivots.min() <= 1e-14 * scale:
         raise FactorizationFailure(
             f"near-zero pivot {pivots.min():.3e} (scale {scale:.3e})")
@@ -225,7 +241,7 @@ class SparseMass(SparseOperator, MassOperator):
 
     def __init__(self, mat):
         super().__init__(mat)
-        self._lu = _sparse_lu(self.mat)
+        self._lu = _sparse_lu(self)
 
     @cached_property
     def inv_norm(self) -> float:
@@ -275,7 +291,7 @@ class ExactSparseLU(Preconditioner):
         if op.mat is None:
             raise FactorizationFailure("exact factorization needs an assembled matrix")
         self.op = op
-        self._lu = _sparse_lu(op.mat)
+        self._lu = _sparse_lu(op)
 
     def apply(self, v):
         self._count += 1
@@ -286,22 +302,17 @@ class ExactFFT(Preconditioner):
     """Exact solve of a circulant operator on any grid by two real
     FFTs: the inverse symbol is kept on the rfftn half-spectrum.
 
-    square turns it into P^2, the conjugate-pair preconditioner P M P
-    with M = I, so each outer iteration on a pair costs one
-    rfftn/irfftn round trip, not two, and counts two applications: a
-    2D Gauss-2 step of 6 iterations makes 12 applications in 6 round
-    trips.
+    square makes it a pair's P^2 (module docstring): one round trip,
+    not two, per outer iteration, counted as two applications.
 
     GMRES on op keeps its directions on the half-spectrum:
     apply_with_image returns the direction vh = rfftn(v) with its image
     under op, and combine maps sum_j y_j vh_j back by one irfftn per
     restart cycle.  A GMRES iteration then costs one rfftn and one
     irfftn on a pair, and one rfftn on a real factor or an SDIRK stage.
-    GMRES on any other operator takes apply(v) and applies that
-    operator instead.
 
-    It reads only op's symbol, and its pivot check scales by the
-    symbol's largest modulus, so op's matrix is not assembled for it.
+    It reads only op's symbol and norm, so op's matrix is not assembled
+    for it.
     """
 
     def __init__(self, op: CirculantOperator):
@@ -316,9 +327,7 @@ class ExactFFT(Preconditioner):
 
     def square(self, pair_op: LinearOperator, delta: float, c: float):
         """Make this solve of gamma - dt L the pair preconditioner P^2
-        for pair_op = (op - delta)^2 + c - delta^2, delta = gamma - eta:
-        the image of P^2 v under pair_op is
-        v + irfftn(rfftn(v) (c inv^2 - 2 delta inv))."""
+        for pair_op = (op - delta)^2 + c - delta^2, delta = gamma - eta."""
         self._image = c * self._inv ** 2 - 2.0 * delta * self._inv
         self._inv = self._inv ** 2
         self._apps = 2
@@ -466,6 +475,76 @@ def build_inner_preconditioner(kind: str, op: LinearOperator,
 
 # ----------------------------------------------------------------------
 
+class _QuadraticSystem(LinearOperator):
+    """Matrix-free M Q_eta = (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M;
+    one mass solve per application."""
+
+    def __init__(self, A_eta: LinearOperator, M: MassOperator, beta: float):
+        super().__init__(A_eta.n)
+        self.A_eta = A_eta
+        self.M = M
+        self._b2 = beta * beta
+        self.symmetric = A_eta.symmetric and M.symmetric
+
+    @cached_property
+    def norm(self) -> float:
+        """Exact from the symbol for a circulant A_eta (so M = I), else
+        the bound ||A_eta||^2 ||M^{-1}|| + beta^2 ||M|| (0 when
+        ||M^{-1}|| has none)."""
+        A, M = self.A_eta, self.M
+        if isinstance(A, CirculantOperator):
+            return float(np.abs(A.symbol ** 2 + self._b2).max())
+        if not M.inv_norm:
+            return 0.0
+        return A.norm ** 2 * M.inv_norm + self._b2 * M.norm
+
+    def apply(self, v):
+        w = self.A_eta.apply(self.M.solve(self.A_eta.apply(v)))
+        return w + self._b2 * self.M.apply(v)
+
+
+class _SandwichPreconditioner(Preconditioner):
+    """P M P, the conjugate-pair preconditioner for op = M Q_eta: with
+    an exact P, an exact solve of op (the P_gamma of the condition-number
+    theory), whose apply_with_image gives the module docstring's image."""
+
+    def __init__(self, P: Preconditioner, op: LinearOperator,
+                 M: MassOperator, delta: float, c: float):
+        super().__init__(P.n)
+        self._P = P
+        self._M = M
+        self._delta = delta
+        self._c = c
+        self.op = op if P.exact else None
+        self.symmetric = P.symmetric
+
+    @property
+    def applications(self):
+        return self._P.applications
+
+    def apply(self, v):
+        return self._P.apply(self._M.apply(self._P.apply(v)))
+
+    def apply_with_image(self, v):
+        MPv = self._M.apply(self._P.apply(v))
+        z = self._P.apply(MPv)
+        return z, v - 2.0 * self._delta * MPv + self._c * self._M.apply(z)
+
+
+def pair_system(A_eta: LinearOperator, P: Preconditioner, M: MassOperator,
+                beta: float, delta: float):
+    """(M Q_eta, P M P) for the pair eta +- i beta, A_eta = eta M - dt L
+    and P a solve of gamma M - dt L, delta = gamma - eta: an FFT solve
+    (so M = I) squared in place, any other P wrapped."""
+    op = _QuadraticSystem(A_eta, M, beta)
+    c = delta * delta + beta * beta
+    if isinstance(P, ExactFFT):
+        return op, P.square(op, delta, c)
+    return op, _SandwichPreconditioner(P, op, M, delta, c)
+
+
+# ----------------------------------------------------------------------
+
 #: largest dimension for which fov_upper_bound takes a dense eigensolve
 DENSE_LIMIT = 1024
 
@@ -476,30 +555,28 @@ def fov_upper_bound(L: LinearOperator) -> float:
     Nonpositive return certifies that the field of values lies in the
     closed left half plane.  A circulant is normal, so the value is the
     largest real part of its symbol, exactly.  Otherwise a dense solve
-    up to DENSE_LIMIT; beyond that, Lanczos on the assembled symmetric
-    part, shifted positive so the ARPACK relative tolerance is
-    meaningful when the true answer is 0.
+    of L.to_dense() up to DENSE_LIMIT, assembled or matrix-free; beyond
+    that, Lanczos on the assembled symmetric part, shifted positive so
+    the ARPACK relative tolerance is meaningful when the true answer is
+    0, and EigenFailure for a matrix-free L.
     """
     if isinstance(L, CirculantOperator):
         return float(np.max(L.symbol.real))
-    if L.mat is not None:
-        S = (L.mat + L.mat.T) * 0.5
-        scale = np.max(np.abs(S.data)) if S.nnz else 0.0
-        if scale == 0.0:
-            return 0.0
-        if L.n <= DENSE_LIMIT:
-            return float(np.linalg.eigvalsh(np.asarray(S.todense()))[-1])
-        shift = float(np.abs(S).sum(axis=1).max())  # >= rho(S)
-        try:
-            val = spla.eigsh(S + shift * sp.identity(L.n), k=1, which="LA",
-                             maxiter=10000, tol=1e-12,
-                             return_eigenvectors=False)
-        except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
-            raise EigenFailure(str(exc)) from exc
-        return float(val[0]) - shift
-    if L.n > DENSE_LIMIT:
+    if L.n <= DENSE_LIMIT:
+        A = L.to_dense()
+        return float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+    if L.mat is None:
         raise EigenFailure(
             f"matrix-free operator of dim {L.n} > {DENSE_LIMIT}: "
             "no sparse symmetric part available")
-    A = L.to_dense()
-    return float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+    S = (L.mat + L.mat.T) * 0.5
+    shift = float(np.abs(S).sum(axis=1).max())  # >= rho(S)
+    if shift == 0.0:
+        return 0.0
+    try:
+        val = spla.eigsh(S + shift * sp.identity(L.n), k=1, which="LA",
+                         maxiter=10000, tol=1e-12,
+                         return_eigenvectors=False)
+    except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
+        raise EigenFailure(str(exc)) from exc
+    return float(val[0]) - shift

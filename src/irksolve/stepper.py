@@ -26,7 +26,7 @@ stage storage:
    application (for a pair, two inner applications) and the image of
    its result under the operator.  An exact preconditioner is built
    with the factor's operator as its op, so GMRES takes that image from
-   the inner solves (see _SandwichPreconditioner and linop.ExactFFT)
+   the inner solves (linop.pair_system gives the details for a pair)
    and applies the operator only for the true residual; CG and every
    other inner solve apply it every iteration.  The exact inner solve
    of a circulant L with M = I is the FFT, in 1D as in 2D: set-up
@@ -47,15 +47,15 @@ krylov.solve unchanged, and solve picks CG or GMRES for each solve.
 """
 
 from collections import namedtuple
-from functools import cached_property
 import math
 
 import numpy as np
 
 from .krylov import KrylovConfig, KrylovReport, Preconditioner, solve
-from .linop import (CirculantOperator, ComposedOperator, ExactFFT,
-                    LinearOperator, MassOperator, build_inner_preconditioner,
-                    fov_upper_bound, shifted_operator)
+from .linop import (CirculantOperator, ComposedOperator,
+                    FieldOfValuesViolation, LinearOperator, MassOperator,
+                    build_inner_preconditioner, fov_upper_bound,
+                    pair_system, shifted_operator)
 from .spectral import factor_list, spectral_decompose
 from .tableaux import ButcherTableau
 
@@ -109,93 +109,18 @@ class LinearProblem:
         self.forcing = forcing
         self.exact_solution = exact_solution
         self.n = L.n
-        scale = 1.0
-        if L.mat is not None and L.mat.nnz:
-            scale = max(1.0, float(np.max(np.abs(L.mat.data))))
         bound = fov_upper_bound(L)
-        if bound > 1e-8 * scale:
-            raise ValueError(
-                f"spatial operator violates W(L) <= 0: "
-                f"max Re W(L) = {bound:.3e}")
+        tol = 1e-8 * max(1.0, L.norm)
+        if bound > tol:
+            raise FieldOfValuesViolation(
+                f"spatial operator violates W(L) <= 0: max Re W(L) = "
+                f"{bound:.3e} > tolerance {tol:.3e} = 1e-8 max(1, ||L||)")
 
     def stage_rhs(self, t_stage: float, Lu_n: np.ndarray) -> np.ndarray:
         """f_i = f(t_stage) + L u_n, with L u_n computed once per step."""
         if self.forcing is None:
             return Lu_n.copy()
         return self.forcing(t_stage) + Lu_n
-
-
-class _QuadraticSystem(LinearOperator):
-    """Matrix-free M Q_eta = (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M;
-    one mass solve per application."""
-
-    def __init__(self, A_eta: LinearOperator, M: MassOperator, beta: float):
-        super().__init__(A_eta.n)
-        self.A_eta = A_eta
-        self.M = M
-        self._b2 = beta * beta
-        self.symmetric = A_eta.symmetric and M.symmetric
-
-    @cached_property
-    def norm(self) -> float:
-        """Exact from the symbol for a circulant A_eta with M = I, else
-        the bound ||A_eta||^2 ||M^{-1}|| + beta^2 ||M|| (0 when
-        ||M^{-1}|| has none)."""
-        A, M = self.A_eta, self.M
-        if isinstance(A, CirculantOperator) and M.is_identity:
-            return float(np.abs(A.symbol ** 2 + self._b2).max())
-        if not M.inv_norm:
-            return 0.0
-        return A.norm ** 2 * M.inv_norm + self._b2 * M.norm
-
-    def apply(self, v):
-        w = self.A_eta.apply(self.M.solve(self.A_eta.apply(v)))
-        return w + self._b2 * self.M.apply(v)
-
-
-class _SandwichPreconditioner(Preconditioner):
-    """P M P, the conjugate-pair preconditioner for op = M Q_eta.  With
-    exact P = (gamma M - dt L)^{-1} the preconditioned operator is
-    exactly the P_gamma of the condition-number theory, and this is an
-    exact solve for op.
-
-    With that exact P, eta M - dt L = P^{-1} - delta M for
-    delta = gamma - eta, so the operator image of a direction is
-    M Q_eta (P M P v) = v - 2 delta M P v + c M P M P v with
-    c = delta^2 + beta^2: apply_with_image gives it from the two inner
-    solves and no operator apply.  GMRES calls it only on op; on any
-    other operator it takes apply(v) and applies that operator.
-    """
-
-    def __init__(self, P: Preconditioner, op: LinearOperator,
-                 M: MassOperator, delta: float, c: float):
-        super().__init__(P.n)
-        self._P = P
-        self._M = M
-        self._delta = delta
-        self._c = c
-        self.op = op if P.exact else None
-        self.symmetric = P.symmetric
-
-    @property
-    def applications(self):
-        return self._P.applications
-
-    def apply(self, v):
-        return self._P.apply(self._M.apply(self._P.apply(v)))
-
-    def apply_with_image(self, v):
-        MPv = self._M.apply(self._P.apply(v))
-        z = self._P.apply(MPv)
-        return z, v - 2.0 * self._delta * MPv + self._c * self._M.apply(z)
-
-
-def _pair_preconditioner(P, op, M, delta, c):
-    """The conjugate-pair preconditioner P M P for op: an FFT solve
-    squared in place when M = I, else the sandwich around P."""
-    if isinstance(P, ExactFFT) and M.is_identity:
-        return P.square(op, delta, c)
-    return _SandwichPreconditioner(P, op, M, delta, c)
 
 
 def _accumulate(out, coeffs, vectors):
@@ -265,13 +190,10 @@ class IRKStepper:
             inner = build_inner_preconditioner(inner_kind, A_gamma,
                                                **params)
             if f.is_real:
-                op = A_eta
-                precond = inner
+                op, precond = A_eta, inner
             else:
-                op = _QuadraticSystem(A_eta, M, f.beta)
-                delta = gamma - f.eta
-                precond = _pair_preconditioner(
-                    inner, op, M, delta, delta * delta + f.beta * f.beta)
+                op, precond = pair_system(A_eta, inner, M, f.beta,
+                                          gamma - f.eta)
             kappa = f.eta if f.is_real else f.eta * f.eta
             self.solves.append(FactorSolve(f, gamma, op, precond, kappa, **w))
         self.outer_cfg = outer_cfg

@@ -6,6 +6,7 @@ import math
 import zlib
 
 import numpy as np
+from numpy.polynomial import legendre
 import pytest
 import scipy.sparse as sp
 
@@ -15,7 +16,8 @@ from irksolve.experiments import (ExperimentSpec, run_convergence,
                                   run_gamma_comparison, run_inner_sweep)
 from irksolve.krylov import KrylovConfig
 from irksolve.linop import IdentityMass, SparseOperator
-from irksolve.spatial import GridSpec, build_fem_mass_1d
+from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
+                              build_fem_mass_1d)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import IRKStepper, LinearProblem, advance_oracle
 from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
@@ -269,3 +271,106 @@ def test_c10_quadrature_exactness():
     report("C10", worst <= 1e-12,
            f"Gauss s=1..5 integrate t^k exactly for k <= 2s-1: "
            f"max error {worst:.2e} <= 1e-12")
+
+
+# C13: the first step count N of each tableau's window (N, 2N), fixed
+# beforehand so that both max-norm errors lie in [1e-10, 1e-2]: above
+# the ~1e-12 floor of accumulated solver error, and asymptotic
+C13_STEPS = {
+    ("Gauss", 1): 32, ("Gauss", 2): 8, ("Gauss", 3): 8, ("Gauss", 4): 8,
+    ("Gauss", 5): 4,
+    ("RadauIIA", 1): 1024, ("RadauIIA", 2): 16, ("RadauIIA", 3): 8,
+    ("RadauIIA", 4): 8, ("RadauIIA", 5): 4,
+    ("LobattoIIIC", 2): 64, ("LobattoIIIC", 3): 16, ("LobattoIIIC", 4): 8,
+    ("LobattoIIIC", 5): 8,
+    ("SDIRK2L", 2): 32, ("SDIRK3L", 3): 32, ("BackwardEuler", 1): 1024,
+}
+
+
+def test_c13_observed_order_every_tableau():
+    # homogeneous advdiff1d to tf = 1 against the exact semi-discrete
+    # solution exp(tf lambda), mode by mode
+    grid = GridSpec(dim=1, n=64)
+    L = build_advdiff(grid, 1.0, 0.01, 4)
+    prob = LinearProblem(IdentityMass(grid.size), L)
+    u0 = np.exp(np.sin(np.pi * grid.points_1d()))
+    exact = np.fft.ifft(np.exp(L.symbol) * np.fft.fft(u0)).real
+    cfg = KrylovConfig(rel_tol=1e-14)
+    assert set(C13_STEPS) == set(SUPPORTED_TABLEAUX)
+    worst, msgs, ok = 0.0, [], True
+    for key in SUPPORTED_TABLEAUX:
+        tab = build_tableau(*key)
+        errs = []
+        for steps in (C13_STEPS[key], 2 * C13_STEPS[key]):
+            st = IRKStepper(tab, prob, 1.0 / steps, outer_cfg=cfg)
+            u = u0
+            for k in range(steps):
+                u, _ = st.advance(u, k / steps)
+            errs.append(float(np.max(np.abs(u - exact))))
+        p = math.log2(errs[0] / errs[1])
+        in_window = all(1e-10 <= e <= 1e-2 for e in errs)
+        ok = ok and in_window and abs(p - tab.order) <= 0.3
+        worst = max(worst, abs(p - tab.order))
+        msgs.append(f"{key[0]}-{key[1]} {p:.2f}/{tab.order}"
+                    + ("" if in_window else f" errors {errs} off window"))
+    report("C13", ok, f"observed order within 0.3 of the formal order for "
+           f"all {len(SUPPORTED_TABLEAUX)} tableaux (worst {worst:.3f}): "
+           + "; ".join(msgs))
+
+
+def _dg_in_time(q):
+    """(Mt, D + E, phi(0)) of DG in time of degree q on [0, 1] in the
+    shifted Legendre basis phi_j(t) = P_j(2t - 1): Mt_ij = int phi_i phi_j,
+    D_ij = int phi_i phi_j' and the upwind jump E_ij = phi_i(0) phi_j(0).
+    The step of M u' = L u solves ((D + E) x M - dt Mt x L) U
+    = phi(0) x M u_n, and u_{n+1} = sum_j phi_j(1) U_j = sum_j U_j."""
+    x, w = legendre.leggauss(q + 1)   # exact for the degree-2q integrands
+    basis = [legendre.Legendre.basis(j) for j in range(q + 1)]
+    phi = np.array([b(x) for b in basis])
+    dphi = np.array([2.0 * b.deriv()(x) for b in basis])  # d/dt, t in [0, 1]
+    at0 = np.array([b(-1.0) for b in basis])
+    return (0.5 * w * phi) @ phi.T, (0.5 * w * phi) @ dphi.T \
+        + np.outer(at0, at0), at0
+
+
+def _dg_step(q, prob, u, dt):
+    Mt, K, at0 = _dg_in_time(q)
+    M, L = prob.M.to_dense(), prob.L.to_dense()
+    U = np.linalg.solve(np.kron(K, M) - dt * np.kron(Mt, L),
+                        np.kron(at0, M @ u))
+    return U.reshape(q + 1, -1).sum(axis=0)
+
+
+def test_c14_dg_in_time_is_radau_iia():
+    # DG in time of degree q and RadauIIA-(q+1) share A0^{-1}'s spectrum
+    # (so the factors and gamma*) and the stability function, and with
+    # f = 0 make the same step (Lesaint & Raviart 1974)
+    spec_err = stab_err = step_err = 0.0
+    probs = [LinearProblem(IdentityMass(16),
+                           build_advdiff(GridSpec(dim=1, n=16), 1.0, 0.05, 4)),
+             build_fem_diffusion_1d(GridSpec(dim=1, n=16))]
+    u = np.random.default_rng(14).standard_normal(16)
+    for q in range(5):
+        tab = build_tableau("radauIIA", q + 1)
+        Mt, K, at0 = _dg_in_time(q)
+        dg = np.linalg.eigvals(np.linalg.solve(Mt, K))
+        rk = np.linalg.eigvals(np.linalg.inv(tab.A0))
+        gap = np.abs(dg[:, None] - rk[None, :])
+        spec_err = max(spec_err, gap.min(axis=0).max(), gap.min(axis=1).max())
+        for z in (-1.0, -10.0, -0.5 + 3j, 2j, -100.0 + 50j):
+            r_dg = np.linalg.solve(K - z * Mt, at0).sum()
+            r_rk = 1.0 + z * tab.b0 @ np.linalg.solve(
+                np.eye(q + 1) - z * tab.A0, np.ones(q + 1))
+            stab_err = max(stab_err, abs(r_dg - r_rk) / abs(r_rk))
+        for prob in probs:
+            st = IRKStepper(tab, prob, 0.1, KrylovConfig(rel_tol=1e-12))
+            ref = _dg_step(q, prob, u, 0.1)
+            got, _ = st.advance(u, 0.0)
+            step_err = max(step_err, np.linalg.norm(got - ref)
+                           / np.linalg.norm(ref))
+    report("C14", spec_err <= 1e-12 and stab_err <= 1e-12
+           and step_err <= 1e-10,
+           f"DG in time q=0..4 vs RadauIIA-(q+1): eigenvalues of "
+           f"Mt^-1(D+E) vs A0^-1 within {spec_err:.1e} <= 1e-12; stability "
+           f"function rel diff {stab_err:.1e} <= 1e-12; one f = 0 step on "
+           f"advdiff1d and diffusion1d-fem rel diff {step_err:.1e} <= 1e-10")

@@ -18,7 +18,7 @@ ADV = dict(problem="advdiff1d", grids=(16,))
 ADV2D = dict(problem="advdiff2d", grids=(16,))
 
 GOLDEN = {
-    # IRK, GMRES outer, exact (sparse LU) inner: 8 steps x 5 x 2
+    # IRK, GMRES outer, FFT inner: 8 steps x 5 x 2
     "irk-gmres-exact": (dict(ADV, family="gauss", stages=2),
                         [(5.0, 80)]),
     # IRK, CG outer on the symmetric FEM pair and the real factor.
@@ -30,6 +30,19 @@ GOLDEN = {
                         stages=3, grids=(32,),
                         krylov=KrylovConfig(rel_tol=1e-10)),
                    [(1.0, 32), (1.0, 16)]),
+    # IRK, GMRES outer, sparse-LU inner (the FEM mass): the pair's image
+    # comes from the sandwich P M P, the real factor's from the LU
+    "irk-gmres-lu-fem": (dict(problem="diffusion1d-fem", family="gauss",
+                              stages=2, grids=(32,),
+                              krylov=KrylovConfig(method="gmres",
+                                                  rel_tol=1e-10)),
+                         [(1.3125, 42)]),
+    "irk-gmres-lu-fem-radau": (dict(problem="diffusion1d-fem",
+                                    family="radauIIA", stages=3,
+                                    grids=(32,),
+                                    krylov=KrylovConfig(method="gmres",
+                                                        rel_tol=1e-10)),
+                               [(1.0, 32), (1.0, 16)]),
     # IRK, CG outer on the FEM pair alone
     "irk-cg-fem-pair": (dict(problem="diffusion1d-fem", family="gauss",
                              stages=2, grids=(32,)),

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import irksolve
 from irksolve import linop
 from irksolve.conditioning import random_stable_matrix
+from irksolve.experiments import PROBLEMS, ExperimentSpec, build_problem
 from irksolve.krylov import KrylovConfig, resolve_method, solve
-from irksolve.linop import (ExactFFT, IdentityMass, SparseOperator,
-                            build_inner_preconditioner, shifted_operator)
+from irksolve.linop import (ExactFFT, FieldOfValuesViolation, IdentityMass,
+                            SparseOperator, _QuadraticSystem,
+                            build_inner_preconditioner, pair_system,
+                            shifted_operator)
 from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
                               build_fem_diffusion_1d, build_fem_mass_1d,
                               build_upwind_advection)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
-                              LinearProblem, _pair_preconditioner,
-                              _QuadraticSystem, advance_oracle,
+                              LinearProblem, advance_oracle,
                               advance_symbol)
 from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
 
@@ -382,12 +385,11 @@ def _mismatched_cases(label):
     cases += [(op_real, build_inner_preconditioner("exact", A))
               for A in (twin_real, shifted_operator(gamma, dt, M, L),
                         other_dt, other_L)]
-    delta = gamma - pair.eta
-    c = delta * delta + pair.beta * pair.beta
     for target in (twin_pair, op_real, other_dt):
         inner = build_inner_preconditioner(
             "exact", shifted_operator(gamma, dt, M, L))
-        cases.append((target, _pair_preconditioner(inner, op, M, delta, c)))
+        cases.append((target, pair_system(op.A_eta, inner, M, pair.beta,
+                                          gamma - pair.eta)[1]))
     return cases + [(twin_pair, pc)]
 
 
@@ -667,8 +669,9 @@ SETUP_PROBLEMS = {
 @pytest.mark.parametrize("problem", sorted(SETUP_PROBLEMS))
 def test_circulant_setup_factors_nothing(monkeypatch, problem):
     # a circulant L with M = I gets the FFT for every exact solve, in 1D
-    # as in 2D, so neither stepper's set-up calls the sparse LU; the FEM
-    # mass makes each shift non-circulant, and each gets its own LU
+    # as in 2D, so neither stepper's set-up calls the sparse LU; with the
+    # FEM mass each shift is still circulant, but shifted_operator builds
+    # a CirculantOperator only when M = I, so each gets its own LU
     prob = SETUP_PROBLEMS[problem]()
     factored = []
     sparse_lu = linop._sparse_lu
@@ -844,3 +847,35 @@ def test_pair_operator_norm(label):
         assert op.norm == pytest.approx(dense, rel=1e-12)
     else:
         assert op.norm >= dense * (1 - 1e-12)
+
+
+def test_wl_certificate_rejects_a_growing_operator():
+    # the paper's bound assumes W(L) <= 0; the violation has its own type,
+    # a ValueError, so the CLI still exits with code 2
+    assert irksolve.FieldOfValuesViolation is FieldOfValuesViolation
+    assert issubclass(FieldOfValuesViolation, ValueError)
+    with pytest.raises(FieldOfValuesViolation,
+                       match=r"max Re W\(L\) = 1.000e\+00 > tolerance"):
+        LinearProblem(IdentityMass(8), SparseOperator(sp.identity(8)))
+
+
+def test_wl_certificate_accepts_skew_and_every_shipped_problem():
+    K = np.random.default_rng(41).standard_normal((12, 12))
+    LinearProblem(IdentityMass(12), SparseOperator(sp.csr_matrix(K - K.T)))
+    for name in PROBLEMS:
+        build_problem(ExperimentSpec(problem=name, family="gauss", stages=2,
+                                     grids=(16,)), 16)
+
+
+def test_wl_certificate_tolerance_is_relative_to_the_norm():
+    # L + eps I has the certificate eps exactly, and its tolerance is
+    # 1e-8 max(1, ||L + eps I||) with ||L + eps I|| = ||L|| - eps here.
+    # 0.75 also tells the norm from the largest entry, ||L|| / 2 here
+    grid = GridSpec(dim=1, n=64)
+    M = IdentityMass(grid.size)
+    L = build_upwind_advection(grid, 1.0)
+    unit = 1e-8 * max(1.0, L.norm)
+    for frac in (0.5, 0.75):
+        LinearProblem(M, shifted_operator(frac * unit, -1.0, M, L))
+    with pytest.raises(FieldOfValuesViolation):
+        LinearProblem(M, shifted_operator(2.0 * unit, -1.0, M, L))
