@@ -4,8 +4,11 @@ Convergence studies against manufactured solutions, mesh-robustness
 sweeps, optimal-shift versus naive-shift comparisons on the hyperbolic
 problem, inner-iteration trade-off sweeps, and baseline comparisons
 against SDIRK (run by IRKStepper, like every tableau) and
-block-preconditioned stage solves.  All drivers are deterministic: a
-fixed spec produces a byte-identical CSV.
+block-preconditioned stage solves.  Every driver runs its cases
+through one case runner, which counts every Krylov solve of every step,
+the failed one included, and returns the record with the final state.
+All drivers are deterministic: a fixed spec produces a byte-identical
+CSV.
 """
 
 from dataclasses import dataclass, field, replace
@@ -37,7 +40,33 @@ CSV_HEADER = ("family,stages,gamma_mode,nx,dt,steps,err_linf,err_l2,"
               "factor_index,eta,beta,gamma,mean_outer_iters,"
               "total_precond_apps,converged")
 
-PROBLEMS = ("advdiff1d", "advdiff2d", "advect1d-upwind", "diffusion1d-fem")
+
+def _exact_start(prob):
+    return prob, prob.exact_solution(0.0)
+
+
+def _upwind_pulse(grid, spec):
+    """Unit-speed upwind advection of a square pulse: broadband data, so
+    outer Krylov iterations see the whole preconditioned spectrum rather
+    than a few low modes."""
+    L = build_upwind_advection(grid, 1.0)
+    u0 = np.where(np.abs(grid.points_1d() + 0.3) <= 0.35, 1.0, 0.0)
+    return LinearProblem(IdentityMass(grid.size), L), u0
+
+
+def _fd_mms(grid, spec):
+    return _exact_start(build_fd_mms(grid, fd_order=spec.fd_order))
+
+
+#: problem name -> (grid dimension, builder(grid, spec) -> (problem, u0))
+_PROBLEMS = {
+    "advdiff1d": (1, _fd_mms),
+    "advdiff2d": (2, _fd_mms),
+    "advect1d-upwind": (1, _upwind_pulse),
+    "diffusion1d-fem": (1, lambda grid, spec:
+                        _exact_start(build_fem_diffusion_1d(grid))),
+}
+PROBLEMS = tuple(_PROBLEMS)
 INTEGRATORS = ("irk", "gsl", "ld")
 
 
@@ -168,51 +197,23 @@ def parse_inner(spec: str, dim=None):
 
 
 def build_problem(spec: ExperimentSpec, n: int):
-    """Returns (problem, u0, dim) for one grid size."""
-    if spec.problem == "advdiff1d":
-        grid = GridSpec(dim=1, n=n)
-        prob = build_fd_mms(grid, fd_order=spec.fd_order)
-        return prob, prob.exact_solution(0.0), 1
-    if spec.problem == "advdiff2d":
-        grid = GridSpec(dim=2, n=n)
-        prob = build_fd_mms(grid, fd_order=spec.fd_order)
-        return prob, prob.exact_solution(0.0), 2
-    if spec.problem == "advect1d-upwind":
-        grid = GridSpec(dim=1, n=n)
-        L = build_upwind_advection(grid, 1.0)
-        prob = LinearProblem(IdentityMass(grid.size), L)
-        # square pulse: broadband data, so outer Krylov iterations see
-        # the whole preconditioned spectrum rather than a few low modes
-        x = grid.points_1d()
-        u0 = np.where(np.abs(x + 0.3) <= 0.35, 1.0, 0.0)
-        return prob, u0, 1
-    if spec.problem == "diffusion1d-fem":
-        grid = GridSpec(dim=1, n=n)
-        prob = build_fem_diffusion_1d(grid)
-        return prob, prob.exact_solution(0.0), 1
-    raise ValueError(spec.problem)
+    """Returns (problem, u0, grid) for one grid size."""
+    dim, build = _PROBLEMS[spec.problem]
+    grid = GridSpec(dim=dim, n=n)
+    return *build(grid, spec), grid
 
 
-def _steps_for(spec: ExperimentSpec, h: float):
-    dt = spec.dt_ratio * h
+def _integrate_one(spec: ExperimentSpec, n: int):
+    """Run one (grid, integrator) case; returns (RunRecord, final state).
+
+    Every Krylov solve is counted, the failed one included: each step's
+    reports go to one list per factor, and the record's counts are read
+    from those lists.  A solve that does not converge is recorded on its
+    factor, not raised, and ends the run at the last state reached.
+    Errors are computed only when every solve converged."""
+    prob, u, grid = build_problem(spec, n)
+    dt = spec.dt_ratio * grid.h
     steps = max(1, round(spec.t_final / dt))
-    return dt, steps
-
-
-def _errors(u, prob, t, h, dim):
-    if prob.exact_solution is None:
-        return float("nan"), float("nan")
-    e = u - prob.exact_solution(t)
-    return float(np.max(np.abs(e))), float(np.sqrt(h ** dim * np.sum(e * e)))
-
-
-def _integrate_one(spec: ExperimentSpec, n: int, return_solution=False):
-    """Run one (grid, integrator) case; returns a RunRecord (and the
-    final solution vector when requested).  Solver non-convergence is
-    recorded on the failing factor, not raised."""
-    prob, u, dim = build_problem(spec, n)
-    h = 2.0 / n
-    dt, steps = _steps_for(spec, h)
     kind, params = parse_inner(spec.inner)
     tab = build_tableau(spec.family, spec.stages)
 
@@ -223,40 +224,35 @@ def _integrate_one(spec: ExperimentSpec, n: int, return_solution=False):
         st = BlockStepper(tab, prob, dt, variant=spec.integrator, **common)
     summary = st.factor_summary()
 
-    nfac = len(summary)
-    iters = np.zeros(nfac)
-    apps = np.zeros(nfac, dtype=int)
-    done_steps = np.zeros(nfac, dtype=int)
-    converged = [True] * nfac
+    solves = [[] for _ in summary]
     tn = 0.0
     for _ in range(steps):
         try:
             u, reports = st.advance(u, tn)
         except FactorSolveFailure as exc:
-            converged[exc.factor_index] = False
-            iters[exc.factor_index] += exc.report.iterations
-            apps[exc.factor_index] += exc.report.preconditioner_applications
-            done_steps[exc.factor_index] += 1
+            reports = exc.reports
+        for done, rep in zip(solves, reports):
+            done.append(rep)
+        if not reports[-1].converged:
             break
-        for i, rep in enumerate(reports):
-            iters[i] += rep.iterations
-            apps[i] += rep.preconditioner_applications
-            done_steps[i] += 1
         tn += dt
 
-    err_linf, err_l2 = (_errors(u, prob, tn, h, dim)
-                        if all(converged) else (float("nan"), float("nan")))
-    factors = []
-    for i, (idx, eta, beta, gamma) in enumerate(summary):
-        mean_it = iters[i] / done_steps[i] if done_steps[i] else float("nan")
-        factors.append(FactorStat(index=idx, eta=eta, beta=beta, gamma=gamma,
-                                  mean_outer_iters=float(mean_it),
-                                  total_precond_apps=int(apps[i]),
-                                  converged=converged[i]))
+    factors = [FactorStat(
+        index=idx, eta=eta, beta=beta, gamma=gamma,
+        mean_outer_iters=(sum(r.iterations for r in done) / len(done)
+                          if done else math.nan),
+        total_precond_apps=sum(r.preconditioner_applications for r in done),
+        converged=all(r.converged for r in done))
+        for (idx, eta, beta, gamma), done in zip(summary, solves)]
+    err_linf = err_l2 = math.nan
+    if all(f.converged for f in factors) and prob.exact_solution is not None:
+        e = u - prob.exact_solution(tn)
+        err_linf = float(np.max(np.abs(e)))
+        err_l2 = float(np.sqrt(grid.h ** grid.dim * np.sum(e * e)))
     rec = RunRecord(family=spec.family, stages=spec.stages,
                     gamma_mode=spec.gamma_mode, nx=n, dt=dt, steps=steps,
                     err_linf=err_linf, err_l2=err_l2, factors=factors)
-    return (rec, u) if return_solution else rec
+    return rec, u
 
 
 def observed_orders(records):
@@ -276,7 +272,7 @@ def run_convergence(spec: ExperimentSpec):
     halts at the first grid with a non-converged solve."""
     records = []
     for n in spec.grids:
-        rec = _integrate_one(spec, n)
+        rec, _u = _integrate_one(spec, n)
         records.append(rec)
         if not all(f.converged for f in rec.factors):
             break
@@ -288,9 +284,9 @@ def run_gamma_comparison(spec: ExperimentSpec):
     """Identical integrations with the optimal and the naive shift;
     returns (records, speedups) with one speedup row per (grid, factor):
     (nx, factor_index, eta, beta, iters_eta, iters_gamma_star, ratio)."""
-    rec_eta = [_integrate_one(replace(spec, gamma_mode="eta"), n)
+    rec_eta = [_integrate_one(replace(spec, gamma_mode="eta"), n)[0]
                for n in spec.grids]
-    rec_gs = [_integrate_one(replace(spec, gamma_mode="gamma_star"), n)
+    rec_gs = [_integrate_one(replace(spec, gamma_mode="gamma_star"), n)[0]
               for n in spec.grids]
     speedups = []
     for re_, rg in zip(rec_eta, rec_gs):
@@ -313,7 +309,7 @@ def run_inner_sweep(spec: ExperimentSpec, sweep):
     records = []
     for k in sweep:
         s = replace(spec, inner=f"{kind}:{int(k)}")
-        records.append((int(k), _integrate_one(s, spec.grids[-1])))
+        records.append((int(k), _integrate_one(s, spec.grids[-1])[0]))
     return records
 
 
@@ -344,7 +340,7 @@ def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L")
                                    stages=baselines[fam])))
     rows = []
     for name, case in cases:
-        rec, u = _integrate_one(case, spec.grids[-1], return_solution=True)
+        rec, u = _integrate_one(case, spec.grids[-1])
         total = sum(f.total_precond_apps for f in rec.factors)
         rows.append((name, rec, total / rec.steps / rec.stages, u))
     return rows

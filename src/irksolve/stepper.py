@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from .krylov import KrylovConfig, KrylovReport, Preconditioner, solve
+from .krylov import KrylovConfig, Preconditioner, solve
 from .linop import (CirculantOperator, ComposedOperator,
                     FieldOfValuesViolation, LinearOperator, MassOperator,
                     build_inner_preconditioner, fov_upper_bound,
@@ -78,14 +78,17 @@ GAMMA_MODES = ("gamma_star", "eta")
 
 
 class FactorSolveFailure(RuntimeError):
-    """An outer Krylov solve for one factor did not converge."""
+    """An outer Krylov solve for one factor did not converge.  reports
+    holds the step's Krylov reports in solve order, up to and including
+    the failed one: report = reports[-1], of factor factor_index."""
 
-    def __init__(self, factor_index: int, report: KrylovReport):
-        super().__init__(f"factor {factor_index} did not converge "
+    def __init__(self, reports):
+        self.reports = reports
+        self.factor_index = len(reports) - 1
+        self.report = report = reports[-1]
+        super().__init__(f"factor {self.factor_index} did not converge "
                          f"(final residual {report.final_residual:.3e} "
                          f"after {report.iterations} iterations)")
-        self.factor_index = factor_index
-        self.report = report
 
 
 class SingularSystem(RuntimeError):
@@ -248,7 +251,7 @@ class IRKStepper:
                            min(float(np.linalg.norm(b)), sv.kappa * scale))
             reports.append(rep)
             if not rep.converged:
-                raise FactorSolveFailure(idx, rep)
+                raise FactorSolveFailure(reports)
             if y is None or self._chained:
                 y = x
             else:
@@ -333,20 +336,14 @@ class _BlockTriangularPreconditioner(Preconditioner):
         self._p = problem
         self._dt = dt
         # (M - dt T_ii L) x = r is solved as ((1/T_ii) M - dt L) x
-        # = r / T_ii, one inner solve per distinct T_ii
-        built = {}
-        for d in np.diag(T):
-            key = round(d, 14)
-            if key not in built:
-                built[key] = build_inner_preconditioner(
-                    inner_kind,
-                    shifted_operator(1.0 / d, dt, problem.M, problem.L),
-                    **(inner_params or {}))
-        self._inner = [built[round(d, 14)] for d in np.diag(T)]
+        # = r / T_ii, one inner solve per stage
+        self._inner = [build_inner_preconditioner(
+            inner_kind, shifted_operator(1.0 / d, dt, problem.M, problem.L),
+            **(inner_params or {})) for d in np.diag(T)]
 
     @property
     def applications(self):
-        return sum(pc.applications for pc in set(self._inner))
+        return sum(pc.applications for pc in self._inner)
 
     def apply(self, v):
         s, n = self._T.shape[0], self._p.n
@@ -419,7 +416,7 @@ class BlockStepper:
                               for c in tab.c0])
         k, rep = solve(self._op, rhs, self._precond, self.outer_cfg)
         if not rep.converged:
-            raise FactorSolveFailure(0, rep)
+            raise FactorSolveFailure([rep])
         K = k.reshape(tab.s, prob.n)
         return u_n + dt * (tab.b0 @ K), [rep]
 

@@ -131,6 +131,21 @@ def test_inner_sweep_records_failures():
     assert len(rec1.factors) == len(rec5.factors)
 
 
+def test_failed_run_counts_every_solve():
+    # the first step converges factor 0 in 12 iterations, then factor 1
+    # reaches the cap of 14; both are counted, and factor 2 never ran
+    spec = ExperimentSpec(problem="advect1d-upwind", family="lobattoIIIC",
+                          stages=5, grids=(128,), dt_ratio=8.0, t_final=1.0,
+                          krylov=KrylovConfig(max_iters=14))
+    records, orders = run_convergence(spec)
+    assert orders == []
+    rows = [(f.mean_outer_iters, f.total_precond_apps, f.converged)
+            for f in records[0].factors]
+    assert rows[:2] == [(12.0, 24, True), (14.0, 28, False)]
+    assert np.isnan(rows[2][0]) and rows[2][1:] == (0, True)
+    assert np.isnan(records[0].err_linf) and np.isnan(records[0].err_l2)
+
+
 def test_inner_sweep_needs_relaxation():
     with pytest.raises(ValueError):
         run_inner_sweep(small_spec(inner="exact"), [1, 2])

@@ -764,6 +764,21 @@ def test_block_prec_advance_matches_oracle():
         assert reps[0].preconditioner_applications > 0
 
 
+def test_block_prec_builds_each_stage_its_own_inner_solve():
+    # Gauss-2's diagonal entries differ in the last bits; each stage is
+    # solved with its own shift 1 / T_ii, not the first stage's
+    grid = GridSpec(dim=1, n=32)
+    prob = build_fd_mms(grid)
+    tab, dt = build_tableau("gauss", 2), 0.125
+    T = np.tril(tab.A0)
+    inner = BlockStepper(tab, prob, dt, variant="GSL")._precond._inner
+    assert inner[0] is not inner[1]
+    for i, pc in enumerate(inner):
+        assert isinstance(pc, ExactFFT)
+        assert np.array_equal(pc.op.symbol,
+                              1.0 / T[i, i] - dt * prob.L.symbol)
+
+
 def test_block_prec_s1_equals_backward_euler():
     n = 8
     prob = random_problem(n, seed=15)
@@ -786,6 +801,17 @@ def test_factor_solve_failure_carries_report():
     with pytest.raises(FactorSolveFailure) as exc:
         st.advance(rng.standard_normal(n), 0.0)
     assert exc.value.factor_index == 0
+    assert exc.value.report.iterations == 2
+    assert exc.value.reports[-1] is exc.value.report
+    assert len(exc.value.reports) == exc.value.factor_index + 1
+    # the block baseline has one stage-system solve per step
+    block = BlockStepper(build_tableau("gauss", 2), prob, dt=1.0,
+                         outer_cfg=KrylovConfig(max_iters=2))
+    with pytest.raises(FactorSolveFailure) as exc:
+        block.advance(rng.standard_normal(n), 0.0)
+    assert exc.value.factor_index == 0
+    assert len(exc.value.reports) == 1
+    assert exc.value.reports[0] is exc.value.report
     assert exc.value.report.iterations == 2
 
 
