@@ -17,7 +17,11 @@ member with beta > 0 and doubled weights.  An SDIRK tableau, whose B is
 defective, takes the confluent form of the same sum instead.
 spectral_decompose derives the eigenvalues and the weights together,
 from one inverse and one eigen-decomposition, so the weights come in
-the solve order of factor_list.
+the solve order of factor_list.  They are constants of the tableau: it
+computes them once per tableau object, kept on that object, and returns
+the same read-only SpectralData to every later call, so every stepper
+of a scheme built by build_tableau shares one.  The key is the object,
+never its (family, s): a hand-built or perturbed tableau gets its own.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linop import EigenFailure
-from .tableaux import ButcherTableau
+from .tableaux import ButcherTableau, _frozen
 
 __all__ = [
     "Factor",
@@ -84,7 +88,9 @@ class SpectralData:
     with w_j = c[j] M u_n + dt E[j] @ F.  For a pair, lambda_j = eta + i
     beta and y_j is the real part of that complex solve.  chained (the
     confluent SDIRK form) feeds each solve the previous answer as well:
-    w_j gains M y_{j-1}, and the last y_j alone is the sum."""
+    w_j gains M y_{j-1}, and the last y_j alone is the sum.  c and E
+    are read-only, as one SpectralData serves every stepper of a
+    tableau."""
 
     pairs: tuple
     reals: tuple
@@ -92,6 +98,11 @@ class SpectralData:
     c: np.ndarray
     E: np.ndarray
     chained: bool = False
+
+    def __post_init__(self):
+        for name in ("c", "E"):
+            object.__setattr__(self, name,
+                               _frozen(np.asarray(getattr(self, name))))
 
 
 def _check_stable(t: ButcherTableau, lam):
@@ -102,7 +113,9 @@ def _check_stable(t: ButcherTableau, lam):
 
 def spectral_decompose(t: ButcherTableau) -> SpectralData:
     """Eigenvalues and partial-fraction weights of B = A0^{-1}, from one
-    inverse and one eigen-decomposition.
+    inverse and one eigen-decomposition on the first call for t; later
+    calls return the same SpectralData.  A failure is raised on every
+    call.
 
     A confluent A0 (lower triangular with one repeated diagonal entry:
     SDIRK and backward Euler) has B = lambda I + N, lambda = 1/a_11
@@ -117,6 +130,16 @@ def spectral_decompose(t: ButcherTableau) -> SpectralData:
     sorted ascending by beta/eta (hardest factor last), reals ascending
     by eta, for a deterministic factor-solve order.
     """
+    sd = vars(t).get("_spectral")
+    if sd is None:
+        sd = _decompose(t)
+        # a frozen dataclass: the cache is not one of its fields, so
+        # dataclasses.replace does not copy it
+        object.__setattr__(t, "_spectral", sd)
+    return sd
+
+
+def _decompose(t: ButcherTableau) -> SpectralData:
     try:
         B = np.linalg.inv(t.A0)
     except np.linalg.LinAlgError as exc:

@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from .krylov import KrylovConfig, Preconditioner, solve
+from .krylov import KrylovConfig, Preconditioner, _norm, solve
 from .linop import (CirculantOperator, ComposedOperator,
                     FieldOfValuesViolation, LinearOperator, MassOperator,
                     build_inner_preconditioner, fov_upper_bound,
@@ -218,7 +218,7 @@ class IRKStepper:
         prob = self.problem
         M = prob.M
         Mu = M.apply(u_n)
-        scale = float(np.linalg.norm(Mu))
+        scale = _norm(Mu)
         F = []
         if prob.forcing is not None:
             F = [prob.forcing(t_n + self.dt * c) for c in self.tableau.c0]
@@ -248,7 +248,7 @@ class IRKStepper:
             if self._chained and idx:
                 b = b + self.problem.M.apply(y)
             x, rep = solve(sv.op, b, sv.precond, self.outer_cfg,
-                           min(float(np.linalg.norm(b)), sv.kappa * scale))
+                           min(_norm(b), sv.kappa * scale))
             reports.append(rep)
             if not rep.converged:
                 raise FactorSolveFailure(reports)

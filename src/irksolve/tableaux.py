@@ -9,9 +9,15 @@ except for Lobatto IIIC (k = 2), which is not a collocation method and
 takes them from a_i1 = b_1 plus the C(s-1) conditions.  The DIRK
 baselines (SDIRK2L, SDIRK3L, backward Euler) are hardcoded in `_DIRK`.
 The supported (family, stages) pairs follow from these two tables.
+
+A tableau is a constant of its scheme: build_tableau builds and
+validates each supported pair once per process, on its first call, and
+every later call with any spelling of that pair returns the same
+read-only ButcherTableau.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -212,16 +218,23 @@ def canonical_family(name: str) -> str:
 
 
 def build_tableau(family: str, s: int) -> ButcherTableau:
-    """Construct the s-stage tableau of the given family.
+    """The s-stage tableau of the given family, one shared read-only
+    object per canonical (family, s), built on the first call.
 
     Raises UnsupportedScheme for pairs outside the supported ranges and
-    ConstructionFailure if the result does not validate.
+    ConstructionFailure if the result does not validate, on every call.
     """
     fam = canonical_family(family)
     if s not in _FAMILY_RANGE[fam]:
         raise UnsupportedScheme(f"{fam} with s={s} not supported "
                                 f"(valid: {list(_FAMILY_RANGE[fam])})")
+    return _build(fam, s)
 
+
+@cache
+def _build(fam: str, s: int) -> ButcherTableau:
+    """Construct and validate the tableau of a supported canonical pair;
+    a ConstructionFailure is raised, not cached."""
     if fam in _DIRK:
         A, b, c, order = _DIRK[fam]
     else:

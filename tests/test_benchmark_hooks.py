@@ -103,6 +103,24 @@ def test_fft_step_traces_one_precond_apply_per_iteration(tracing, scheme):
     assert spans == sum(r.iterations for r in reports)
 
 
+def test_second_setup_of_a_scheme_still_traces_its_layers(tracing):
+    # the second set-up of a scheme takes its tableau and spectral data
+    # from the caches, but still calls the names the tracer hooks, so
+    # the set-up layer rows stay defined for every set-up
+    build_problem, scheme = CASES["upwind1d"]
+    tracer = tracing.Tracer()
+    for k in range(2):
+        tracer.begin_setup(k)
+        try:
+            IRKStepper(build_tableau(*scheme), build_problem(), 0.05)
+        finally:
+            tracer.unpatch()
+    t = tracer.table()
+    for k in range(2):
+        spans = {tracer.names[i] for i in t[t[:, 0] == -(k + 1), 3]}
+        assert {"spectral.setup", "linop.shift"} <= spans, k
+
+
 def test_setup_hooks_and_stepper_placeholders_agree(tracing):
     # every hooked name exists in irksolve.stepper, and a name kept there
     # only as a None placeholder for a hook goes when its hook entry goes

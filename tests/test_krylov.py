@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from irksolve import linop
 from irksolve.krylov import (KrylovConfig, NonFiniteResidual, Preconditioner,
-                             resolve_method, solve)
+                             _norm, resolve_method, solve)
 from irksolve.linop import (ComposedOperator, GaussSeidel, IdentityMass,
                             SparseOperator, build_inner_preconditioner,
                             shifted_operator)
@@ -331,3 +331,12 @@ def test_target_above_the_floor_is_not_floor_limited():
     _x, rep = solve(op, rng.standard_normal(40), None,
                     KrylovConfig(method="cg", rel_tol=1e-8))
     assert rep.converged and not rep.floor_limited
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    gen = np.random.default_rng(23)
+    vectors = [np.zeros(7)] + [scale * gen.standard_normal(n)
+                               for n in (1, 2, 17, 1000, 4097)
+                               for scale in (1e-150, 1.0, 1e150)]
+    for v in vectors:
+        assert _norm(v) == np.linalg.norm(v)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,38 @@ def test_near_defective_tableau_is_rejected():
                          order=1)
     with pytest.raises(DefectiveTableau, match="condition"):
         spectral_decompose(bad)
+
+
+# ----------------------------------------------------------------------
+# one decomposition per tableau object
+
+def test_spectral_data_is_computed_once_per_tableau():
+    for fam, s in SUPPORTED_TABLEAUX:
+        t = build_tableau(fam, s)
+        assert spectral_decompose(t) is spectral_decompose(t)
+        assert spectral_decompose(build_tableau(fam, s)) is \
+            spectral_decompose(t)
+
+
+def test_spectral_weights_are_read_only():
+    sd = spectral_decompose(build_tableau("radauIIA", 3))
+    with pytest.raises(ValueError):
+        sd.c[0] = 1.0
+    with pytest.raises(ValueError):
+        sd.E[0, 0] = 1.0
+
+
+def test_a_copied_tableau_gets_its_own_spectral_data():
+    # the key is the object: a copy is decomposed anew, to the same
+    # numbers, and a perturbed copy gets its own numbers
+    t = build_tableau("gauss", 2)
+    sd = spectral_decompose(t)
+    same = spectral_decompose(dataclasses.replace(t))
+    assert same is not sd
+    assert same.pairs == sd.pairs and same.r_inf == sd.r_inf
+    assert np.array_equal(same.c, sd.c) and np.array_equal(same.E, sd.E)
+    moved = spectral_decompose(dataclasses.replace(t, A0=t.A0 * 1.001))
+    assert moved is not sd
+    assert moved.pairs[0].eta == pytest.approx(sd.pairs[0].eta / 1.001,
+                                               rel=1e-12)
+    assert spectral_decompose(t) is sd

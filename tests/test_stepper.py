@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -700,6 +701,22 @@ def test_gamma_mode_switches_preconditioner_shift():
     (_i, _e, _b, gamma_e), = st_e.factor_summary()
     assert gamma_g == pytest.approx(sd.pairs[0].gamma_star, rel=1e-14)
     assert gamma_e == pytest.approx(sd.pairs[0].eta, rel=1e-14)
+
+
+def test_steppers_of_one_tableau_share_its_weights():
+    # two steppers of one tableau read one SpectralData; a copy of the
+    # tableau is decomposed anew, to the same weights bit for bit
+    prob = random_problem(8, seed=6, forcing=False)
+    t = build_tableau("lobattoIIIC", 5)
+    steppers = [IRKStepper(tab, prob, dt=0.1)
+                for tab in (t, t, dataclasses.replace(t))]
+    for sv, *others in zip(*(st.solves for st in steppers)):
+        for other in others:
+            assert (other.factor, other.gamma, other.kappa) == \
+                (sv.factor, sv.gamma, sv.kappa)
+            for name in ("a", "d", "xc", "xe"):
+                assert np.array_equal(getattr(other, name),
+                                      getattr(sv, name)), name
 
 
 def test_no_stage_storage():

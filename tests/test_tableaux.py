@@ -3,8 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from functools import cache
+
+from irksolve import tableaux
 from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
-                               UnsupportedScheme, build_tableau,
+                               ConstructionFailure, UnsupportedScheme,
+                               ValidationReport, build_tableau,
                                validate_tableau)
 
 SQRT3 = np.sqrt(3.0)
@@ -94,6 +98,43 @@ def test_tableau_arrays_immutable():
     t = build_tableau("gauss", 2)
     with pytest.raises(ValueError):
         t.A0[0, 0] = 99.0
+
+
+def test_build_tableau_shares_one_tableau_per_pair():
+    # every alias and case of a supported pair gives one shared object,
+    # and each pair its own
+    spellings = {}
+    for alias, fam in tableaux._ALIASES.items():
+        spellings.setdefault(fam, {fam, fam.upper()}).update(
+            {alias, alias.upper(), alias.title()})
+    built = {}
+    for fam, s in SUPPORTED_TABLEAUX:
+        first = build_tableau(fam, s)
+        assert (first.family, first.s) == (fam, s)
+        for name in spellings[fam]:
+            assert build_tableau(name, s) is first, (name, s)
+        built[fam, s] = first
+    assert len({id(t) for t in built.values()}) == len(SUPPORTED_TABLEAUX)
+
+
+def test_unsupported_pair_raises_on_every_call():
+    for family, s in (("gauss", 6), ("lobattoIIIC", 1), ("no-such", 2)):
+        for _ in range(2):
+            with pytest.raises(UnsupportedScheme):
+                build_tableau(family, s)
+
+
+def test_construction_failure_is_not_cached(monkeypatch):
+    # a fresh cache, so the tableaux other tests share are left alone
+    monkeypatch.setattr(tableaux, "_build", cache(tableaux._build.__wrapped__))
+    failing = ValidationReport()
+    failing.add("forced", 1.0, 0.0)
+    monkeypatch.setattr(tableaux, "validate_tableau", lambda t: failing)
+    for _ in range(2):
+        with pytest.raises(ConstructionFailure, match="forced"):
+            build_tableau("gauss", 2)
+    monkeypatch.setattr(tableaux, "validate_tableau", validate_tableau)
+    assert build_tableau("gauss", 2) is build_tableau("Gauss", 2)
 
 
 def test_sdirk_coefficients():
