@@ -7,8 +7,8 @@ the subcommand's own argparse definitions (every flag but -o, in
 definition order), so re-feeding the echo reproduces the output
 verbatim.  Stdout, or the -o file (opened only at that write), gets
 nothing unless the command finishes.  Exit codes: 0 success, 1 solver
-non-convergence or failure, 2 invalid arguments or an unwritable -o
-file.
+non-convergence or failure (FieldOfValuesViolation, DefectiveTableau),
+2 invalid arguments (any other ValueError) or an unwritable -o file.
 """
 
 import argparse
@@ -23,7 +23,8 @@ from .experiments import (CSV_HEADER, GAMMA_MODES, PROBLEMS,
                           run_baseline_comparison, run_convergence,
                           run_gamma_comparison, run_inner_sweep)
 from .krylov import KrylovConfig
-from .spectral import factor_list, spectral_decompose
+from .linop import INNER_SOLVES, FieldOfValuesViolation
+from .spectral import DefectiveTableau, factor_list, spectral_decompose
 from .tableaux import SUPPORTED_TABLEAUX, build_tableau, validate_tableau
 
 EXIT_OK = 0
@@ -102,8 +103,10 @@ def _build_parser():
         flag("--tol", type=float, default=1e-12)
         flag("--restart", type=int, default=30)
         flag("--max-iters", type=int, default=2000)
-        flag("--inner", default="exact",
-             help="exact | jacobi:k | gs:k | krylov:tol[:maxit]")
+        flag("--inner", default="exact", help=" | ".join(
+            "/".join((kind, *row.spellings))
+            + "".join(f"[:{p}]" for p in row.params)
+            for kind, row in INNER_SOLVES.items()))
         add_output(flag)
         return flag
 
@@ -322,12 +325,12 @@ def main(argv=None) -> int:
     lines = [_echo(args, actions[args.command])]
     try:
         code = _DISPATCH[args.command](args, lines)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # solver-level failures
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except Exception as exc:  # a ValueError is a usage error, unless typed
+        usage = isinstance(exc, ValueError) and not isinstance(
+            exc, (FieldOfValuesViolation, DefectiveTableau))
+        print(f"error: {exc}" if usage else f"solver failure: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE if usage else EXIT_SOLVER
 
     text = "\n".join(lines) + "\n"
     try:

@@ -21,7 +21,7 @@ from .stepper import (GAMMA_MODES, BlockStepper, FactorSolveFailure,
                       IRKStepper, LinearProblem)
 from .spatial import (GridSpec, build_fd_mms, build_fem_diffusion_1d,
                       build_upwind_advection)
-from .linop import IdentityMass
+from .linop import INNER_SOLVES, IdentityMass, parse_inner
 from .tableaux import SUPPORTED_TABLEAUX, build_tableau, canonical_family
 
 __all__ = [
@@ -80,7 +80,9 @@ class ExperimentSpec:
     t_final: float = 2.0
     fd_order: int = 4
     krylov: KrylovConfig = field(default_factory=KrylovConfig)
-    inner: str = "exact"           # exact | jacobi:k | gs:k | krylov:tol
+    # exact | jacobi:k | gs:k (gauss-seidel:k) | krylov:tol[:maxit]: the
+    # spec linop.parse_inner reads, with every spelling of INNER_SOLVES
+    inner: str = "exact"
     gamma_mode: str = "gamma_star"  # gamma_star | eta
     integrator: str = "irk"        # irk (any tableau) | gsl | ld
 
@@ -89,6 +91,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown problem {self.problem!r}; "
                              f"choose from {PROBLEMS}")
         grids = tuple(int(n) for n in self.grids)
+        if not grids:
+            raise ValueError("grid list must not be empty")
         if any(b <= a for a, b in zip(grids, grids[1:])):
             raise ValueError("grid list must be strictly increasing")
         object.__setattr__(self, "grids", grids)
@@ -154,46 +158,6 @@ def records_to_csv(records, header=True) -> str:
                 r.err_linf, r.err_l2, f.index, f.eta, f.beta, f.gamma,
                 f.mean_outer_iters, f.total_precond_apps, f.converged)))
     return "\n".join(lines) + "\n"
-
-
-_RELAXATION = (("sweeps", int),)
-_KRYLOV = (("tol", float), ("maxit", int))
-
-#: lower-case spec name -> (kind, the spec's positional parameters)
-_INNER_SPECS = {
-    "exact": ("exact", ()),
-    "jacobi": ("jacobi", _RELAXATION),
-    "gs": ("gauss_seidel", _RELAXATION),
-    "gauss_seidel": ("gauss_seidel", _RELAXATION),
-    "gauss-seidel": ("gauss_seidel", _RELAXATION),
-    "krylov": ("inner_krylov", _KRYLOV),
-    "inner_krylov": ("inner_krylov", _KRYLOV),
-    "inner-krylov": ("inner_krylov", _KRYLOV),
-}
-
-
-def parse_inner(spec: str, dim=None):
-    """Map an inner-preconditioner spec 'name[:p1[:p2]]' to (kind,
-    params), the arguments of linop.build_inner_preconditioner.
-
-    This is the one reader of the spec.  The name is case-insensitive;
-    the positional parameters are sweeps for jacobi and gs, and tol and
-    maxit for krylov; one left out takes the constructor's default, and
-    one more than the kind takes is a ValueError.  'exact' is an exact
-    solve chosen from the operator's structure (see
-    linop.build_inner_preconditioner).  dim is ignored; it is kept only
-    because the benchmark workloads still pass it.
-    """
-    name, *args = spec.split(":")
-    try:
-        kind, fields = _INNER_SPECS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown inner preconditioner spec {spec!r}") from None
-    if len(args) > len(fields):
-        raise ValueError(f"inner preconditioner spec {spec!r} takes at most "
-                         f"{len(fields)} parameter(s)")
-    return kind, {key: cast(a) for (key, cast), a in zip(fields, args)}
 
 
 def build_problem(spec: ExperimentSpec, n: int):
@@ -269,14 +233,16 @@ def observed_orders(records):
 
 def run_convergence(spec: ExperimentSpec):
     """Integrate on each grid; returns (records, orders).  Refinement
-    halts at the first grid with a non-converged solve."""
+    halts at the first grid with a non-converged solve.  Orders are
+    taken between the records with finite errors: a record's errors are
+    nan when a solve failed or the problem has no exact solution."""
     records = []
     for n in spec.grids:
         rec, _u = _integrate_one(spec, n)
         records.append(rec)
         if not all(f.converged for f in rec.factors):
             break
-    ok = [r for r in records if all(f.converged for f in r.factors)]
+    ok = [r for r in records if np.isfinite([r.err_linf, r.err_l2]).all()]
     return records, observed_orders(ok)
 
 
@@ -300,11 +266,11 @@ def run_gamma_comparison(spec: ExperimentSpec):
 
 
 def run_inner_sweep(spec: ExperimentSpec, sweep):
-    """Re-run the integration with k = sweep[i] relaxation sweeps per
-    preconditioner application.  Non-convergence is a recorded outcome
-    (rows are never fatal)."""
+    """Re-run the integration with k = sweep[i] sweeps per preconditioner
+    application, for an inner kind whose first parameter is sweeps.
+    Non-convergence is a recorded outcome (rows are never fatal)."""
     kind, _ = parse_inner(spec.inner)
-    if kind not in ("jacobi", "gauss_seidel"):
+    if list(INNER_SOLVES[kind].params)[:1] != ["sweeps"]:
         raise ValueError("inner sweep needs a relaxation inner kind")
     records = []
     for k in sweep:

@@ -26,6 +26,7 @@ vectors in the sandwich, and in ExactFFT.square (M = I) as the
 multiplier c inv^2 - 2 delta inv of the inverse symbol inv.
 """
 
+from collections import namedtuple
 from functools import cached_property
 import sys
 import warnings
@@ -450,27 +451,56 @@ class InnerKrylov(Preconditioner):
         return x
 
 
-_INNER_KINDS = {"jacobi": Jacobi, "gauss_seidel": GaussSeidel,
-                "inner_krylov": InnerKrylov}
+def _exact(op: LinearOperator) -> Preconditioner:
+    """The FFT solve when op is circulant, on any number of grid axes;
+    the sparse LU otherwise."""
+    return (ExactFFT if isinstance(op, CirculantOperator) else ExactSparseLU)(op)
+
+
+#: One kind of inner solve: build(op, **params) makes it, params maps
+#: its positional spec parameters, in order, to their casts, and
+#: spellings are its other (lower-case) spec names.
+InnerSolve = namedtuple("InnerSolve", "build params spellings")
+
+#: canonical kind -> its row; a new inner solve is one class and one row
+INNER_SOLVES = {
+    "exact": InnerSolve(_exact, {}, ()),
+    "jacobi": InnerSolve(Jacobi, {"sweeps": int}, ()),
+    "gauss_seidel": InnerSolve(GaussSeidel, {"sweeps": int},
+                               ("gs", "gauss-seidel")),
+    "inner_krylov": InnerSolve(InnerKrylov, {"tol": float, "maxit": int},
+                               ("krylov", "inner-krylov")),
+}
+
+
+def parse_inner(spec: str, dim=None):
+    """Map an inner-solve spec 'name[:p1[:p2]]' to (kind, params), the
+    arguments of build_inner_preconditioner: the one reader of the spec.
+
+    name is a kind of INNER_SOLVES or one of its spellings, in any case,
+    and the parameters are the row's, in order: one left out takes the
+    builder's default, one too many is a ValueError.  dim is ignored; it
+    is kept only because the benchmark workloads still pass it.
+    """
+    name, *args = spec.split(":")
+    kind = next((k for k, row in INNER_SOLVES.items()
+                 if name.lower() in (k, *row.spellings)), None)
+    if kind is None:
+        raise ValueError(f"unknown inner preconditioner spec {spec!r}")
+    fields = INNER_SOLVES[kind].params
+    if len(args) > len(fields):
+        raise ValueError(f"inner preconditioner spec {spec!r} takes at most "
+                         f"{len(fields)} parameter(s)")
+    return kind, {key: fields[key](a) for key, a in zip(fields, args)}
 
 
 def build_inner_preconditioner(kind: str, op: LinearOperator,
                                **params) -> Preconditioner:
-    """Build a preconditioner of the requested kind for op.
-
-    kind: exact | jacobi | gauss_seidel | inner_krylov, the canonical
-    names experiments.parse_inner resolves a spec to; params go to the
-    constructor unchanged.  exact is the FFT solve when op is circulant,
-    on any number of grid axes, and the sparse LU otherwise.  Relaxation
-    kinds take sweeps=k >= 1; inner_krylov takes tol and maxit.
-    """
-    if kind == "exact":
-        if isinstance(op, CirculantOperator):
-            return ExactFFT(op, **params)
-        return ExactSparseLU(op, **params)
-    if kind not in _INNER_KINDS:
+    """The inner solve of kind, a key of INNER_SOLVES (what parse_inner
+    resolves a spec to), for op; params go to the row's builder."""
+    if kind not in INNER_SOLVES:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
-    return _INNER_KINDS[kind](op, **params)
+    return INNER_SOLVES[kind].build(op, **params)
 
 
 # ----------------------------------------------------------------------

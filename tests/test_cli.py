@@ -1,13 +1,19 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from irksolve import experiments
 from irksolve.cli import _build_parser, main
-from irksolve.experiments import CSV_HEADER
+from irksolve.experiments import CSV_HEADER, ExperimentSpec
+from irksolve.linop import IdentityMass, SparseOperator, parse_inner
+from irksolve.spectral import DefectiveTableau
+from irksolve.stepper import LinearProblem
 from irksolve.tableaux import SUPPORTED_TABLEAUX
 
 
@@ -438,3 +444,74 @@ def test_triangular_spectrum_matches_run_factor_columns(capsys, family,
     rows = [l.split(",") for l in out.splitlines()
             if not l.startswith("#")][1:]
     assert [r[9:12] for r in rows] == spectrum
+
+
+def test_run_without_exact_solution_prints_no_order_line(capsys):
+    # advect1d-upwind has no exact solution, so its errors are nan and
+    # an order between them would read "linf=nan l2=nan"
+    code, out = run_cli(capsys, ["run", "--problem", "advect1d-upwind",
+                                 "--family", "gauss", "--stages", "2",
+                                 "--grids", "32,64", "--tf", "0.1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert not any(l.startswith("# observed_order") for l in lines)
+    data = [l for l in lines if not l.startswith("#")]
+    assert data[0] == CSV_HEADER and len(data) == 3
+    assert all(l.split(",")[6:8] == ["nan", "nan"] for l in data[1:])
+
+
+def _unstable_problem(grid, spec):
+    # L = +I: W(L) = {1}, outside the left half plane
+    L = SparseOperator(sp.identity(grid.size, format="csr"))
+    return LinearProblem(IdentityMass(grid.size), L), np.ones(grid.size)
+
+
+def _expect_solver_failure(capsys, argv):
+    # a typed failure is a ValueError for library callers, but exits 1
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("solver failure: ")
+    assert captured.out == ""
+
+
+def test_field_of_values_violation_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(experiments._PROBLEMS, "advdiff1d",
+                        (1, _unstable_problem))
+    _expect_solver_failure(capsys, ["run", "--problem", "advdiff1d"]
+                           + SMALL_1D)
+
+
+def test_defective_tableau_exits_1(capsys, monkeypatch):
+    def defective(tableau):
+        raise DefectiveTableau("eigenvector matrix condition 1e+20 > 1e4")
+    monkeypatch.setattr("irksolve.cli.spectral_decompose", defective)
+    _expect_solver_failure(capsys, ["spectrum", "--family", "gauss",
+                                    "--stages", "2"])
+
+
+def test_empty_grid_list_is_rejected():
+    # every driver reads spec.grids: inner-sweep and baseline take the
+    # last grid, and a convergence study of no grid returns no rows
+    with pytest.raises(ValueError, match="grid list must not be empty"):
+        ExperimentSpec(problem="advdiff1d", family="gauss", stages=2,
+                       grids=())
+
+
+def _readme_cli_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(l) for l in block.splitlines()
+            if l.startswith("irksolve ")]
+
+
+def test_every_readme_cli_example_parses():
+    # a flag or an --inner spelling renamed under the README fails here
+    examples = _readme_cli_examples()
+    assert len(examples) == 8
+    parser, _actions = _build_parser()
+    for argv in examples:
+        args = parser.parse_args(argv[1:])
+        if hasattr(args, "inner"):
+            parse_inner(args.inner)

@@ -71,7 +71,7 @@ def test_exact_matches_dense_solve():
 
 def test_exact_banded_kind_is_gone():
     # nor the forced sparse LU ("exact" picks the solve), nor any spec
-    # alias: experiments.parse_inner resolves those to canonical kinds
+    # alias: linop.parse_inner resolves those to canonical kinds
     op = SparseOperator(sp.identity(8, format="csr"))
     for kind in ("exact_banded", "exact-banded", "exact_sparse_lu", "gs",
                  "Gauss_Seidel", "inner-krylov"):
@@ -312,6 +312,7 @@ def test_exact_kind_follows_the_operator():
     grid = GridSpec(dim=1, n=16)
     prob = build_fem_diffusion_1d(grid)
     op = shifted_operator(2.0, 0.1, prob.M, prob.L)
+    assert type(op) is SparseOperator
     assert type(build_inner_preconditioner("exact", op)) is ExactSparseLU
 
 
