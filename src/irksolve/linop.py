@@ -16,6 +16,10 @@ so no circulant is factored.  A circulant's matrix is assembled only
 when something applies it: the shift that only the FFT solves never is.
 A shift is circulant only when M = I.
 
+An assembled matrix is a float64 CSR matrix, and its apply is one call
+of scipy's csr_matvec kernel on the operator's own arrays: the kernel
+that mat @ v reaches, without scipy's per-call dispatch.
+
 A conjugate pair eta +- i beta is the real system M Q_eta
 = (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M, preconditioned by
 P M P for P ~ (gamma M - dt L)^{-1}; pair_system builds both.  With P
@@ -34,6 +38,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .krylov import KrylovConfig, Preconditioner, solve
 
@@ -102,11 +107,20 @@ class LinearOperator:
         return np.column_stack([self.apply(e) for e in np.eye(self.n)])
 
 
+def _real_csr(mat):
+    """mat as a float64 CSR matrix; a complex one is a ValueError."""
+    mat = sp.csr_matrix(mat)
+    if mat.dtype.kind == "c":
+        raise ValueError(f"operator matrix must be real, got {mat.dtype}")
+    return mat.astype(np.float64, copy=False)
+
+
 class SparseOperator(LinearOperator):
-    """Operator backed by an assembled scipy sparse matrix."""
+    """Operator backed by an assembled sparse matrix, kept as float64
+    CSR."""
 
     def __init__(self, mat):
-        mat = sp.csr_matrix(mat)
+        mat = _real_csr(mat)
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"expected square matrix, got {mat.shape}")
         super().__init__(mat.shape[0])
@@ -127,11 +141,23 @@ class SparseOperator(LinearOperator):
         return float(_abs_row_sums(self.mat).max(initial=0.0))
 
     def apply(self, v):
-        return self.mat @ v
+        """mat @ v by one csr_matvec call.  The kernel checks no bounds,
+        so v must have shape (n,); a complex v makes it raise."""
+        n = self.n
+        if v.shape != (n,):
+            raise DimensionMismatch(
+                f"vector of shape {v.shape} for dimension {n}")
+        y = np.zeros(n)
+        mat = self.mat
+        csr_matvec(n, n, mat.indptr, mat.indices, mat.data, v, y)
+        return y
 
 
 def _abs_row_sums(mat):
-    """sum_j |m_ij| for each row i of a sparse matrix."""
+    """sum_j |m_ij| for each row i of a sparse matrix, by scipy's own
+    sum: csr_matvec on |data| and ones adds a row of three or more
+    entries in another order, which would move norm and inv_norm in the
+    last bits."""
     return np.abs(mat).sum(axis=1).A1
 
 
@@ -160,7 +186,7 @@ class CirculantOperator(SparseOperator):
     @cached_property
     def mat(self):
         """The matrix, assembled on first use."""
-        return sp.csr_matrix(self._assemble())
+        return _real_csr(self._assemble())
 
     @cached_property
     def symmetric(self) -> bool:
@@ -479,8 +505,9 @@ def parse_inner(spec: str, dim=None):
 
     name is a kind of INNER_SOLVES or one of its spellings, in any case,
     and the parameters are the row's, in order: one left out takes the
-    builder's default, one too many is a ValueError.  dim is ignored; it
-    is kept only because the benchmark workloads still pass it.
+    builder's default; one too many, or one its cast rejects, is a
+    ValueError.  dim is ignored; it is kept only because the benchmark
+    workloads still pass it.
     """
     name, *args = spec.split(":")
     kind = next((k for k, row in INNER_SOLVES.items()
@@ -491,7 +518,15 @@ def parse_inner(spec: str, dim=None):
     if len(args) > len(fields):
         raise ValueError(f"inner preconditioner spec {spec!r} takes at most "
                          f"{len(fields)} parameter(s)")
-    return kind, {key: fields[key](a) for key, a in zip(fields, args)}
+    params = {}
+    for (key, cast), a in zip(fields.items(), args):
+        try:
+            params[key] = cast(a)
+        except ValueError:
+            raise ValueError(
+                f"inner preconditioner spec {spec!r}: parameter {key} must "
+                f"be {cast.__name__}, got {a!r}") from None
+    return kind, params
 
 
 def build_inner_preconditioner(kind: str, op: LinearOperator,

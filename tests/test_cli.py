@@ -157,7 +157,26 @@ def test_forced_sparse_lu_spec_is_gone(capsys, inner):
     assert repr(inner) in capsys.readouterr().err
 
 
-RUN_SPLU = ["run", "--problem", "advdiff2d", "--family", "gauss",
+@pytest.mark.parametrize("inner, param, cast, bad", [
+    ("gs:two", "sweeps", "int", "two"),
+    ("gs:2.5", "sweeps", "int", "2.5"),
+    ("krylov:abc", "tol", "float", "abc"),
+    ("krylov:1e-2:x", "maxit", "int", "x"),
+])
+def test_bad_inner_parameter_names_spec_and_parameter(capsys, inner, param,
+                                                      cast, bad):
+    # used to print only the bare cast error, e.g. "invalid literal for
+    # int() with base 10: 'two'"
+    code = main(["run", "--problem", "advdiff1d", "--family", "gauss",
+                 "--stages", "2", "--grids", "16", "--tf", "0.25",
+                 "--inner", inner])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: inner preconditioner spec {inner!r}: parameter {param} "
+        f"must be {cast}, got {bad!r}\n")
+
+
+RUN_SPLU =["run", "--problem", "advdiff2d", "--family", "gauss",
             "--stages", "2", "--grids", "32", "--tf", "0.25",
             "--inner", "splu"]
 

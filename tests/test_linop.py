@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irksolve.linop import (DENSE_LIMIT, ComposedOperator, ExactFFT,
-                            ExactSparseLU, FactorizationFailure, GaussSeidel,
-                            IdentityMass, Jacobi, SparseMass, SparseOperator,
+from irksolve.linop import (DENSE_LIMIT, CirculantOperator, ComposedOperator,
+                            DimensionMismatch, ExactFFT, ExactSparseLU,
+                            FactorizationFailure, GaussSeidel, IdentityMass,
+                            Jacobi, SparseMass, SparseOperator, _abs_row_sums,
                             build_inner_preconditioner, fov_upper_bound,
                             shifted_operator)
-from irksolve import spatial
+from irksolve import linop, spatial
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
                               build_fem_mass_1d, build_upwind_advection)
 
@@ -353,3 +354,146 @@ def test_relaxation_warning_names_the_shift_at_the_caller():
     for r in rec:
         assert "not diagonally dominant (row " in str(r.message)
         assert r.filename == __file__
+
+
+# ----------------------------------------------------------------------
+# The kernel apply: one csr_matvec call on the operator's own arrays
+
+def _fem1d_solves():
+    """The fem1d benchmark's problem and its factor solves, (real, pair):
+    Gauss-3 on FEM diffusion, n = 256, dt = 2h."""
+    from irksolve.stepper import IRKStepper
+    from irksolve.tableaux import build_tableau
+    grid = GridSpec(dim=1, n=256)
+    problem = build_fem_diffusion_1d(grid)
+    solves = IRKStepper(build_tableau("gauss", 3), problem, 2 * grid.h).solves
+    real, = [s for s in solves if s.factor.is_real]
+    pair, = [s for s in solves if not s.factor.is_real]
+    return problem, (real, pair)
+
+
+def _shipped_operators():
+    ops = {}
+    for dim, n in ((1, 64), (2, 12)):
+        for order in (2, 4):
+            ops[f"advdiff{dim}d-o{order}"] = build_advdiff(
+                GridSpec(dim=dim, n=n), 0.7, 0.2, order)
+    ops["upwind"] = build_upwind_advection(GridSpec(dim=1, n=64), 1.3)
+    problem, solves = _fem1d_solves()
+    ops["fem-mass"] = problem.M
+    ops["fem-L"] = problem.L
+    ops["fem1d-real-shift"] = solves[0].op
+    ops["fem1d-pair-shift"] = solves[1].op.A_eta
+    return ops
+
+
+def test_apply_is_mat_times_v_bit_for_bit_on_every_shipped_operator():
+    for name, op in _shipped_operators().items():
+        assert isinstance(op, SparseOperator), name
+        assert op.mat.dtype == np.float64, name
+        v = rng.standard_normal(op.n)
+        y = op.apply(v)
+        assert y.dtype == np.float64, name
+        assert np.array_equal(y, op.mat @ v), name
+
+
+def test_quadratic_system_apply_is_the_scipy_formula_bit_for_bit():
+    problem, solves = _fem1d_solves()
+    Q = solves[1].op
+    A, M = Q.A_eta.mat, problem.M
+    v = rng.standard_normal(Q.n)
+    ref = A @ M.solve(A @ v) + Q._b2 * (M.mat @ v)
+    assert np.array_equal(Q.apply(v), ref)
+
+
+def _hand_built():
+    """CSR matrices scipy keeps as given: unsorted column indices,
+    duplicate entries (summed by the product), empty rows, int64 index
+    arrays."""
+    data = np.array([2.0, -1.0, 0.5, 3.0, 1.5, -4.0, 0.25])
+    indices = np.array([3, 0, 0, 2, 1, 3, 3])
+    indptr = np.array([0, 3, 3, 5, 5, 7])     # rows 1 and 3 are empty
+    mats = {"unsorted-duplicates-empty": sp.csr_matrix(
+        (data, indices, indptr), shape=(5, 5))}
+    wide = sp.csr_matrix((data, indices, indptr), shape=(5, 5))
+    wide.indices, wide.indptr = indices.astype(np.int64), indptr.astype(np.int64)
+    mats["int64-indices"] = wide
+    return mats
+
+
+def test_apply_matches_scipy_on_hand_built_csr():
+    for name, mat in _hand_built().items():
+        assert not mat.has_sorted_indices, name
+        assert not mat.has_canonical_format, name
+        op = SparseOperator(mat)
+        if name == "int64-indices":
+            assert op.mat.indices.dtype == op.mat.indptr.dtype == np.int64
+        v = rng.standard_normal(5)
+        y = op.apply(v)
+        assert np.array_equal(y, mat @ v), name
+        assert y[1] == y[3] == 0.0, name
+        # duplicates are added, not dropped: the dense product (which
+        # sums them first, so in another order) agrees to rounding
+        assert np.allclose(y, mat.toarray() @ v, rtol=0, atol=1e-14), name
+
+
+@pytest.mark.parametrize("shape", [(31,), (33,), (32, 1), (1, 32), ()])
+def test_apply_rejects_a_wrong_shape_before_the_kernel(monkeypatch, shape):
+    # the kernel checks no bounds: a short v would be read past its end
+    calls = []
+    monkeypatch.setattr(linop, "csr_matvec",
+                        lambda *args: calls.append(args))
+    op = build_advdiff(GridSpec(dim=1, n=32), 0.7, 0.2, 2)
+    with pytest.raises(DimensionMismatch, match=str(shape)):
+        op.apply(np.ones(shape))
+    assert calls == []
+
+
+def test_complex_input_raises_and_never_drops_the_imaginary_part():
+    op = build_advdiff(GridSpec(dim=1, n=16), 0.7, 0.2, 2)
+    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a ComplexWarning would fail too
+        with pytest.raises(ValueError):
+            op.apply(v)
+    # a complex matrix is rejected when the operator is built, also when
+    # a circulant assembles it lazily
+    with pytest.raises(ValueError, match="real"):
+        SparseOperator(sp.identity(4, dtype=complex, format="csr"))
+    lazy = CirculantOperator(lambda: 1j * sp.identity(4, format="csr"),
+                             np.ones(4))
+    with pytest.raises(ValueError, match="real"):
+        lazy.mat
+
+
+def test_integer_matrix_or_vector_gives_a_float_result():
+    ints = sp.csr_matrix(np.array([[2, -1, 0], [0, 3, 1], [1, 0, -2]]))
+    assert ints.dtype.kind == "i"
+    op = SparseOperator(ints)
+    assert op.mat.dtype == np.float64
+    v = np.array([0.5, -1.25, 2.0])
+    assert op.apply(v).dtype == np.float64
+    assert np.array_equal(op.apply(v), ints.toarray() @ v)
+    k = np.array([1, 2, 3])
+    assert op.apply(k).dtype == np.float64
+    assert np.array_equal(op.apply(k), ints.toarray() @ k.astype(float))
+    lazy = CirculantOperator(lambda: ints, np.ones(3))
+    assert lazy.mat.dtype == np.float64
+    assert np.array_equal(lazy.apply(k), op.apply(k))
+
+
+def test_row_sums_and_norms_are_scipys_bit_for_bit():
+    # a csr_matvec over |data| and ones adds a row of three or more
+    # entries in another order, and differs in the last bits on
+    # advdiff1d-o4, advdiff2d and the FEM mass, so the row sums stay
+    # scipy's
+    ops = _shipped_operators()
+    ops.update({k: SparseOperator(m) for k, m in _hand_built().items()})
+    for name, op in ops.items():
+        sums = np.abs(op.mat).sum(axis=1).A1
+        assert np.array_equal(_abs_row_sums(op.mat), sums), name
+        if not isinstance(op, CirculantOperator):   # its norm is the 2-norm
+            assert op.norm == float(sums.max()), name
+    M = ops["fem-mass"]
+    gap = np.min(2.0 * M.mat.diagonal() - np.abs(M.mat).sum(axis=1).A1)
+    assert M.inv_norm == 1.0 / float(gap)
