@@ -468,7 +468,7 @@ class InnerKrylov(Preconditioner):
         super().__init__(op.n)
         op.mat  # applied by every application: assembled now
         self._op = op
-        self._cfg = KrylovConfig(method="gmres", rel_tol=float(tol),
+        self._cfg = KrylovConfig(rel_tol=float(tol),
                                  max_iters=int(maxit), restart=int(maxit))
 
     def apply(self, v):

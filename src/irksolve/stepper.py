@@ -35,8 +35,8 @@ stage storage:
    are chained, each adding M times the previous answer to its rhs;
 3. update u_{n+1} = R(inf) u_n + sum_j y_j.
 
-A dense direct-solve oracle over the full stage system and an exact
-Fourier-symbol oracle for circulant problems are provided as
+A sparse-LU oracle over the full stage system, exact at any size, and
+an exact Fourier-symbol oracle for circulant problems are provided as
 references, along with a block-preconditioned (GSL / LD) baseline
 stepper for iteration-count comparisons; SDIRK baselines are
 IRKStepper runs of their tableaux.  Both steppers share one protocol:
@@ -50,6 +50,8 @@ from collections import namedtuple
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .krylov import KrylovConfig, Preconditioner, _norm, solve
 from .linop import (CirculantOperator, ComposedOperator,
@@ -92,7 +94,7 @@ class FactorSolveFailure(RuntimeError):
 
 
 class SingularSystem(RuntimeError):
-    """Dense stage system is singular."""
+    """Stage system, or the LDU of A0, is singular."""
 
 
 class LinearProblem:
@@ -118,12 +120,6 @@ class LinearProblem:
             raise FieldOfValuesViolation(
                 f"spatial operator violates W(L) <= 0: max Re W(L) = "
                 f"{bound:.3e} > tolerance {tol:.3e} = 1e-8 max(1, ||L||)")
-
-    def stage_rhs(self, t_stage: float, Lu_n: np.ndarray) -> np.ndarray:
-        """f_i = f(t_stage) + L u_n, with L u_n computed once per step."""
-        if self.forcing is None:
-            return Lu_n.copy()
-        return self.forcing(t_stage) + Lu_n
 
 
 def _accumulate(out, coeffs, vectors):
@@ -274,27 +270,32 @@ class IRKStepper:
 # ----------------------------------------------------------------------
 # Reference and baseline steppers
 
+def _stage_rhs(tableau: ButcherTableau, problem: LinearProblem,
+               u_n: np.ndarray, t_n: float, dt: float) -> np.ndarray:
+    """[f(t_n + c_i dt) + L u_n]_i, the stage system's stacked rhs."""
+    Lu_n = problem.L.apply(u_n)
+    if problem.forcing is None:
+        return np.tile(Lu_n, tableau.s)
+    return np.concatenate([problem.forcing(t_n + dt * c) + Lu_n
+                           for c in tableau.c0])
+
+
 def advance_oracle(tableau: ButcherTableau, problem: LinearProblem,
                    u_n: np.ndarray, t_n: float, dt: float) -> np.ndarray:
-    """Dense direct solve of the full (N s x N s) stage system, then the
-    standard update u + dt * sum b_i k_i.  Reference for equivalence
-    tests; no preconditioning, no iteration."""
-    s = tableau.s
-    n = problem.n
-    if n * s > 4096:
-        raise ValueError(f"dense oracle limited to N*s <= 4096, got {n * s}")
-    Md = problem.M.to_dense()
-    Ld = problem.L.to_dense()
-    sys = np.kron(np.eye(s), Md) - dt * np.kron(tableau.A0, Ld)
-    Lu = Ld @ u_n
-    rhs = np.concatenate([problem.stage_rhs(t_n + dt * c, Lu)
-                          for c in tableau.c0])
+    """One sparse LU solve of the full (N s x N s) stage system
+    (I x M - dt A0 x L) k = [f(t_n + c_i dt) + L u_n]_i, then the update
+    u + dt * sum b_i k_i: the reference for equivalence tests at any
+    size.  A matrix-free L enters through its dense form."""
+    L = problem.L
+    Lmat = L.mat if L.mat is not None else L.to_dense()
+    system = sp.kron(sp.identity(tableau.s), problem.M.mat) \
+        - dt * sp.kron(tableau.A0, Lmat)
     try:
-        k = np.linalg.solve(sys, rhs)
-    except np.linalg.LinAlgError as exc:
+        lu = spla.splu(sp.csc_matrix(system))
+    except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
-    k = k.reshape(s, n)
-    return u_n + dt * (tableau.b0 @ k)
+    k = lu.solve(_stage_rhs(tableau, problem, u_n, t_n, dt))
+    return u_n + dt * (tableau.b0 @ k.reshape(tableau.s, problem.n))
 
 
 def advance_symbol(tableau: ButcherTableau, problem: LinearProblem,
@@ -303,7 +304,7 @@ def advance_symbol(tableau: ButcherTableau, problem: LinearProblem,
     with lambda the symbol of L, (I - dt lambda A0) k = f_hat_i
     + lambda u_hat is solved for every Fourier mode in one batched solve,
     and u + dt b^T k is transformed back.  Reference at any n and in 2D,
-    where advance_oracle's dense system is out of reach."""
+    where advance_oracle's sparse LU takes seconds a step."""
     L = problem.L
     if not (isinstance(L, CirculantOperator) and problem.M.is_identity):
         raise ValueError("advance_symbol needs a circulant L and M = I")
@@ -411,9 +412,7 @@ class BlockStepper:
     def advance(self, u_n: np.ndarray, t_n: float):
         """One step: returns (u_{n+1}, [the stage-system Krylov report])."""
         tab, prob, dt = self.tableau, self.problem, self.dt
-        Lu_n = prob.L.apply(u_n)
-        rhs = np.concatenate([prob.stage_rhs(t_n + dt * c, Lu_n)
-                              for c in tab.c0])
+        rhs = _stage_rhs(tab, prob, u_n, t_n, dt)
         k, rep = solve(self._op, rhs, self._precond, self.outer_cfg)
         if not rep.converged:
             raise FactorSolveFailure([rep])

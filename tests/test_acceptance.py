@@ -2,6 +2,7 @@
 line (run with -s to see them on success).  Tolerances are pinned here
 and nowhere else."""
 
+import itertools
 import math
 import zlib
 
@@ -14,12 +15,13 @@ from irksolve.conditioning import (compute_kappa, optimality_probe,
                                    random_stable_matrix, tightness_matrix)
 from irksolve.experiments import (ExperimentSpec, run_convergence,
                                   run_gamma_comparison, run_inner_sweep)
-from irksolve.krylov import KrylovConfig
+from irksolve.krylov import KrylovConfig, resolve_method
 from irksolve.linop import IdentityMass, SparseOperator
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
                               build_fem_mass_1d)
 from irksolve.spectral import spectral_decompose
-from irksolve.stepper import IRKStepper, LinearProblem, advance_oracle
+from irksolve.stepper import (GAMMA_MODES, IRKStepper, LinearProblem,
+                              advance_oracle)
 from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
 
 MAIN_FAMILIES = ("Gauss", "RadauIIA", "LobattoIIIC")
@@ -151,7 +153,7 @@ def test_c05_oracle_equivalence():
             if rel > worst:
                 worst, worst_case = rel, (fam, s, mass_kind)
     report("C5", worst < 1e-9,
-           f"advance == dense stage-system oracle over 5 steps for all "
+           f"advance == sparse stage-system oracle over 5 steps for all "
            f"{len(SUPPORTED_TABLEAUX)} tableaux x {{I, FEM}} masses: "
            f"worst rel diff {worst:.2e} at {worst_case}")
 
@@ -374,3 +376,67 @@ def test_c14_dg_in_time_is_radau_iia():
            f"Mt^-1(D+E) vs A0^-1 within {spec_err:.1e} <= 1e-12; stability "
            f"function rel diff {stab_err:.1e} <= 1e-12; one f = 0 step on "
            f"advdiff1d and diffusion1d-fem rel diff {step_err:.1e} <= 1e-10")
+
+
+def _chebyshev_count(kappa, r0, rk):
+    """ceil(ln(2 sqrt(kappa) r0 / rk) / ln(1 / rho)), rho = (sqrt(kappa)
+    - 1) / (sqrt(kappa) + 1): the CG iteration count by which the
+    Chebyshev bound r_k <= 2 sqrt(kappa) rho^k r_0 reaches rk."""
+    sk = math.sqrt(kappa)
+    rho = (sk - 1.0) / (sk + 1.0)
+    return math.ceil(math.log(2.0 * sk * r0 / rk) / math.log(1.0 / rho))
+
+
+def test_c16_cg_three_term_recursion_within_the_kappa_bound():
+    # symmetric problems with an exact inner solve: auto picks CG, a
+    # three-term recursion, for every factor.  With gamma* each pair
+    # solve stays inside the Chebyshev count of its factor's kappa bound;
+    # gamma = eta overruns it, counted here and not gated
+    cfg = KrylovConfig(rel_tol=1e-10)
+    problems = {
+        "fem1d": build_fem_diffusion_1d,
+        "fd4": lambda grid: LinearProblem(IdentityMass(grid.size),
+                                          build_advdiff(grid, 0.0, 1.0, 4)),
+    }
+    schemes = [build_tableau(fam, s) for fam, s in SUPPORTED_TABLEAUX
+               if fam in MAIN_FAMILIES]
+    overruns = {(name, mode): [] for name in problems for mode in GAMMA_MODES}
+    pairs = dict.fromkeys(overruns, 0)
+    not_cg, real_iters = 0, set()
+    tightest = (0, 1)
+    for name, build in problems.items():
+        for n in (64, 256, 1024):
+            grid = GridSpec(dim=1, n=n)
+            prob = build(grid)
+            u = np.random.default_rng(n).standard_normal(n)
+            h = grid.h
+            for dt in (h * h, 16 * h * h, h, 8 * h):
+                for tab, mode in itertools.product(schemes, GAMMA_MODES):
+                    st = IRKStepper(tab, prob, dt, cfg, gamma_mode=mode)
+                    _u, reps = st.advance(u, 0.0)
+                    for sv, rep in zip(st.solves, reps):
+                        not_cg += resolve_method(cfg, sv.op, sv.precond) != "cg"
+                        if sv.factor.is_real:
+                            real_iters.add(rep.iterations)
+                            continue
+                        pairs[name, mode] += 1
+                        bound = _chebyshev_count(sv.factor.kappa_bound,
+                                                 rep.residual_history[0],
+                                                 rep.final_residual)
+                        if rep.iterations > bound:
+                            overruns[name, mode].append(
+                                f"{tab.family}-{tab.s} n={n} dt={dt:.3g}: "
+                                f"{rep.iterations} > {bound}")
+                        elif mode == "gamma_star":
+                            tightest = max(tightest, (rep.iterations, bound),
+                                           key=lambda p: p[0] / p[1])
+    star = [o for name in problems for o in overruns[name, "gamma_star"]]
+    eta = "; ".join(f"{name} {len(overruns[name, 'eta'])}/"
+                    f"{pairs[name, 'eta']}" for name in problems)
+    report("C16", not_cg == 0 and real_iters == {1} and not star,
+           f"{not_cg} solves not CG; real factors took {sorted(real_iters)} "
+           f"iterations; gamma* pair solves over the Chebyshev count "
+           f"ceil(ln(2 sqrt(kappa) r0/rk) / ln(1/rho)): {len(star)} of "
+           f"{sum(pairs[name, 'gamma_star'] for name in problems)} {star} "
+           f"(tightest {tightest[0]} of {tightest[1]}); gamma = eta over "
+           f"it, not gated: {eta}")

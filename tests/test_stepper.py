@@ -11,7 +11,8 @@ from irksolve import linop
 from irksolve.conditioning import random_stable_matrix
 from irksolve.experiments import PROBLEMS, ExperimentSpec, build_problem
 from irksolve.krylov import KrylovConfig, resolve_method, solve
-from irksolve.linop import (ExactFFT, FieldOfValuesViolation, IdentityMass,
+from irksolve.linop import (ComposedOperator, ExactFFT,
+                            FieldOfValuesViolation, IdentityMass,
                             SparseOperator, _QuadraticSystem,
                             build_inner_preconditioner, pair_system,
                             shifted_operator)
@@ -20,9 +21,10 @@ from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
                               build_upwind_advection)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
-                              LinearProblem, advance_oracle,
+                              LinearProblem, SingularSystem, advance_oracle,
                               advance_symbol)
-from irksolve.tableaux import SUPPORTED_TABLEAUX, build_tableau
+from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
+                               build_tableau)
 
 rng = np.random.default_rng(2024)
 TIGHT = KrylovConfig(method="auto", rel_tol=1e-13, max_iters=4000)
@@ -465,7 +467,7 @@ def test_dahlquist_matches_stability_function():
     assert uo[0] == pytest.approx(R, rel=1e-12)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 40), (2, 12)])
+@pytest.mark.parametrize("dim,n", [(1, 40), (2, 12), (1, 1024)])
 def test_symbol_oracle_equals_dense_oracle(dim, n):
     # every tableau, on the forced MMS problem, from random data
     prob = build_fd_mms(GridSpec(dim=dim, n=n))
@@ -478,6 +480,51 @@ def test_symbol_oracle_equals_dense_oracle(dim, n):
         got = advance_symbol(tab, prob, u, 0.3, dt)
         errors[fam, s] = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert max(errors.values()) <= 1e-12, errors
+
+
+def test_oracle_matches_irk_on_fem_diffusion_at_n_2048():
+    # N s = 6144 to 10240: one step of diffusion1d-fem, a size the
+    # stage system reaches only through its sparse LU
+    cfg = KrylovConfig(rel_tol=1e-13)
+    errors = {}
+    for fam, s in [("Gauss", 3), ("RadauIIA", 3), ("LobattoIIIC", 5)]:
+        spec = ExperimentSpec(problem="diffusion1d-fem", family=fam,
+                              stages=s, grids=(2048,))
+        prob, u, grid = build_problem(spec, 2048)
+        tab, dt = build_tableau(fam, s), spec.dt_ratio * grid.h
+        got, _reps = IRKStepper(tab, prob, dt, outer_cfg=cfg).advance(u, 0.0)
+        want = advance_oracle(tab, prob, u, 0.0, dt)
+        errors[fam, s] = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert max(errors.values()) < 1e-9, errors
+
+
+def test_oracle_takes_a_matrix_free_operator():
+    # a ComposedOperator enters the stage system through to_dense()
+    n = 12
+    r = np.random.default_rng(12)
+    A = random_stable_matrix(n, r, scale=2.0)
+    v0, u = r.standard_normal(n), r.standard_normal(n)
+
+    def forcing(t):
+        return np.cos(t) * v0
+
+    assembled, free = (LinearProblem(IdentityMass(n), L, forcing=forcing)
+                       for L in (SparseOperator(sp.csr_matrix(A)),
+                                 ComposedOperator(n, lambda v: A @ v)))
+    for fam, s in [("Gauss", 2), ("RadauIIA", 3), ("SDIRK3L", 3)]:
+        tab = build_tableau(fam, s)
+        want = advance_oracle(tab, assembled, u, 0.1, 0.3)
+        got = advance_oracle(tab, free, u, 0.1, 0.3)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), fam
+
+
+def test_oracle_singular_stage_system_raises():
+    # 1 - dt a lambda = 0 for a = -1, lambda = -1, dt = 1
+    tab = ButcherTableau("singular", 1, [[-1.0]], [1.0], [0.0], 1)
+    prob = LinearProblem(IdentityMass(1),
+                         SparseOperator(sp.csr_matrix([[-1.0]])))
+    with pytest.raises(SingularSystem):
+        advance_oracle(tab, prob, np.array([1.0]), 0.0, 1.0)
 
 
 def test_symbol_oracle_needs_a_circulant_and_identity_mass():
