@@ -12,9 +12,12 @@ image of each direction from the solve instead of applying the
 operator.  A circulant operator also carries its Fourier symbol, which
 gives its exact solve (by FFT, on any grid), an exact field-of-values
 certificate, its symmetry, its norm and the pivot scale of that solve,
-so no circulant is factored.  A circulant's matrix is assembled only
-when something applies it: the shift that only the FFT solves never is.
-A shift is circulant only when M = I.
+so no circulant is factored.  A circulant holds its stencil, one
+coefficient per offset (one offset per grid axis), and its matrix is
+assembled from the stencil by stencil_matrix only when something
+applies it: the shift that only the FFT solves never is.  A shift is
+circulant only when M = I, and its stencil is combined from L's, so
+set-up does no sparse-matrix arithmetic on a circulant.
 
 An assembled matrix is a float64 CSR matrix, and its apply is one call
 of scipy's csr_matvec kernel on the operator's own arrays: the kernel
@@ -31,7 +34,8 @@ multiplier c inv^2 - 2 delta inv of the inverse symbol inv.
 """
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
+import math
 import sys
 import warnings
 
@@ -46,6 +50,7 @@ __all__ = [
     "LinearOperator",
     "SparseOperator",
     "CirculantOperator",
+    "stencil_matrix",
     "MassOperator",
     "IdentityMass",
     "SparseMass",
@@ -162,31 +167,44 @@ def _abs_row_sums(mat):
 
 
 class CirculantOperator(SparseOperator):
-    """Periodic operator on a grid: the matrix plus its eigenvalues, the
+    """Periodic operator on a grid: its stencil plus its eigenvalues, the
     symbol, in numpy FFT order with the grid's shape.  The grid vector
     is flattened in C order, so mat acts as ifftn(symbol * fftn(v)).  A
     circulant is normal, so its field of values is the convex hull of
     the symbol; symmetry and norm come from the symbol too.
 
-    mat is the assembled matrix, or a function that assembles it: then
-    it is assembled on first use (an apply, a factorization), so an
-    operator that only the FFT solves never holds one."""
+    stencil maps an offset, one integer per grid axis, to its
+    coefficient; (offset, coefficient) pairs are taken too.  It is kept
+    canonical: each offset reduced modulo the grid to its representative
+    nearest zero, the coefficients of offsets that meet summed in order,
+    exact zeros dropped, the offsets sorted; a complex coefficient is a
+    ValueError.  mat is assembled from it by stencil_matrix on first use
+    (an apply, a factorization), so an operator that only the FFT solves
+    never holds one."""
 
-    def __init__(self, mat, symbol):
+    def __init__(self, stencil, symbol):
         self.symbol = np.asarray(symbol, dtype=complex)
-        if callable(mat):
-            LinearOperator.__init__(self, self.symbol.size)
-            self._assemble = mat
-        else:
-            super().__init__(mat)
-        if self.symbol.size != self.n:
-            raise DimensionMismatch(
-                f"symbol of shape {self.symbol.shape} for dimension {self.n}")
+        LinearOperator.__init__(self, self.symbol.size)
+        shape = self.symbol.shape
+        summed = {}
+        pairs = stencil.items() if hasattr(stencil, "items") else stencil
+        for offset, c in pairs:
+            if len(offset) != len(shape):
+                raise DimensionMismatch(
+                    f"offset {offset} on a grid of shape {shape}")
+            key = tuple((int(o) + n // 2) % n - n // 2
+                        for o, n in zip(offset, shape))
+            summed[key] = summed[key] + c if key in summed else c
+        keys = sorted(k for k, c in summed.items() if c != 0)
+        coeffs = np.array([summed[k] for k in keys])
+        if coeffs.dtype.kind == "c":
+            raise ValueError(f"stencil must be real, got {coeffs.dtype}")
+        self.stencil = dict(zip(keys, coeffs.astype(np.float64).tolist()))
 
     @cached_property
     def mat(self):
-        """The matrix, assembled on first use."""
-        return _real_csr(self._assemble())
+        """The matrix, assembled from the stencil on first use."""
+        return stencil_matrix(self.stencil, self.symbol.shape)
 
     @cached_property
     def symmetric(self) -> bool:
@@ -198,6 +216,52 @@ class CirculantOperator(SparseOperator):
     def norm(self) -> float:
         """The 2-norm, exactly: the largest modulus of the symbol."""
         return float(np.abs(self.symbol).max())
+
+
+def stencil_matrix(stencil, shape) -> sp.csr_matrix:
+    """The float64 CSR matrix of a canonical stencil (CirculantOperator's
+    form) on a periodic grid of the given shape, flattened in C order:
+    row i holds c in the column of grid point i + o, modulo the grid,
+    for each offset o -> c.  These are the arrays scipy's sparse sums
+    and products give for the same matrix, int32 indices included.  The
+    index arrays are _pattern's, shared with every matrix of the same
+    offsets; only data is the matrix's own."""
+    indices, indptr, rows, order = _pattern(tuple(stencil), tuple(shape))
+    coeffs = np.fromiter(stencil.values(), np.float64, len(stencil))
+    data = np.tile(coeffs, (indptr.size - 1, 1))
+    data[rows] = coeffs[order]
+    return sp.csr_matrix((data.reshape(-1), indices, indptr),
+                         shape=(indptr.size - 1,) * 2)
+
+
+@lru_cache(maxsize=8)
+def _pattern(offsets, shape):
+    """(indices, indptr, rows, order), read-only, of the CSR matrix of
+    sorted, reduced offsets on a grid: every row holds one entry per
+    offset, in the offsets' order, which is column order in each row
+    whose stencil stays inside the grid; only the rows that wrap round
+    it are sorted, row j of order being the sort of rows[j].  Kept per
+    process, so L and every circulant shift of it with the same offsets,
+    at any dt and in any tableau, share one pattern."""
+    size, k = math.prod(shape), len(offsets)
+    idx = np.int32 if size * k < 2 ** 31 else np.int64
+    offsets = np.array(offsets, dtype=idx).reshape(k, len(shape))
+    cols, wraps, stride = np.zeros(k, dtype=idx), False, size
+    for a, n in enumerate(shape):
+        stride //= n
+        o, i = offsets[:, a], np.arange(n, dtype=idx)
+        along = [n if j == a else 1 for j in range(len(shape))]
+        cols = cols + ((i[:, None] + o) % n * stride).reshape(along + [k])
+        wraps = wraps | ((i + o.min(initial=0) < 0)
+                         | (i + o.max(initial=0) >= n)).reshape(along)
+    cols = cols.reshape(size, k)
+    rows = np.flatnonzero(wraps)
+    order = np.argsort(cols[rows], axis=1)
+    cols[rows] = np.take_along_axis(cols[rows], order, axis=1)
+    out = (cols.reshape(-1), k * np.arange(size + 1, dtype=idx), rows, order)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 class ComposedOperator(LinearOperator):
@@ -231,9 +295,12 @@ class IdentityMass(MassOperator):
     inv_norm = 1.0
     is_identity = True
 
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.mat = sp.identity(n, format="csr")
+    @cached_property
+    def mat(self):
+        """The identity as CSR, built on first use: the stage-system
+        oracle and a shift with a matrix-free or non-circulant L read
+        it, a circulant shift never does."""
+        return sp.identity(self.n, format="csr")
 
     def apply(self, v):
         return v
@@ -289,16 +356,20 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
                      L: LinearOperator) -> LinearOperator:
     """The backward-Euler-type operator gamma*M - dt*L.
 
-    Circulant when L is and M is the identity, with its matrix
-    assembled on first use; assembled sparse when both inputs expose a
+    Circulant when L is and M is the identity: its stencil is gamma at
+    offset 0 plus -(dt c) for each offset -> c of L's, summed in that
+    order as scipy's sparse difference gives it, and its matrix is
+    assembled on first use.  Assembled sparse when both inputs expose a
     sparse form, composed matrix-free otherwise; symmetric when M and L
     are.
     """
     if M.n != L.n:
         raise DimensionMismatch(f"mass dim {M.n} != operator dim {L.n}")
     if isinstance(L, CirculantOperator) and M.is_identity:
-        op = CirculantOperator(lambda: gamma * M.mat - dt * L.mat,
-                               gamma - dt * L.symbol)
+        op = CirculantOperator(
+            [((0,) * L.symbol.ndim, gamma),
+             *((o, -(dt * c)) for o, c in L.stencil.items())],
+            gamma - dt * L.symbol)
     elif M.mat is not None and L.mat is not None:
         op = SparseOperator(gamma * M.mat - dt * L.mat)
     else:

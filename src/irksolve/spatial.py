@@ -6,15 +6,21 @@ advection (skew-dominant spectrum, the regime where the optimal shift
 matters), the flagship manufactured-solution advection-diffusion
 problem, and a periodic linear-FEM mass matrix to exercise the
 mass-scaled solve path.
+
+Every operator is built as a stencil with its symbol: sums, scalings
+and Kronecker sums combine the stencils' few coefficients, in the order
+scipy's sparse arithmetic would combine the entries of the matrices,
+and linop.stencil_matrix assembles a matrix only where one is applied.  The FEM mass matrix is assembled from its stencil by the same
+function.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linop import CirculantOperator, IdentityMass, SparseMass
+from .linop import (CirculantOperator, IdentityMass, SparseMass,
+                    stencil_matrix)
 from .stepper import LinearProblem
 
 __all__ = [
@@ -59,56 +65,30 @@ class GridSpec:
         return np.meshgrid(*[self.points_1d()] * self.dim, indexing="ij")
 
 
-def periodic_stencil_matrix(n: int, offsets, coeffs) -> sp.csr_matrix:
-    """Circulant matrix: row i has coeffs[k] in column (i + offsets[k]) % n."""
-    rows = np.repeat(np.arange(n), len(offsets))
-    cols = np.concatenate([(np.arange(n) + off) % n for off in offsets]
-                          ).reshape(len(offsets), n).T.reshape(-1)
-    data = np.tile(np.asarray(coeffs, dtype=float), n)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def circulant(n: int, offsets, coeffs) -> CirculantOperator:
-    """periodic_stencil_matrix with its symbol: mode k of the FFT has
+    """The periodic 1D stencil whose row i has coeffs[k] in column
+    (i + offsets[k]) % n, with its symbol: mode k of the FFT has
     eigenvalue sum_j coeffs[j] exp(2 pi i offsets[j] k / n)."""
     theta = 2.0 * np.pi * np.arange(n) / n
     symbol = sum(c * np.exp(1j * o * theta) for o, c in zip(offsets, coeffs))
-    return CirculantOperator(periodic_stencil_matrix(n, offsets, coeffs),
+    return CirculantOperator({(o,): c for o, c in zip(offsets, coeffs)},
                              symbol)
-
-
-def _eye_kron_eye(A, p: int, q: int) -> sp.csr_matrix:
-    """I_p x A x I_q from the CSR arrays of a canonical A with the same
-    number c of entries in every row, as a circulant has; the same
-    arrays as sp.kron gives.  Row (i n + a) q + j holds row a of A, with
-    each column b moved to (i n + b) q + j."""
-    n = A.shape[0]
-    c = int(A.indptr[1])
-    if np.any(np.diff(A.indptr) != c):
-        raise ValueError("Kronecker term of a matrix with rows of "
-                         "different lengths")
-    cols = ((A.indices.reshape(1, n, 1, c)
-             + n * np.arange(p).reshape(p, 1, 1, 1)) * q
-            + np.arange(q).reshape(1, 1, q, 1))
-    data = np.broadcast_to(A.data.reshape(1, n, 1, c), cols.shape)
-    size = p * n * q
-    return sp.csr_matrix((data.ravel(), cols.ravel(),
-                          c * np.arange(size + 1)), shape=(size, size))
 
 
 def kronecker_sum(axes) -> CirculantOperator:
     """sum_k I x .. x A_k x .. x I for 1D circulants A_k, one per grid
-    axis (axis 0 varies slowest); the symbol is the sum of the axis
-    symbols, each broadcast along its own axis."""
-    sizes = [A.n for A in axes]
-    mat, symbol = None, 0.0
+    axis (axis 0 varies slowest): offset o of A_k becomes the offset
+    that is o on axis k and 0 on the others, and the axes' diagonals are
+    summed in axis order.  The symbol is the sum of the axis symbols,
+    each broadcast along its own axis."""
+    dim = len(axes)
+    stencil, symbol = [], 0.0
     for k, A in enumerate(axes):
-        term = _eye_kron_eye(A.mat, math.prod(sizes[:k]),
-                             math.prod(sizes[k + 1:]))
-        mat = term if mat is None else mat + term
+        stencil += [((0,) * k + o + (0,) * (dim - k - 1), c)
+                    for o, c in A.stencil.items()]
         symbol = symbol + A.symbol.reshape(
-            [-1 if j == k else 1 for j in range(len(axes))])
-    return CirculantOperator(mat, symbol)
+            [-1 if j == k else 1 for j in range(dim)])
+    return CirculantOperator(stencil, symbol)
 
 
 _STENCILS = {
@@ -145,7 +125,8 @@ def build_advdiff(grid: GridSpec, adv, diff,
     D1 = _derivative(n, h, fd_order, 1)
     D2 = _derivative(n, h, fd_order, 2)
     return kronecker_sum([
-        CirculantOperator(-a * D1.mat + d * D2.mat,
+        CirculantOperator([(o, -a * c) for o, c in D1.stencil.items()]
+                          + [(o, d * c) for o, c in D2.stencil.items()],
                           -a * D1.symbol + d * D2.symbol)
         for a, d in zip(adv, diff)])
 
@@ -259,9 +240,8 @@ def build_fem_mass_1d(grid: GridSpec) -> SparseMass:
     if grid.dim != 1:
         raise ValueError("FEM mass matrix is 1D")
     h = grid.h
-    mat = periodic_stencil_matrix(grid.n, [-1, 0, 1],
-                                  [h / 6.0, 4.0 * h / 6.0, h / 6.0])
-    return SparseMass(mat)
+    stencil = {(-1,): h / 6.0, (0,): 4.0 * h / 6.0, (1,): h / 6.0}
+    return SparseMass(stencil_matrix(stencil, (grid.n,)))
 
 
 def build_fem_diffusion_1d(grid: GridSpec):
@@ -278,7 +258,8 @@ def build_fem_diffusion_1d(grid: GridSpec):
     n, h = grid.n, grid.h
     M = build_fem_mass_1d(grid)
     K = circulant(n, [-1, 0, 1], [-1.0 / h, 2.0 / h, -1.0 / h])
-    L = CirculantOperator(-K.mat, -K.symbol)
+    L = CirculantOperator([(o, -c) for o, c in K.stencil.items()],
+                          -K.symbol)
     x = grid.points_1d()
     u0 = np.sin(np.pi * x)
     theta = np.pi * h

@@ -181,9 +181,13 @@ class IRKStepper:
                 continue
             gamma = f.gamma_star if gamma_mode == "gamma_star" else f.eta
             A_eta = shifted_operator(f.eta, self.dt, M, L)
-            # every step applies A_eta, so it is assembled here and not in
-            # the first step; a circulant A_gamma only the FFT solves never is
+            # every step applies A_eta, and a pair's rhs applies L, so
+            # their matrices are assembled here (a circulant's from its
+            # stencil), not in the first step; a circulant A_gamma only
+            # the FFT solves never is
             A_eta.mat
+            if not f.is_real:
+                L.mat
             A_gamma = A_eta if gamma == f.eta else \
                 shifted_operator(gamma, self.dt, M, L)
             inner = build_inner_preconditioner(inner_kind, A_gamma,
@@ -396,6 +400,7 @@ class BlockStepper:
         self.problem = problem
         self.dt = float(dt)
         T = np.tril(tableau.A0) if variant == "GSL" else _ldu_lower(tableau.A0)
+        problem.L.mat   # every stage-system product applies L: assembled here
         self._op = ComposedOperator(tableau.s * problem.n, self._stage_system)
         self._precond = _BlockTriangularPreconditioner(
             T, problem, self.dt, inner_kind, inner_params)

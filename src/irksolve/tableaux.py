@@ -251,8 +251,32 @@ def _build(fam: str, s: int) -> ButcherTableau:
     return t
 
 
+#: the 8 rooted trees of order up to 4 as (order, density gamma,
+#: elementary weight Phi(A, b, c)); order p asks Phi = 1/gamma for every
+#: tree of order at most p (Hairer, Norsett & Wanner, Solving ODEs I,
+#: sec. II.2), with c = A 1 checked apart
+_TREES = (
+    (1, 1, lambda A, b, c: b.sum()),
+    (2, 2, lambda A, b, c: b @ c),
+    (3, 3, lambda A, b, c: b @ c ** 2),
+    (3, 6, lambda A, b, c: b @ A @ c),
+    (4, 4, lambda A, b, c: b @ c ** 3),
+    (4, 8, lambda A, b, c: b @ (c * (A @ c))),
+    (4, 12, lambda A, b, c: b @ A @ c ** 2),
+    (4, 24, lambda A, b, c: b @ A @ A @ c),
+)
+
+
+def _tree_residual(t: ButcherTableau, p: int) -> float:
+    """max |Phi - 1/gamma| over the rooted trees of order at most p."""
+    return max((abs(phi(t.A0, t.b0, t.c0) - 1.0 / gamma)
+                for order, gamma, phi in _TREES if order <= p), default=0.0)
+
+
 def validate_tableau(t: ButcherTableau) -> ValidationReport:
-    """Check the defining algebraic properties; never mutates the tableau."""
+    """Check the defining algebraic properties: row sums, B(p), the
+    rooted trees up to order min(p, 4), an invertible A0 whose inverse
+    has eigenvalues of positive real part; never mutates the tableau."""
     rep = ValidationReport()
 
     # collocation consistency: row sums of A0 equal c0
@@ -264,6 +288,9 @@ def validate_tableau(t: ButcherTableau) -> ValidationReport:
     for k in range(1, t.order + 1):
         res = max(res, abs(t.b0 @ t.c0 ** (k - 1) - 1.0 / k))
     rep.add("order_conditions_B(p)", res, COEFF_TOL)
+
+    rep.add(f"rooted_trees_to_order_{min(t.order, 4)}",
+            _tree_residual(t, min(t.order, 4)), COEFF_TOL)
 
     smin = np.linalg.svd(t.A0, compute_uv=False)[-1]
     rep.add("A0_invertible", 0.0 if smin > 1e-10 else 1.0, 0.5)

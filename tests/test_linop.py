@@ -189,6 +189,9 @@ def test_dimension_mismatch():
     L = build_advdiff(grid, 0.5, 0.5, 2)
     with pytest.raises(DimensionMismatch):
         shifted_operator(1.0, 0.1, IdentityMass(8), L)
+    # a stencil offset needs one integer per grid axis
+    with pytest.raises(DimensionMismatch, match="shape"):
+        CirculantOperator({(0, 1): 1.0}, np.ones(16))
 
 
 def test_matrix_free_shifted_operator():
@@ -397,6 +400,25 @@ def test_apply_is_mat_times_v_bit_for_bit_on_every_shipped_operator():
         assert np.array_equal(y, op.mat @ v), name
 
 
+def test_circulant_shift_is_scipys_difference_bit_for_bit():
+    # the shift's stencil gives the arrays of scipy's g I - dt L, index
+    # dtypes included; g = 0 drops the diagonal wherever it cancels
+    for name, L in _shipped_operators().items():
+        if not isinstance(L, CirculantOperator):
+            continue
+        for g, dt in ((2.0, 0.1), (0.0, 0.05), (np.sqrt(3.0), 2.0 / 64)):
+            ref = g * sp.identity(L.n, format="csr") - dt * L.mat
+            shift = shifted_operator(g, dt, IdentityMass(L.n), L)
+            got = shift.mat
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(ref, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, g)
+            # one read-only index pattern per set of offsets on a grid
+            assert not got.indices.flags.writeable
+            assert np.shares_memory(got.indices, L.mat.indices) == (
+                shift.stencil.keys() == L.stencil.keys()), (name, g)
+
+
 def test_quadratic_system_apply_is_the_scipy_formula_bit_for_bit():
     problem, solves = _fem1d_solves()
     Q = solves[1].op
@@ -456,14 +478,12 @@ def test_complex_input_raises_and_never_drops_the_imaginary_part():
         warnings.simplefilter("error")   # a ComplexWarning would fail too
         with pytest.raises(ValueError):
             op.apply(v)
-    # a complex matrix is rejected when the operator is built, also when
-    # a circulant assembles it lazily
+    # a complex matrix is rejected when the operator is built, and so is
+    # a circulant's complex stencil coefficient, before any assembly
     with pytest.raises(ValueError, match="real"):
         SparseOperator(sp.identity(4, dtype=complex, format="csr"))
-    lazy = CirculantOperator(lambda: 1j * sp.identity(4, format="csr"),
-                             np.ones(4))
     with pytest.raises(ValueError, match="real"):
-        lazy.mat
+        CirculantOperator({(0,): 2.0, (1,): 1j}, np.ones(4))
 
 
 def test_integer_matrix_or_vector_gives_a_float_result():
@@ -477,9 +497,14 @@ def test_integer_matrix_or_vector_gives_a_float_result():
     k = np.array([1, 2, 3])
     assert op.apply(k).dtype == np.float64
     assert np.array_equal(op.apply(k), ints.toarray() @ k.astype(float))
-    lazy = CirculantOperator(lambda: ints, np.ones(3))
-    assert lazy.mat.dtype == np.float64
-    assert np.array_equal(lazy.apply(k), op.apply(k))
+    # integer stencil coefficients: a float64 matrix, the product of the
+    # same integer matrix
+    circ = CirculantOperator({(0,): 2, (1,): -1, (3,): 1}, np.ones(3))
+    assert circ.mat.dtype == np.float64
+    wrapped = SparseOperator(sp.csr_matrix(np.array(
+        [[3, -1, 0], [0, 3, -1], [-1, 0, 3]])))
+    assert np.array_equal(circ.mat.toarray(), wrapped.mat.toarray())
+    assert np.array_equal(circ.apply(k), wrapped.apply(k))
 
 
 def test_row_sums_and_norms_are_scipys_bit_for_bit():

@@ -137,17 +137,20 @@ def test_mms_sparse_meshgrid_is_bit_identical_to_dense():
                                       mms_source(X, t).reshape(-1))
 
 
-def test_advdiff_is_the_kronecker_sum_bit_for_bit():
-    def same(A, B):
-        return (np.array_equal(A.data, B.data)
-                and np.array_equal(A.indices, B.indices)
-                and np.array_equal(A.indptr, B.indptr))
+def same(A, B):
+    """The same CSR arrays, index dtypes included."""
+    return all(getattr(A, p).dtype == getattr(B, p).dtype
+               and np.array_equal(getattr(A, p), getattr(B, p))
+               for p in ("data", "indices", "indptr"))
 
+
+def test_advdiff_is_the_kronecker_sum_bit_for_bit():
     # with zero diffusion the 1D axes store no diagonal, and with zero
-    # advection only the second-derivative stencil
+    # advection only the second-derivative stencil; at n = 4 the
+    # fourth-order offsets -2 and 2 meet
     coefficients = [((0.85, 1.0), (0.3, 0.25)), ((0.85, 1.0), (0.0, 0.0)),
                     ((0.0, 0.0), (0.3, 0.25))]
-    for n in (5, 16, 128):
+    for n in (4, 5, 16, 128):
         h = 2.0 / n
         for order in (2, 4):
             def axis(a, d):
@@ -208,6 +211,17 @@ def test_fem_mass_row_sums_and_spd():
     M = build_fem_mass_1d(grid)
     assert np.allclose(M.mat.sum(axis=1), grid.h, atol=1e-15)
     assert np.linalg.eigvalsh(M.to_dense()).min() > 0
+
+
+def test_fem_mass_is_the_coo_build_bit_for_bit():
+    for n in (4, 5, 32, 256):
+        grid = GridSpec(dim=1, n=n)
+        h = grid.h
+        rows = np.repeat(np.arange(n), 3)
+        cols = (rows + np.tile([-1, 0, 1], n)) % n
+        data = np.tile([h / 6.0, 4.0 * h / 6.0, h / 6.0], n)
+        coo = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        assert same(build_fem_mass_1d(grid).mat, coo), n
 
 
 def shipped_operators():

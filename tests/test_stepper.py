@@ -705,6 +705,74 @@ def test_setup_assembles_what_the_step_applies_and_no_more(monkeypatch, dim,
     assert "mat" not in vars(unapplied[0])
 
 
+
+@pytest.mark.parametrize("scheme, grid, build", [
+    (("gauss", 2), GridSpec(dim=2, n=16), build_fd_mms),
+    (("lobattoIIIC", 5), GridSpec(dim=1, n=64), lambda grid: LinearProblem(
+        IdentityMass(grid.size), build_upwind_advection(grid, 1.0))),
+])
+def test_circulant_setup_assembles_from_stencils_with_no_sparse_arithmetic(
+        monkeypatch, scheme, grid, build):
+    # the spatial build and the stepper's set-up combine stencils, not
+    # sparse matrices: scipy's sparse sum, difference and COO conversion
+    # stay uncalled, L and every A_eta are assembled before the
+    # constructor returns, and each pair's A_gamma, which only the FFT
+    # solves, never is.  perfbench/tracing.py patches shifted_operator
+    # and build_inner_preconditioner in irksolve.stepper, so the stepper
+    # must look both up there
+    import scipy.sparse._coo as coo_module
+    import scipy.sparse._sparsetools as sparsetools
+    calls = []
+
+    def recorder(name):
+        kernel = getattr(sparsetools, name)
+
+        def record(*args):
+            calls.append(name)
+            return kernel(*args)
+        return record
+    for name in ("csr_plus_csr", "csr_minus_csr", "coo_tocsr"):
+        monkeypatch.setattr(sparsetools, name, recorder(name))
+    monkeypatch.setattr(coo_module, "coo_tocsr", sparsetools.coo_tocsr)
+    shifts, inner = [], []
+
+    def shift(*args):
+        shifts.append(shifted_operator(*args))
+        return shifts[-1]
+
+    def build_inner(*args, **kwargs):
+        inner.append(build_inner_preconditioner(*args, **kwargs))
+        return inner[-1]
+    monkeypatch.setattr("irksolve.stepper.shifted_operator", shift)
+    monkeypatch.setattr("irksolve.stepper.build_inner_preconditioner",
+                        build_inner)
+    prob = build(grid)
+    st = IRKStepper(build_tableau(*scheme), prob, 2 * grid.h)
+    assert calls == []
+    assert len(inner) == len(st.solves)
+    applied = [prob.L] + [sv.op if sv.factor.is_real else sv.op.A_eta
+                          for sv in st.solves]
+    assert all("mat" in vars(op) for op in applied)
+    fft_only = [op for op in shifts if all(op is not a for a in applied)]
+    assert len(fft_only) == sum(not sv.factor.is_real for sv in st.solves)
+    st.advance(np.ones(prob.n), 0.0)
+    assert not any("mat" in vars(op) for op in fft_only)
+    assert calls == []
+    # the recorders see the kernels when they are called
+    prob.L.mat - prob.L.mat + prob.L.mat
+    sp.coo_matrix(prob.L.mat).tocsr()
+    assert calls == ["csr_minus_csr", "csr_plus_csr", "coo_tocsr"]
+
+
+
+def test_block_stepper_assembles_l_before_its_first_step():
+    # a circulant's matrix is assembled on first use, and the stage
+    # system applies L in every product
+    prob = build_fd_mms(GridSpec(dim=1, n=16))
+    BlockStepper(build_tableau("gauss", 2), prob, 0.125)
+    assert "mat" in vars(prob.L)
+
+
 SETUP_PROBLEMS = {
     "advdiff1d": lambda: build_fd_mms(GridSpec(dim=1, n=16)),
     "advect1d-upwind": lambda: LinearProblem(

@@ -75,6 +75,35 @@ def test_scaled_b_fails_sum_check():
     assert res == pytest.approx(1.0, abs=1e-13)
 
 
+def test_rooted_tree_conditions_hold_to_the_claimed_order_only():
+    # every tree of order min(order, 4) holds to rounding; below order 4
+    # some tree of the next order fails, so the check sees the order
+    for fam, s in SUPPORTED_TABLEAUX:
+        t = build_tableau(fam, s)
+        p = min(t.order, 4)
+        checks = {name: (res, ok) for name, res, _tol, ok
+                  in validate_tableau(t).checks}
+        res, ok = checks[f"rooted_trees_to_order_{p}"]
+        assert ok and res <= 4.5e-16, (fam, s, res)
+        if t.order < 4:
+            assert tableaux._tree_residual(t, t.order + 1) > 1e-2, (fam, s)
+
+
+def test_perturbed_a0_fails_the_tree_check():
+    # one A0 entry moved by 1e-6 keeps B(p) (b and c are untouched) but
+    # breaks the trees through A: b A c, b c A c, b A c^2, b A A c
+    t = build_tableau("gauss", 2)
+    A = t.A0.copy()
+    A[0, 1] += 1e-6
+    bad = ButcherTableau(family=t.family, s=t.s, A0=A, b0=t.b0, c0=t.c0,
+                         order=t.order)
+    checks = {name: (res, ok) for name, res, _tol, ok
+              in validate_tableau(bad).checks}
+    assert checks["order_conditions_B(p)"][1]
+    res, ok = checks["rooted_trees_to_order_4"]
+    assert not ok and res > 1e-7
+
+
 def test_radau_stiffly_accurate():
     for s in range(1, 6):
         t = build_tableau("radauIIA", s)
