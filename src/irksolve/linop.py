@@ -15,9 +15,13 @@ certificate, its symmetry, its norm and the pivot scale of that solve,
 so no circulant is factored.  A circulant holds its stencil, one
 coefficient per offset (one offset per grid axis), and its matrix is
 assembled from the stencil by stencil_matrix only when something
-applies it: the shift that only the FFT solves never is.  A shift is
-circulant only when M = I, and its stencil is combined from L's, so
-set-up does no sparse-matrix arithmetic on a circulant.
+applies it: the shift that only the FFT solves never is.  A periodic
+mass (the FEM mass) keeps its stencil too.  With a circulant L and M = I
+or such a mass, the shift's stencil is combined from M's and L's; it is
+circulant only when M = I, and assembled by stencil_matrix otherwise.
+Symmetry comes from the symbol or the stencil, and row sums are added
+without building |M|, so set-up does no sparse-matrix arithmetic on
+these operators.
 
 An assembled matrix is a float64 CSR matrix, and its apply is one call
 of scipy's csr_matvec kernel on the operator's own arrays: the kernel
@@ -50,6 +54,7 @@ __all__ = [
     "LinearOperator",
     "SparseOperator",
     "CirculantOperator",
+    "canonical_stencil",
     "stencil_matrix",
     "MassOperator",
     "IdentityMass",
@@ -134,11 +139,7 @@ class SparseOperator(LinearOperator):
     @cached_property
     def symmetric(self) -> bool:
         """mat == mat^T to 1e-12 relative, tested on first use."""
-        d = self.mat - self.mat.T
-        if d.nnz == 0:
-            return True
-        scale = np.max(np.abs(self.mat.data))
-        return bool(np.max(np.abs(d.data)) <= 1e-12 * scale)
+        return _skew_is_small((self.mat - self.mat.T).data, self.mat.data)
 
     @cached_property
     def norm(self) -> float:
@@ -158,12 +159,25 @@ class SparseOperator(LinearOperator):
         return y
 
 
+def _skew_is_small(skew, entries) -> bool:
+    """The symmetry test: the entries of mat - mat^T are at most 1e-12
+    of the largest entry of mat in modulus (none at all passes)."""
+    skew = np.abs(skew)
+    return not skew.size or bool(skew.max() <= 1e-12 * np.abs(entries).max())
+
+
 def _abs_row_sums(mat):
-    """sum_j |m_ij| for each row i of a sparse matrix, by scipy's own
-    sum: csr_matvec on |data| and ones adds a row of three or more
-    entries in another order, which would move norm and inv_norm in the
-    last bits."""
-    return np.abs(mat).sum(axis=1).A1
+    """sum_j |m_ij| for each row i of a CSR matrix, bit for bit what
+    scipy's abs(mat).sum(axis=1) computes, without building |mat|:
+    duplicates are summed in place first, as abs does, then one
+    np.add.reduceat over |data| adds each nonempty row.  csr_matvec on
+    |data| and ones adds a row of three or more entries in another
+    order, which would move norm and inv_norm in the last bits."""
+    mat.sum_duplicates()
+    sums = np.zeros(mat.shape[0])
+    rows = np.flatnonzero(np.diff(mat.indptr))
+    sums[rows] = np.add.reduceat(np.abs(mat.data), mat.indptr[rows])
+    return sums
 
 
 class CirculantOperator(SparseOperator):
@@ -175,36 +189,19 @@ class CirculantOperator(SparseOperator):
 
     stencil maps an offset, one integer per grid axis, to its
     coefficient; (offset, coefficient) pairs are taken too.  It is kept
-    canonical: each offset reduced modulo the grid to its representative
-    nearest zero, the coefficients of offsets that meet summed in order,
-    exact zeros dropped, the offsets sorted; a complex coefficient is a
-    ValueError.  mat is assembled from it by stencil_matrix on first use
-    (an apply, a factorization), so an operator that only the FFT solves
-    never holds one."""
+    in canonical_stencil's form, and mat is assembled from it by
+    stencil_matrix on first use (an apply, a factorization), so an
+    operator that only the FFT solves never holds one."""
 
     def __init__(self, stencil, symbol):
         self.symbol = np.asarray(symbol, dtype=complex)
         LinearOperator.__init__(self, self.symbol.size)
-        shape = self.symbol.shape
-        summed = {}
-        pairs = stencil.items() if hasattr(stencil, "items") else stencil
-        for offset, c in pairs:
-            if len(offset) != len(shape):
-                raise DimensionMismatch(
-                    f"offset {offset} on a grid of shape {shape}")
-            key = tuple((int(o) + n // 2) % n - n // 2
-                        for o, n in zip(offset, shape))
-            summed[key] = summed[key] + c if key in summed else c
-        keys = sorted(k for k, c in summed.items() if c != 0)
-        coeffs = np.array([summed[k] for k in keys])
-        if coeffs.dtype.kind == "c":
-            raise ValueError(f"stencil must be real, got {coeffs.dtype}")
-        self.stencil = dict(zip(keys, coeffs.astype(np.float64).tolist()))
+        self.stencil = canonical_stencil(stencil, self.symbol.shape)
 
     @cached_property
     def mat(self):
         """The matrix, assembled from the stencil on first use."""
-        return stencil_matrix(self.stencil, self.symbol.shape)
+        return _stencil_csr(self.stencil, self.symbol.shape)
 
     @cached_property
     def symmetric(self) -> bool:
@@ -218,14 +215,48 @@ class CirculantOperator(SparseOperator):
         return float(np.abs(self.symbol).max())
 
 
+def _reduced(offset, shape):
+    """offset, one integer per grid axis, reduced modulo the grid to its
+    representative nearest zero."""
+    return tuple((int(o) + n // 2) % n - n // 2 for o, n in zip(offset, shape))
+
+
+def canonical_stencil(stencil, shape) -> dict:
+    """The canonical form of a stencil on a periodic grid of the given
+    shape: each offset reduced modulo the grid to its representative
+    nearest zero, the coefficients of offsets that meet summed in order,
+    exact zeros dropped, the offsets sorted and every coefficient a
+    float.  stencil maps an offset, one integer per grid axis, to its
+    coefficient, or is a sequence of (offset, coefficient) pairs; a
+    complex coefficient is a ValueError."""
+    summed = {}
+    pairs = stencil.items() if hasattr(stencil, "items") else stencil
+    for offset, c in pairs:
+        if len(offset) != len(shape):
+            raise DimensionMismatch(
+                f"offset {offset} on a grid of shape {shape}")
+        key = _reduced(offset, shape)
+        summed[key] = summed[key] + c if key in summed else c
+    keys = sorted(k for k, c in summed.items() if c != 0)
+    coeffs = np.array([summed[k] for k in keys])
+    if coeffs.dtype.kind == "c":
+        raise ValueError(f"stencil must be real, got {coeffs.dtype}")
+    return dict(zip(keys, coeffs.astype(np.float64).tolist()))
+
+
 def stencil_matrix(stencil, shape) -> sp.csr_matrix:
-    """The float64 CSR matrix of a canonical stencil (CirculantOperator's
-    form) on a periodic grid of the given shape, flattened in C order:
+    """The float64 CSR matrix of a stencil, in any form canonical_stencil
+    takes, on a periodic grid of the given shape, flattened in C order:
     row i holds c in the column of grid point i + o, modulo the grid,
     for each offset o -> c.  These are the arrays scipy's sparse sums
     and products give for the same matrix, int32 indices included.  The
     index arrays are _pattern's, shared with every matrix of the same
     offsets; only data is the matrix's own."""
+    return _stencil_csr(canonical_stencil(stencil, shape), shape)
+
+
+def _stencil_csr(stencil, shape):
+    """stencil_matrix of a stencil already in canonical form."""
     indices, indptr, rows, order = _pattern(tuple(stencil), tuple(shape))
     coeffs = np.fromiter(stencil.values(), np.float64, len(stencil))
     data = np.tile(coeffs, (indptr.size - 1, 1))
@@ -280,10 +311,12 @@ class ComposedOperator(LinearOperator):
 
 class MassOperator(LinearOperator):
     """Mass matrix with an exact solve.  inv_norm bounds ||M^{-1}||, 0
-    when no bound is known."""
+    when no bound is known.  A periodic mass keeps its canonical stencil
+    and the shape of its grid; stencil and grid are None for any other."""
 
     inv_norm = 0.0
     is_identity = False
+    stencil = grid = None
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -337,6 +370,28 @@ class SparseMass(SparseOperator, MassOperator):
         super().__init__(mat)
         self._lu = _sparse_lu(self)
 
+    @classmethod
+    def from_stencil(cls, stencil, shape):
+        """The mass of a stencil on a periodic grid, assembled by
+        stencil_matrix, that keeps its canonical stencil and the grid's
+        shape: its symmetry is read from the stencil, and a shift with a
+        circulant L combines the two stencils."""
+        stencil = canonical_stencil(stencil, shape)
+        mass = cls(_stencil_csr(stencil, shape))
+        mass.stencil, mass.grid = stencil, tuple(shape)
+        return mass
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """The matrix test, read from the stencil when the mass keeps
+        one: mat - mat^T holds c_o - c_{-o} at offset o."""
+        if self.stencil is None:
+            return super().symmetric
+        s = self.stencil
+        skew = [c - s.get(_reduced([-o for o in off], self.grid), 0.0)
+                for off, c in s.items()]
+        return _skew_is_small(skew, list(s.values()))
+
     @cached_property
     def inv_norm(self) -> float:
         """1 / min_i (2 m_ii - sum_j |m_ij|), the Gershgorin bound on
@@ -356,20 +411,26 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
                      L: LinearOperator) -> LinearOperator:
     """The backward-Euler-type operator gamma*M - dt*L.
 
-    Circulant when L is and M is the identity: its stencil is gamma at
-    offset 0 plus -(dt c) for each offset -> c of L's, summed in that
-    order as scipy's sparse difference gives it, and its matrix is
-    assembled on first use.  Assembled sparse when both inputs expose a
-    sparse form, composed matrix-free otherwise; symmetric when M and L
-    are.
+    Combined from the stencils when L is circulant and M is the identity
+    or a periodic mass on L's grid: gamma m for each offset -> m of M's
+    (gamma at offset 0 for M = I), plus -(dt c) for each offset -> c of
+    L's, summed in that order as scipy's sparse difference gives it.
+    With M = I it is circulant, its matrix assembled on first use; with
+    a mass it is the SparseOperator of that stencil's stencil_matrix.
+    Otherwise it is scipy's gamma*M.mat - dt*L.mat when both inputs
+    have a matrix, and composed matrix-free when one has none.  It is
+    symmetric when M and L are.
     """
     if M.n != L.n:
         raise DimensionMismatch(f"mass dim {M.n} != operator dim {L.n}")
-    if isinstance(L, CirculantOperator) and M.is_identity:
-        op = CirculantOperator(
-            [((0,) * L.symbol.ndim, gamma),
-             *((o, -(dt * c)) for o, c in L.stencil.items())],
-            gamma - dt * L.symbol)
+    if isinstance(L, CirculantOperator) and (
+            M.is_identity or M.grid == L.symbol.shape):
+        m = {(0,) * L.symbol.ndim: 1.0} if M.is_identity else M.stencil
+        stencil = [*((o, gamma * c) for o, c in m.items()),
+                   *((o, -(dt * c)) for o, c in L.stencil.items())]
+        op = (CirculantOperator(stencil, gamma - dt * L.symbol)
+              if M.is_identity else
+              SparseOperator(stencil_matrix(stencil, L.symbol.shape)))
     elif M.mat is not None and L.mat is not None:
         op = SparseOperator(gamma * M.mat - dt * L.mat)
     else:
@@ -706,7 +767,7 @@ def fov_upper_bound(L: LinearOperator) -> float:
             f"matrix-free operator of dim {L.n} > {DENSE_LIMIT}: "
             "no sparse symmetric part available")
     S = (L.mat + L.mat.T) * 0.5
-    shift = float(np.abs(S).sum(axis=1).max())  # >= rho(S)
+    shift = float(_abs_row_sums(S).max())  # >= rho(S)
     if shift == 0.0:
         return 0.0
     try:

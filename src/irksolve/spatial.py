@@ -10,8 +10,12 @@ mass-scaled solve path.
 Every operator is built as a stencil with its symbol: sums, scalings
 and Kronecker sums combine the stencils' few coefficients, in the order
 scipy's sparse arithmetic would combine the entries of the matrices,
-and linop.stencil_matrix assembles a matrix only where one is applied.  The FEM mass matrix is assembled from its stencil by the same
-function.
+and linop.stencil_matrix assembles a matrix only where one is applied.
+
+The FEM mass matrix is assembled from its stencil by the same function
+and keeps the stencil, so its symmetry is read from the stencil and
+each shift gamma M - dt L of the FEM problem is combined from the two
+stencils: its set-up does no sparse-matrix arithmetic either.
 """
 
 from dataclasses import dataclass
@@ -19,8 +23,7 @@ import math
 
 import numpy as np
 
-from .linop import (CirculantOperator, IdentityMass, SparseMass,
-                    stencil_matrix)
+from .linop import CirculantOperator, IdentityMass, SparseMass
 from .stepper import LinearProblem
 
 __all__ = [
@@ -236,12 +239,12 @@ def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> LinearProblem:
 
 def build_fem_mass_1d(grid: GridSpec) -> SparseMass:
     """Periodic linear-FEM mass matrix, rows (h/6)[1, 4, 1]; SPD with an
-    exact cyclic-tridiagonal solve."""
+    exact cyclic-tridiagonal solve.  It keeps its stencil."""
     if grid.dim != 1:
         raise ValueError("FEM mass matrix is 1D")
     h = grid.h
     stencil = {(-1,): h / 6.0, (0,): 4.0 * h / 6.0, (1,): h / 6.0}
-    return SparseMass(stencil_matrix(stencil, (grid.n,)))
+    return SparseMass.from_stencil(stencil, (grid.n,))
 
 
 def build_fem_diffusion_1d(grid: GridSpec):

@@ -8,8 +8,8 @@ from irksolve.linop import (DENSE_LIMIT, CirculantOperator, ComposedOperator,
                             DimensionMismatch, ExactFFT, ExactSparseLU,
                             FactorizationFailure, GaussSeidel, IdentityMass,
                             Jacobi, SparseMass, SparseOperator, _abs_row_sums,
-                            build_inner_preconditioner, fov_upper_bound,
-                            shifted_operator)
+                            build_inner_preconditioner, canonical_stencil,
+                            fov_upper_bound, shifted_operator, stencil_matrix)
 from irksolve import linop, spatial
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
                               build_fem_mass_1d, build_upwind_advection)
@@ -390,6 +390,13 @@ def _shipped_operators():
     return ops
 
 
+def _same_csr(A, B):
+    """The same CSR arrays, index dtypes included."""
+    return all(getattr(A, p).dtype == getattr(B, p).dtype
+               and np.array_equal(getattr(A, p), getattr(B, p))
+               for p in ("data", "indices", "indptr"))
+
+
 def test_apply_is_mat_times_v_bit_for_bit_on_every_shipped_operator():
     for name, op in _shipped_operators().items():
         assert isinstance(op, SparseOperator), name
@@ -410,13 +417,98 @@ def test_circulant_shift_is_scipys_difference_bit_for_bit():
             ref = g * sp.identity(L.n, format="csr") - dt * L.mat
             shift = shifted_operator(g, dt, IdentityMass(L.n), L)
             got = shift.mat
-            for part in ("indptr", "indices", "data"):
-                a, b = getattr(got, part), getattr(ref, part)
-                assert a.dtype == b.dtype and np.array_equal(a, b), (name, g)
+            assert _same_csr(got, ref), (name, g)
             # one read-only index pattern per set of offsets on a grid
             assert not got.indices.flags.writeable
             assert np.shares_memory(got.indices, L.mat.indices) == (
                 shift.stencil.keys() == L.stencil.keys()), (name, g)
+
+
+def _recorded_shifts(monkeypatch, build):
+    """The (gamma, dt, M, L) of every shifted_operator call build makes
+    through irksolve.stepper, and the shifts built."""
+    calls = []
+
+    def shift(*args):
+        calls.append((args, shifted_operator(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr("irksolve.stepper.shifted_operator", shift)
+    build()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 16, 256])
+def test_mass_shift_is_scipys_difference_bit_for_bit(monkeypatch, n):
+    # the FEM shifts gamma M - dt L of both steppers, combined from the
+    # two stencils: scipy's arrays, norm, symmetry and LU solve; n = 4
+    # is the smallest grid, where half the rows wrap round it
+    from irksolve.stepper import BlockStepper, IRKStepper
+    from irksolve.tableaux import build_tableau
+    grid = GridSpec(dim=1, n=n)
+    prob = build_fem_diffusion_1d(grid)
+    v = rng.standard_normal(n)
+    calls = []
+    for scheme in (("gauss", 3), ("lobattoIIIC", 5)):
+        tab = build_tableau(*scheme)
+        calls += _recorded_shifts(monkeypatch, lambda: IRKStepper(
+            tab, prob, 2 * grid.h))
+        for variant in ("GSL", "LD"):
+            calls += _recorded_shifts(monkeypatch, lambda: BlockStepper(
+                tab, prob, 2 * grid.h, variant=variant))
+    assert len({args[0] for args, _ in calls}) >= 8
+    for (gamma, dt, M, L), op in calls:
+        ref = SparseOperator(gamma * M.mat - dt * L.mat)
+        assert type(op) is SparseOperator
+        assert _same_csr(op.mat, ref.mat), gamma
+        assert op.norm == ref.norm, gamma
+        assert op.symmetric == ref.symmetric is True
+        assert np.array_equal(ExactSparseLU(op).apply(v),
+                              ExactSparseLU(ref).apply(v)), gamma
+
+
+def test_mass_shift_sums_the_offsets_that_meet():
+    # the fourth-order +-2 offsets meet at n = 4, after the mass's +-1
+    grid = GridSpec(dim=1, n=4)
+    M, L = build_fem_mass_1d(grid), build_advdiff(grid, 0.7, 0.2, 4)
+    for gamma, dt in ((1.3, 0.1), (0.0, 0.5)):
+        op = shifted_operator(gamma, dt, M, L)
+        assert _same_csr(op.mat, gamma * M.mat - dt * L.mat)
+
+
+@pytest.mark.parametrize("stencil, shape", [
+    ({(-1,): 1.0, (0,): 4.0, (1,): 1.0}, (6,)),
+    ({(-1,): 1.0, (0,): 4.0, (1,): 1.0 + 1e-13}, (6,)),
+    ({(-1,): 1.0, (0,): 4.0, (1,): 1.0 + 1e-11}, (6,)),
+    ({(0,): 4.0, (2,): 1.0}, (6,)),
+    ({(0,): 4.0, (3,): 0.5}, (6,)),         # n/2 is its own opposite
+    ({(0,): 4.0, (-2,): 1.0, (2,): 1.0}, (4,)),
+    ({(0, 0): 5.0, (0, 1): 1.0, (1, 0): 1.0, (-1, 0): 1.0}, (4, 5)),
+    ({(0, 0): 5.0, (1, -1): 1.0, (-1, 1): 1.0}, (4, 5)),
+])
+def test_stencil_mass_symmetry_is_the_matrix_test(stencil, shape):
+    M = SparseMass.from_stencil(stencil, shape)
+    assert M.stencil == canonical_stencil(stencil, shape)
+    assert M.grid == shape
+    assert _same_csr(M.mat, stencil_matrix(stencil, shape))
+    assert M.symmetric == SparseMass(M.mat).symmetric
+
+
+@pytest.mark.parametrize("stencil", [
+    {(1,): 2.0, (-1,): 3.0, (0,): 1.0},     # offsets not in sorted order
+    {(5,): 2.0, (0,): 1.0},                 # an offset beyond the grid
+    [((1,), 2.0), ((-5,), 0.5), ((0,), 0.0), ((2,), 1.0)],
+])
+def test_stencil_matrix_canonicalizes_any_stencil(stencil):
+    n = 6
+    pairs = stencil.items() if isinstance(stencil, dict) else stencil
+    dense = np.zeros((n, n))
+    for (o,), c in pairs:
+        for i in range(n):
+            dense[i, (i + o) % n] += c
+    got = stencil_matrix(stencil, (n,))
+    assert _same_csr(got, sp.csr_matrix(dense))
+    assert got.has_sorted_indices and got.has_canonical_format
 
 
 def test_quadratic_system_apply_is_the_scipy_formula_bit_for_bit():
@@ -507,18 +599,41 @@ def test_integer_matrix_or_vector_gives_a_float_result():
     assert np.array_equal(circ.apply(k), wrapped.apply(k))
 
 
+def _awkward_csr():
+    """CSR matrices with explicit zeros (one row holds nothing else),
+    duplicates that cancel or add, empty rows, unsorted indices, and
+    none stored at all."""
+    data = np.array([0.0, 1.5, -2.0, 1.5, -1.5, 0.25, 3.0, 0.0, -0.75, 0.75])
+    indices = np.array([2, 0, 3, 0, 0, 1, 1, 3, 2, 2])
+    indptr = np.array([0, 1, 5, 5, 8, 10, 10])
+    return {"zeros-duplicates-empty": sp.csr_matrix(
+                (data, indices, indptr), shape=(6, 4)),
+            "explicit-zeros-only": sp.csr_matrix(
+                (np.zeros(3), np.array([0, 1, 2]), np.array([0, 2, 2, 3])),
+                shape=(3, 3)),
+            "empty": sp.csr_matrix((4, 4))}
+
+
 def test_row_sums_and_norms_are_scipys_bit_for_bit():
     # a csr_matvec over |data| and ones adds a row of three or more
     # entries in another order, and differs in the last bits on
     # advdiff1d-o4, advdiff2d and the FEM mass, so the row sums stay
-    # scipy's
+    # scipy's; duplicates are summed in place first, as scipy's abs does
     ops = _shipped_operators()
     ops.update({k: SparseOperator(m) for k, m in _hand_built().items()})
     for name, op in ops.items():
-        sums = np.abs(op.mat).sum(axis=1).A1
-        assert np.array_equal(_abs_row_sums(op.mat), sums), name
+        sums = np.abs(op.mat.copy()).sum(axis=1).A1
+        got = _abs_row_sums(op.mat)
+        assert got.dtype == sums.dtype and np.array_equal(got, sums), name
+        assert op.mat.has_canonical_format, name
         if not isinstance(op, CirculantOperator):   # its norm is the 2-norm
             assert op.norm == float(sums.max()), name
+    for name, mat in _awkward_csr().items():
+        sums = np.abs(mat.copy()).sum(axis=1).A1
+        assert np.array_equal(_abs_row_sums(mat), sums), name
+        assert mat.has_canonical_format, name
+        if mat.shape[0] == mat.shape[1]:
+            assert SparseOperator(mat).norm == float(sums.max(initial=0.0))
     M = ops["fem-mass"]
     gap = np.min(2.0 * M.mat.diagonal() - np.abs(M.mat).sum(axis=1).A1)
     assert M.inv_norm == 1.0 / float(gap)

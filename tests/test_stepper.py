@@ -786,8 +786,9 @@ SETUP_PROBLEMS = {
 def test_circulant_setup_factors_nothing(monkeypatch, problem):
     # a circulant L with M = I gets the FFT for every exact solve, in 1D
     # as in 2D, so neither stepper's set-up calls the sparse LU; with the
-    # FEM mass each shift is still circulant, but shifted_operator builds
-    # a CirculantOperator only when M = I, so each gets its own LU
+    # FEM mass each shift is combined from the two stencils too, but into
+    # an assembled SparseOperator, not a CirculantOperator, so each gets
+    # its own LU
     prob = SETUP_PROBLEMS[problem]()
     factored = []
     sparse_lu = linop._sparse_lu
@@ -803,6 +804,37 @@ def test_circulant_setup_factors_nothing(monkeypatch, problem):
     assert len(factored) == (len(st.solves) if fem else 0)
     BlockStepper(build_tableau("radauIIA", 3), prob, 0.1)
     assert bool(factored) == fem
+
+
+def test_fem_setup_does_no_sparse_arithmetic(monkeypatch):
+    # the FEM mass keeps its stencil: its symmetry comes from it, every
+    # shift gamma M - dt L is combined from the two stencils, and norms
+    # sum rows without building |M|, so neither stepper's set-up (nor
+    # the problem's build) reaches scipy's sparse products, sums,
+    # differences, abs or row sums
+    from scipy.sparse import _base, _compressed, _data
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sparse arithmetic in set-up")
+    for cls, name in ((_compressed._cs_matrix, "_binopt"),
+                      (_data._data_matrix, "_mul_scalar"),
+                      (_data._data_matrix, "__abs__"),
+                      (_compressed._cs_matrix, "sum"),
+                      (_base._spbase, "sum")):
+        monkeypatch.setattr(cls, name, forbidden)
+    prob = build_fem_diffusion_1d(GridSpec(dim=1, n=32))
+    for scheme in (("gauss", 3), ("lobattoIIIC", 5)):
+        st = IRKStepper(build_tableau(*scheme), prob, 0.1)
+        assert all(type(getattr(sv.precond, "_P", sv.precond))
+                   is linop.ExactSparseLU for sv in st.solves)
+        for variant in ("GSL", "LD"):
+            BlockStepper(build_tableau(*scheme), prob, 0.1, variant=variant)
+    # the guards are live
+    M = prob.M.mat
+    for arithmetic in (lambda: 2.0 * M, lambda: M - M, lambda: abs(M),
+                       lambda: M.sum(axis=1)):
+        with pytest.raises(AssertionError, match="sparse arithmetic"):
+            arithmetic()
 
 
 def test_gamma_mode_switches_preconditioner_shift():
