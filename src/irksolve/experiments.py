@@ -22,7 +22,7 @@ from .stepper import (GAMMA_MODES, BlockStepper, FactorSolveFailure,
 from .spatial import (GridSpec, build_fd_mms, build_fem_diffusion_1d,
                       build_upwind_advection)
 from .linop import INNER_SOLVES, IdentityMass, parse_inner
-from .tableaux import SUPPORTED_TABLEAUX, build_tableau, canonical_family
+from .tableaux import SDIRK_BASELINES, build_tableau, canonical_family
 
 __all__ = [
     "ExperimentSpec",
@@ -279,15 +279,6 @@ def run_inner_sweep(spec: ExperimentSpec, sweep):
     return records
 
 
-def _sdirk_baselines() -> dict:
-    """{family: s} for the SDIRK baselines: the families with one
-    supported tableau (s stages), and that tableau lower triangular."""
-    families = [fam for fam, _s in SUPPORTED_TABLEAUX]
-    return {fam: s for fam, s in SUPPORTED_TABLEAUX
-            if families.count(fam) == 1
-            and build_tableau(fam, s).is_lower_triangular}
-
-
 def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L"):
     """IRK (this framework), GSL, LD on spec's tableau plus an SDIRK
     baseline, all on the same problem.  Returns rows (name, record,
@@ -297,13 +288,13 @@ def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L")
     solutions agree to solver tolerance; the SDIRK baseline is a
     different discretization and is reported for cost only.
     """
-    fam, baselines = canonical_family(sdirk_family), _sdirk_baselines()
-    if fam not in baselines:
+    fam = canonical_family(sdirk_family)
+    if fam not in SDIRK_BASELINES:
         raise ValueError(f"{fam} is not an SDIRK baseline; choose from "
-                         f"{', '.join(baselines)}")
+                         f"{', '.join(SDIRK_BASELINES)}")
     cases = [(integ, replace(spec, integrator=integ)) for integ in INTEGRATORS]
     cases.append(("sdirk", replace(spec, integrator="irk", family=fam,
-                                   stages=baselines[fam])))
+                                   stages=SDIRK_BASELINES[fam])))
     rows = []
     for name, case in cases:
         rec, u = _integrate_one(case, spec.grids[-1])

@@ -36,13 +36,18 @@ import math
 import numpy as np
 
 __all__ = ["KrylovConfig", "KrylovReport", "Preconditioner", "solve",
-           "resolve_method", "Breakdown", "NonFiniteResidual"]
+           "resolve_method", "Breakdown", "NonFiniteResidual",
+           "DimensionMismatch"]
 
 #: a recurrence denominator below this fraction of the norms it is formed
 #: from (in GMRES, its Hessenberg column's norm) counts as zero
 BREAKDOWN_TOL = 1e-14
 
 EPS = float(np.finfo(float).eps)
+
+
+class DimensionMismatch(ValueError):
+    """Operator/vector dimensions do not agree; linop re-exports it."""
 
 
 class Breakdown(RuntimeError):
@@ -172,7 +177,7 @@ def solve(op, b, precond, cfg: KrylovConfig | None = None, scale=None):
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != op.n:
-        raise ValueError(f"rhs of dim {b.shape[0]} for operator of dim {op.n}")
+        raise DimensionMismatch(f"rhs dim {b.shape[0]} != operator dim {op.n}")
     cfg = cfg or _DEFAULT
     if precond is None:
         precond = Preconditioner(op.n)

@@ -48,7 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
-from .krylov import KrylovConfig, Preconditioner, solve
+from .krylov import DimensionMismatch, KrylovConfig, Preconditioner, solve
 
 __all__ = [
     "LinearOperator",
@@ -69,10 +69,6 @@ __all__ = [
     "EigenFailure",
     "FieldOfValuesViolation",
 ]
-
-
-class DimensionMismatch(ValueError):
-    """Operator/vector dimensions do not agree."""
 
 
 class FactorizationFailure(RuntimeError):

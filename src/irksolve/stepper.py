@@ -54,7 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .krylov import KrylovConfig, Preconditioner, _norm, solve
-from .linop import (CirculantOperator, ComposedOperator,
+from .linop import (CirculantOperator, ComposedOperator, DimensionMismatch,
                     FieldOfValuesViolation, LinearOperator, MassOperator,
                     build_inner_preconditioner, fov_upper_bound,
                     pair_system, shifted_operator)
@@ -108,7 +108,7 @@ class LinearProblem:
     def __init__(self, M: MassOperator, L: LinearOperator, forcing=None,
                  exact_solution=None):
         if M.n != L.n:
-            raise ValueError(f"mass dim {M.n} != operator dim {L.n}")
+            raise DimensionMismatch(f"mass dim {M.n} != operator dim {L.n}")
         self.M = M
         self.L = L
         self.forcing = forcing

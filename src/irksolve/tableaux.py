@@ -7,13 +7,14 @@ the same Legendre series, and the order is 2s - k.  The coefficient rows
 are the collocation integrals a_ij = int_0^{c_i} l_j and b_j = int_0^1 l_j,
 except for Lobatto IIIC (k = 2), which is not a collocation method and
 takes them from a_i1 = b_1 plus the C(s-1) conditions.  The DIRK
-baselines (SDIRK2L, SDIRK3L, backward Euler) are hardcoded in `_DIRK`.
-The supported (family, stages) pairs follow from these two tables.
+tableaux, the SDIRK baselines, are hardcoded in `_DIRK`.  The supported
+(family, stages) pairs follow from these two tables, and each scheme is
+listed once: Radau IIA-1 is a spelling of the backward-Euler row.
 
 A tableau is a constant of its scheme: build_tableau builds and
-validates each supported pair once per process, on its first call, and
-every later call with any spelling of that pair returns the same
-read-only ButcherTableau.
+validates each scheme once per process, on its first call, and every
+later call with any spelling of that scheme returns the same read-only
+ButcherTableau.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ __all__ = [
     "build_tableau",
     "validate_tableau",
     "SUPPORTED_TABLEAUX",
+    "SDIRK_BASELINES",
     "UnsupportedScheme",
     "ConstructionFailure",
 ]
@@ -184,42 +186,44 @@ _DIRK = {
                       1),
 }
 
+#: the SDIRK baselines, {family: s}: the rows of the DIRK table
+SDIRK_BASELINES = {fam: len(b) for fam, (_A, b, _c, _p) in _DIRK.items()}
+
 #: supported stage counts: up to the paper's 5 for the collocation
 #: families (at least 2 for Lobatto IIIC, whose ends are both nodes),
 #: and the one tableau of each DIRK family
 _FAMILY_RANGE = {
     **{fam: range(max(k, 1), 6) for fam, k in _COLLOCATION_K.items()},
-    **{fam: (len(b),) for fam, (_A, b, _c, _p) in _DIRK.items()},
+    **{fam: (s,) for fam, s in SDIRK_BASELINES.items()},
 }
 
-#: every (family, stages) pair build_tableau accepts
+#: supported pairs that spell another pair's scheme, bit for bit
+_SPELLINGS = {("RadauIIA", 1): ("BackwardEuler", 1)}
+
+#: every scheme build_tableau accepts, each under one (family, s) pair
 SUPPORTED_TABLEAUX = tuple(
     (fam, s) for fam, rng in _FAMILY_RANGE.items() for s in rng
-)
+    if (fam, s) not in _SPELLINGS)
 
-_ALIASES = {
-    "gauss": "Gauss",
-    "radauiia": "RadauIIA",
-    "radau": "RadauIIA",
-    "lobattoiiic": "LobattoIIIC",
-    "lobatto": "LobattoIIIC",
-    "sdirk2l": "SDIRK2L",
-    "sdirk3l": "SDIRK3L",
-    "backwardeuler": "BackwardEuler",
-    "be": "BackwardEuler",
-}
+#: the short family names
+_ALIASES = {"radau": "RadauIIA", "lobatto": "LobattoIIIC",
+            "be": "BackwardEuler"}
+
+#: every family name by its key: lower case, with no '-' or '_'
+_FAMILY_KEYS = {fam.lower(): fam for fam in _FAMILY_RANGE} | _ALIASES
 
 
 def canonical_family(name: str) -> str:
     key = name.replace("-", "").replace("_", "").lower()
-    if key not in _ALIASES:
+    if key not in _FAMILY_KEYS:
         raise UnsupportedScheme(f"unknown IRK family {name!r}")
-    return _ALIASES[key]
+    return _FAMILY_KEYS[key]
 
 
 def build_tableau(family: str, s: int) -> ButcherTableau:
     """The s-stage tableau of the given family, one shared read-only
-    object per canonical (family, s), built on the first call.
+    object per scheme, built on the first call; a pair in _SPELLINGS
+    returns its scheme's tableau.
 
     Raises UnsupportedScheme for pairs outside the supported ranges and
     ConstructionFailure if the result does not validate, on every call.
@@ -228,7 +232,7 @@ def build_tableau(family: str, s: int) -> ButcherTableau:
     if s not in _FAMILY_RANGE[fam]:
         raise UnsupportedScheme(f"{fam} with s={s} not supported "
                                 f"(valid: {list(_FAMILY_RANGE[fam])})")
-    return _build(fam, s)
+    return _build(*_SPELLINGS.get((fam, s), (fam, s)))
 
 
 @cache

@@ -48,6 +48,17 @@ def test_unsupported_stage_count_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--grids", "16,x"],
+    ["inner-sweep", "--sweep", "1,,3"],
+])
+def test_malformed_integer_list_exits_2(capsys, argv):
+    code = main(argv + ["--family", "gauss", "--stages", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "expected comma-separated integers, got" in captured.err
+
+
 def test_spectrum_csv(capsys):
     code, out = run_cli(capsys, ["spectrum", "--family", "gauss",
                                  "--stages", "2", "--csv"])
@@ -445,6 +456,22 @@ def test_cond_optimality_one_gamma_point(capsys):
     rows = [l for l in out.splitlines() if not l.startswith("#")]
     assert rows[0] == "factor,eta,beta,gamma,kappa_measured,kappa_bound"
     assert len(rows) == 2
+
+
+def test_cond_scan_reaches_the_bound_at_gamma_star(capsys):
+    # one row per factor, each at gamma*; on the xi scan the ratio of
+    # H's extremes meets sqrt(1 + beta^2/eta^2)
+    code, out = run_cli(capsys, ["cond", "--family", "gauss", "--stages",
+                                 "3", "--mode", "scan"])
+    assert code == 0
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == "factor,eta,beta,gamma,kappa_measured,kappa_bound"
+    vals = [[float(v) for v in row.split(",")] for row in rows[1:]]
+    assert [int(v[0]) for v in vals] == [0, 1]
+    for _i, eta, beta, gamma, measured, bound in vals:
+        assert gamma == pytest.approx(np.hypot(eta, beta), rel=1e-15)
+        assert measured == pytest.approx(bound, abs=1e-12)
+    assert vals[0][4] == pytest.approx(1.382093251650143, abs=1e-12)
 
 
 @pytest.mark.parametrize("family,stages", SUPPORTED_TABLEAUX)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from irksolve.conditioning import (compute_kappa, h_scan, optimality_probe,
-                                   proof_constants, random_stable_matrix,
-                                   tightness_matrix)
+from irksolve.conditioning import (SingularShift, compute_kappa, h_scan,
+                                   optimality_probe, proof_constants,
+                                   random_stable_matrix, tightness_matrix)
 from irksolve.spectral import spectral_decompose
 from irksolve.tableaux import build_tableau
 
@@ -145,6 +145,19 @@ def test_bound_holds_for_all_tableau_factors():
     for eta, beta in pairs:
         r = compute_kappa(L, eta, beta)
         assert r.kappa_measured <= r.kappa_bound + 1e-8
+
+
+def test_shift_on_an_eigenvalue_is_singular():
+    # delta = 0 is an eigenvalue of L, so (delta I - L) has no inverse
+    L = np.diag([0.0, -1.0, -2.0, -3.0])
+    with pytest.raises(SingularShift):
+        compute_kappa(L, *GAUSS2, delta=0.0, gamma=1.0)
+
+
+@pytest.mark.parametrize("delta,gamma", [(0.0, 1.0), (1.0, -2.0)])
+def test_proof_constants_need_positive_shifts(delta, gamma):
+    with pytest.raises(ValueError, match="shifts must be positive"):
+        proof_constants(delta, gamma, *GAUSS2)
 
 
 def test_dense_cap():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from irksolve.experiments import (CSV_HEADER, INTEGRATORS, ExperimentSpec,
-                                  _sdirk_baselines, parse_inner,
-                                  records_to_csv,
+                                  parse_inner, records_to_csv,
                                   run_baseline_comparison, run_convergence,
                                   run_gamma_comparison, run_inner_sweep)
 from irksolve.krylov import KrylovConfig
+from irksolve.tableaux import SDIRK_BASELINES, build_tableau
 
 TIGHT = KrylovConfig(method="auto", rel_tol=1e-12, max_iters=3000)
 
@@ -152,11 +152,12 @@ def test_inner_sweep_needs_relaxation():
 
 
 def test_sdirk_baselines_come_from_the_tableaux():
-    # the families whose one supported tableau is lower triangular, in
-    # the order of the hand-written list they replace; Gauss-1 and
-    # RadauIIA-1 are 1x1 triangles of families with more stages
-    assert list(_sdirk_baselines().items()) == \
+    # the DIRK table's rows, each a lower triangular tableau, in the
+    # order of the hand-written list they replace
+    assert list(SDIRK_BASELINES.items()) == \
         [("SDIRK2L", 2), ("SDIRK3L", 3), ("BackwardEuler", 1)]
+    assert all(build_tableau(fam, s).is_lower_triangular
+               for fam, s in SDIRK_BASELINES.items())
 
 
 def test_baseline_s1_all_methods_coincide():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import irksolve
 from irksolve import linop
-from irksolve.krylov import (KrylovConfig, NonFiniteResidual, Preconditioner,
-                             _norm, resolve_method, solve)
+from irksolve.krylov import (DimensionMismatch, KrylovConfig,
+                             NonFiniteResidual, Preconditioner, _norm,
+                             resolve_method, solve)
 from irksolve.linop import (ComposedOperator, GaussSeidel, IdentityMass,
                             SparseOperator, build_inner_preconditioner,
                             shifted_operator)
@@ -340,3 +342,17 @@ def test_norm_is_numpy_norm_bit_for_bit():
                                for scale in (1e-150, 1.0, 1e150)]
     for v in vectors:
         assert _norm(v) == np.linalg.norm(v)
+
+
+def test_rhs_of_another_size_is_a_dimension_mismatch():
+    # the one size-mismatch error, a ValueError, shared with linop
+    assert DimensionMismatch is linop.DimensionMismatch \
+        is irksolve.DimensionMismatch
+    assert issubclass(DimensionMismatch, ValueError)
+    with pytest.raises(DimensionMismatch, match="rhs dim 9 != operator dim 10"):
+        solve(spd_tridiag(10), np.ones(9), None)
+
+
+def test_restart_must_be_positive():
+    with pytest.raises(ValueError, match="restart must be >= 1"):
+        KrylovConfig(restart=0)

@@ -126,6 +126,16 @@ def test_inner_krylov_rejects_a_bad_tolerance_when_built():
             build_inner_preconditioner("inner_krylov", op, **params)
 
 
+@pytest.mark.parametrize("kind,error", [
+    ("exact", FactorizationFailure), ("jacobi", ValueError),
+    ("gauss_seidel", ValueError)])
+def test_inner_solves_need_an_assembled_matrix(kind, error):
+    # a matrix-free operator has nothing to factor or sweep over
+    op = ComposedOperator(4, lambda v: 2.0 * v)
+    with pytest.raises(error, match="assembled matrix"):
+        build_inner_preconditioner(kind, op)
+
+
 def test_factorization_failure_on_singular():
     op = SparseOperator(sp.csr_matrix(np.zeros((4, 4))))
     with pytest.raises(FactorizationFailure):
@@ -192,6 +202,8 @@ def test_dimension_mismatch():
     # a stencil offset needs one integer per grid axis
     with pytest.raises(DimensionMismatch, match="shape"):
         CirculantOperator({(0, 1): 1.0}, np.ones(16))
+    with pytest.raises(DimensionMismatch, match="expected square matrix"):
+        SparseOperator(sp.csr_matrix(np.ones((3, 4))))
 
 
 def test_matrix_free_shifted_operator():

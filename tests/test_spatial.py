@@ -265,6 +265,18 @@ def test_fem_diffusion_exact_discrete_decay():
     assert decay == pytest.approx(np.exp(ratio[0] * t), rel=1e-9)
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: build_advdiff(GridSpec(1, 8), 1.0, -0.1), "nonnegative"),
+    (lambda: build_upwind_advection(GridSpec(2, 8), 1.0), "1D"),
+    (lambda: build_upwind_advection(GridSpec(1, 8), 0.0), "nonzero"),
+    (lambda: build_fem_mass_1d(GridSpec(2, 8)), "1D"),
+    (lambda: build_fem_diffusion_1d(GridSpec(2, 8)), "1D"),
+])
+def test_builders_reject_what_they_do_not_build(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_grid_invariants():
     g = GridSpec(dim=1, n=10)
     assert g.h * g.n == pytest.approx(2.0)

@@ -3,13 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from irksolve import tableaux
+from irksolve.linop import EigenFailure
 from irksolve.spectral import (DefectiveTableau, factor_list,
                                spectral_decompose)
 from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
                                build_tableau)
 
-MAIN_FAMILIES = [(f, s) for f, s in SUPPORTED_TABLEAUX
-                 if f in ("Gauss", "RadauIIA", "LobattoIIIC")]
+# every stage count of the collocation families, Radau IIA-1 (backward
+# Euler's tableau) included
+MAIN_FAMILIES = [(f, s) for f in ("Gauss", "RadauIIA", "LobattoIIIC")
+                 for s in tableaux._FAMILY_RANGE[f]]
 
 
 def test_gauss2_pair_closed_form():
@@ -159,7 +163,7 @@ def test_partial_fractions_reproduce_the_stability_function():
         t = build_tableau(fam, s)
         sd = spectral_decompose(t)
         assert sd.chained == (fam in ("SDIRK2L", "SDIRK3L", "BackwardEuler")
-                              or (fam, s) in (("Gauss", 1), ("RadauIIA", 1)))
+                              or (fam, s) == ("Gauss", 1))
         err = 0.0
         for z in zs:
             res = np.linalg.inv(np.eye(s) - z * t.A0)
@@ -192,6 +196,16 @@ def test_near_defective_tableau_is_rejected():
                          b0=np.array([0.5, 0.5]), c0=np.array([0.3, 0.7]),
                          order=1)
     with pytest.raises(DefectiveTableau, match="condition"):
+        spectral_decompose(bad)
+
+
+def test_singular_tableau_is_an_eigen_failure():
+    # A0 has no inverse, so B = A0^{-1} has no eigenvalues
+    bad = ButcherTableau(family="singular", s=2,
+                         A0=np.array([[0.5, 0.5], [0.5, 0.5]]),
+                         b0=np.array([0.5, 0.5]), c0=np.array([1.0, 1.0]),
+                         order=1)
+    with pytest.raises(EigenFailure):
         spectral_decompose(bad)
 
 

@@ -7,12 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 import irksolve
-from irksolve import linop
+from irksolve import linop, tableaux
 from irksolve.conditioning import random_stable_matrix
 from irksolve.experiments import PROBLEMS, ExperimentSpec, build_problem
-from irksolve.krylov import KrylovConfig, resolve_method, solve
+from irksolve.krylov import (DimensionMismatch, KrylovConfig,
+                             resolve_method, solve)
 from irksolve.linop import (ComposedOperator, ExactFFT,
-                            FieldOfValuesViolation, IdentityMass,
+                            FieldOfValuesViolation, IdentityMass, SparseMass,
                             SparseOperator, _QuadraticSystem,
                             build_inner_preconditioner, pair_system,
                             shifted_operator)
@@ -552,13 +553,13 @@ def test_rough_data_step_is_accurate_to_rel_tol(dim, n, ratio):
     dt = ratio * grid.h
     cfg = KrylovConfig(method="auto", rel_tol=ROUGH_TOL)
     errors = {}
-    for fam, s in SUPPORTED_TABLEAUX:
-        if fam not in ("Gauss", "RadauIIA", "LobattoIIIC"):
-            continue
-        tab = build_tableau(fam, s)
-        got, _reps = IRKStepper(tab, prob, dt, outer_cfg=cfg).advance(u, 0.0)
-        want = advance_symbol(tab, prob, u, 0.0, dt)
-        errors[fam, s] = np.linalg.norm(got - want) / np.linalg.norm(u)
+    for fam in ("Gauss", "RadauIIA", "LobattoIIIC"):
+        for s in tableaux._FAMILY_RANGE[fam]:
+            tab = build_tableau(fam, s)
+            got, _reps = IRKStepper(tab, prob, dt,
+                                    outer_cfg=cfg).advance(u, 0.0)
+            want = advance_symbol(tab, prob, u, 0.0, dt)
+            errors[fam, s] = np.linalg.norm(got - want) / np.linalg.norm(u)
     assert max(errors.values()) <= ROUGH_TOL, errors
 
 
@@ -1069,3 +1070,50 @@ def test_wl_certificate_tolerance_is_relative_to_the_norm():
         LinearProblem(M, shifted_operator(frac * unit, -1.0, M, L))
     with pytest.raises(FieldOfValuesViolation):
         LinearProblem(M, shifted_operator(2.0 * unit, -1.0, M, L))
+
+
+def test_problem_sizes_must_agree():
+    L = build_advdiff(GridSpec(1, 16), 1.0, 0.1, 4)
+    with pytest.raises(DimensionMismatch, match="mass dim 8 != operator"):
+        LinearProblem(IdentityMass(8), L)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda tab, prob: IRKStepper(tab, prob, 0.1, gamma_mode="x"),
+     "unknown gamma_mode"),
+    (lambda tab, prob: BlockStepper(tab, prob, 0.1, variant="x"),
+     "unknown block preconditioner variant"),
+])
+def test_steppers_reject_an_unknown_mode(make, match):
+    with pytest.raises(ValueError, match=match):
+        make(build_tableau("gauss", 2), random_problem(8, seed=3))
+
+
+def test_ld_stops_at_a_zero_pivot():
+    # a nonsingular A0 with a_11 = 0: the pivot-free LDU that LD takes
+    # its block-triangular preconditioner from has no first pivot
+    tab = ButcherTableau("zeroPivot", 2, [[0.0, 0.5], [0.5, 0.5]],
+                         [0.5, 0.5], [0.5, 1.0], 1)
+    with pytest.raises(SingularSystem, match="zero pivot"):
+        BlockStepper(tab, random_problem(8, seed=4), 0.1, variant="ld")
+
+
+def test_pair_without_a_mass_inverse_bound_has_no_residual_floor():
+    # a mass that is not diagonally dominant has no bound on ||M^{-1}||
+    # (inv_norm 0), so a pair system's norm, the scale of the residual
+    # floor, is 0: the solve meets rel_tol with no floor, and the step
+    # still matches the stage-system oracle
+    n = 12
+    M = SparseMass(sp.csr_matrix(np.full((n, n), 0.6) + 0.4 * np.eye(n)))
+    assert M.inv_norm == 0.0
+    r = np.random.default_rng(12)
+    L = SparseOperator(sp.csr_matrix(random_stable_matrix(n, r, 2.0)))
+    prob = LinearProblem(M, L)
+    tab = build_tableau("gauss", 2)
+    st = IRKStepper(tab, prob, 0.2, outer_cfg=TIGHT)
+    assert [sv.op.norm for sv in st.solves] == [0.0]
+    u = r.standard_normal(n)
+    got, reps = st.advance(u, 0.0)
+    want = advance_oracle(tab, prob, u, 0.0, 0.2)
+    assert all(rep.converged and not rep.floor_limited for rep in reps)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)

@@ -129,13 +129,21 @@ def test_tableau_arrays_immutable():
         t.A0[0, 0] = 99.0
 
 
+def _spellings():
+    """{family: every spelling tried for it}: its name and its aliases,
+    in lower, upper and title case."""
+    names = {fam: [fam] for fam in tableaux._FAMILY_RANGE}
+    for alias, fam in tableaux._ALIASES.items():
+        names[fam].append(alias)
+    return {fam: {case(name) for name in names[fam]
+                  for case in (str, str.lower, str.upper, str.title)}
+            for fam in names}
+
+
 def test_build_tableau_shares_one_tableau_per_pair():
     # every alias and case of a supported pair gives one shared object,
     # and each pair its own
-    spellings = {}
-    for alias, fam in tableaux._ALIASES.items():
-        spellings.setdefault(fam, {fam, fam.upper()}).update(
-            {alias, alias.upper(), alias.title()})
+    spellings = _spellings()
     built = {}
     for fam, s in SUPPORTED_TABLEAUX:
         first = build_tableau(fam, s)
@@ -146,8 +154,26 @@ def test_build_tableau_shares_one_tableau_per_pair():
     assert len({id(t) for t in built.values()}) == len(SUPPORTED_TABLEAUX)
 
 
+def test_each_scheme_is_listed_once():
+    # no two supported pairs give bit-identical (A0, b0, c0); Radau IIA-1
+    # is backward Euler, so it is a spelling of that row, not an entry
+    seen = {}
+    for fam, s in SUPPORTED_TABLEAUX:
+        t = build_tableau(fam, s)
+        key = tuple(a.tobytes() for a in (t.A0, t.b0, t.c0))
+        assert key not in seen, ((fam, s), seen.get(key))
+        seen[key] = fam, s
+    assert len(SUPPORTED_TABLEAUX) == 16
+    assert ("RadauIIA", 1) not in SUPPORTED_TABLEAUX
+    be = build_tableau("be", 1)
+    assert build_tableau("radauIIA", 1) is be
+    for name in _spellings()["RadauIIA"]:
+        assert build_tableau(name, 1) is be, name
+
+
 def test_unsupported_pair_raises_on_every_call():
-    for family, s in (("gauss", 6), ("lobattoIIIC", 1), ("no-such", 2)):
+    for family, s in (("gauss", 6), ("lobattoIIIC", 1), ("be", 2),
+                      ("no-such", 2)):
         for _ in range(2):
             with pytest.raises(UnsupportedScheme):
                 build_tableau(family, s)
@@ -183,8 +209,8 @@ def test_sdirk_coefficients():
 # index k of each collocation-type family: its nodes are the zeros of
 # P_s - P_{s-k} (P_s for Gauss)
 NODE_INDEX = {"Gauss": 0, "RadauIIA": 1, "LobattoIIIC": 2}
-COLLOCATION_TABLEAUX = [(fam, s) for fam, s in SUPPORTED_TABLEAUX
-                        if fam in NODE_INDEX]
+COLLOCATION_TABLEAUX = [(fam, s) for fam in NODE_INDEX
+                        for s in tableaux._FAMILY_RANGE[fam]]
 
 
 def _legendre_exact(n, x):
