@@ -67,7 +67,7 @@ def compute_kappa(L: np.ndarray, eta: float, beta: float,
     eye = np.eye(n)
     numer = (eta * eye - L) @ (eta * eye - L) + beta * beta * eye
     denom = (delta * eye - L) @ (gamma * eye - L)
-    if min(np.linalg.svd(denom, compute_uv=False)) < 1e-13 * np.linalg.norm(denom):
+    if min(np.linalg.svd(denom, compute_uv=False)) <= 1e-13 * np.linalg.norm(denom):
         raise SingularShift(f"shifted operator singular for delta={delta}, gamma={gamma}")
     P = np.linalg.solve(denom, numer)
     sv = np.linalg.svd(P, compute_uv=False)

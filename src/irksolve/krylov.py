@@ -16,10 +16,13 @@ residual, and keeps the preconditioned directions, so an iteration
 costs one preconditioner application and a preconditioner may change
 between applications (an inner Krylov loop).  Once per cycle it checks
 op is precond.op, the operator an exact preconditioner solves: then
-each iteration takes z = P v with op z from precond.apply_with_image(v)
-without applying op, in the preconditioner's own representation (the
-half-spectrum of v for an FFT solve), and precond.combine sums the
-directions once per cycle; otherwise it applies P, then op.
+the whole cycle runs in the preconditioner's own representation, an
+isometry of real space that precond.forward maps the residual into
+(the weighted half-spectrum for an FFT solve), each iteration takes
+z = P v with op z from precond.apply_with_image(v) without applying
+op, and precond.combine maps the sum of the directions back once per
+cycle; otherwise it applies P, then op.  The true residual is
+recomputed in real space either way.
 
 A solve stops at max(rel_tol * scale, eps * ||op|| * ||x||).
 scale is ||b|| unless the caller passes another norm.  The second term
@@ -102,9 +105,9 @@ class Preconditioner:
     base class is the identity, which counts nothing.  A subclass
     implements apply; an exact one also sets op, the operator it solves
     exactly (None for an inexact one), and GMRES on that op calls
-    apply_with_image and combine instead of apply.  exact marks one
-    with an op, so SPD for an SPD operator.  symmetric marks one that
-    is symmetric whenever its operator is, as CG needs."""
+    forward, apply_with_image and combine instead of apply.  exact
+    marks one with an op, so SPD for an SPD operator.  symmetric marks
+    one that is symmetric whenever its operator is, as CG needs."""
 
     op = None
     symmetric = True
@@ -124,15 +127,22 @@ class Preconditioner:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return v
 
+    def forward(self, r: np.ndarray) -> np.ndarray:
+        """r in the representation that apply_with_image and combine
+        work in, by an isometry: the real dot product of two images is
+        that of the vectors.  Here r itself."""
+        return r
+
     def apply_with_image(self, v: np.ndarray):
         """(d, op z) for z = apply(v) and its direction d, the form in
-        which combine takes it back; here d is z itself, and op z = v,
-        as for any exact solve of op."""
+        which combine takes it back, with v and op z in forward's
+        representation; here d is z itself, and op z = v, as for any
+        exact solve of op."""
         return self.apply(v), v
 
     def combine(self, D, y) -> np.ndarray:
-        """sum_j y_j z_j for the directions D that apply_with_image
-        returned."""
+        """sum_j y_j z_j, in real space, for the directions D that
+        apply_with_image returned."""
         return np.array(D).T @ y
 
 
@@ -256,10 +266,12 @@ def _gmres(op, precond, cfg, rep, x, r, beta, stop):
     """One restart cycle of right-preconditioned GMRES from x with
     residual r of norm beta, to where the Givens residual meets stop,
     the stop residual at the cycle start.  V and Z = P V grow by one
-    vector per iteration, and x is updated from Z.  Returns the new x."""
+    vector per iteration, and x is updated from Z.  When precond solves
+    op, V and the images are in precond.forward's representation, whose
+    inner product is the real one.  Returns the new x."""
     image = op is precond.op
     m = cfg.restart
-    V = [r / beta]
+    V = [(precond.forward(r) if image else r) / beta]
     Z = []
     H = np.zeros((m + 1, m))
     cs = np.zeros(m)

@@ -453,18 +453,40 @@ class ExactSparseLU(Preconditioner):
         return self._lu.solve(v)
 
 
+@lru_cache(maxsize=8)
+def _half_weights(shape):
+    """sqrt(w_k / N) along the last axis of the rfftn half-spectrum of a
+    real grid of N points: w_k = 1 on the k = 0 plane, and on the
+    Nyquist plane when the last axis has even length, where the
+    half-spectrum holds a mode and its conjugate both; 2 elsewhere,
+    where it holds one of the two.  Scaled by it, the real dot product
+    of two half-spectra viewed as float64 is that of the grid vectors
+    (Parseval).  Read-only, kept per grid shape."""
+    n = shape[-1]
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    wt = np.sqrt(w / math.prod(shape))
+    wt.flags.writeable = False
+    return wt
+
+
 class ExactFFT(Preconditioner):
     """Exact solve of a circulant operator on any grid by two real
     FFTs: the inverse symbol is kept on the rfftn half-spectrum.
 
     square makes it a pair's P^2 (module docstring): one round trip,
-    not two, per outer iteration, counted as two applications.
+    not two, per application, counted as two applications.
 
-    GMRES on op keeps its directions on the half-spectrum:
-    apply_with_image returns the direction vh = rfftn(v) with its image
-    under op, and combine maps sum_j y_j vh_j back by one irfftn per
-    restart cycle.  A GMRES iteration then costs one rfftn and one
-    irfftn on a pair, and one rfftn on a real factor or an SDIRK stage.
+    GMRES on op runs its restart cycle on the weighted half-spectrum:
+    forward(r) is rfftn(r) scaled by _half_weights, viewed as float64,
+    an isometry, so Arnoldi's inner products and norms are the real
+    ones.  There op P is diagonal: apply_with_image returns the
+    direction v itself with its image, v for a real factor or an SDIRK
+    stage and v times the pair's multiplier on a pair, and combine maps
+    sum_j y_j v_j back by one irfftn.  A restart cycle then costs one
+    rfftn and one irfftn, and an iteration none.
 
     It reads only op's symbol and norm, so op's matrix is not assembled
     for it.
@@ -483,7 +505,8 @@ class ExactFFT(Preconditioner):
     def square(self, pair_op: LinearOperator, delta: float, c: float):
         """Make this solve of gamma - dt L the pair preconditioner P^2
         for pair_op = (op - delta)^2 + c - delta^2, delta = gamma - eta."""
-        self._image = c * self._inv ** 2 - 2.0 * delta * self._inv
+        image = c * self._inv ** 2 - 2.0 * delta * self._inv
+        self._image = image.reshape(-1)
         self._inv = self._inv ** 2
         self._apps = 2
         self.op = pair_op
@@ -492,26 +515,32 @@ class ExactFFT(Preconditioner):
     def _irfftn(self, vh):
         return np.fft.irfftn(vh, s=self._shape, axes=self._axes).reshape(-1)
 
+    def forward(self, r):
+        """The weighted half-spectrum of r, as float64, in one rfftn."""
+        vh = np.fft.rfftn(r.reshape(self._shape)) * _half_weights(self._shape)
+        return vh.reshape(-1).view(np.float64)
+
     def apply(self, v, image=False):
         """The solve of v in one rfftn/irfftn round trip.  With image,
         GMRES's direction of it instead, so that every application is
-        one apply call: (vh, w) for vh = rfftn(v) and w its image under
-        op, v itself with no irfftn unless squared."""
+        one apply call: (v, w) for v a forward image and w the image
+        of the solve under op, with no FFT: v itself unless squared."""
         self._count += self._apps
-        vh = np.fft.rfftn(v.reshape(self._shape))
         if not image:
-            return self._irfftn(vh * self._inv)
+            return self._irfftn(np.fft.rfftn(v.reshape(self._shape))
+                                * self._inv)
         if self._image is None:
-            return vh, v
-        return vh, v + self._irfftn(vh * self._image)
+            return v, v
+        return v, v + (v.view(np.complex128) * self._image).view(np.float64)
 
     def apply_with_image(self, v):
         return self.apply(v, image=True)
 
     def combine(self, D, y):
-        """sum_j y_j z_j in one irfftn from the half-spectra D of the
-        v_j."""
-        return self._irfftn(self._inv * np.tensordot(y, D, 1))
+        """sum_j y_j z_j in one irfftn from the directions D, forward
+        images of the v_j."""
+        vh = np.tensordot(y, D, 1).view(np.complex128).reshape(self._inv.shape)
+        return self._irfftn(vh * (self._inv / _half_weights(self._shape)))
 
 
 def _warn_at_caller(message):

@@ -30,7 +30,9 @@ stage storage:
    and applies the operator only for the true residual; CG and every
    other inner solve apply it every iteration.  The exact inner solve
    of a circulant L with M = I is the FFT, in 1D as in 2D: set-up
-   factors nothing, and a pair's P M P is one FFT round trip.  An SDIRK
+   factors nothing, a pair's P M P is one Fourier multiplier, and GMRES
+   runs each restart cycle on the weighted half-spectrum, so an
+   iteration costs no FFT and a cycle one rfftn and one irfftn.  An SDIRK
    tableau's A0^{-1} is defective: its s solves share one operator and
    are chained, each adding M times the previous answer to its rhs;
 3. update u_{n+1} = R(inf) u_n + sum_j y_j.

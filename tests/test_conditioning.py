@@ -148,10 +148,13 @@ def test_bound_holds_for_all_tableau_factors():
 
 
 def test_shift_on_an_eigenvalue_is_singular():
-    # delta = 0 is an eigenvalue of L, so (delta I - L) has no inverse
+    # delta = 0 is an eigenvalue of L, so (delta I - L) has no inverse;
+    # with L = 0 and both shifts 0 the shifted operator is exactly zero
     L = np.diag([0.0, -1.0, -2.0, -3.0])
     with pytest.raises(SingularShift):
         compute_kappa(L, *GAUSS2, delta=0.0, gamma=1.0)
+    with pytest.raises(SingularShift):
+        compute_kappa(np.zeros((3, 3)), 1.0, 1.0, delta=0.0, gamma=0.0)
 
 
 @pytest.mark.parametrize("delta,gamma", [(0.0, 1.0), (1.0, -2.0)])

@@ -11,6 +11,7 @@ from irksolve.linop import (DENSE_LIMIT, CirculantOperator, ComposedOperator,
                             build_inner_preconditioner, canonical_stencil,
                             fov_upper_bound, shifted_operator, stencil_matrix)
 from irksolve import linop, spatial
+from irksolve.krylov import _norm
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
                               build_fem_mass_1d, build_upwind_advection)
 
@@ -272,7 +273,8 @@ def test_circulant_symmetry_from_the_symbol_matches_the_transpose_test():
 def test_exact_fft_residual():
     # the FFT solve is exact on every grid, an odd size included, and so
     # is its squared form for the Gauss-2 pair eta +- i beta: the image
-    # that apply_with_image gives is the pair operator's apply of the solve
+    # that apply_with_image gives of forward(v) is the forward image of
+    # the pair operator's apply of the solve
     eta, beta = 3.0, np.sqrt(3.0)
     gamma = np.hypot(eta, beta)
     delta = gamma - eta
@@ -290,11 +292,32 @@ def test_exact_fft_residual():
         pair = ComposedOperator(
             op.n, lambda u: A_eta.apply(A_eta.apply(u)) + beta ** 2 * u)
         sq = ExactFFT(op).square(pair, delta, delta ** 2 + beta ** 2)
-        vh, w = sq.apply_with_image(v)
-        z = sq.combine([vh], np.ones(1))
+        d, w = sq.apply_with_image(sq.forward(v))
+        z = sq.combine([d], np.ones(1))
         assert sq.op is pair and sq.applications == 2
         assert np.linalg.norm(z - sq.apply(v)) <= 1e-13 * np.linalg.norm(z)
-        assert np.linalg.norm(w - pair.apply(z)) <= 1e-13 * np.linalg.norm(w)
+        ref = sq.forward(pair.apply(z))
+        assert np.linalg.norm(w - ref) <= 1e-13 * np.linalg.norm(w)
+
+
+def test_exact_fft_forward_is_an_isometry():
+    # the weighted half-spectrum keeps real dot products and norms on
+    # every grid: the constant and the alternating vector lie on the
+    # k = 0 and (for even n) Nyquist planes of the last axis, weighted 1
+    for dim, n in ((1, 16), (1, 33), (2, 16), (2, 33)):
+        grid = GridSpec(dim=dim, n=n)
+        L = build_advdiff(grid, (0.85, 1.0)[:dim], (0.3, 0.25)[:dim], 4)
+        pc = ExactFFT(shifted_operator(2.0, 2 * grid.h,
+                                       IdentityMass(grid.size), L))
+        alternating = (-1.0) ** np.indices((n,) * dim).sum(axis=0).ravel()
+        vectors = [*rng.standard_normal((2, grid.size)),
+                   np.ones(grid.size), alternating]
+        for u in vectors:
+            fu = pc.forward(u)
+            assert abs(_norm(fu) - _norm(u)) <= 1e-14 * _norm(u)
+            for v in vectors:
+                tol = 1e-14 * _norm(u) * _norm(v)
+                assert abs(fu @ pc.forward(v) - u @ v) <= tol, (dim, n)
 
 
 def test_zero_mode_raises_factorization_failure():

@@ -11,7 +11,7 @@ from irksolve import linop, tableaux
 from irksolve.conditioning import random_stable_matrix
 from irksolve.experiments import PROBLEMS, ExperimentSpec, build_problem
 from irksolve.krylov import (DimensionMismatch, KrylovConfig,
-                             resolve_method, solve)
+                             Preconditioner, resolve_method, solve)
 from irksolve.linop import (ComposedOperator, ExactFFT,
                             FieldOfValuesViolation, IdentityMass, SparseMass,
                             SparseOperator, _QuadraticSystem,
@@ -192,8 +192,8 @@ def test_pair_preconditioner_squares_the_fft_solve():
     fused = pair.apply(v)
     assert pair.applications - before == 2
     assert np.linalg.norm(fused - twice) <= 1e-13 * np.linalg.norm(twice)
-    d, w = pair.apply_with_image(v)
-    ref = pair_op.apply(pair.combine([d], np.ones(1)))
+    d, w = pair.apply_with_image(pair.forward(v))
+    ref = pair.forward(pair_op.apply(pair.combine([d], np.ones(1))))
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -210,10 +210,10 @@ def _count_ffts(monkeypatch):
     return calls
 
 
-def test_fft_direction_takes_one_rfftn_and_one_irfftn_on_a_pair(monkeypatch):
-    # GMRES's direction is the half-spectrum of v: its image costs one
-    # irfftn on a pair and none on a real factor, and combine maps it
-    # back to P^2 v (P v) with one more
+def test_fft_direction_takes_no_fft(monkeypatch):
+    # GMRES's direction is the weighted half-spectrum of v, which
+    # forward makes in one rfftn: its image costs no FFT on a pair or a
+    # real factor, and combine maps it back to P^2 v (P v) in one irfftn
     grid = GridSpec(dim=2, n=12)
     prob = LinearProblem(IdentityMass(grid.size),
                          build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4))
@@ -226,11 +226,13 @@ def test_fft_direction_takes_one_rfftn_and_one_irfftn_on_a_pair(monkeypatch):
     for op, pc, ref, apps in cases:
         before = pc.applications
         calls.update(rfftn=0, irfftn=0)
-        d, _w = pc.apply_with_image(v)
+        vh = pc.forward(v)
+        assert calls == {"rfftn": 1, "irfftn": 0}
+        d, _w = pc.apply_with_image(vh)
         assert pc.applications - before == apps
-        assert calls == {"rfftn": 1, "irfftn": apps - 1}
+        assert calls == {"rfftn": 1, "irfftn": 0}
         z = pc.combine([d], np.ones(1))
-        assert calls == {"rfftn": 1, "irfftn": apps}
+        assert calls == {"rfftn": 1, "irfftn": 1}
         assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -238,8 +240,9 @@ def test_fft_direction_takes_one_rfftn_and_one_irfftn_on_a_pair(monkeypatch):
 @pytest.mark.parametrize("scheme", [("gauss", 2), ("radauIIA", 3)])
 def test_fft_gmres_step_transform_budget(monkeypatch, scheme, restart):
     # one advdiff2d step, exact FFT inner solve, GMRES: one rfftn per
-    # iteration, one irfftn per pair iteration and none per real-factor
-    # iteration, and one irfftn per restart cycle for the update
+    # restart cycle for its residual's forward image, one irfftn per
+    # restart cycle for the update, and none per iteration on a pair or
+    # a real factor
     prob = build_fd_mms(GridSpec(dim=2, n=16))
     gmres = KrylovConfig(method="gmres", rel_tol=1e-10, restart=restart)
     st = IRKStepper(build_tableau(*scheme), prob, 0.25, outer_cfg=gmres)
@@ -247,12 +250,61 @@ def test_fft_gmres_step_transform_budget(monkeypatch, scheme, restart):
     calls = _count_ffts(monkeypatch)
     _u, reps = st.advance(u, 0.0)
     iters = [r.iterations for r in reps]
-    pair_iters = sum(n for sv, n in zip(st.solves, iters)
-                     if not sv.factor.is_real)
     cycles = sum(-(-n // restart) for n in iters)
     assert all(r.converged for r in reps)
     assert restart == 30 or cycles > len(reps)
-    assert calls == {"rfftn": sum(iters), "irfftn": pair_iters + cycles}
+    assert calls == {"rfftn": cycles, "irfftn": cycles}
+
+
+class _RealSpaceSolve(Preconditioner):
+    """An exact solve without its op, so GMRES runs in real space: it
+    applies the solve, then the operator, every iteration."""
+
+    def __init__(self, pc):
+        super().__init__(pc.n)
+        self._pc = pc
+
+    @property
+    def applications(self):
+        return self._pc.applications
+
+    def apply(self, v):
+        return self._pc.apply(v)
+
+
+@pytest.mark.parametrize("restart", [30, 2])
+@pytest.mark.parametrize("dim,n", [(1, 15), (1, 16), (2, 15), (2, 16)])
+def test_fft_spectral_gmres_matches_the_real_space_path(dim, n, restart):
+    # GMRES on the weighted half-spectrum of the FFT solve takes the
+    # iterations and applications that GMRES in real space takes with
+    # the same solve, and the same step to rounding; both meet the
+    # exact step in Fourier space to the solver tolerance
+    grid = GridSpec(dim=dim, n=n)
+    L = build_advdiff(grid, (0.85, 1.0)[:dim], (0.3, 0.25)[:dim], 4)
+    prob = LinearProblem(IdentityMass(grid.size), L)
+    u = np.random.default_rng(100 * dim + n).standard_normal(grid.size)
+    dt = 8 * grid.h
+    gmres = KrylovConfig(method="gmres", rel_tol=1e-12, restart=restart)
+    for scheme in [("gauss", 2), ("radauIIA", 3), ("lobattoIIIC", 5),
+                   ("sdirk2l", 2)]:
+        tab = build_tableau(*scheme)
+        st = IRKStepper(tab, prob, dt, outer_cfg=gmres)
+        assert all(sv.precond.op is sv.op for sv in st.solves)
+        spectral, reps = st.advance(u, 0.0)
+        wrapped = {id(sv.precond): _RealSpaceSolve(sv.precond)
+                   for sv in st.solves}
+        st.solves = [sv._replace(precond=wrapped[id(sv.precond)])
+                     for sv in st.solves]
+        real, real_reps = st.advance(u, 0.0)
+        counts = [(r.iterations, r.preconditioner_applications)
+                  for r in reps]
+        assert counts == [(r.iterations, r.preconditioner_applications)
+                          for r in real_reps], scheme
+        assert np.linalg.norm(spectral - real) <= 1e-12 * np.linalg.norm(real)
+        want = advance_symbol(tab, prob, u, 0.0, dt)
+        for got in (spectral, real):
+            err = np.linalg.norm(got - want) / np.linalg.norm(u)
+            assert err <= 1e-11, (scheme, err)
 
 
 def _image_setup(label):
@@ -293,8 +345,9 @@ def _count_op_applies(ops):
 def test_exact_inner_image_matches_operator_apply(label):
     # M Q_eta (P M P v) = v - 2 delta M P v + (delta^2 + beta^2) M P M P v
     # for a pair and A_eta P v = v for a real factor or an SDIRK stage,
-    # with no operator apply; the bound is fixed by the mass: rounding in
-    # M and M^{-1}
+    # with no operator apply, in forward's representation (the weighted
+    # half-spectrum for the FFT); the bound is fixed by the mass:
+    # rounding in M and M^{-1}
     prob, grid = _image_setup(label)
     bound = 1e-9 if label == "lu-fem" else 1e-12
     v = np.random.default_rng(31).standard_normal(prob.n)
@@ -310,10 +363,10 @@ def test_exact_inner_image_matches_operator_apply(label):
     errors = {}
     for key, (op, pc) in cases.items():
         calls = _count_op_applies([op])
-        d, w = pc.apply_with_image(v)
+        d, w = pc.apply_with_image(pc.forward(v))
         assert calls[op] == 0, key
         z = pc.combine([d], np.ones(1))
-        ref = op.apply(z)
+        ref = pc.forward(op.apply(z))
         errors[key] = np.linalg.norm(w - ref) / np.linalg.norm(ref)
     assert max(errors.values()) <= bound, max(errors.items(),
                                               key=lambda kv: kv[1])
