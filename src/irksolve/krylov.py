@@ -24,6 +24,14 @@ op, and precond.combine maps the sum of the directions back once per
 cycle; otherwise it applies P, then op.  The true residual is
 recomputed in real space either way.
 
+A GMRES cycle allocates its Arnoldi basis as one float64 array of
+min(restart, iterations left) + 1 rows, and no workspace outlives it,
+so an inner GMRES (a krylov: inner solve) has its own.  op z is
+written into the next row, and modified Gram-Schmidt (Saad & Schultz
+1986) orthogonalizes it in place with one scratch vector, with the
+arithmetic of w = w - (v_i . w) v_i in the same order, so the iterates
+are those of fresh vectors bit for bit.
+
 A solve stops at max(rel_tol * scale, eps * ||op|| * ||x||).
 scale is ||b|| unless the caller passes another norm.  The second term
 is the residual that a backward-stable solve can certify in double
@@ -35,6 +43,8 @@ takes the x of the cycle start inside a cycle, CG the current x.
 
 from dataclasses import dataclass, field
 import math
+import operator
+from numbers import Integral
 
 import numpy as np
 
@@ -75,10 +85,13 @@ class KrylovConfig:
         # a target at or above ||b|| is met by x = 0
         if not 0 < self.rel_tol < 1:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.restart < 1:
-            raise ValueError("restart must be >= 1")
+        for name in ("max_iters", "restart"):
+            value = getattr(self, name)
+            # a float would fail inside GMRES, or round an iteration cap
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 #: the config of solve(..., cfg=None), built once
@@ -133,12 +146,13 @@ class Preconditioner:
         that of the vectors.  Here r itself."""
         return r
 
-    def apply_with_image(self, v: np.ndarray):
+    def apply_with_image(self, v: np.ndarray, out: np.ndarray):
         """(d, op z) for z = apply(v) and its direction d, the form in
         which combine takes it back, with v and op z in forward's
-        representation; here d is z itself, and op z = v, as for any
-        exact solve of op."""
-        return self.apply(v), v
+        representation; op z is written into out.  Here d is z itself,
+        and op z = v, as for any exact solve of op."""
+        out[...] = v
+        return self.apply(v), out
 
     def combine(self, D, y) -> np.ndarray:
         """sum_j y_j z_j, in real space, for the directions D that
@@ -185,7 +199,12 @@ def solve(op, b, precond, cfg: KrylovConfig | None = None, scale=None):
     The report counts every leaf preconditioner application performed
     during the solve.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(b)
+    if b.dtype.kind == "c":
+        raise ValueError("complex rhs: solve works in real arithmetic")
+    b = b.astype(float, copy=False)
+    if b.ndim != 1:
+        raise DimensionMismatch(f"rhs must be a vector, got shape {b.shape}")
     if b.shape[0] != op.n:
         raise DimensionMismatch(f"rhs dim {b.shape[0]} != operator dim {op.n}")
     cfg = cfg or _DEFAULT
@@ -265,13 +284,21 @@ def _cg(op, precond, cfg, rep, x, r, target, floor):
 def _gmres(op, precond, cfg, rep, x, r, beta, stop):
     """One restart cycle of right-preconditioned GMRES from x with
     residual r of norm beta, to where the Givens residual meets stop,
-    the stop residual at the cycle start.  V and Z = P V grow by one
-    vector per iteration, and x is updated from Z.  When precond solves
-    op, V and the images are in precond.forward's representation, whose
-    inner product is the real one.  Returns the new x."""
+    the stop residual at the cycle start.  The cycle's basis V is one
+    array of m + 1 rows, m = min(restart, iterations left), allocated
+    here, so a nested solve has its own; op z lands in the next row and
+    modified Gram-Schmidt works on it in place.  The directions Z = P V
+    update x.  When precond solves op, V and the images are in
+    precond.forward's representation, whose inner product is the real
+    one, and a direction that is its basis vector itself (ExactFFT's) is
+    passed to combine as the view V[:j].  Returns the new x."""
     image = op is precond.op
-    m = cfg.restart
-    V = [(precond.forward(r) if image else r) / beta]
+    m = min(cfg.restart, cfg.max_iters - rep.iterations)
+    v0 = precond.forward(r) if image else r
+    V = np.empty((m + 1, v0.size))
+    np.divide(v0, beta, out=V[0])
+    rows = list(V)
+    hv = np.empty(v0.size)  # h * V[i], MGS's scratch
     Z = []
     H = np.zeros((m + 1, m))
     cs = np.zeros(m)
@@ -280,19 +307,20 @@ def _gmres(op, precond, cfg, rep, x, r, beta, stop):
     g[0] = beta
 
     j = 0
-    while j < m and rep.iterations < cfg.max_iters:
+    while j < m:
+        v, w = rows[j], rows[j + 1]
         if image:
-            z, w = precond.apply_with_image(V[j])
+            z, _ = precond.apply_with_image(v, w)
         else:
-            z = precond.apply(V[j])
-            w = op.apply(z)
+            z = precond.apply(v)
+            w[...] = op.apply(z)
         Z.append(z)
-        for i in range(j + 1):
-            H[i, j] = V[i] @ w
-            w = w - H[i, j] * V[i]
+        for i, vi in enumerate(rows[:j + 1]):
+            h = H[i, j] = vi.dot(w)
+            w -= np.multiply(vi, h, out=hv)
         H[j + 1, j] = _norm(w)
         # |op z|: the scale of this column for the breakdown tests
-        col = np.linalg.norm(H[:j + 2, j])
+        col = _norm(H[:j + 2, j].copy())
 
         # apply accumulated Givens rotations, then generate a new one
         for i in range(j):
@@ -314,7 +342,7 @@ def _gmres(op, precond, cfg, rep, x, r, beta, stop):
 
         happy = H[j + 1, j] <= BREAKDOWN_TOL * col
         if not happy:
-            V.append(w / H[j + 1, j])
+            np.divide(w, H[j + 1, j], out=w)
         j += 1
         if res <= stop or happy:
             break
@@ -323,6 +351,7 @@ def _gmres(op, precond, cfg, rep, x, r, beta, stop):
     y = np.zeros(j)
     for i in range(j - 1, -1, -1):
         y[i] = (g[i] - H[i, i + 1:j] @ y[i + 1:j]) / H[i, i]
+    D = V[:j] if all(map(operator.is_, Z, rows)) else Z
     if image:
-        return x + precond.combine(Z, y)
-    return x + np.array(Z).T @ y
+        return x + precond.combine(D, y)
+    return x + np.asarray(D).T @ y

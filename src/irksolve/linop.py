@@ -484,9 +484,11 @@ class ExactFFT(Preconditioner):
     an isometry, so Arnoldi's inner products and norms are the real
     ones.  There op P is diagonal: apply_with_image returns the
     direction v itself with its image, v for a real factor or an SDIRK
-    stage and v times the pair's multiplier on a pair, and combine maps
-    sum_j y_j v_j back by one irfftn.  A restart cycle then costs one
-    rfftn and one irfftn, and an iteration none.
+    stage and v times the pair's multiplier on a pair, written into
+    GMRES's next basis row (out), and combine maps sum_j y_j v_j back
+    by one irfftn from the basis rows, times inv / weights, which it
+    builds on first use after construction or square.  A restart cycle
+    then costs one rfftn and one irfftn, and an iteration none.
 
     It reads only op's symbol and norm, so op's matrix is not assembled
     for it.
@@ -500,6 +502,7 @@ class ExactFFT(Preconditioner):
         self._axes = tuple(range(op.symbol.ndim))
         self._inv = 1.0 / op.symbol[..., :self._shape[-1] // 2 + 1]
         self._image = None
+        self._back = None
         self._apps = 1
 
     def square(self, pair_op: LinearOperator, delta: float, c: float):
@@ -508,6 +511,7 @@ class ExactFFT(Preconditioner):
         image = c * self._inv ** 2 - 2.0 * delta * self._inv
         self._image = image.reshape(-1)
         self._inv = self._inv ** 2
+        self._back = None
         self._apps = 2
         self.op = pair_op
         return self
@@ -520,27 +524,36 @@ class ExactFFT(Preconditioner):
         vh = np.fft.rfftn(r.reshape(self._shape)) * _half_weights(self._shape)
         return vh.reshape(-1).view(np.float64)
 
-    def apply(self, v, image=False):
-        """The solve of v in one rfftn/irfftn round trip.  With image,
+    def apply(self, v, out=None):
+        """The solve of v in one rfftn/irfftn round trip.  With out,
         GMRES's direction of it instead, so that every application is
-        one apply call: (v, w) for v a forward image and w the image
-        of the solve under op, with no FFT: v itself unless squared."""
+        one apply call: (v, out) for v a forward image, with the image
+        of the solve under op written into out, and no FFT: v itself
+        unless squared."""
         self._count += self._apps
-        if not image:
+        if out is None:
             return self._irfftn(np.fft.rfftn(v.reshape(self._shape))
                                 * self._inv)
         if self._image is None:
-            return v, v
-        return v, v + (v.view(np.complex128) * self._image).view(np.float64)
+            out[...] = v
+        else:
+            np.multiply(v.view(np.complex128), self._image,
+                        out=out.view(np.complex128))
+            out += v
+        return v, out
 
-    def apply_with_image(self, v):
-        return self.apply(v, image=True)
+    def apply_with_image(self, v, out):
+        return self.apply(v, out)
 
     def combine(self, D, y):
         """sum_j y_j z_j in one irfftn from the directions D, forward
-        images of the v_j."""
-        vh = np.tensordot(y, D, 1).view(np.complex128).reshape(self._inv.shape)
-        return self._irfftn(vh * (self._inv / _half_weights(self._shape)))
+        images of the v_j: GMRES passes a view of its basis.  The
+        back-multiplier inv / weights is built on the first call after
+        construction or square."""
+        if self._back is None:
+            self._back = self._inv / _half_weights(self._shape)
+        vh = (y @ D).view(np.complex128).reshape(self._inv.shape)
+        return self._irfftn(vh * self._back)
 
 
 def _warn_at_caller(message):
@@ -747,10 +760,11 @@ class _SandwichPreconditioner(Preconditioner):
     def apply(self, v):
         return self._P.apply(self._M.apply(self._P.apply(v)))
 
-    def apply_with_image(self, v):
+    def apply_with_image(self, v, out):
         MPv = self._M.apply(self._P.apply(v))
         z = self._P.apply(MPv)
-        return z, v - 2.0 * self._delta * MPv + self._c * self._M.apply(z)
+        return z, np.add(v - 2.0 * self._delta * MPv,
+                         self._c * self._M.apply(z), out=out)
 
 
 def pair_system(A_eta: LinearOperator, P: Preconditioner, M: MassOperator,

@@ -168,11 +168,15 @@ _COLLOCATION_K = {"Gauss": 0, "RadauIIA": 1, "LobattoIIIC": 2}
 
 # SDIRK2L: 2 stages, order 2, L-stable, gamma = (2 - sqrt(2))/2.
 # SDIRK3L: 3 stages, order 3, L-stable; gamma is the middle root of
-# x^3 - 3x^2 + 3x/2 - 1/6.  Both are stiffly accurate: b is A's last row.
+# x^3 - 3x^2 + 3x/2 - 1/6.
+# SDIRK4L: 5 stages, order 4, L-stable, gamma = 1/4 (Hairer & Wanner,
+# Solving ODEs II, sec. IV.6, (6.16)).  All three are stiffly accurate:
+# b is A's last row.
 _G2 = (2.0 - np.sqrt(2.0)) / 2.0
 _G3 = 0.43586652150845899941601945
 _B3 = (-(6.0 * _G3 * _G3 - 16.0 * _G3 + 1.0) / 4.0,
        (6.0 * _G3 * _G3 - 20.0 * _G3 + 5.0) / 4.0, _G3)
+_B4 = (25 / 24, -49 / 48, 125 / 16, -85 / 12, 1 / 4)
 
 #: hardcoded DIRK tableaux: family -> (A, b, c, order), with s = len(b)
 _DIRK = {
@@ -182,6 +186,12 @@ _DIRK = {
                           [(1.0 - _G3) / 2.0, _G3, 0.0],
                           _B3]),
                 np.array(_B3), np.array([_G3, (1.0 + _G3) / 2.0, 1.0]), 3),
+    "SDIRK4L": (np.array([[1 / 4, 0, 0, 0, 0],
+                          [1 / 2, 1 / 4, 0, 0, 0],
+                          [17 / 50, -1 / 25, 1 / 4, 0, 0],
+                          [371 / 1360, -137 / 2720, 15 / 544, 1 / 4, 0],
+                          _B4]),
+                np.array(_B4), np.array([1 / 4, 3 / 4, 11 / 20, 1 / 2, 1]), 4),
     "BackwardEuler": (np.array([[1.0]]), np.array([1.0]), np.array([1.0]),
                       1),
 }

@@ -19,7 +19,7 @@ from irksolve.experiments import (ExperimentSpec, run_convergence,
 from irksolve.krylov import KrylovConfig, resolve_method
 from irksolve.linop import IdentityMass, SparseOperator
 from irksolve.spatial import (GridSpec, build_advdiff, build_fem_diffusion_1d,
-                              build_fem_mass_1d)
+                              build_fem_mass_1d, build_upwind_advection)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (GAMMA_MODES, IRKStepper, LinearProblem,
                               advance_oracle)
@@ -286,7 +286,8 @@ C13_STEPS = {
     ("RadauIIA", 5): 4,
     ("LobattoIIIC", 2): 64, ("LobattoIIIC", 3): 16, ("LobattoIIIC", 4): 8,
     ("LobattoIIIC", 5): 8,
-    ("SDIRK2L", 2): 32, ("SDIRK3L", 3): 32, ("BackwardEuler", 1): 1024,
+    ("SDIRK2L", 2): 32, ("SDIRK3L", 3): 32, ("SDIRK4L", 5): 16,
+    ("BackwardEuler", 1): 1024,
 }
 
 
@@ -441,3 +442,59 @@ def test_c16_cg_three_term_recursion_within_the_kappa_bound():
            f"{sum(pairs[name, 'gamma_star'] for name in problems)} {star} "
            f"(tightest {tightest[0]} of {tightest[1]}); gamma = eta over "
            f"it, not gated: {eta}")
+
+
+# C18: the gamma* plateau per factor (the largest mean outer iterations
+# over the dt sweep), fixed before the run from the sweep ROADMAP item 14
+# measured: the n = 256 plateaus (Gauss-5 10 and 18.75, LobattoIIIC-5
+# 10 and 22.5) plus a margin of 6, above the 4.75 by which any plateau
+# grew from n = 256 to 4096 there
+C18_PLATEAU_BOUND = {("Gauss", 5): (16.0, 24.75),
+                     ("LobattoIIIC", 5): (16.0, 28.5)}
+
+
+def test_c18_outer_iterations_level_off_in_h_and_dt():
+    # advect1d-upwind's operator and pulse, 4 steps with the exact (FFT)
+    # inner solve at dt/h = 1/16 .. 1024 on three grids; the real factor
+    # takes 1 iteration everywhere
+    cfg = KrylovConfig(rel_tol=1e-10)
+    ratios = (1 / 16, 1, 16, 64, 256, 1024)
+    grids = (256, 1024, 4096)
+    ok, msgs = True, []
+    for key, bounds in C18_PLATEAU_BOUND.items():
+        tab = build_tableau(*key)
+        plateau = {}
+        for n, mode in itertools.product(grids, GAMMA_MODES):
+            grid = GridSpec(dim=1, n=n)
+            prob = LinearProblem(IdentityMass(n),
+                                 build_upwind_advection(grid, 1.0))
+            u0 = np.where(np.abs(grid.points_1d() + 0.3) <= 0.35, 1.0, 0.0)
+            sweep = []
+            for r in ratios:
+                st = IRKStepper(tab, prob, r * grid.h, cfg, gamma_mode=mode)
+                u, iters = u0, np.zeros(len(st.solves))
+                for k in range(4):
+                    u, reps = st.advance(u, k * st.dt)
+                    iters += [rep.iterations for rep in reps]
+                sweep.append(iters / 4)
+            sweep = np.array(sweep)
+            pairs = [sv.factor for sv in st.solves if not sv.factor.is_real]
+            real = [sv.factor.is_real for sv in st.solves]
+            ok = ok and bool(np.all(sweep[:, real] == 1.0))
+            plateau[n, mode] = sweep[:, np.logical_not(real)].max(axis=0)
+            msgs.append(f"{key[0]}-{key[1]} n={n} {mode}: "
+                        f"{sweep.T.tolist()}")
+        star = {n: plateau[n, "gamma_star"] for n in grids}
+        eta = plateau[4096, "eta"]
+        hard = np.array([f.beta > f.eta for f in pairs])
+        ok = (ok and np.all(np.abs(star[4096] - star[1024]) <= 2.0)
+              and all(np.all(star[n] <= bounds) for n in grids)
+              and np.all(star[4096] < eta)
+              and np.all(star[4096][hard] <= 0.5 * eta[hard]))
+        msgs.append(f"{key[0]}-{key[1]} plateaus gamma* "
+                    f"{[star[n].tolist() for n in grids]} (bound "
+                    f"{list(bounds)}), eta at n=4096 {eta.tolist()}")
+    report("C18", ok, "outer iterations per factor level off in h and dt "
+           "with gamma*: plateau moves <= 2 from n=1024 to 4096, stays "
+           "under its bound, and at n=4096 is below eta's, at most half "
+           "of it where beta > eta; " + "; ".join(msgs))

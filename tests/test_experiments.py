@@ -155,7 +155,7 @@ def test_sdirk_baselines_come_from_the_tableaux():
     # the DIRK table's rows, each a lower triangular tableau, in the
     # order of the hand-written list they replace
     assert list(SDIRK_BASELINES.items()) == \
-        [("SDIRK2L", 2), ("SDIRK3L", 3), ("BackwardEuler", 1)]
+        [("SDIRK2L", 2), ("SDIRK3L", 3), ("SDIRK4L", 5), ("BackwardEuler", 1)]
     assert all(build_tableau(fam, s).is_lower_triangular
                for fam, s in SDIRK_BASELINES.items())
 

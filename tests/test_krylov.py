@@ -3,14 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 import irksolve
-from irksolve import linop
+from irksolve import krylov, linop
 from irksolve.krylov import (DimensionMismatch, KrylovConfig,
                              NonFiniteResidual, Preconditioner, _norm,
                              resolve_method, solve)
 from irksolve.linop import (ComposedOperator, GaussSeidel, IdentityMass,
                             SparseOperator, build_inner_preconditioner,
                             shifted_operator)
-from irksolve.spatial import GridSpec, build_advdiff
+from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
+                              build_fem_diffusion_1d)
 from irksolve.stepper import IRKStepper, LinearProblem
 from irksolve.tableaux import build_tableau
 
@@ -356,3 +357,200 @@ def test_rhs_of_another_size_is_a_dimension_mismatch():
 def test_restart_must_be_positive():
     with pytest.raises(ValueError, match="restart must be >= 1"):
         KrylovConfig(restart=0)
+
+
+def test_rhs_must_be_a_real_vector():
+    # a column (n, 1) reached the operator and failed in numpy; a complex
+    # rhs was cast to real with only a ComplexWarning
+    op = spd_tridiag(10)
+    with pytest.raises(DimensionMismatch, match=r"got shape \(10, 1\)"):
+        solve(op, np.ones((10, 1)), None)
+    with pytest.raises(ValueError, match="complex rhs"):
+        solve(op, np.ones(10) + 1j, None)
+    x, rep = solve(op, np.ones(10, dtype=int), None,
+                   KrylovConfig(method="gmres"))
+    assert x.dtype == float and rep.converged
+
+
+@pytest.mark.parametrize("field", ["max_iters", "restart"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_iteration_counts_must_be_integers(field, value):
+    # restart=2.5 failed inside GMRES with a TypeError, and max_iters=2.5
+    # ran 3 iterations
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        KrylovConfig(**{field: value})
+    assert getattr(KrylovConfig(**{field: np.int64(3)}), field) == 3
+
+
+# ----------------------------------------------------------------------
+# the GMRES cycle works in place on one basis array; the list-based cycle
+# below, with a fresh vector per basis vector and per Gram-Schmidt update
+# and the directions stacked for combine, is its reference, bit for bit
+
+def _reference_gmres(op, precond, cfg, rep, x, r, beta, stop):
+    image = op is precond.op
+    m = cfg.restart
+    V = [(precond.forward(r) if image else r) / beta]
+    Z = []
+    H = np.zeros((m + 1, m))
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+
+    j = 0
+    while j < m and rep.iterations < cfg.max_iters:
+        if image:
+            z, w = precond.apply_with_image(V[j], np.empty_like(V[j]))
+        else:
+            z = precond.apply(V[j])
+            w = op.apply(z)
+        Z.append(z)
+        for i in range(j + 1):
+            H[i, j] = V[i] @ w
+            w = w - H[i, j] * V[i]
+        H[j + 1, j] = _norm(w)
+        col = np.linalg.norm(H[:j + 2, j])
+
+        for i in range(j):
+            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+            H[i, j] = t
+        denom = np.hypot(H[j, j], H[j + 1, j])
+        if denom <= krylov.BREAKDOWN_TOL * col:
+            raise krylov.Breakdown("Hessenberg column vanished in GMRES")
+        cs[j] = H[j, j] / denom
+        sn[j] = H[j + 1, j] / denom
+        H[j, j] = denom
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
+
+        rep.iterations += 1
+        res = krylov._finite(float(abs(g[j + 1])))
+        rep.residual_history.append(res)
+
+        happy = H[j + 1, j] <= krylov.BREAKDOWN_TOL * col
+        if not happy:
+            V.append(w / H[j + 1, j])
+        j += 1
+        if res <= stop or happy:
+            break
+
+    y = np.zeros(j)
+    for i in range(j - 1, -1, -1):
+        y[i] = (g[i] - H[i, i + 1:j] @ y[i + 1:j]) / H[i, i]
+    if image:
+        return x + precond.combine(Z, y)
+    return x + np.array(Z).T @ y
+
+
+def _both_cycles(monkeypatch, run):
+    """run() under the in-place cycle and under the reference; run builds
+    its own preconditioners, so their counts start at zero each time."""
+    out = run()
+    with monkeypatch.context() as m:
+        m.setattr(krylov, "_gmres", _reference_gmres)
+        ref = run()
+    return out, ref
+
+
+def _assert_same_solves(out, ref):
+    # reports compare field by field: residual histories, iterations and
+    # applications exactly
+    (x, reps), (x_ref, reps_ref) = out, ref
+    assert np.array_equal(x, x_ref)
+    assert reps == reps_ref
+
+
+def _steps(tab, prob, dt, cfg, inner="exact"):
+    def run():
+        kind, params = linop.parse_inner(inner)
+        st = IRKStepper(tab, prob, dt, outer_cfg=cfg, inner_kind=kind,
+                        inner_params=params)
+        u, reps = np.sin(np.arange(prob.n) * 0.37), []
+        for k in range(2):
+            u, step = st.advance(u, k * dt)
+            reps += step
+        return u, reps
+    return run
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("scheme", [("lobattoIIIC", 5), ("gauss", 3),
+                                    ("SDIRK4L", 5)])
+@pytest.mark.parametrize("restart", [2, 30])
+def test_gmres_cycle_matches_the_reference_on_the_fft_path(
+        monkeypatch, dim, n, scheme, restart):
+    # FFT pairs and real factors (whose image is the direction itself,
+    # a happy breakdown after one iteration) and an SDIRK chain
+    grid = GridSpec(dim=dim, n=n)
+    prob = build_fd_mms(grid, fd_order=4)
+    cfg = KrylovConfig(method="gmres", rel_tol=1e-10, restart=restart)
+    out, ref = _both_cycles(monkeypatch, _steps(build_tableau(*scheme),
+                                                prob, 8 * grid.h, cfg))
+    _assert_same_solves(out, ref)
+    if scheme[0] != "SDIRK4L":  # whose every stage is a real factor
+        assert max(rep.iterations for rep in out[1]) > 2
+
+
+@pytest.mark.parametrize("inner", ["jacobi", "gs:2", "krylov:1e-2"])
+@pytest.mark.parametrize("restart", [2, 30])
+def test_gmres_cycle_matches_the_reference_with_inexact_inner_solves(
+        monkeypatch, inner, restart):
+    # the path that applies op after P, and a nested GMRES inside P
+    grid = GridSpec(dim=1, n=24)
+    prob = build_fd_mms(grid, fd_order=2)
+    cfg = KrylovConfig(method="gmres", rel_tol=1e-10, restart=restart)
+    out, ref = _both_cycles(monkeypatch, _steps(build_tableau("gauss", 2),
+                                                prob, 2 * grid.h, cfg,
+                                                inner))
+    _assert_same_solves(out, ref)
+
+
+@pytest.mark.parametrize("restart", [2, 30])
+def test_gmres_cycle_matches_the_reference_on_the_lu_sandwich(
+        monkeypatch, restart):
+    # fem: a pair's image from P M P with the sparse LU, and the LU's own
+    # image (the base class's) on the real factor
+    grid = GridSpec(dim=1, n=64)
+    prob = build_fem_diffusion_1d(grid)
+    cfg = KrylovConfig(method="gmres", rel_tol=1e-10, restart=restart)
+    out, ref = _both_cycles(monkeypatch, _steps(build_tableau("gauss", 3),
+                                                prob, 2 * grid.h, cfg))
+    _assert_same_solves(out, ref)
+
+
+def test_gmres_cycle_matches_the_reference_on_a_happy_breakdown(
+        monkeypatch):
+    # two distinct eigenvalues: the Krylov space is invariant after two
+    # iterations; with no preconditioner the directions are the basis
+    # vectors themselves
+    op = SparseOperator(sp.diags(np.repeat([1.0, 2.0], 20), format="csr"))
+    b = np.random.default_rng(43).standard_normal(40)
+    cfg = KrylovConfig(method="gmres", rel_tol=1e-14)
+
+    def run():
+        x, rep = solve(op, b, None, cfg)
+        return x, [rep]
+
+    out, ref = _both_cycles(monkeypatch, run)
+    _assert_same_solves(out, ref)
+    assert out[1][0].iterations == 2 and out[1][0].converged
+
+
+def test_gmres_cycle_matches_the_reference_with_an_exact_lu(monkeypatch):
+    # op is precond.op on a sparse LU: the base class's image, written
+    # into out, is the direction's basis vector, a happy breakdown
+    op = SparseOperator(spd_tridiag(40).mat + sp.diags(np.full(39, 0.3), 1))
+    b = np.random.default_rng(44).standard_normal(40)
+    cfg = KrylovConfig(method="gmres", rel_tol=1e-12, restart=3)
+
+    def run():
+        pc = build_inner_preconditioner("exact", op)
+        assert pc.op is op
+        x, rep = solve(op, b, pc, cfg)
+        return x, [rep]
+
+    out, ref = _both_cycles(monkeypatch, run)
+    _assert_same_solves(out, ref)
+    assert out[1][0].iterations == 1 and out[1][0].converged

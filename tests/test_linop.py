@@ -292,7 +292,8 @@ def test_exact_fft_residual():
         pair = ComposedOperator(
             op.n, lambda u: A_eta.apply(A_eta.apply(u)) + beta ** 2 * u)
         sq = ExactFFT(op).square(pair, delta, delta ** 2 + beta ** 2)
-        d, w = sq.apply_with_image(sq.forward(v))
+        vh = sq.forward(v)
+        d, w = sq.apply_with_image(vh, np.empty_like(vh))
         z = sq.combine([d], np.ones(1))
         assert sq.op is pair and sq.applications == 2
         assert np.linalg.norm(z - sq.apply(v)) <= 1e-13 * np.linalg.norm(z)
@@ -318,6 +319,33 @@ def test_exact_fft_forward_is_an_isometry():
             for v in vectors:
                 tol = 1e-14 * _norm(u) * _norm(v)
                 assert abs(fu @ pc.forward(v) - u @ v) <= tol, (dim, n)
+
+
+def test_exact_fft_combine_follows_square():
+    # combine is irfftn(sum_j y_j d_j * inv / weights) with the inverse
+    # symbol of the moment: its back-multiplier, built on first use, is
+    # rebuilt after square, bit for bit the formula either way
+    eta, beta = 3.0, np.sqrt(3.0)
+    gamma = np.hypot(eta, beta)
+    for dim, n in ((1, 16), (1, 33), (2, 16), (2, 33)):
+        grid = GridSpec(dim=dim, n=n)
+        L = build_advdiff(grid, (0.85, 1.0)[:dim], (0.3, 0.25)[:dim], 4)
+        op = shifted_operator(gamma, 2 * grid.h, IdentityMass(grid.size), L)
+        shape = op.symbol.shape
+        inv = 1.0 / op.symbol[..., :shape[-1] // 2 + 1]
+        D = rng.standard_normal((3, 2 * inv.size))
+        y = rng.standard_normal(3)
+
+        def formula(inv):
+            vh = (y @ D).view(np.complex128).reshape(inv.shape)
+            return np.fft.irfftn(vh * (inv / linop._half_weights(shape)),
+                                 s=shape, axes=tuple(range(dim))).ravel()
+
+        pc = ExactFFT(op)
+        assert np.array_equal(pc.combine(D, y), formula(inv))
+        pc.square(op, gamma - eta, beta ** 2 + (gamma - eta) ** 2)
+        assert np.array_equal(pc.combine(D, y), formula(inv ** 2))
+        assert np.array_equal(pc.combine(list(D), y), formula(inv ** 2))
 
 
 def test_zero_mode_raises_factorization_failure():

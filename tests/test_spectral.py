@@ -91,7 +91,7 @@ def test_triangular_tableau_factors_are_the_reciprocal_diagonal():
     # beta 7.6e-9, and SDIRK2L two reals off 2 + sqrt(2) in the 8th digit
     triangular = [build_tableau(fam, s) for fam, s in SUPPORTED_TABLEAUX
                   if build_tableau(fam, s).is_lower_triangular]
-    assert {"SDIRK2L", "SDIRK3L", "BackwardEuler"} <= \
+    assert {"SDIRK2L", "SDIRK3L", "SDIRK4L", "BackwardEuler"} <= \
         {t.family for t in triangular}
     for t in triangular:
         factors = factor_list(spectral_decompose(t))
@@ -162,7 +162,8 @@ def test_partial_fractions_reproduce_the_stability_function():
     for fam, s in SUPPORTED_TABLEAUX:
         t = build_tableau(fam, s)
         sd = spectral_decompose(t)
-        assert sd.chained == (fam in ("SDIRK2L", "SDIRK3L", "BackwardEuler")
+        assert sd.chained == (fam in ("SDIRK2L", "SDIRK3L", "SDIRK4L",
+                                      "BackwardEuler")
                               or (fam, s) == ("Gauss", 1))
         err = 0.0
         for z in zs:

@@ -192,7 +192,8 @@ def test_pair_preconditioner_squares_the_fft_solve():
     fused = pair.apply(v)
     assert pair.applications - before == 2
     assert np.linalg.norm(fused - twice) <= 1e-13 * np.linalg.norm(twice)
-    d, w = pair.apply_with_image(pair.forward(v))
+    vh = pair.forward(v)
+    d, w = pair.apply_with_image(vh, np.empty_like(vh))
     ref = pair.forward(pair_op.apply(pair.combine([d], np.ones(1))))
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -228,7 +229,7 @@ def test_fft_direction_takes_no_fft(monkeypatch):
         calls.update(rfftn=0, irfftn=0)
         vh = pc.forward(v)
         assert calls == {"rfftn": 1, "irfftn": 0}
-        d, _w = pc.apply_with_image(vh)
+        d, _w = pc.apply_with_image(vh, np.empty_like(vh))
         assert pc.applications - before == apps
         assert calls == {"rfftn": 1, "irfftn": 0}
         z = pc.combine([d], np.ones(1))
@@ -363,7 +364,8 @@ def test_exact_inner_image_matches_operator_apply(label):
     errors = {}
     for key, (op, pc) in cases.items():
         calls = _count_op_applies([op])
-        d, w = pc.apply_with_image(pc.forward(v))
+        vh = pc.forward(v)
+        d, w = pc.apply_with_image(vh, np.empty_like(vh))
         assert calls[op] == 0, key
         z = pc.combine([d], np.ones(1))
         ref = pc.forward(op.apply(z))
@@ -521,6 +523,12 @@ def test_dahlquist_matches_stability_function():
     assert uo[0] == pytest.approx(R, rel=1e-12)
 
 
+#: where the sparse LU of advance_oracle is the less accurate side: on
+#: SDIRK4L (entries up to 7.8 in A0) at n = 1024 it is 4.2e-12 from a
+#: 40-digit solve of each mode's system, advance_symbol 1.1e-14
+_ORACLE_TOL = {("SDIRK4L", 5): 1e-11}
+
+
 @pytest.mark.parametrize("dim,n", [(1, 40), (2, 12), (1, 1024)])
 def test_symbol_oracle_equals_dense_oracle(dim, n):
     # every tableau, on the forced MMS problem, from random data
@@ -532,8 +540,10 @@ def test_symbol_oracle_equals_dense_oracle(dim, n):
         tab = build_tableau(fam, s)
         want = advance_oracle(tab, prob, u, 0.3, dt)
         got = advance_symbol(tab, prob, u, 0.3, dt)
-        errors[fam, s] = np.linalg.norm(got - want) / np.linalg.norm(want)
-    assert max(errors.values()) <= 1e-12, errors
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        if err > _ORACLE_TOL.get((fam, s), 1e-12):
+            errors[fam, s] = err
+    assert not errors, errors
 
 
 def test_oracle_matches_irk_on_fem_diffusion_at_n_2048():
