@@ -26,6 +26,9 @@ these operators.
 An assembled matrix is a float64 CSR matrix, and its apply is one call
 of scipy's csr_matvec kernel on the operator's own arrays: the kernel
 that mat @ v reaches, without scipy's per-call dispatch.
+scipy.sparse.linalg (SuperLU, ARPACK) is imported only inside the sparse
+LU, the Gauss-Seidel solve and the Lanczos bound, so a circulant run
+with the FFT solve never loads it.
 
 A conjugate pair eta +- i beta is the real system M Q_eta
 = (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M, preconditioned by
@@ -45,7 +48,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
 from .krylov import DimensionMismatch, KrylovConfig, Preconditioner, solve
@@ -343,6 +345,7 @@ def _sparse_lu(op):
     column ordering and partial pivoting.  Raises FactorizationFailure
     for an exactly singular matrix and for a pivot at most 1e-14 of
     op.norm."""
+    import scipy.sparse.linalg as spla
     try:
         lu = spla.splu(sp.csc_matrix(op.mat))
     except RuntimeError as exc:
@@ -620,10 +623,12 @@ class GaussSeidel(_Relaxation):
 
     def __init__(self, op: LinearOperator, sweeps: int = 1):
         super().__init__(op, sweeps)
+        import scipy.sparse.linalg as spla
         self._lower = sp.csr_matrix(sp.tril(op.mat, k=0))
+        self._solve_lower = spla.spsolve_triangular
 
     def _sweep(self, r):
-        return spla.spsolve_triangular(self._lower, r, lower=True)
+        return self._solve_lower(self._lower, r, lower=True)
 
 
 class InnerKrylov(Preconditioner):
@@ -809,6 +814,7 @@ def fov_upper_bound(L: LinearOperator) -> float:
     shift = float(_abs_row_sums(S).max())  # >= rho(S)
     if shift == 0.0:
         return 0.0
+    import scipy.sparse.linalg as spla
     try:
         val = spla.eigsh(S + shift * sp.identity(L.n), k=1, which="LA",
                          maxiter=10000, tol=1e-12,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -135,6 +137,53 @@ def test_mms_sparse_meshgrid_is_bit_identical_to_dense():
                                       mms_solution(X, t).reshape(-1))
                 assert np.array_equal(prob.forcing(t),
                                       mms_source(X, t).reshape(-1))
+
+
+def _reference_bump(w):
+    return np.sin(0.5 * np.pi * w) ** 4
+
+
+def _reference_bump_d2(w):
+    # second derivative of sin^4(pi w / 2)
+    s = np.sin(0.5 * np.pi * w)
+    c = np.cos(0.5 * np.pi * w)
+    return np.pi ** 2 * (3.0 * s ** 2 * c ** 2 - s ** 4)
+
+
+def _reference_solution(xs, t):
+    adv, diff = (0.85, 1.0)[:len(xs)], (0.3, 0.25)[:len(xs)]
+    g = [_reference_bump(x - 1 - a * t) for x, a in zip(xs, adv)]
+    return math.prod(g + [np.exp(-sum(diff) * t)])
+
+
+def _reference_source(xs, t):
+    adv, diff = (0.85, 1.0)[:len(xs)], (0.3, 0.25)[:len(xs)]
+    decay = sum(diff)
+    w = [x - 1 - a * t for x, a in zip(xs, adv)]
+    g = [_reference_bump(wk) for wk in w]
+    s_val = math.prod(g, start=-decay)
+    for k, d in enumerate(diff):
+        s_val = s_val - math.prod(g[:k] + [_reference_bump_d2(w[k])]
+                                  + g[k + 1:], start=d)
+    return np.exp(-decay * t) * s_val
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mms_forcing_and_solution_keep_the_two_sine_formula(dim):
+    # the forcing takes sin^4 and its second derivative from one sine
+    # per axis, the reference a sine for each: sharing it must change
+    # no bit of either the forcing or the solution
+    ts = np.random.default_rng(50 + dim).uniform(-2.0, 10.0, 60)
+    for n in (5, 16, 17, 64, 128):
+        grid = GridSpec(dim=dim, n=n)
+        prob = build_fd_mms(grid, 4)
+        X = np.meshgrid(*[grid.points_1d()] * dim, indexing="ij",
+                        sparse=True)
+        for t in ts:
+            assert np.array_equal(prob.forcing(t),
+                                  _reference_source(X, t).reshape(-1))
+            assert np.array_equal(prob.exact_solution(t),
+                                  _reference_solution(X, t).reshape(-1))
 
 
 def same(A, B):
