@@ -88,11 +88,12 @@ class FieldOfValuesViolation(ValueError):
 class LinearOperator:
     """Square linear operator of dimension n.
 
-    Subclasses implement apply(v); mat is the assembled sparse form when
-    one exists (None for purely matrix-free operators).  symmetric is
-    decided once per operator: from the matrix, from the symbol of a
-    circulant, from the parts of a composite operator, False for a
-    matrix-free one.  norm is ||op||, the one scale of krylov.solve's
+    Subclasses implement apply(v).  Every L, M and shift is assembled,
+    with its matrix as mat; only the pair system M Q_eta and
+    BlockStepper's ComposedOperator are matrix-free, with no mat.
+    symmetric is decided once per operator: from the matrix, from the
+    symbol of a circulant, from the parts of a composite operator, False
+    for a composed one.  norm is ||op||, the one scale of krylov.solve's
     residual floor, the exact solve's pivot check and the W(L) <= 0
     tolerance: the infinity-norm of an assembled matrix, the exact
     2-norm of a circulant, a bound built from the parts of a composite
@@ -101,18 +102,12 @@ class LinearOperator:
 
     symmetric = False
     norm = 0.0
-    mat = None
 
     def __init__(self, n: int):
         self.n = int(n)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def to_dense(self) -> np.ndarray:
-        if self.mat is not None:
-            return np.asarray(self.mat.todense())
-        return np.column_stack([self.apply(e) for e in np.eye(self.n)])
 
 
 def _real_csr(mat):
@@ -294,7 +289,7 @@ def _pattern(offsets, shape):
 
 
 class ComposedOperator(LinearOperator):
-    """Matrix-free wrapper around a callable."""
+    """Matrix-free wrapper around a callable: BlockStepper's stage operator."""
 
     def __init__(self, n: int, fn):
         super().__init__(n)
@@ -329,8 +324,8 @@ class IdentityMass(MassOperator):
     @cached_property
     def mat(self):
         """The identity as CSR, built on first use: the stage-system
-        oracle and a shift with a matrix-free or non-circulant L read
-        it, a circulant shift never does."""
+        oracle and a shift with a non-circulant L read it, a circulant
+        shift never does."""
         return sp.identity(self.n, format="csr")
 
     def apply(self, v):
@@ -407,7 +402,7 @@ class SparseMass(SparseOperator, MassOperator):
 # ----------------------------------------------------------------------
 
 def shifted_operator(gamma: float, dt: float, M: MassOperator,
-                     L: LinearOperator) -> LinearOperator:
+                     L: SparseOperator) -> SparseOperator:
     """The backward-Euler-type operator gamma*M - dt*L.
 
     Combined from the stencils when L is circulant and M is the identity
@@ -416,9 +411,8 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
     L's, summed in that order as scipy's sparse difference gives it.
     With M = I it is circulant, its matrix assembled on first use; with
     a mass it is the SparseOperator of that stencil's stencil_matrix.
-    Otherwise it is scipy's gamma*M.mat - dt*L.mat when both inputs
-    have a matrix, and composed matrix-free when one has none.  It is
-    symmetric when M and L are.
+    Otherwise it is scipy's gamma*M.mat - dt*L.mat.  It is symmetric
+    when M and L are.
     """
     if M.n != L.n:
         raise DimensionMismatch(f"mass dim {M.n} != operator dim {L.n}")
@@ -430,10 +424,8 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
         op = (CirculantOperator(stencil, gamma - dt * L.symbol)
               if M.is_identity else
               SparseOperator(stencil_matrix(stencil, L.symbol.shape)))
-    elif M.mat is not None and L.mat is not None:
-        op = SparseOperator(gamma * M.mat - dt * L.mat)
     else:
-        op = ComposedOperator(L.n, lambda v: gamma * M.apply(v) - dt * L.apply(v))
+        op = SparseOperator(gamma * M.mat - dt * L.mat)
     op.symmetric = M.symmetric and L.symmetric
     return op
 
@@ -444,10 +436,8 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
 class ExactSparseLU(Preconditioner):
     """Exact solve through one sparse LU of the assembled operator."""
 
-    def __init__(self, op: LinearOperator):
+    def __init__(self, op: SparseOperator):
         super().__init__(op.n)
-        if op.mat is None:
-            raise FactorizationFailure("exact factorization needs an assembled matrix")
         self.op = op
         self._lu = _sparse_lu(op)
 
@@ -572,10 +562,8 @@ class _Relaxation(Preconditioner):
     subclass's _sweep applies B, an approximate inverse of the assembled
     operator A."""
 
-    def __init__(self, op: LinearOperator, sweeps: int = 1):
+    def __init__(self, op: SparseOperator, sweeps: int = 1):
         super().__init__(op.n)
-        if op.mat is None:
-            raise ValueError(f"{self.kind} needs an assembled matrix")
         self.sweeps = int(sweeps)
         if self.sweeps < 1:
             raise ValueError(f"{self.kind} needs at least one sweep, "
@@ -704,12 +692,17 @@ def parse_inner(spec: str, dim=None):
     return kind, params
 
 
-def build_inner_preconditioner(kind: str, op: LinearOperator,
+def build_inner_preconditioner(kind: str, op: SparseOperator,
                                **params) -> Preconditioner:
     """The inner solve of kind, a key of INNER_SOLVES (what parse_inner
-    resolves a spec to), for op; params go to the row's builder."""
+    resolves a spec to), for op; params go to the row's builder.  op
+    must be assembled, a SparseOperator (a circulant is one): any other
+    operator is a TypeError."""
     if kind not in INNER_SOLVES:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
+    if not isinstance(op, SparseOperator):
+        raise TypeError("an inner solve needs an assembled SparseOperator, "
+                        f"got {type(op).__name__}")
     return INNER_SOLVES[kind].build(op, **params)
 
 
@@ -790,26 +783,23 @@ def pair_system(A_eta: LinearOperator, P: Preconditioner, M: MassOperator,
 DENSE_LIMIT = 1024
 
 
-def fov_upper_bound(L: LinearOperator) -> float:
+def fov_upper_bound(L: SparseOperator) -> float:
     """max Re W(L) for real L: the largest eigenvalue of (L + L^T)/2.
 
     Nonpositive return certifies that the field of values lies in the
     closed left half plane.  A circulant is normal, so the value is the
     largest real part of its symbol, exactly.  Otherwise a dense solve
-    of L.to_dense() up to DENSE_LIMIT, assembled or matrix-free; beyond
-    that, Lanczos on the assembled symmetric part, shifted positive so
-    the ARPACK relative tolerance is meaningful when the true answer is
-    0, and EigenFailure for a matrix-free L.
+    of L.mat up to DENSE_LIMIT; beyond that, Lanczos on the symmetric
+    part, shifted positive so the ARPACK relative tolerance is
+    meaningful when the true answer is 0, from a seeded random start so
+    that one L gives one bound (not the ones vector, an eigenvector of a
+    periodic stencil's symmetric part).  EigenFailure when ARPACK fails.
     """
     if isinstance(L, CirculantOperator):
         return float(np.max(L.symbol.real))
     if L.n <= DENSE_LIMIT:
-        A = L.to_dense()
+        A = L.mat.toarray()
         return float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
-    if L.mat is None:
-        raise EigenFailure(
-            f"matrix-free operator of dim {L.n} > {DENSE_LIMIT}: "
-            "no sparse symmetric part available")
     S = (L.mat + L.mat.T) * 0.5
     shift = float(_abs_row_sums(S).max())  # >= rho(S)
     if shift == 0.0:
@@ -818,6 +808,7 @@ def fov_upper_bound(L: LinearOperator) -> float:
     try:
         val = spla.eigsh(S + shift * sp.identity(L.n), k=1, which="LA",
                          maxiter=10000, tol=1e-12,
+                         v0=np.random.default_rng(0).standard_normal(L.n),
                          return_eigenvectors=False)
     except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
         raise EigenFailure(str(exc)) from exc

@@ -58,7 +58,8 @@ import scipy.sparse as sp
 
 from .krylov import KrylovConfig, Preconditioner, _norm, solve
 from .linop import (CirculantOperator, ComposedOperator, DimensionMismatch,
-                    FieldOfValuesViolation, LinearOperator, MassOperator,
+                    FieldOfValuesViolation, IdentityMass, MassOperator,
+                    SparseMass, SparseOperator,
                     build_inner_preconditioner, fov_upper_bound,
                     pair_system, shifted_operator)
 from .spectral import factor_list, spectral_decompose
@@ -103,13 +104,20 @@ class SingularSystem(RuntimeError):
 class LinearProblem:
     """Method-of-lines system M u'(t) = L u + f(t).
 
-    forcing maps t to an N-vector (None for f = 0); exact_solution, when
-    available, maps t to the exact grid solution.  The left-half-plane
-    condition W(L) <= 0 is verified once at construction.
+    L is a SparseOperator (a circulant is one) and M an IdentityMass or
+    a SparseMass, so both are assembled; a TypeError otherwise, from
+    their types alone, so no lazy matrix is built.  forcing maps t to an
+    N-vector (None for f = 0); exact_solution, when available, maps t to
+    the exact grid solution.  The left-half-plane condition W(L) <= 0 is
+    verified once at construction.
     """
 
-    def __init__(self, M: MassOperator, L: LinearOperator, forcing=None,
+    def __init__(self, M: MassOperator, L: SparseOperator, forcing=None,
                  exact_solution=None):
+        if not (isinstance(L, SparseOperator)
+                and isinstance(M, (IdentityMass, SparseMass))):
+            raise TypeError("L and M must be assembled: got L a "
+                            f"{type(L).__name__}, M a {type(M).__name__}")
         if M.n != L.n:
             raise DimensionMismatch(f"mass dim {M.n} != operator dim {L.n}")
         self.M = M
@@ -290,17 +298,15 @@ def _stage_rhs(tableau: ButcherTableau, problem: LinearProblem,
 def advance_oracle(tableau: ButcherTableau, problem: LinearProblem,
                    u_n: np.ndarray, t_n: float, dt: float) -> np.ndarray:
     """One sparse LU solve of the full (N s x N s) stage system
-    (I x M - dt A0 x L) k = [f(t_n + c_i dt) + L u_n]_i, then the update
-    u + dt * sum b_i k_i: the reference for equivalence tests at any
-    size.  A matrix-free L enters through its dense form.  On SDIRK4L
-    the LU is the less accurate side: on the forced MMS problem at
-    n = 1024, dt = 4h, this step is 4.2e-12 (relative 2-norm) from a
-    40-digit solve of every Fourier mode's system, advance_symbol's
-    1.1e-14, so a circulant reference should be advance_symbol."""
-    L = problem.L
-    Lmat = L.mat if L.mat is not None else L.to_dense()
+    (I x M - dt A0 x L) k = [f(t_n + c_i dt) + L u_n]_i, assembled from
+    M.mat and L.mat, then the update u + dt * sum b_i k_i: the reference
+    for equivalence tests at any size.  On SDIRK4L the LU is the less
+    accurate side: on the forced MMS problem at n = 1024, dt = 4h, this
+    step is 4.2e-12 (relative 2-norm) from a 40-digit solve of every
+    Fourier mode's system, advance_symbol's 1.1e-14, so a circulant
+    reference should be advance_symbol."""
     system = sp.kron(sp.identity(tableau.s), problem.M.mat) \
-        - dt * sp.kron(tableau.A0, Lmat)
+        - dt * sp.kron(tableau.A0, problem.L.mat)
     import scipy.sparse.linalg as spla
     try:
         lu = spla.splu(sp.csc_matrix(system))

@@ -339,7 +339,7 @@ def _dg_in_time(q):
 
 def _dg_step(q, prob, u, dt):
     Mt, K, at0 = _dg_in_time(q)
-    M, L = prob.M.to_dense(), prob.L.to_dense()
+    M, L = prob.M.mat.toarray(), prob.L.mat.toarray()
     U = np.linalg.solve(np.kron(K, M) - dt * np.kron(Mt, L),
                         np.kron(at0, M @ u))
     return U.reshape(q + 1, -1).sum(axis=0)

@@ -51,7 +51,7 @@ def test_eigenvalues_match_fourier_symbol():
     for order in (2, 4):
         L = build_advdiff(grid, 0.85, 0.3, order)
         sym = L.symbol
-        ev = np.linalg.eigvals(L.to_dense())
+        ev = np.linalg.eigvals(L.mat.toarray())
         # multiset match (conjugate pairs may sort differently)
         dists = np.abs(ev[:, None] - sym[None, :])
         assert np.max(dists.min(axis=1)) < 1e-9
@@ -66,7 +66,7 @@ def test_unsupported_order():
 def test_upwind_stencil_and_sign():
     grid = GridSpec(dim=1, n=8)
     h = grid.h
-    L = build_upwind_advection(grid, 1.0).to_dense()
+    L = build_upwind_advection(grid, 1.0).mat.toarray()
     # L u ~ -a u_x: row i has +a/h at i-1 and -a/h at i
     assert L[3, 2] == pytest.approx(1.0 / h)
     assert L[3, 3] == pytest.approx(-1.0 / h)
@@ -79,7 +79,7 @@ def test_upwind_stencil_and_sign():
 def test_upwind_symmetric_part_nonpositive():
     grid = GridSpec(dim=1, n=64)
     L = build_upwind_advection(grid, 1.0)
-    S = 0.5 * (L.to_dense() + L.to_dense().T)
+    S = 0.5 * (L.mat.toarray() + L.mat.toarray().T)
     assert np.linalg.eigvalsh(S)[-1] <= 1e-12
 
 
@@ -91,7 +91,7 @@ def test_upwind_spectrum_imaginary_dominant():
     # peaks at the fully damped theta = pi mode.)
     for n in (32, 64):
         grid = GridSpec(dim=1, n=n)
-        ev = np.linalg.eigvals(build_upwind_advection(grid, 1.0).to_dense())
+        ev = np.linalg.eigvals(build_upwind_advection(grid, 1.0).mat.toarray())
         dom = np.abs(ev.imag) > np.abs(ev.real) + 1e-12
         assert dom.sum() >= n // 3
         assert np.abs(ev.imag[dom]).max() > 0.9 / grid.h
@@ -259,7 +259,7 @@ def test_fem_mass_row_sums_and_spd():
     grid = GridSpec(dim=1, n=32)
     M = build_fem_mass_1d(grid)
     assert np.allclose(M.mat.sum(axis=1), grid.h, atol=1e-15)
-    assert np.linalg.eigvalsh(M.to_dense()).min() > 0
+    assert np.linalg.eigvalsh(M.mat.toarray()).min() > 0
 
 
 def test_fem_mass_is_the_coo_build_bit_for_bit():

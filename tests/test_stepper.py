@@ -98,13 +98,19 @@ def _problem_with_stage_forcing(n, mass, r):
     return LinearProblem(M, L, forcing=_stage_forcing(n, r))
 
 
+def _columns(op):
+    """The dense matrix of op, one apply per column: a pair's M Q_eta
+    is matrix-free."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.n)])
+
+
 def _dense_factor_solves(st, rhs):
     """sum_j y_j from dense solves of each factor's operator (chained
     solves: y_j from rhs_j + M y_{j-1}, and the last y_j)."""
-    Md = st.problem.M.to_dense()
+    Md = st.problem.M.mat.toarray()
     y = np.zeros(st.problem.n)
     for sv, b in zip(st.solves, rhs):
-        x = np.linalg.solve(sv.op.to_dense(),
+        x = np.linalg.solve(_columns(sv.op),
                             b + (Md @ y if st._chained else 0))
         y = x if st._chained else y + x
     return y
@@ -562,24 +568,35 @@ def test_oracle_matches_irk_on_fem_diffusion_at_n_2048():
     assert max(errors.values()) < 1e-9, errors
 
 
-def test_oracle_takes_a_matrix_free_operator():
-    # a ComposedOperator enters the stage system through to_dense()
-    n = 12
-    r = np.random.default_rng(12)
-    A = random_stable_matrix(n, r, scale=2.0)
-    v0, u = r.standard_normal(n), r.standard_normal(n)
+def test_linear_problem_rejects_a_matrix_free_operator():
+    # every L is assembled: a composed L is a TypeError at construction
+    with pytest.raises(TypeError, match="assembled"):
+        LinearProblem(IdentityMass(12), ComposedOperator(12, lambda v: -v))
 
-    def forcing(t):
-        return np.cos(t) * v0
 
-    assembled, free = (LinearProblem(IdentityMass(n), L, forcing=forcing)
-                       for L in (SparseOperator(sp.csr_matrix(A)),
-                                 ComposedOperator(n, lambda v: A @ v)))
-    for fam, s in [("Gauss", 2), ("RadauIIA", 3), ("SDIRK3L", 3)]:
-        tab = build_tableau(fam, s)
-        want = advance_oracle(tab, assembled, u, 0.1, 0.3)
-        got = advance_oracle(tab, free, u, 0.1, 0.3)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), fam
+def test_linear_problem_rejects_a_mass_without_a_matrix():
+    class LumpedMass(linop.MassOperator):
+        def apply(self, v):
+            return 2.0 * v
+
+        def solve(self, v):
+            return 0.5 * v
+
+    n = 8
+    with pytest.raises(TypeError, match="assembled"):
+        LinearProblem(LumpedMass(n),
+                      SparseOperator(-sp.identity(n, format="csr")))
+
+
+def test_linear_problem_builds_no_lazy_matrix():
+    # the check reads types alone: a circulant L and the identity mass
+    # keep their matrices unbuilt, as a circulant run with the FFT solve
+    # never builds them
+    grid = GridSpec(dim=2, n=16)
+    L = build_advdiff(grid, (0.85, 1.0), (0.3, 0.25), 4)
+    M = IdentityMass(grid.size)
+    LinearProblem(M, L)
+    assert "mat" not in vars(L) and "mat" not in vars(M)
 
 
 def test_oracle_singular_stage_system_raises():
@@ -1096,7 +1113,7 @@ def test_pair_operator_norm(label):
     prob, grid = _image_setup(label)
     st = IRKStepper(build_tableau("radauIIA", 3), prob, 2 * grid.h)
     op = st.solves[0].op
-    dense = np.linalg.norm(op.to_dense(), 2)
+    dense = np.linalg.norm(_columns(op), 2)
     if label == "fft-identity":
         assert op.norm == pytest.approx(dense, rel=1e-12)
     else:
