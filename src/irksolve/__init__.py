@@ -46,7 +46,6 @@ from .stepper import (
     IRKStepper,
     BlockStepper,
     advance_oracle,
-    advance_symbol,
     FactorSolveFailure,
 )
 from .spatial import (

@@ -27,8 +27,9 @@ An assembled matrix is a float64 CSR matrix, and its apply is one call
 of scipy's csr_matvec kernel on the operator's own arrays: the kernel
 that mat @ v reaches, without scipy's per-call dispatch.
 scipy.sparse.linalg (SuperLU, ARPACK) is imported only inside the sparse
-LU, the Gauss-Seidel solve and the Lanczos bound, so a circulant run
-with the FFT solve never loads it.
+LU, the Gauss-Seidel solve and the Lanczos bounds (on W(L), and on
+||M^{-1}|| of a mass already factored), so a circulant run with the FFT
+solve never loads it.
 
 A conjugate pair eta +- i beta is the real system M Q_eta
 = (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M, preconditioned by
@@ -303,11 +304,10 @@ class ComposedOperator(LinearOperator):
 # Mass operators
 
 class MassOperator(LinearOperator):
-    """Mass matrix with an exact solve.  inv_norm bounds ||M^{-1}||, 0
-    when no bound is known.  A periodic mass keeps its canonical stencil
-    and the shape of its grid; stencil and grid are None for any other."""
+    """Mass matrix with an exact solve.  inv_norm bounds ||M^{-1}||.  A
+    periodic mass keeps its canonical stencil and the shape of its grid;
+    stencil and grid are None for any other."""
 
-    inv_norm = 0.0
     is_identity = False
     stencil = grid = None
 
@@ -388,12 +388,22 @@ class SparseMass(SparseOperator, MassOperator):
 
     @cached_property
     def inv_norm(self) -> float:
-        """1 / min_i (2 m_ii - sum_j |m_ij|), the Gershgorin bound on
-        ||M^{-1}|| for an SPD M (3/h for the linear-FEM mass); 0 when
-        M is not diagonally dominant."""
+        """||M^{-1}|| for an SPD M, never 0: the Gershgorin bound
+        1 / min_i (2 m_ii - sum_j |m_ij|) when that gap is positive (3/h
+        for the linear-FEM mass), else 1 / lambda_min, by a dense
+        eigensolve up to DENSE_LIMIT and beyond it by Lanczos on M^{-1}
+        through the mass's own LU, from a seeded random start so that
+        one M gives one value.  EigenFailure when ARPACK fails."""
         gap = float(np.min(2.0 * self.mat.diagonal()
                            - _abs_row_sums(self.mat)))
-        return 1.0 / gap if gap > 0.0 else 0.0
+        if gap > 0.0:
+            return 1.0 / gap
+        if self.n <= DENSE_LIMIT:
+            return 1.0 / float(np.linalg.eigvalsh(self.mat.toarray())[0])
+        import scipy.sparse.linalg as spla
+        inverse = spla.LinearOperator((self.n, self.n), matvec=self.solve,
+                                      dtype=np.float64)
+        return _lanczos_max(inverse, self.n)
 
     def solve(self, v):
         return self._lu.solve(v)
@@ -722,13 +732,10 @@ class _QuadraticSystem(LinearOperator):
     @cached_property
     def norm(self) -> float:
         """Exact from the symbol for a circulant A_eta (so M = I), else
-        the bound ||A_eta||^2 ||M^{-1}|| + beta^2 ||M|| (0 when
-        ||M^{-1}|| has none)."""
+        the bound ||A_eta||^2 ||M^{-1}|| + beta^2 ||M||."""
         A, M = self.A_eta, self.M
         if isinstance(A, CirculantOperator):
             return float(np.abs(A.symbol ** 2 + self._b2).max())
-        if not M.inv_norm:
-            return 0.0
         return A.norm ** 2 * M.inv_norm + self._b2 * M.norm
 
     def apply(self, v):
@@ -779,7 +786,8 @@ def pair_system(A_eta: LinearOperator, P: Preconditioner, M: MassOperator,
 
 # ----------------------------------------------------------------------
 
-#: largest dimension for which fov_upper_bound takes a dense eigensolve
+#: largest dimension for which fov_upper_bound and SparseMass.inv_norm
+#: take a dense eigensolve
 DENSE_LIMIT = 1024
 
 
@@ -804,12 +812,19 @@ def fov_upper_bound(L: SparseOperator) -> float:
     shift = float(_abs_row_sums(S).max())  # >= rho(S)
     if shift == 0.0:
         return 0.0
+    return _lanczos_max(S + shift * sp.identity(L.n), L.n) - shift
+
+
+def _lanczos_max(A, n: int) -> float:
+    """The largest eigenvalue of a symmetric A of dimension n (a sparse
+    matrix or a scipy LinearOperator) by ARPACK's Lanczos, from a seeded
+    random start so that one A gives one value.  EigenFailure when
+    ARPACK fails."""
     import scipy.sparse.linalg as spla
     try:
-        val = spla.eigsh(S + shift * sp.identity(L.n), k=1, which="LA",
-                         maxiter=10000, tol=1e-12,
-                         v0=np.random.default_rng(0).standard_normal(L.n),
+        val = spla.eigsh(A, k=1, which="LA", maxiter=10000, tol=1e-12,
+                         v0=np.random.default_rng(0).standard_normal(n),
                          return_eigenvectors=False)
     except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
         raise EigenFailure(str(exc)) from exc
-    return float(val[0]) - shift
+    return float(val[0])

@@ -31,7 +31,8 @@ def test_circulant_runs_never_load_sparse_linalg():
     code = f"""
 import contextlib, io, sys
 import irksolve
-from irksolve import GridSpec, IRKStepper, build_fd_mms, build_tableau, cli
+from irksolve import (GridSpec, IRKStepper, advance_oracle, build_fd_mms,
+                      build_tableau, cli)
 from irksolve.experiments import ExperimentSpec, build_problem
 
 def loaded():
@@ -42,6 +43,9 @@ grid = GridSpec(dim=2, n=16)
 prob = build_fd_mms(grid)
 IRKStepper(build_tableau("gauss", 2), prob, 2 * grid.h).advance(
     prob.exact_solution(0.0), 0.0)
+loaded()
+advance_oracle(build_tableau("radauIIA", 5), prob, prob.exact_solution(0.0),
+               0.0, 2 * grid.h)
 loaded()
 spec = ExperimentSpec(problem="advect1d-upwind", family="lobattoIIIC",
                       stages=5, grids=(64,))
@@ -55,12 +59,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0
 loaded()
 """
-    assert _fresh(code) == ["False"] * 4
+    assert _fresh(code) == ["False"] * 5
 
 
 #: one call per place that imports scipy.sparse.linalg, each setting
 #: result: _sparse_lu (the FEM mass and shift), GaussSeidel, the
-#: Lanczos branch of fov_upper_bound and advance_oracle
+#: Lanczos branch of fov_upper_bound and advance_oracle's LU, which a
+#: circulant L with M = I never reaches
 _CALLS = {
     "fem1d-step": """
 from irksolve import IRKStepper, build_tableau
@@ -92,11 +97,12 @@ assert L.n > DENSE_LIMIT
 result = fov_upper_bound(L)
 """,
     "oracle-step": """
-from irksolve import GridSpec, build_fd_mms, build_tableau
-from irksolve.stepper import advance_oracle
-prob = build_fd_mms(GridSpec(dim=1, n=64))
+from irksolve import GridSpec, SparseOperator, build_fd_mms, build_tableau
+from irksolve.stepper import LinearProblem, advance_oracle
+mms = build_fd_mms(GridSpec(dim=1, n=64))
+prob = LinearProblem(mms.M, SparseOperator(mms.L.mat), mms.forcing)
 result = advance_oracle(build_tableau("gauss", 2), prob,
-                        prob.exact_solution(0.0), 0.0, 0.0625)
+                        mms.exact_solution(0.0), 0.0, 0.0625)
 """,
 }
 

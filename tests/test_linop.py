@@ -393,9 +393,10 @@ def test_operator_norms():
     assert M.inv_norm >= np.linalg.norm(np.linalg.inv(M.mat.toarray()), 2)
     assert IdentityMass(4).norm == IdentityMass(4).inv_norm == 1.0
     assert SparseOperator(sp.csr_matrix((5, 5))).norm == 0.0
-    # no bound for a mass that is not diagonally dominant
+    # 1 / lambda_min for a mass that is not diagonally dominant: its
+    # eigenvalues are 0.4, 0.4 and 2.2
     spd = np.full((3, 3), 0.6) + 0.4 * np.eye(3)
-    assert SparseMass(sp.csr_matrix(spd)).inv_norm == 0.0
+    assert SparseMass(sp.csr_matrix(spd)).inv_norm == pytest.approx(2.5)
 
 
 def test_relaxation_warning_names_the_shift_at_the_caller():

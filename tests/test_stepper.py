@@ -22,8 +22,8 @@ from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
                               build_upwind_advection)
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
-                              LinearProblem, SingularSystem, advance_oracle,
-                              advance_symbol)
+                              LinearProblem, SingularSystem, _advance_fourier,
+                              _advance_lu, advance_oracle)
 from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
                                build_tableau)
 
@@ -308,7 +308,7 @@ def test_fft_spectral_gmres_matches_the_real_space_path(dim, n, restart):
         assert counts == [(r.iterations, r.preconditioner_applications)
                           for r in real_reps], scheme
         assert np.linalg.norm(spectral - real) <= 1e-12 * np.linalg.norm(real)
-        want = advance_symbol(tab, prob, u, 0.0, dt)
+        want = advance_oracle(tab, prob, u, 0.0, dt)
         for got in (spectral, real):
             err = np.linalg.norm(got - want) / np.linalg.norm(u)
             assert err <= 1e-11, (scheme, err)
@@ -529,9 +529,9 @@ def test_dahlquist_matches_stability_function():
     assert uo[0] == pytest.approx(R, rel=1e-12)
 
 
-#: where the sparse LU of advance_oracle is the less accurate side: on
+#: where advance_oracle's LU branch is the less accurate side: on
 #: SDIRK4L (entries up to 7.8 in A0) at n = 1024 it is 4.2e-12 from a
-#: 40-digit solve of each mode's system, advance_symbol 1.1e-14
+#: 40-digit solve of each mode's system, the Fourier branch 1.1e-14
 _ORACLE_TOL = {("SDIRK4L", 5): 1e-11}
 
 
@@ -544,12 +544,38 @@ def test_symbol_oracle_equals_dense_oracle(dim, n):
     errors = {}
     for fam, s in SUPPORTED_TABLEAUX:
         tab = build_tableau(fam, s)
-        want = advance_oracle(tab, prob, u, 0.3, dt)
-        got = advance_symbol(tab, prob, u, 0.3, dt)
+        want = _advance_lu(tab, prob, u, 0.3, dt)
+        got = _advance_fourier(tab, prob, u, 0.3, dt)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         if err > _ORACLE_TOL.get((fam, s), 1e-12):
             errors[fam, s] = err
     assert not errors, errors
+
+
+def test_oracle_takes_the_fourier_branch_exactly_on_circulant_identity_mass():
+    # bit for bit the mode-by-mode solve on a circulant L with M = I, and
+    # the stage-system LU on every other problem, a circulant L with a
+    # mass or the same L as a plain sparse matrix included
+    fd = build_fd_mms(GridSpec(dim=1, n=40))
+    upwind = GridSpec(dim=1, n=256)
+    fem = build_fem_diffusion_1d(GridSpec(dim=1, n=32))
+    cases = [(fd, _advance_fourier),
+             (build_fd_mms(GridSpec(dim=2, n=12)), _advance_fourier),
+             (LinearProblem(IdentityMass(upwind.size),
+                            build_upwind_advection(upwind, 1.0)),
+              _advance_fourier),
+             (fem, _advance_lu),
+             (LinearProblem(fd.M, SparseOperator(fd.L.mat), fd.forcing),
+              _advance_lu),
+             (random_problem(12, seed=5), _advance_lu)]
+    for prob, branch in cases:
+        u = np.random.default_rng(prob.n).standard_normal(prob.n)
+        dt = 0.1
+        for fam, s in SUPPORTED_TABLEAUX:
+            tab = build_tableau(fam, s)
+            got = advance_oracle(tab, prob, u, 0.3, dt)
+            want = branch(tab, prob, u, 0.3, dt)
+            assert got.tobytes() == want.tobytes(), (branch, prob.n, fam, s)
 
 
 def test_oracle_matches_irk_on_fem_diffusion_at_n_2048():
@@ -608,12 +634,6 @@ def test_oracle_singular_stage_system_raises():
         advance_oracle(tab, prob, np.array([1.0]), 0.0, 1.0)
 
 
-def test_symbol_oracle_needs_a_circulant_and_identity_mass():
-    with pytest.raises(ValueError, match="circulant"):
-        advance_symbol(build_tableau("gauss", 2), random_problem(4, seed=2),
-                       np.ones(4), 0.0, 0.1)
-
-
 ROUGH_TOL = 1e-10
 
 
@@ -638,7 +658,7 @@ def test_rough_data_step_is_accurate_to_rel_tol(dim, n, ratio):
             tab = build_tableau(fam, s)
             got, _reps = IRKStepper(tab, prob, dt,
                                     outer_cfg=cfg).advance(u, 0.0)
-            want = advance_symbol(tab, prob, u, 0.0, dt)
+            want = advance_oracle(tab, prob, u, 0.0, dt)
             errors[fam, s] = np.linalg.norm(got - want) / np.linalg.norm(u)
     assert max(errors.values()) <= ROUGH_TOL, errors
 
@@ -1178,22 +1198,59 @@ def test_ld_stops_at_a_zero_pivot():
         BlockStepper(tab, random_problem(8, seed=4), 0.1, variant="ld")
 
 
-def test_pair_without_a_mass_inverse_bound_has_no_residual_floor():
-    # a mass that is not diagonally dominant has no bound on ||M^{-1}||
-    # (inv_norm 0), so a pair system's norm, the scale of the residual
-    # floor, is 0: the solve meets rel_tol with no floor, and the step
-    # still matches the stage-system oracle
-    n = 12
-    M = SparseMass(sp.csr_matrix(np.full((n, n), 0.6) + 0.4 * np.eye(n)))
-    assert M.inv_norm == 0.0
-    r = np.random.default_rng(12)
-    L = SparseOperator(sp.csr_matrix(random_stable_matrix(n, r, 2.0)))
-    prob = LinearProblem(M, L)
-    tab = build_tableau("gauss", 2)
-    st = IRKStepper(tab, prob, 0.2, outer_cfg=TIGHT)
-    assert [sv.op.norm for sv in st.solves] == [0.0]
-    u = r.standard_normal(n)
+def _gll_fem(n, p):
+    """(mass, stiffness) CSR matrices of periodic degree-p Lagrange
+    elements on the Gauss-Lobatto-Legendre nodes, n elements on [-1, 1]
+    (N = n p), integrated exactly: an SPD mass, not diagonally dominant
+    at p = 4."""
+    leg = np.polynomial.legendre
+    interior = leg.legroots(leg.legder([0] * p + [1]))
+    nodes = np.concatenate([[-1.0], np.sort(interior), [1.0]])
+    xq, wq = leg.leggauss(p + 1)
+    coef = np.linalg.inv(np.vander(nodes, p + 1, increasing=True))
+    phi = np.vander(xq, p + 1, increasing=True) @ coef
+    dphi = np.vander(xq, p, increasing=True) * np.arange(1, p + 1) \
+        @ coef[1:]
+    h = 2.0 / n
+    Me = (phi.T * wq) @ phi * (h / 2)
+    Ke = (dphi.T * wq) @ dphi * (2 / h)
+    N = n * p
+    M, K = np.zeros((N, N)), np.zeros((N, N))
+    for e in range(n):
+        idx = np.ix_(*[np.arange(e * p, e * p + p + 1) % N] * 2)
+        M[idx] += Me
+        K[idx] += Ke
+    return sp.csr_matrix(M), sp.csr_matrix(K)
+
+
+@pytest.mark.parametrize("elements", [32, 300])
+def test_mass_inverse_norm_without_diagonal_dominance(elements):
+    # a degree-4 GLL mass is not diagonally dominant, so inv_norm is
+    # 1 / lambda_min: dense at N = 128, by Lanczos at N = 1200, beyond
+    # DENSE_LIMIT
+    mat, _ = _gll_fem(elements, 4)
+    M = SparseMass(mat)
+    assert np.min(2.0 * mat.diagonal() - np.abs(mat).sum(axis=1).A1) < 0.0
+    assert (M.n > linop.DENSE_LIMIT) == (elements == 300)
+    want = 1.0 / np.linalg.eigvalsh(mat.toarray())[0]
+    assert M.inv_norm == pytest.approx(want, rel=1e-10)
+
+
+def test_pair_with_a_non_dominant_mass_solves_to_its_residual_floor():
+    # the degree-4 GLL mass bounds ||M^{-1}|| by 1 / lambda_min, not 0,
+    # so a pair system's norm gives the residual a floor: Gauss-3 at
+    # rel_tol 1e-12 stops there, where with no floor it chased a target
+    # below rounding and failed (final residual 4.1e-12, target 2.3e-12)
+    mat, K = _gll_fem(32, 4)
+    M = SparseMass(mat)
+    assert M.inv_norm == pytest.approx(259.8, rel=1e-3)
+    prob = LinearProblem(M, SparseOperator(-K))
+    u = np.random.default_rng(0).standard_normal(prob.n)
+    tab, dt = build_tableau("gauss", 3), (2.0 / 32) / 8
+    st = IRKStepper(tab, prob, dt, outer_cfg=KrylovConfig(rel_tol=1e-12))
+    assert all(sv.op.norm > 0.0 for sv in st.solves)
     got, reps = st.advance(u, 0.0)
-    want = advance_oracle(tab, prob, u, 0.0, 0.2)
-    assert all(rep.converged and not rep.floor_limited for rep in reps)
+    assert all(rep.converged for rep in reps)
+    assert reps[0].floor_limited
+    want = advance_oracle(tab, prob, u, 0.0, dt)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
