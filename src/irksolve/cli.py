@@ -290,11 +290,12 @@ def _cmd_inner_sweep(args, out):
 def _cmd_baseline(args, out):
     rows = run_baseline_comparison(_spec_from_args(args),
                                    sdirk_family=args.sdirk_family)
-    u_irk = rows[0][3]
+    _irk, rec_irk, _ps, u_irk = rows[0]
     for name, rec, per_stage, u in rows:
-        drift = (float(np.linalg.norm(u - u_irk)
-                       / max(np.linalg.norm(u_irk), 1e-300))
-                 if name in ("gsl", "ld") else float("nan"))
+        drift = float("nan")  # unless both runs converged every solve
+        if name in ("gsl", "ld") and _records_exit([rec_irk, rec]) == EXIT_OK:
+            drift = float(np.linalg.norm(u - u_irk)
+                          / max(np.linalg.norm(u_irk), 1e-300))
         out.append(f"# integrator={name} apps_per_step_per_stage={per_stage:.3f}"
                    f" rel_diff_vs_irk={drift:.3e}")
     out.append(CSV_HEADER)

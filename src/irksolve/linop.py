@@ -89,20 +89,17 @@ class FieldOfValuesViolation(ValueError):
 class LinearOperator:
     """Square linear operator of dimension n.
 
-    Subclasses implement apply(v).  Every L, M and shift is assembled,
-    with its matrix as mat; only the pair system M Q_eta and
-    BlockStepper's ComposedOperator are matrix-free, with no mat.
-    symmetric is decided once per operator: from the matrix, from the
-    symbol of a circulant, from the parts of a composite operator, False
-    for a composed one.  norm is ||op||, the one scale of krylov.solve's
-    residual floor, the exact solve's pivot check and the W(L) <= 0
-    tolerance: the infinity-norm of an assembled matrix, the exact
-    2-norm of a circulant, a bound built from the parts of a composite
-    operator, and 0 (no floor) when nothing is known.
+    Subclasses implement apply(v) and norm.  Every L, M and shift is
+    assembled, with its matrix as mat; the pair system M Q_eta and
+    stepper's stage system are matrix-free.  symmetric is decided once
+    per operator: from the matrix, the symbol of a circulant or the
+    parts of the pair system.  norm is ||op||, the one scale of
+    krylov.solve's residual floor, the exact solve's pivot check and the
+    W(L) <= 0 tolerance: the infinity-norm of a matrix, the exact 2-norm
+    of a circulant, a bound from the parts of either system.
     """
 
     symmetric = False
-    norm = 0.0
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -287,17 +284,6 @@ def _pattern(offsets, shape):
     for a in out:
         a.flags.writeable = False
     return out
-
-
-class ComposedOperator(LinearOperator):
-    """Matrix-free wrapper around a callable: BlockStepper's stage operator."""
-
-    def __init__(self, n: int, fn):
-        super().__init__(n)
-        self._fn = fn
-
-    def apply(self, v):
-        return self._fn(v)
 
 
 # ----------------------------------------------------------------------

@@ -39,10 +39,11 @@ stage storage:
 
 advance_oracle is the one exact reference step: mode by mode for a
 circulant L with M = I, one sparse LU of the full stage system for any
-other problem.  On SDIRK4L, the forced MMS problem at n = 1024 and
-dt = 4h, the first is 1.1e-14 from a 40-digit solve, the LU 4.2e-12.  A
-block-preconditioned (GSL / LD) baseline stepper serves iteration-count
-comparisons; SDIRK baselines are IRKStepper runs of their tableaux.
+other problem.  A block-preconditioned (GSL / LD) baseline stepper
+serves iteration-count comparisons; SDIRK baselines are IRKStepper runs
+of their tableaux.  The stage system has one owner, _StageSystem, that
+the LU and the block baselines share; it states its norm, so block
+solves stop at the floor.
 Both steppers share one protocol: factor once at construction for a
 fixed dt, then advance(u, t) -> (u, reports) per step, with
 factor_summary() naming the rows of the reports.  Both pass the
@@ -53,15 +54,16 @@ loads no SuperLU.
 """
 
 from collections import namedtuple
+from functools import cached_property
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from .krylov import KrylovConfig, Preconditioner, _norm, solve
-from .linop import (CirculantOperator, ComposedOperator, DimensionMismatch,
-                    FieldOfValuesViolation, IdentityMass, MassOperator,
-                    SparseMass, SparseOperator,
+from .linop import (CirculantOperator, DimensionMismatch,
+                    FieldOfValuesViolation, IdentityMass, LinearOperator,
+                    MassOperator, SparseMass, SparseOperator,
                     build_inner_preconditioner, fov_upper_bound,
                     pair_system, shifted_operator)
 from .spectral import factor_list, spectral_decompose
@@ -283,48 +285,72 @@ class IRKStepper:
 # ----------------------------------------------------------------------
 # Reference and baseline steppers
 
-def _stage_rhs(tableau: ButcherTableau, problem: LinearProblem,
-               u_n: np.ndarray, t_n: float, dt: float) -> np.ndarray:
-    """[f(t_n + c_i dt) + L u_n]_i, the stage system's stacked rhs."""
-    Lu_n = problem.L.apply(u_n)
-    if problem.forcing is None:
-        return np.tile(Lu_n, tableau.s)
-    return np.concatenate([problem.forcing(t_n + dt * c) + Lu_n
-                           for c in tableau.c0])
+class _StageSystem(LinearOperator):
+    """The stage system (I x M - dt A0 x L) k = [f(t_n + c_i dt) + L u_n]_i
+    on the s N stacked stages, and the update u_n + dt b^T k.  apply is
+    matrix-free; only the LU reads mat."""
+
+    def __init__(self, tableau: ButcherTableau, problem: LinearProblem, dt):
+        super().__init__(tableau.s * problem.n)
+        self.tableau, self.problem, self.dt = tableau, problem, dt
+
+    def rhs(self, u_n, t_n):
+        f, Lu_n = self.problem.forcing, self.problem.L.apply(u_n)
+        if f is None:
+            return np.tile(Lu_n, self.tableau.s)
+        return np.concatenate([f(t_n + self.dt * c) + Lu_n
+                               for c in self.tableau.c0])
+
+    def apply(self, v):
+        K = v.reshape(self.tableau.s, -1)
+        LK = np.array([self.problem.L.apply(k) for k in K])
+        return np.concatenate([self.problem.M.apply(k) - self.dt * (a @ LK)
+                               for k, a in zip(K, self.tableau.A0)])
+
+    @cached_property
+    def mat(self):
+        return sp.kron(sp.identity(self.tableau.s), self.problem.M.mat) \
+            - self.dt * sp.kron(self.tableau.A0, self.problem.L.mat)
+
+    @cached_property
+    def norm(self) -> float:
+        """The bound ||M|| + dt ||A0||_inf ||L|| from the parts' norms."""
+        A0_inf = float(np.abs(self.tableau.A0).sum(axis=1).max())
+        return self.problem.M.norm + self.dt * A0_inf * self.problem.L.norm
+
+    def update(self, u_n, k):
+        tab = self.tableau
+        return u_n + self.dt * (tab.b0 @ k.reshape(tab.s, self.problem.n))
 
 
 def advance_oracle(tableau: ButcherTableau, problem: LinearProblem,
                    u_n: np.ndarray, t_n: float, dt: float) -> np.ndarray:
     """The exact step u_n + dt sum_i b_i k_i, k solving the stage system
-    (I x M - dt A0 x L) k = [f(t_n + c_i dt) + L u_n]_i, the reference
-    at any size: mode by mode for a circulant L with M = I, else by one
-    sparse LU of the stage system.  Against a 40-digit solve on SDIRK4L,
-    the forced MMS problem at n = 1024, dt = 4h, the mode-by-mode step is
-    1.1e-14 from it (relative 2-norm), the LU's 4.2e-12."""
+    (I x M - dt A0 x L) k = [f(t_n + c_i dt) + L u_n]_i, at any size:
+    mode by mode for a circulant L with M = I, else by one sparse LU.
+    Against a 40-digit solve on SDIRK4L (forced MMS, n = 1024, dt = 4h)
+    the first is 1.1e-14 off (relative 2-norm), the LU 4.2e-12."""
     if isinstance(problem.L, CirculantOperator) and problem.M.is_identity:
         return _advance_fourier(tableau, problem, u_n, t_n, dt)
     return _advance_lu(tableau, problem, u_n, t_n, dt)
 
 
 def _advance_lu(tableau, problem, u_n, t_n, dt):
-    """advance_oracle by one sparse LU of the (N s x N s) stage system,
-    assembled from M.mat and L.mat."""
-    system = sp.kron(sp.identity(tableau.s), problem.M.mat) \
-        - dt * sp.kron(tableau.A0, problem.L.mat)
+    """advance_oracle by one sparse LU of the (N s x N s) stage matrix."""
+    system = _StageSystem(tableau, problem, dt)
     import scipy.sparse.linalg as spla
     try:
-        lu = spla.splu(sp.csc_matrix(system))
+        lu = spla.splu(sp.csc_matrix(system.mat))
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
-    k = lu.solve(_stage_rhs(tableau, problem, u_n, t_n, dt))
-    return u_n + dt * (tableau.b0 @ k.reshape(tableau.s, problem.n))
+    return system.update(u_n, lu.solve(system.rhs(u_n, t_n)))
 
 
 def _advance_fourier(tableau, problem, u_n, t_n, dt):
     """advance_oracle of a circulant L with M = I: (I - dt lambda A0) k
     = f_hat_i + lambda u_hat for every mode, lambda the symbol of L, in
     one batched solve, then u + dt b^T k transformed back.  Forming the
-    rhs from _stage_rhs instead moves SDIRK4L at n = 1024 by 2.8e-12."""
+    rhs as _StageSystem does moves SDIRK4L at n = 1024 by 2.8e-12."""
     L = problem.L
     shape, axes = L.symbol.shape, tuple(range(L.symbol.ndim))
 
@@ -348,16 +374,14 @@ class _BlockTriangularPreconditioner(Preconditioner):
     """Forward substitution with (I x M - dt T x L) for lower-triangular
     T, diagonal blocks applied via per-stage inner preconditioners."""
 
-    def __init__(self, T, problem, dt, inner_kind, inner_params):
-        s = T.shape[0]
-        super().__init__(s * problem.n)
-        self._T = T
-        self._p = problem
-        self._dt = dt
+    def __init__(self, T, system, inner_kind, inner_params):
+        super().__init__(system.n)
+        self._T, self._system = T, system
+        prob = system.problem
         # (M - dt T_ii L) x = r is solved as ((1/T_ii) M - dt L) x
         # = r / T_ii, one inner solve per stage
         self._inner = [build_inner_preconditioner(
-            inner_kind, shifted_operator(1.0 / d, dt, problem.M, problem.L),
+            inner_kind, shifted_operator(1.0 / d, system.dt, prob.M, prob.L),
             **(inner_params or {})) for d in np.diag(T)]
 
     @property
@@ -365,17 +389,17 @@ class _BlockTriangularPreconditioner(Preconditioner):
         return sum(pc.applications for pc in self._inner)
 
     def apply(self, v):
-        s, n = self._T.shape[0], self._p.n
-        R = v.reshape(s, n)
+        s, dt, L = self._T.shape[0], self._system.dt, self._system.problem.L
+        R = v.reshape(s, -1)
         X = np.zeros_like(R)
         LX = np.zeros_like(R)
         for i in range(s):
             r = R[i].copy()
             for j in range(i):
-                r += self._dt * self._T[i, j] * LX[j]
+                r += dt * self._T[i, j] * LX[j]
             X[i] = self._inner[i].apply(r / self._T[i, i])
             if i + 1 < s:
-                LX[i] = self._p.L.apply(X[i])
+                LX[i] = L.apply(X[i])
         return X.reshape(-1)
 
 
@@ -410,33 +434,21 @@ class BlockStepper:
         variant = variant.upper()
         if variant not in ("GSL", "LD"):
             raise ValueError(f"unknown block preconditioner variant {variant!r}")
-        self.tableau = tableau
-        self.problem = problem
-        self.dt = float(dt)
+        self.tableau, self.problem, self.dt = tableau, problem, float(dt)
         T = np.tril(tableau.A0) if variant == "GSL" else _ldu_lower(tableau.A0)
         problem.L.mat   # every stage-system product applies L: assembled here
-        self._op = ComposedOperator(tableau.s * problem.n, self._stage_system)
+        self._system = _StageSystem(tableau, problem, self.dt)
         self._precond = _BlockTriangularPreconditioner(
-            T, problem, self.dt, inner_kind, inner_params)
+            T, self._system, inner_kind, inner_params)
         self.outer_cfg = outer_cfg
-
-    def _stage_system(self, v):
-        """(I x M - dt A0 x L) v, for v the stacked stages."""
-        A0, prob = self.tableau.A0, self.problem
-        K = v.reshape(A0.shape[0], prob.n)
-        LK = np.array([prob.L.apply(k) for k in K])
-        return np.concatenate([prob.M.apply(k) - self.dt * (a @ LK)
-                               for k, a in zip(K, A0)])
 
     def advance(self, u_n: np.ndarray, t_n: float):
         """One step: returns (u_{n+1}, [the stage-system Krylov report])."""
-        tab, prob, dt = self.tableau, self.problem, self.dt
-        rhs = _stage_rhs(tab, prob, u_n, t_n, dt)
-        k, rep = solve(self._op, rhs, self._precond, self.outer_cfg)
+        k, rep = solve(self._system, self._system.rhs(u_n, t_n),
+                       self._precond, self.outer_cfg)
         if not rep.converged:
             raise FactorSolveFailure([rep])
-        K = k.reshape(tab.s, prob.n)
-        return u_n + dt * (tab.b0 @ K), [rep]
+        return self._system.update(u_n, k), [rep]
 
     def factor_summary(self):
         """One row for the single stage-system solve; it has no

@@ -321,6 +321,35 @@ def test_baseline_cli(capsys):
     assert len(tags) >= 8  # summary + per-block tags for 4 integrators
 
 
+def _baseline_drifts(out):
+    """integrator -> the rel_diff_vs_irk that baseline prints for it."""
+    tags = [l.split() for l in out.splitlines()
+            if l.startswith("# integrator=") and "rel_diff_vs_irk=" in l]
+    return {t[1].split("=")[1]: float(t[3].split("=")[1]) for t in tags}
+
+
+def test_baseline_reports_no_difference_for_failed_runs(capsys):
+    # at --max-iters 4 every run of the README example fails at step 1,
+    # so the final states are not the same update: no difference
+    code, out = run_cli(capsys, ["baseline", "--family", "gauss",
+                                 "--stages", "2", "--grids", "32",
+                                 "--tf", "0.5", "--max-iters", "4"])
+    assert code == 1
+    assert all(np.isnan(d) for d in _baseline_drifts(out).values())
+
+
+def test_baseline_block_runs_below_the_floor_converge(capsys):
+    # a --tol under every solve's floor: the block runs stop at it and
+    # agree with IRK
+    code, out = run_cli(capsys, ["baseline", "--problem", "diffusion1d-fem",
+                                 "--family", "gauss", "--stages", "2",
+                                 "--grids", "64", "--tf", "0.5",
+                                 "--dt-ratio", "8", "--tol", "1e-15"])
+    assert code == 0
+    drifts = _baseline_drifts(out)
+    assert drifts["gsl"] < 1e-11 and drifts["ld"] < 1e-11
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.csv"
     code = main(["spectrum", "--family", "gauss", "--stages", "3",

@@ -7,12 +7,12 @@ from irksolve import krylov, linop
 from irksolve.krylov import (DimensionMismatch, KrylovConfig,
                              NonFiniteResidual, Preconditioner, _norm,
                              resolve_method, solve)
-from irksolve.linop import (ComposedOperator, GaussSeidel, IdentityMass,
+from irksolve.linop import (GaussSeidel, IdentityMass, LinearOperator,
                             SparseOperator, build_inner_preconditioner,
                             shifted_operator)
 from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
                               build_fem_diffusion_1d)
-from irksolve.stepper import IRKStepper, LinearProblem
+from irksolve.stepper import IRKStepper, LinearProblem, _StageSystem
 from irksolve.tableaux import build_tableau
 
 rng = np.random.default_rng(5)
@@ -186,8 +186,8 @@ def test_cg_applies_operator_once_per_iteration_plus_true_residual():
 
 
 def test_cg_refused_on_matrix_free_operator():
-    mat = spd_tridiag(10).mat
-    op = ComposedOperator(10, lambda v: mat @ v)
+    prob = build_fem_diffusion_1d(GridSpec(dim=1, n=5))
+    op = _StageSystem(build_tableau("gauss", 2), prob, 0.1)
     assert not op.symmetric
     with pytest.raises(ValueError):
         solve(op, rng.standard_normal(10), None, KrylovConfig(method="cg"))
@@ -309,11 +309,20 @@ def test_scale_sets_the_target():
     assert np.linalg.norm(b - op.apply(x)) <= 1e-9
 
 
+class _NoFloor(LinearOperator):
+    """op's apply with norm 0: a solve on it has no residual floor."""
+    norm = 0.0
+
+    def __init__(self, op):
+        super().__init__(op.n)
+        self.apply = op.apply
+
+
 @pytest.mark.parametrize("method", ["cg", "gmres"])
 def test_target_below_the_floor_stops_at_the_floor(method):
     # a target no double-precision solve can certify: the solve stops
-    # at eps ||op|| ||x||, converged and flagged floor-limited.  Without
-    # a norm (a matrix-free operator) there is no floor, and it fails
+    # at eps ||op|| ||x||, converged and flagged floor-limited.  With a
+    # zero norm there is no floor, and it fails
     op = spd_tridiag(40)
     b = rng.standard_normal(40)
     cfg = KrylovConfig(method=method, rel_tol=1e-20, max_iters=200)
@@ -323,7 +332,7 @@ def test_target_below_the_floor_stops_at_the_floor(method):
     assert rep.target < floor and rep.final_residual <= floor
     assert rep.final_residual == pytest.approx(
         np.linalg.norm(b - op.apply(x)), rel=1e-12)
-    free = ComposedOperator(40, op.apply)
+    free = _NoFloor(op)
     if method == "gmres":
         _x, rep = solve(free, b, None, cfg)
         assert not rep.converged and not rep.floor_limited

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irksolve.linop import (DENSE_LIMIT, CirculantOperator, ComposedOperator,
+from irksolve.linop import (DENSE_LIMIT, CirculantOperator,
                             DimensionMismatch, ExactFFT, ExactSparseLU,
                             FactorizationFailure, GaussSeidel, IdentityMass,
-                            Jacobi, SparseMass, SparseOperator, _abs_row_sums,
+                            Jacobi, SparseMass, SparseOperator,
+                            _QuadraticSystem, _abs_row_sums,
                             build_inner_preconditioner, canonical_stencil,
                             fov_upper_bound, shifted_operator, stencil_matrix)
 from irksolve import linop, spatial
@@ -131,7 +132,10 @@ def test_inner_krylov_rejects_a_bad_tolerance_when_built():
 def test_inner_solves_need_an_assembled_matrix(kind):
     # the one way in to the inner solves rejects, by type, any operator
     # that is not a SparseOperator, with LinearProblem's error
-    op = ComposedOperator(4, lambda v: 2.0 * v)
+    from irksolve.stepper import _StageSystem
+    from irksolve.tableaux import build_tableau
+    prob = build_fem_diffusion_1d(GridSpec(dim=1, n=4))
+    op = _StageSystem(build_tableau("gauss", 2), prob, 0.1)
     with pytest.raises(TypeError, match="assembled"):
         build_inner_preconditioner(kind, op)
 
@@ -283,8 +287,7 @@ def test_exact_fft_residual():
         assert pc.applications == 1
         assert np.linalg.norm(op.apply(x) - v) <= 1e-13 * np.linalg.norm(v)
         A_eta = shifted_operator(eta, dt, M, L)
-        pair = ComposedOperator(
-            op.n, lambda u: A_eta.apply(A_eta.apply(u)) + beta ** 2 * u)
+        pair = _QuadraticSystem(A_eta, IdentityMass(op.n), beta)
         sq = ExactFFT(op).square(pair, delta, delta ** 2 + beta ** 2)
         vh = sq.forward(v)
         d, w = sq.apply_with_image(vh, np.empty_like(vh))

@@ -12,7 +12,7 @@ from irksolve.conditioning import random_stable_matrix
 from irksolve.experiments import PROBLEMS, ExperimentSpec, build_problem
 from irksolve.krylov import (DimensionMismatch, KrylovConfig,
                              Preconditioner, resolve_method, solve)
-from irksolve.linop import (ComposedOperator, ExactFFT,
+from irksolve.linop import (ExactFFT,
                             FieldOfValuesViolation, IdentityMass, SparseMass,
                             SparseOperator, _QuadraticSystem,
                             build_inner_preconditioner, pair_system,
@@ -23,7 +23,7 @@ from irksolve.spatial import (GridSpec, build_advdiff, build_fd_mms,
 from irksolve.spectral import spectral_decompose
 from irksolve.stepper import (BlockStepper, FactorSolveFailure, IRKStepper,
                               LinearProblem, SingularSystem, _advance_fourier,
-                              _advance_lu, advance_oracle)
+                              _advance_lu, _StageSystem, advance_oracle)
 from irksolve.tableaux import (SUPPORTED_TABLEAUX, ButcherTableau,
                                build_tableau)
 
@@ -595,9 +595,11 @@ def test_oracle_matches_irk_on_fem_diffusion_at_n_2048():
 
 
 def test_linear_problem_rejects_a_matrix_free_operator():
-    # every L is assembled: a composed L is a TypeError at construction
+    # every L is assembled: a matrix-free L, such as a stage system, is
+    # a TypeError at construction
+    stages = _StageSystem(build_tableau("gauss", 2), random_problem(6, 1), 0.1)
     with pytest.raises(TypeError, match="assembled"):
-        LinearProblem(IdentityMass(12), ComposedOperator(12, lambda v: -v))
+        LinearProblem(IdentityMass(12), stages)
 
 
 def test_linear_problem_rejects_a_mass_without_a_matrix():
@@ -1027,6 +1029,46 @@ def test_block_prec_advance_matches_oracle():
         assert np.linalg.norm(ub - uo) < 1e-10 * np.linalg.norm(uo)
         assert reps[0].iterations > 0
         assert reps[0].preconditioner_applications > 0
+
+
+@pytest.mark.parametrize("variant", ["GSL", "LD"])
+def test_block_solves_stop_at_the_residual_floor(variant):
+    # at rel_tol 1e-15 the FEM stage system's target from the smooth
+    # exact start lies below eps ||op|| ||k||: the block solve stops at
+    # that floor, converged and flagged, with the exact step.  Without a
+    # norm on the stage system GMRES stalled above its target and the
+    # step failed.  Rough random data has a larger rhs, which puts its
+    # target about at the floor (flagged on some seeds, not on others),
+    # so there only convergence and the step are checked
+    grid = GridSpec(dim=1, n=64)
+    prob = build_fem_diffusion_1d(grid)
+    tab, dt = build_tableau("gauss", 2), 8 * grid.h
+    st = BlockStepper(tab, prob, dt, variant=variant,
+                      outer_cfg=KrylovConfig(rel_tol=1e-15))
+    smooth = prob.exact_solution(0.0)
+    rough = np.random.default_rng(37).standard_normal(grid.size)
+    for u in (smooth, rough):
+        want = advance_oracle(tab, prob, u, 0.0, dt)
+        got, (rep,) = st.advance(u, 0.0)
+        assert rep.converged and (rep.floor_limited or u is rough)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_stage_system_norm_bounds_its_matrix():
+    # with both norms infinity-norms (L a plain SparseOperator, M a
+    # SparseMass), ||M|| + dt ||A0||_inf ||L|| bounds the stage matrix's,
+    # and the matrix-free product is the assembled one
+    n = 12
+    r = np.random.default_rng(8)
+    prob = _problem_with_stage_forcing(n, "fem", r)
+    assert type(prob.L) is SparseOperator and type(prob.M) is SparseMass
+    for fam, s in SUPPORTED_TABLEAUX:
+        system = _StageSystem(build_tableau(fam, s), prob, 0.3)
+        dense = float(abs(system.mat).sum(axis=1).max())
+        assert system.norm >= dense * (1 - 1e-14), fam
+        v = r.standard_normal(system.n)
+        assert np.allclose(system.apply(v), system.mat @ v, rtol=0,
+                           atol=1e-13 * system.norm * np.linalg.norm(v))
 
 
 def test_block_prec_builds_each_stage_its_own_inner_solve():
