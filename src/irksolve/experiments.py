@@ -134,7 +134,8 @@ class RunRecord:
     gamma_mode: str
     nx: int
     dt: float
-    steps: int
+    steps: int        # planned
+    attempted: int    # steps run, the one whose solve failed included
     err_linf: float
     err_l2: float
     factors: list
@@ -215,7 +216,8 @@ def _integrate_one(spec: ExperimentSpec, n: int):
         err_l2 = float(np.sqrt(grid.h ** grid.dim * np.sum(e * e)))
     rec = RunRecord(family=spec.family, stages=spec.stages,
                     gamma_mode=spec.gamma_mode, nx=n, dt=dt, steps=steps,
-                    err_linf=err_linf, err_l2=err_l2, factors=factors)
+                    attempted=len(solves[0]), err_linf=err_linf,
+                    err_l2=err_l2, factors=factors)
     return rec, u
 
 
@@ -282,7 +284,9 @@ def run_inner_sweep(spec: ExperimentSpec, sweep):
 def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L"):
     """IRK (this framework), GSL, LD on spec's tableau plus an SDIRK
     baseline, all on the same problem.  Returns rows (name, record,
-    apps_per_step_per_stage, final_solution) named irk, gsl, ld, sdirk.
+    apps_per_step_per_stage, final_solution) named irk, gsl, ld, sdirk;
+    the cost is per step attempted, so a run that stops early is not
+    charged for the steps it never ran.
 
     IRK/GSL/LD compute the same discrete update, so their final
     solutions agree to solver tolerance; the SDIRK baseline is a
@@ -299,5 +303,5 @@ def run_baseline_comparison(spec: ExperimentSpec, sdirk_family: str = "SDIRK2L")
     for name, case in cases:
         rec, u = _integrate_one(case, spec.grids[-1])
         total = sum(f.total_precond_apps for f in rec.factors)
-        rows.append((name, rec, total / rec.steps / rec.stages, u))
+        rows.append((name, rec, total / rec.attempted / rec.stages, u))
     return rows

@@ -16,12 +16,14 @@ so no circulant is factored.  A circulant holds its stencil, one
 coefficient per offset (one offset per grid axis), and its matrix is
 assembled from the stencil by stencil_matrix only when something
 applies it: the shift that only the FFT solves never is.  A periodic
-mass (the FEM mass) keeps its stencil too.  With a circulant L and M = I
-or such a mass, the shift's stencil is combined from M's and L's; it is
-circulant only when M = I, and assembled by stencil_matrix otherwise.
-Symmetry comes from the symbol or the stencil, and row sums are added
-without building |M|, so set-up does no sparse-matrix arithmetic on
-these operators.
+mass (the FEM mass) keeps its stencil and its symbol m too, and solves
+by FFT.  With a circulant L and M = I or such a mass, the shift is
+circulant: its stencil is combined from M's and L's, its symbol is
+gamma m - dt lambda (m = 1 for M = I).  Symmetry comes from the symbol
+or the stencil, and row sums are added without building |M|, so set-up
+does no sparse-matrix arithmetic on these operators and factors
+nothing.  Every FFT round trip is real (rfftn/irfftn, or rfft/irfft on
+a 1-D grid, the same bits for less call overhead).
 
 An assembled matrix is a float64 CSR matrix, and its apply is one call
 of scipy's csr_matvec kernel on the operator's own arrays: the kernel
@@ -29,7 +31,7 @@ that mat @ v reaches, without scipy's per-call dispatch.
 scipy.sparse.linalg (SuperLU, ARPACK) is imported only inside the sparse
 LU, the Gauss-Seidel solve and the Lanczos bounds (on W(L), and on
 ||M^{-1}|| of a mass already factored), so a circulant run with the FFT
-solve never loads it.
+solve, the FEM mass included, never loads it.
 
 A conjugate pair eta +- i beta is the real system M Q_eta
 = (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M, preconditioned by
@@ -37,8 +39,10 @@ P M P for P ~ (gamma M - dt L)^{-1}; pair_system builds both.  With P
 exact, eta M - dt L = P^{-1} - delta M for delta = gamma - eta, so
 GMRES takes the image M Q_eta (P M P v) = v - 2 delta M P v
 + c M P M P v, c = delta^2 + beta^2, from the two inner solves: on
-vectors in the sandwich, and in ExactFFT.square (M = I) as the
-multiplier c inv^2 - 2 delta inv of the inverse symbol inv.
+vectors in the sandwich, and in ExactFFT.square as the multiplier
+c (m inv)^2 - 2 delta m inv of the inverse symbol inv (m = 1 for
+M = I).  With a circulant A_eta and a periodic mass, M Q_eta is A_eta
+followed by the multiplier a_eta / m + beta^2 m / a_eta.
 """
 
 from collections import namedtuple
@@ -291,11 +295,11 @@ def _pattern(offsets, shape):
 
 class MassOperator(LinearOperator):
     """Mass matrix with an exact solve.  inv_norm bounds ||M^{-1}||.  A
-    periodic mass keeps its canonical stencil and the shape of its grid;
-    stencil and grid are None for any other."""
+    periodic mass keeps its canonical stencil, the shape of its grid and
+    its symbol; stencil, grid and symbol are None for any other."""
 
     is_identity = False
-    stencil = grid = None
+    stencil = grid = symbol = None
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -344,21 +348,29 @@ def _check_pivots(pivots, scale):
 
 
 class SparseMass(SparseOperator, MassOperator):
-    """Assembled sparse SPD mass matrix; solve via one exact sparse LU."""
+    """Assembled sparse SPD mass matrix with an exact solve: one sparse
+    LU of a mass made from a bare matrix, one real FFT round trip of a
+    periodic mass made by from_stencil, which factors nothing."""
 
     def __init__(self, mat):
         super().__init__(mat)
-        self._lu = _sparse_lu(self)
+        self._exact = ExactSparseLU(self)
 
     @classmethod
     def from_stencil(cls, stencil, shape):
         """The mass of a stencil on a periodic grid, assembled by
-        stencil_matrix, that keeps its canonical stencil and the grid's
-        shape: its symmetry is read from the stencil, and a shift with a
-        circulant L combines the two stencils."""
-        stencil = canonical_stencil(stencil, shape)
-        mass = cls(_stencil_csr(stencil, shape))
-        mass.stencil, mass.grid = stencil, tuple(shape)
+        stencil_matrix, that keeps its canonical stencil, the grid's
+        shape and its symbol m (mode k: sum_o c_o exp(2 pi i o.k / n),
+        in numpy FFT order): its symmetry is read from the stencil, it
+        solves by FFT, and a shift with a circulant L is circulant.  A
+        symbol with a modulus at most 1e-14 of the norm is a
+        FactorizationFailure, as a near-zero LU pivot is."""
+        stencil, shape = canonical_stencil(stencil, shape), tuple(shape)
+        mass = cls.__new__(cls)
+        SparseOperator.__init__(mass, _stencil_csr(stencil, shape))
+        mass.stencil, mass.grid = stencil, shape
+        mass.symbol = _stencil_symbol(stencil, shape)
+        mass._exact = ExactFFT(mass)
         return mass
 
     @cached_property
@@ -376,23 +388,50 @@ class SparseMass(SparseOperator, MassOperator):
     def inv_norm(self) -> float:
         """||M^{-1}|| for an SPD M, never 0: the Gershgorin bound
         1 / min_i (2 m_ii - sum_j |m_ij|) when that gap is positive (3/h
-        for the linear-FEM mass), else 1 / lambda_min, by a dense
-        eigensolve up to DENSE_LIMIT and beyond it by Lanczos on M^{-1}
-        through the mass's own LU, from a seeded random start so that
-        one M gives one value.  EigenFailure when ARPACK fails."""
+        for the linear-FEM mass).  Otherwise 1 / min |m_k| from the
+        symbol of a periodic mass; 1 / lambda_min by a dense eigensolve
+        up to DENSE_LIMIT; beyond it Lanczos on M^{-1} through the
+        mass's own LU, from a seeded random start so that one M gives
+        one value, to 1e-3 relative and raised by that much, so that it
+        stays an upper bound: it only scales a residual floor.
+        EigenFailure when ARPACK fails."""
         gap = float(np.min(2.0 * self.mat.diagonal()
                            - _abs_row_sums(self.mat)))
         if gap > 0.0:
             return 1.0 / gap
+        if self.symbol is not None:
+            return 1.0 / float(np.abs(self.symbol).min())
         if self.n <= DENSE_LIMIT:
             return 1.0 / float(np.linalg.eigvalsh(self.mat.toarray())[0])
         import scipy.sparse.linalg as spla
         inverse = spla.LinearOperator((self.n, self.n), matvec=self.solve,
                                       dtype=np.float64)
-        return _lanczos_max(inverse, self.n)
+        tol = 1e-3
+        return _lanczos_max(inverse, self.n, tol) * (1.0 + tol)
 
     def solve(self, v):
-        return self._lu.solve(v)
+        return self._exact.apply(v)
+
+
+def _stencil_symbol(stencil, shape):
+    """The symbol of a canonical stencil on a periodic grid, in numpy
+    FFT order with the grid's shape: the fftn of its kernel, the grid
+    array that holds c_o at -o, so mode k is sum_o c_o exp(2 pi i o.k /
+    n)."""
+    kernel = np.zeros(shape)
+    for offset, c in stencil.items():
+        kernel[tuple(-o % n for o, n in zip(offset, shape))] = c
+    return np.fft.fftn(kernel)
+
+
+def _mass_symbol(M, L):
+    """M's symbol on the grid of L: 1.0 for M = I, a periodic mass's own
+    on L's grid; None unless L is circulant and M one of those."""
+    if not isinstance(L, CirculantOperator):
+        return None
+    if M.is_identity:
+        return 1.0
+    return M.symbol if M.grid == L.symbol.shape else None
 
 
 # ----------------------------------------------------------------------
@@ -401,27 +440,25 @@ def shifted_operator(gamma: float, dt: float, M: MassOperator,
                      L: SparseOperator) -> SparseOperator:
     """The backward-Euler-type operator gamma*M - dt*L.
 
-    Combined from the stencils when L is circulant and M is the identity
-    or a periodic mass on L's grid: gamma m for each offset -> m of M's
-    (gamma at offset 0 for M = I), plus -(dt c) for each offset -> c of
-    L's, summed in that order as scipy's sparse difference gives it.
-    With M = I it is circulant, its matrix assembled on first use; with
-    a mass it is the SparseOperator of that stencil's stencil_matrix.
-    Otherwise it is scipy's gamma*M.mat - dt*L.mat.  It is symmetric
-    when M and L are.
+    Circulant when L is circulant and M is the identity or a periodic
+    mass on L's grid: its symbol is gamma m - dt lambda (gamma - dt
+    lambda for M = I), and its stencil is combined from the two: gamma
+    m for each offset -> m of M's (gamma at offset 0 for M = I), plus
+    -(dt c) for each offset -> c of L's, summed in that order as scipy's
+    sparse difference gives it, so its matrix, assembled on first use,
+    is that difference bit for bit.  Otherwise it is scipy's gamma*M.mat
+    - dt*L.mat.  It is symmetric when M and L are.
     """
     if M.n != L.n:
         raise DimensionMismatch(f"mass dim {M.n} != operator dim {L.n}")
-    if isinstance(L, CirculantOperator) and (
-            M.is_identity or M.grid == L.symbol.shape):
-        m = {(0,) * L.symbol.ndim: 1.0} if M.is_identity else M.stencil
-        stencil = [*((o, gamma * c) for o, c in m.items()),
-                   *((o, -(dt * c)) for o, c in L.stencil.items())]
-        op = (CirculantOperator(stencil, gamma - dt * L.symbol)
-              if M.is_identity else
-              SparseOperator(stencil_matrix(stencil, L.symbol.shape)))
-    else:
+    m = _mass_symbol(M, L)
+    if m is None:
         op = SparseOperator(gamma * M.mat - dt * L.mat)
+    else:
+        ms = {(0,) * L.symbol.ndim: 1.0} if M.is_identity else M.stencil
+        stencil = [*((o, gamma * c) for o, c in ms.items()),
+                   *((o, -(dt * c)) for o, c in L.stencil.items())]
+        op = CirculantOperator(stencil, gamma * m - dt * L.symbol)
     op.symmetric = M.symmetric and L.symmetric
     return op
 
@@ -461,11 +498,28 @@ def _half_weights(shape):
     return wt
 
 
+def _rfft(v, shape):
+    """rfftn of the grid vector v, flattened from that shape: rfft on a
+    1-D grid, the same bits for less call overhead."""
+    if len(shape) == 1:
+        return np.fft.rfft(v)
+    return np.fft.rfftn(v.reshape(shape))
+
+
+def _irfft(vh, shape):
+    """The real grid vector of that shape, flattened, whose rfftn is the
+    half-spectrum vh: irfft on a 1-D grid, as _rfft."""
+    if len(shape) == 1:
+        return np.fft.irfft(vh, shape[0])
+    return np.fft.irfftn(vh, s=shape,
+                         axes=tuple(range(len(shape)))).reshape(-1)
+
+
 class ExactFFT(Preconditioner):
     """Exact solve of a circulant operator on any grid by two real
     FFTs: the inverse symbol is kept on the rfftn half-spectrum.
 
-    square makes it a pair's P^2 (module docstring): one round trip,
+    square makes it a pair's P M P (module docstring): one round trip,
     not two, per application, counted as two applications.
 
     GMRES on op runs its restart cycle on the weighted half-spectrum:
@@ -480,7 +534,7 @@ class ExactFFT(Preconditioner):
     then costs one rfftn and one irfftn, and an iteration none.
 
     It reads only op's symbol and norm, so op's matrix is not assembled
-    for it.
+    for it; a periodic mass has both, and solves by it.
     """
 
     def __init__(self, op: CirculantOperator):
@@ -488,29 +542,29 @@ class ExactFFT(Preconditioner):
         _check_pivots(np.abs(op.symbol), op.norm)
         self.op = op
         self._shape = op.symbol.shape
-        self._axes = tuple(range(op.symbol.ndim))
         self._inv = 1.0 / op.symbol[..., :self._shape[-1] // 2 + 1]
         self._image = None
         self._back = None
         self._apps = 1
 
-    def square(self, pair_op: LinearOperator, delta: float, c: float):
-        """Make this solve of gamma - dt L the pair preconditioner P^2
-        for pair_op = (op - delta)^2 + c - delta^2, delta = gamma - eta."""
-        image = c * self._inv ** 2 - 2.0 * delta * self._inv
-        self._image = image.reshape(-1)
-        self._inv = self._inv ** 2
+    def square(self, pair_op: LinearOperator, delta: float, c: float,
+               M: MassOperator):
+        """Make this solve P of gamma M - dt L the pair preconditioner
+        P M P, the multiplier m inv^2, for pair_op = M Q_eta, delta =
+        gamma - eta.  M is the identity (m = 1) or a periodic mass of
+        symbol m."""
+        inv = self._inv
+        minv = inv if M.is_identity else M.symbol[..., :inv.shape[-1]] * inv
+        self._image = (c * minv ** 2 - 2.0 * delta * minv).reshape(-1)
+        self._inv = minv * inv
         self._back = None
         self._apps = 2
         self.op = pair_op
         return self
 
-    def _irfftn(self, vh):
-        return np.fft.irfftn(vh, s=self._shape, axes=self._axes).reshape(-1)
-
     def forward(self, r):
         """The weighted half-spectrum of r, as float64, in one rfftn."""
-        vh = np.fft.rfftn(r.reshape(self._shape)) * _half_weights(self._shape)
+        vh = _rfft(r, self._shape) * _half_weights(self._shape)
         return vh.reshape(-1).view(np.float64)
 
     def apply(self, v, out=None):
@@ -521,8 +575,7 @@ class ExactFFT(Preconditioner):
         unless squared."""
         self._count += self._apps
         if out is None:
-            return self._irfftn(np.fft.rfftn(v.reshape(self._shape))
-                                * self._inv)
+            return _irfft(_rfft(v, self._shape) * self._inv, self._shape)
         if self._image is None:
             out[...] = v
         else:
@@ -542,7 +595,7 @@ class ExactFFT(Preconditioner):
         if self._back is None:
             self._back = self._inv / _half_weights(self._shape)
         vh = (y @ D).view(np.complex128).reshape(self._inv.shape)
-        return self._irfftn(vh * self._back)
+        return _irfft(vh * self._back, self._shape)
 
 
 def _warn_at_caller(message):
@@ -705,8 +758,14 @@ def build_inner_preconditioner(kind: str, op: SparseOperator,
 # ----------------------------------------------------------------------
 
 class _QuadraticSystem(LinearOperator):
-    """Matrix-free M Q_eta = (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M;
-    one mass solve per application."""
+    """Matrix-free M Q_eta = (eta M - dt L) M^{-1} (eta M - dt L) + beta^2 M,
+    one mass solve per application.  With a circulant A_eta and a
+    periodic mass it is A_eta, then the Fourier multiplier a_eta / m
+    + beta^2 m / a_eta on the rfft half-spectrum: one CSR apply and one
+    real FFT round trip.  The multiplier a_eta^2 / m + beta^2 m on v
+    itself would round a smooth v's product up to the residual floor
+    (0.2 to 0.4 eps ||op|| ||v|| on fem1d, against 0.002 this way),
+    where pair solves stall."""
 
     def __init__(self, A_eta: LinearOperator, M: MassOperator, beta: float):
         super().__init__(A_eta.n)
@@ -714,17 +773,29 @@ class _QuadraticSystem(LinearOperator):
         self.M = M
         self._b2 = beta * beta
         self.symmetric = A_eta.symmetric and M.symmetric
+        self._mult = None
+        m = None if M.is_identity else _mass_symbol(M, A_eta)
+        if m is not None:
+            k = A_eta.symbol.shape[-1] // 2 + 1
+            a, m = A_eta.symbol[..., :k], m[..., :k]
+            self._mult = a / m + self._b2 * (m / a)
 
     @cached_property
     def norm(self) -> float:
-        """Exact from the symbol for a circulant A_eta (so M = I), else
-        the bound ||A_eta||^2 ||M^{-1}|| + beta^2 ||M||."""
+        """Exact from the symbols for a circulant A_eta: the largest
+        modulus of a_eta^2 / m + beta^2 m (m = 1 for M = I); else the
+        bound ||A_eta||^2 ||M^{-1}|| + beta^2 ||M||."""
         A, M = self.A_eta, self.M
-        if isinstance(A, CirculantOperator):
-            return float(np.abs(A.symbol ** 2 + self._b2).max())
+        m = _mass_symbol(M, A)
+        if m is not None:
+            return float(np.abs(A.symbol ** 2 / m + self._b2 * m).max())
         return A.norm ** 2 * M.inv_norm + self._b2 * M.norm
 
     def apply(self, v):
+        if self._mult is not None:
+            shape = self.A_eta.symbol.shape
+            return _irfft(_rfft(self.A_eta.apply(v), shape) * self._mult,
+                          shape)
         w = self.A_eta.apply(self.M.solve(self.A_eta.apply(v)))
         return w + self._b2 * self.M.apply(v)
 
@@ -762,11 +833,12 @@ def pair_system(A_eta: LinearOperator, P: Preconditioner, M: MassOperator,
                 beta: float, delta: float):
     """(M Q_eta, P M P) for the pair eta +- i beta, A_eta = eta M - dt L
     and P a solve of gamma M - dt L, delta = gamma - eta: an FFT solve
-    (so M = I) squared in place, any other P wrapped."""
+    (so M = I or a periodic mass) squared in place, any other P
+    wrapped."""
     op = _QuadraticSystem(A_eta, M, beta)
     c = delta * delta + beta * beta
     if isinstance(P, ExactFFT):
-        return op, P.square(op, delta, c)
+        return op, P.square(op, delta, c, M)
     return op, _SandwichPreconditioner(P, op, M, delta, c)
 
 
@@ -798,17 +870,17 @@ def fov_upper_bound(L: SparseOperator) -> float:
     shift = float(_abs_row_sums(S).max())  # >= rho(S)
     if shift == 0.0:
         return 0.0
-    return _lanczos_max(S + shift * sp.identity(L.n), L.n) - shift
+    return _lanczos_max(S + shift * sp.identity(L.n), L.n, 1e-12) - shift
 
 
-def _lanczos_max(A, n: int) -> float:
+def _lanczos_max(A, n: int, tol: float) -> float:
     """The largest eigenvalue of a symmetric A of dimension n (a sparse
-    matrix or a scipy LinearOperator) by ARPACK's Lanczos, from a seeded
-    random start so that one A gives one value.  EigenFailure when
-    ARPACK fails."""
+    matrix or a scipy LinearOperator) by ARPACK's Lanczos to relative
+    accuracy tol, from a seeded random start so that one A gives one
+    value.  EigenFailure when ARPACK fails."""
     import scipy.sparse.linalg as spla
     try:
-        val = spla.eigsh(A, k=1, which="LA", maxiter=10000, tol=1e-12,
+        val = spla.eigsh(A, k=1, which="LA", maxiter=10000, tol=tol,
                          v0=np.random.default_rng(0).standard_normal(n),
                          return_eigenvectors=False)
     except (spla.ArpackNoConvergence, spla.ArpackError) as exc:

@@ -13,9 +13,10 @@ scipy's sparse arithmetic would combine the entries of the matrices,
 and linop.stencil_matrix assembles a matrix only where one is applied.
 
 The FEM mass matrix is assembled from its stencil by the same function
-and keeps the stencil, so its symmetry is read from the stencil and
-each shift gamma M - dt L of the FEM problem is combined from the two
-stencils: its set-up does no sparse-matrix arithmetic either.
+and keeps the stencil and its symbol, so its symmetry is read from the
+stencil, it solves by FFT, and each shift gamma M - dt L of the FEM
+problem is a circulant combined from the two: its set-up does no
+sparse-matrix arithmetic either, and factors nothing.
 """
 
 from dataclasses import dataclass
@@ -234,8 +235,9 @@ def build_fd_mms(grid: GridSpec, fd_order: int = 4) -> LinearProblem:
 
 
 def build_fem_mass_1d(grid: GridSpec) -> SparseMass:
-    """Periodic linear-FEM mass matrix, rows (h/6)[1, 4, 1]; SPD with an
-    exact cyclic-tridiagonal solve.  It keeps its stencil."""
+    """Periodic linear-FEM mass matrix, rows (h/6)[1, 4, 1]; SPD, with
+    symbol (h/6)(4 + 2 cos theta_k) and an exact FFT solve.  It keeps
+    its stencil."""
     if grid.dim != 1:
         raise ValueError("FEM mass matrix is 1D")
     h = grid.h

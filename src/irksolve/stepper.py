@@ -29,21 +29,22 @@ stage storage:
    the inner solves (linop.pair_system gives the details for a pair)
    and applies the operator only for the true residual; CG and every
    other inner solve apply it every iteration.  The exact inner solve
-   of a circulant L with M = I is the FFT, in 1D as in 2D: set-up
-   factors nothing, a pair's P M P is one Fourier multiplier, and GMRES
-   runs each restart cycle on the weighted half-spectrum, so an
-   iteration costs no FFT and a cycle one rfftn and one irfftn.  An SDIRK
-   tableau's A0^{-1} is defective: its s solves share one operator and
-   are chained, each adding M times the previous answer to its rhs;
+   of a circulant L with M = I or a periodic mass (the FEM mass) is the
+   FFT, in 1D as in 2D: set-up factors nothing, a pair's P M P is one
+   Fourier multiplier, and GMRES runs each restart cycle on the weighted
+   half-spectrum, so an iteration costs no FFT and a cycle one rfftn
+   and one irfftn.  An SDIRK tableau's A0^{-1} is defective: its s
+   solves share one operator and are chained, each adding M times the
+   previous answer to its rhs;
 3. update u_{n+1} = R(inf) u_n + sum_j y_j.
 
 advance_oracle is the one exact reference step: mode by mode for a
-circulant L with M = I, one sparse LU of the full stage system for any
-other problem.  A block-preconditioned (GSL / LD) baseline stepper
-serves iteration-count comparisons; SDIRK baselines are IRKStepper runs
-of their tableaux.  The stage system has one owner, _StageSystem, that
-the LU and the block baselines share; it states its norm, so block
-solves stop at the floor.
+circulant L with M = I or a periodic mass, one sparse LU of the full
+stage system for any other problem.  A block-preconditioned (GSL / LD)
+baseline stepper serves iteration-count comparisons; SDIRK baselines
+are IRKStepper runs of their tableaux.  The stage system has one
+owner, _StageSystem, that the LU and the block baselines share; it
+states its norm, so block solves stop at the floor.
 Both steppers share one protocol: factor once at construction for a
 fixed dt, then advance(u, t) -> (u, reports) per step, with
 factor_summary() naming the rows of the reports.  Both pass the
@@ -61,11 +62,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .krylov import KrylovConfig, Preconditioner, _norm, solve
-from .linop import (CirculantOperator, DimensionMismatch,
+from .linop import (DimensionMismatch,
                     FieldOfValuesViolation, IdentityMass, LinearOperator,
                     MassOperator, SparseMass, SparseOperator,
-                    build_inner_preconditioner, fov_upper_bound,
-                    pair_system, shifted_operator)
+                    _mass_symbol, build_inner_preconditioner,
+                    fov_upper_bound, pair_system, shifted_operator)
 from .spectral import factor_list, spectral_decompose
 from .tableaux import ButcherTableau
 
@@ -327,10 +328,11 @@ def advance_oracle(tableau: ButcherTableau, problem: LinearProblem,
                    u_n: np.ndarray, t_n: float, dt: float) -> np.ndarray:
     """The exact step u_n + dt sum_i b_i k_i, k solving the stage system
     (I x M - dt A0 x L) k = [f(t_n + c_i dt) + L u_n]_i, at any size:
-    mode by mode for a circulant L with M = I, else by one sparse LU.
-    Against a 40-digit solve on SDIRK4L (forced MMS, n = 1024, dt = 4h)
-    the first is 1.1e-14 off (relative 2-norm), the LU 4.2e-12."""
-    if isinstance(problem.L, CirculantOperator) and problem.M.is_identity:
+    mode by mode for a circulant L with M = I or a periodic mass on its
+    grid, else by one sparse LU.  Against a 40-digit solve on SDIRK4L
+    (forced MMS, n = 1024, dt = 4h) the first is 1.1e-14 off (relative
+    2-norm), the LU 4.2e-12."""
+    if _mass_symbol(problem.M, problem.L) is not None:
         return _advance_fourier(tableau, problem, u_n, t_n, dt)
     return _advance_lu(tableau, problem, u_n, t_n, dt)
 
@@ -347,10 +349,11 @@ def _advance_lu(tableau, problem, u_n, t_n, dt):
 
 
 def _advance_fourier(tableau, problem, u_n, t_n, dt):
-    """advance_oracle of a circulant L with M = I: (I - dt lambda A0) k
-    = f_hat_i + lambda u_hat for every mode, lambda the symbol of L, in
-    one batched solve, then u + dt b^T k transformed back.  Forming the
-    rhs as _StageSystem does moves SDIRK4L at n = 1024 by 2.8e-12."""
+    """advance_oracle of a circulant L with M = I or a periodic mass on
+    its grid: (m I - dt lambda A0) k = f_hat_i + lambda u_hat for every
+    mode, lambda the symbol of L and m that of M (1 for M = I), in one
+    batched solve, then u + dt b^T k transformed back.  Forming the rhs
+    as _StageSystem does moves SDIRK4L at n = 1024 by 2.8e-12."""
     L = problem.L
     shape, axes = L.symbol.shape, tuple(range(L.symbol.ndim))
 
@@ -363,7 +366,8 @@ def _advance_fourier(tableau, problem, u_n, t_n, dt):
     if problem.forcing is not None:
         for i, c in enumerate(tableau.c0):
             rhs[:, i] += fft(problem.forcing(t_n + dt * c))
-    system = np.eye(tableau.s) - dt * lam[:, None, None] * tableau.A0
+    m = np.reshape(_mass_symbol(problem.M, L), (-1, 1, 1))
+    system = m * np.eye(tableau.s) - dt * lam[:, None, None] * tableau.A0
     k = np.linalg.solve(system, rhs[..., None])[..., 0]
     step = np.fft.ifftn((u_hat + dt * (k @ tableau.b0)).reshape(shape),
                         axes=axes)

@@ -338,6 +338,21 @@ def test_baseline_reports_no_difference_for_failed_runs(capsys):
     assert all(np.isnan(d) for d in _baseline_drifts(out).values())
 
 
+def test_baseline_cost_is_per_attempted_step(capsys):
+    # the README baseline example at --max-iters 4: IRK, GSL and LD stop
+    # at step 1 of 4 after 8 applications on 2 stages, 4 per step and
+    # stage; the SDIRK run completes its 4 steps at 1
+    argv, = [a for a in _readme_cli_examples() if a[1] == "baseline"]
+    code, out = run_cli(capsys, argv[1:] + ["--max-iters", "4"])
+    assert code == 1
+    costs = {t.split()[1]: t.split()[2] for t in out.splitlines()
+             if t.startswith("# integrator=") and "apps_per_step" in t}
+    assert costs == {"integrator=irk": "apps_per_step_per_stage=4.000",
+                     "integrator=gsl": "apps_per_step_per_stage=4.000",
+                     "integrator=ld": "apps_per_step_per_stage=4.000",
+                     "integrator=sdirk": "apps_per_step_per_stage=1.000"}
+
+
 def test_baseline_block_runs_below_the_floor_converge(capsys):
     # a --tol under every solve's floor: the block runs stop at it and
     # agree with IRK

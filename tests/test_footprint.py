@@ -1,7 +1,7 @@
 """What a run loads: scipy.sparse.linalg (SuperLU, ARPACK) only at the
-four calls that use it, so a circulant run with the exact solve never
-does.  Each check runs in a fresh interpreter, since this test process
-loaded the module long ago."""
+four calls that use it, so a circulant run with the exact solve, with
+M = I or the periodic FEM mass, never does.  Each check runs in a fresh
+interpreter, since this test process loaded the module long ago."""
 
 import os
 from pathlib import Path
@@ -33,6 +33,7 @@ import contextlib, io, sys
 import irksolve
 from irksolve import (GridSpec, IRKStepper, advance_oracle, build_fd_mms,
                       build_tableau, cli)
+from irksolve.spatial import build_fem_diffusion_1d
 from irksolve.experiments import ExperimentSpec, build_problem
 
 def loaded():
@@ -58,21 +59,30 @@ with contextlib.redirect_stdout(io.StringIO()):
                      "--stages", "2", "--grids", "8,16", "--tf", "0.25"])
 assert code == 0
 loaded()
+grid = GridSpec(dim=1, n=64)
+prob = build_fem_diffusion_1d(grid)
+u = prob.exact_solution(0.0)
+IRKStepper(build_tableau("gauss", 3), prob, 2 * grid.h).advance(u, 0.0)
+advance_oracle(build_tableau("radauIIA", 3), prob, u, 0.0, 2 * grid.h)
+print({MODULE!r} in sys.modules or "scipy.linalg" in sys.modules)
 """
-    assert _fresh(code) == ["False"] * 5
+    assert _fresh(code) == ["False"] * 6
 
 
 #: one call per place that imports scipy.sparse.linalg, each setting
-#: result: _sparse_lu (the FEM mass and shift), GaussSeidel, the
-#: Lanczos branch of fov_upper_bound and advance_oracle's LU, which a
-#: circulant L with M = I never reaches
+#: result: _sparse_lu (a mass with no stencil, and its shifts),
+#: GaussSeidel, the Lanczos branch of fov_upper_bound and
+#: advance_oracle's LU, which a circulant L with M = I or a periodic
+#: mass never reaches
 _CALLS = {
     "fem1d-step": """
-from irksolve import IRKStepper, build_tableau
+from irksolve import IRKStepper, SparseMass, build_tableau
 from irksolve.experiments import ExperimentSpec, build_problem
+from irksolve.stepper import LinearProblem
 spec = ExperimentSpec(problem="diffusion1d-fem", family="gauss", stages=3,
                       grids=(64,))
-prob, u, grid = build_problem(spec, 64)
+fem, u, grid = build_problem(spec, 64)
+prob = LinearProblem(SparseMass(fem.M.mat), fem.L)
 result, _ = IRKStepper(build_tableau("gauss", 3), prob,
                        spec.dt_ratio * grid.h).advance(u, 0.0)
 """,

@@ -288,7 +288,7 @@ def test_exact_fft_residual():
         assert np.linalg.norm(op.apply(x) - v) <= 1e-13 * np.linalg.norm(v)
         A_eta = shifted_operator(eta, dt, M, L)
         pair = _QuadraticSystem(A_eta, IdentityMass(op.n), beta)
-        sq = ExactFFT(op).square(pair, delta, delta ** 2 + beta ** 2)
+        sq = ExactFFT(op).square(pair, delta, delta ** 2 + beta ** 2, M)
         vh = sq.forward(v)
         d, w = sq.apply_with_image(vh, np.empty_like(vh))
         z = sq.combine([d], np.ones(1))
@@ -340,7 +340,8 @@ def test_exact_fft_combine_follows_square():
 
         pc = ExactFFT(op)
         assert np.array_equal(pc.combine(D, y), formula(inv))
-        pc.square(op, gamma - eta, beta ** 2 + (gamma - eta) ** 2)
+        pc.square(op, gamma - eta, beta ** 2 + (gamma - eta) ** 2,
+                  IdentityMass(op.n))
         assert np.array_equal(pc.combine(D, y), formula(inv ** 2))
         assert np.array_equal(pc.combine(list(D), y), formula(inv ** 2))
 
@@ -372,10 +373,14 @@ def test_exact_kind_follows_the_operator():
         L = build_advdiff(grid, 0.5, 0.5, 2)
         op = shifted_operator(2.0, 0.1, IdentityMass(grid.size), L)
         assert type(build_inner_preconditioner("exact", op)) is ExactFFT
-    # a circulant L with a non-identity mass is not circulant-shifted
+    # and so does a circulant L with the periodic FEM mass, whose shift
+    # is circulant too; the same mass as a bare matrix gets the LU
     grid = GridSpec(dim=1, n=16)
     prob = build_fem_diffusion_1d(grid)
     op = shifted_operator(2.0, 0.1, prob.M, prob.L)
+    assert type(op) is CirculantOperator
+    assert type(build_inner_preconditioner("exact", op)) is ExactFFT
+    op = shifted_operator(2.0, 0.1, SparseMass(prob.M.mat), prob.L)
     assert type(op) is SparseOperator
     assert type(build_inner_preconditioner("exact", op)) is ExactSparseLU
 
@@ -501,9 +506,11 @@ def _recorded_shifts(monkeypatch, build):
 
 @pytest.mark.parametrize("n", [4, 16, 256])
 def test_mass_shift_is_scipys_difference_bit_for_bit(monkeypatch, n):
-    # the FEM shifts gamma M - dt L of both steppers, combined from the
-    # two stencils: scipy's arrays, norm, symmetry and LU solve; n = 4
-    # is the smallest grid, where half the rows wrap round it
+    # the FEM shifts gamma M - dt L of both steppers, circulants
+    # combined from the two stencils: scipy's arrays, symmetry and LU
+    # solve; their norm is the symbol's largest modulus, the exact
+    # 2-norm, not scipy's infinity-norm; n = 4 is the smallest grid,
+    # where half the rows wrap round it
     from irksolve.stepper import BlockStepper, IRKStepper
     from irksolve.tableaux import build_tableau
     grid = GridSpec(dim=1, n=n)
@@ -520,9 +527,11 @@ def test_mass_shift_is_scipys_difference_bit_for_bit(monkeypatch, n):
     assert len({args[0] for args, _ in calls}) >= 8
     for (gamma, dt, M, L), op in calls:
         ref = SparseOperator(gamma * M.mat - dt * L.mat)
-        assert type(op) is SparseOperator
+        assert type(op) is CirculantOperator
         assert _same_csr(op.mat, ref.mat), gamma
-        assert op.norm == ref.norm, gamma
+        assert op.norm == float(np.abs(op.symbol).max()), gamma
+        assert op.norm == pytest.approx(
+            np.linalg.norm(ref.mat.toarray(), 2), rel=1e-12), gamma
         assert op.symmetric == ref.symmetric is True
         assert np.array_equal(ExactSparseLU(op).apply(v),
                               ExactSparseLU(ref).apply(v)), gamma
@@ -573,12 +582,49 @@ def test_stencil_matrix_canonicalizes_any_stencil(stencil):
 
 
 def test_quadratic_system_apply_is_the_scipy_formula_bit_for_bit():
-    problem, solves = _fem1d_solves()
-    Q = solves[1].op
-    A, M = Q.A_eta.mat, problem.M
+    # with a mass that keeps no stencil the pair applies in real space
+    problem, _solves = _fem1d_solves()
+    M = SparseMass(problem.M.mat)
+    Q = _QuadraticSystem(shifted_operator(1.3, 2.0 / 256, M, problem.L),
+                         M, 0.8)
+    A = Q.A_eta.mat
     v = rng.standard_normal(Q.n)
     ref = A @ M.solve(A @ v) + Q._b2 * (M.mat @ v)
     assert np.array_equal(Q.apply(v), ref)
+
+
+def test_quadratic_system_with_a_periodic_mass_is_its_multiplier():
+    # a circulant A_eta and the FEM mass: A_eta, then one FFT round trip
+    # of the multiplier a_eta / m + beta^2 m / a_eta, the scipy formula
+    # to rounding, and its norm is the largest modulus of a_eta^2 / m
+    # + beta^2 m, the 2-norm.  On the smooth vectors that fem1d's pair
+    # solves return it rounds as the real-space product does, 0.002 eps
+    # ||op|| ||v|| from it, where the multiplier a_eta^2 / m + beta^2 m
+    # on v itself is 0.19 to 0.39 off and stalls pair solves at the
+    # residual floor
+    from irksolve.krylov import EPS
+    problem, solves = _fem1d_solves()
+    Q, M = solves[1].op, problem.M
+    assert isinstance(Q.A_eta, CirculantOperator)
+    A, lu = Q.A_eta.mat, SparseMass(M.mat)
+
+    def ref(v):
+        return A @ lu.solve(A @ v) + Q._b2 * (M.mat @ v)
+    for v in (rng.standard_normal(Q.n), np.ones(Q.n),
+              (-1.0) ** np.arange(Q.n)):
+        assert np.linalg.norm(Q.apply(v) - ref(v)) \
+            <= 1e-13 * np.linalg.norm(ref(v))
+    x = GridSpec(dim=1, n=Q.n).points_1d()
+    for phi in np.linspace(0.0, 6.0, 7):
+        v = np.sin(np.pi * x + phi)
+        assert np.linalg.norm(Q.apply(v) - ref(v)) \
+            <= 0.05 * EPS * Q.norm * np.linalg.norm(v), phi
+    a, m = Q.A_eta.symbol, M.symbol
+    assert Q.norm == pytest.approx(np.abs(a * a / m + Q._b2 * m).max(),
+                                   rel=1e-14)
+    dense = A.toarray() @ np.linalg.solve(M.mat.toarray(), A.toarray()) \
+        + Q._b2 * M.mat.toarray()
+    assert Q.norm == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
 
 
 def _hand_built():
@@ -698,3 +744,105 @@ def test_row_sums_and_norms_are_scipys_bit_for_bit():
     M = ops["fem-mass"]
     gap = np.min(2.0 * M.mat.diagonal() - np.abs(M.mat).sum(axis=1).A1)
     assert M.inv_norm == 1.0 / float(gap)
+
+
+# ----------------------------------------------------------------------
+# Periodic masses: symbol, FFT solve, inverse norm
+
+def test_stencil_mass_solves_by_fft_and_factors_nothing(monkeypatch):
+    # the FEM mass keeps its symbol, the eigenvalues of its matrix, and
+    # solves by one real FFT round trip: no LU at construction or solve
+    monkeypatch.setattr(linop, "_sparse_lu", None)
+    for n in (4, 15, 64):
+        grid = GridSpec(dim=1, n=n)
+        M = build_fem_mass_1d(grid)
+        assert M.symbol.shape == (n,)
+        theta = 2.0 * np.pi * np.arange(n) / n
+        want = grid.h / 6.0 * (4.0 + 2.0 * np.cos(theta))
+        assert np.allclose(M.symbol, want, rtol=1e-14, atol=0.0)
+        v = rng.standard_normal(n)
+        ref = np.linalg.solve(M.mat.toarray(), v)
+        assert np.linalg.norm(M.solve(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+    # a 2-D stencil's symbol is its matrix's spectrum too
+    M = SparseMass.from_stencil({(0, 0): 5.0, (1, -1): 1.0, (-1, 1): 1.0},
+                                (4, 5))
+    assert np.allclose(np.sort(M.symbol.real.ravel()),
+                       np.linalg.eigvalsh(M.mat.toarray()), atol=1e-13)
+
+
+def test_singular_stencil_mass_is_a_factorization_failure():
+    # a zero mode, as an LU's zero pivot
+    with pytest.raises(FactorizationFailure):
+        SparseMass.from_stencil({(-1,): 1.0, (0,): 2.0, (1,): 1.0}, (8,))
+
+
+def test_stencil_mass_inverse_norm_comes_from_its_symbol(monkeypatch):
+    # Gershgorin's gap 2 - 2.4 is negative for 1 + 0.3 (S + S^-1 + S^2
+    # + S^-2), an SPD mass: the bound is 1 / min |m_k|, exact, with no
+    # eigensolve (the P1 mass keeps its Gershgorin value, 3/h:
+    # test_operator_norms)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    monkeypatch.setattr(linop, "_lanczos_max", None)
+    stencil = {(0,): 1.0, (1,): 0.3, (-1,): 0.3, (2,): 0.3, (-2,): 0.3}
+    M = SparseMass.from_stencil(stencil, (16,))
+    assert M.inv_norm == 1.0 / float(np.abs(M.symbol).min())
+    monkeypatch.undo()
+    want = 1.0 / np.linalg.eigvalsh(M.mat.toarray())[0]
+    assert M.inv_norm == pytest.approx(want, rel=1e-12)
+    assert SparseMass(M.mat).inv_norm == pytest.approx(want, rel=1e-12)
+
+
+def test_lanczos_tolerance_per_use(monkeypatch):
+    # the W(L) certificate asks ARPACK for 1e-12; ||M^{-1}|| of a mass
+    # beyond DENSE_LIMIT, which only scales a residual floor, for 1e-3,
+    # and is raised by that much so that it stays an upper bound
+    tols = []
+    lanczos = linop._lanczos_max
+
+    def recording(A, n, tol):
+        tols.append(tol)
+        return lanczos(A, n, tol)
+    monkeypatch.setattr(linop, "_lanczos_max", recording)
+    n = DENSE_LIMIT + 8
+    fov_upper_bound(SparseOperator(-sp.identity(n, format="csr")
+                                   + 0.5 * sp.eye(n, k=1)))
+    # 1 + 0.3 (S + S^-1 + S^2 + S^-2), not diagonally dominant, SPD
+    mat = sp.diags([1.0, 0.3, 0.3, 0.3, 0.3], [0, 1, -1, 2, -2],
+                   shape=(n, n), format="csr")
+    M = SparseMass(mat)
+    want = 1.0 / np.linalg.eigvalsh(mat.toarray())[0]
+    assert want <= M.inv_norm <= want * (1.0 + 1e-3)
+    assert tols == [1e-12, 1e-3]
+
+
+@pytest.mark.parametrize("n", [255, 256, 1000, 1024])
+def test_one_axis_transforms_are_rfftn_bit_for_bit(n):
+    # a 1-D grid transforms by rfft / irfft, with rfftn's bits
+    v = rng.standard_normal(n)
+    vh = linop._rfft(v, (n,))
+    assert np.array_equal(vh, np.fft.rfftn(v))
+    wh = vh * (0.3 + 1.7j)
+    assert np.array_equal(linop._irfft(wh, (n,)),
+                          np.fft.irfftn(wh, s=(n,), axes=(0,)))
+
+
+def test_exact_fft_squares_with_the_mass():
+    # P M P with the FEM mass is the multiplier m inv^2: two solves
+    # around a mass apply, and its GMRES image is the pair operator's
+    eta, beta, dt = 3.0, np.sqrt(3.0), 2.0 / 64
+    gamma = np.hypot(eta, beta)
+    delta = gamma - eta
+    prob = build_fem_diffusion_1d(GridSpec(dim=1, n=64))
+    M, L = prob.M, prob.L
+    P = ExactFFT(shifted_operator(gamma, dt, M, L))
+    v = rng.standard_normal(64)
+    ref = P.apply(M.apply(P.apply(v)))
+    pair = _QuadraticSystem(shifted_operator(eta, dt, M, L), M, beta)
+    sq = P.square(pair, delta, delta ** 2 + beta ** 2, M)
+    assert np.linalg.norm(sq.apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+    vh = sq.forward(v)
+    d, w = sq.apply_with_image(vh, np.empty_like(vh))
+    z = sq.combine([d], np.ones(1))
+    assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(w - sq.forward(pair.apply(z))) \
+        <= 1e-12 * np.linalg.norm(w)
